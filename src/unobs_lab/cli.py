@@ -12,7 +12,6 @@ the '--flag=value' form, as in ``--alpha-grid=-1,0,1``.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -110,7 +109,7 @@ def _equivalence_record(lambda2: float, nu2: float, alpha: float, n: int) -> dic
         "d": d,
         "tau": tau,
         "slack": eq.psd_slack(spec),
-        "shrinkage": eb_or_none(spec, n),
+        "shrinkage": eq.eb_shrinkage(spec, n),
         "marginal_cov": list(marg.array.ravel()),
         "decomposition": {
             "variance": {
@@ -127,10 +126,6 @@ def _equivalence_record(lambda2: float, nu2: float, alpha: float, n: int) -> dic
             },
         },
     }
-
-
-def eb_or_none(spec: eq.ExtendedSpec, n: int) -> float:
-    return eq.eb_shrinkage(spec, n)
 
 
 def _cmd_equivalence(args) -> int:
@@ -188,35 +183,17 @@ def _cmd_simulate(args) -> int:
         data, latents = est.simulate_extended(
             spec, np.array(args.xi), layout, seed=args.seed, threads=threads
         )
-    if args.out is None or args.out == "-":
-        import io
-
-        buf = io.StringIO()
-        _write_csv_to(data, buf)
-        sys.stdout.write(buf.getvalue())
-    else:
-        write_dataset_csv(data, args.out)
+    write_dataset_csv(data, sys.stdout if args.out in (None, "-") else args.out)
     if args.latent is not None:
         if latents is None:
             raise DomainError("--latent requires --model extended")
-        n_max = max(layout.sizes())
+        n = args.cluster_size  # one line per cluster: id, b, eps1..epsn
+        row = "%s,%.17g" + ",%.17g" * n + "\n"
+        eps = latents.eps.reshape(-1, n).T.tolist()
         with open(args.latent, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("cluster,b," + ",".join(f"eps{j + 1}" for j in range(n_max)) + "\n")
-            for c, (b, eps) in zip(data.clusters, latents):
-                cells = [c.cluster_id, format_float(b)]
-                cells += [format_float(e) for e in eps]
-                cells += [""] * (n_max - len(eps))
-                fh.write(",".join(cells) + "\n")
+            fh.write("cluster,b," + ",".join(f"eps{j + 1}" for j in range(n)) + "\n")
+            fh.writelines(row % c for c in zip(data.cluster_ids, latents.b.tolist(), *eps))
     return 0
-
-
-def _write_csv_to(data, fh) -> None:
-    fh.write("cluster,unit,y," + ",".join(data.covariate_names) + "\n")
-    for c in data.clusters:
-        for j in range(c.n):
-            cells = [c.cluster_id, str(j + 1), format_float(c.y[j])]
-            cells += [format_float(v) for v in c.X[j]]
-            fh.write(",".join(cells) + "\n")
 
 
 def _cmd_heavytail(args) -> int:

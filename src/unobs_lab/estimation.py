@@ -18,14 +18,13 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.optimize import minimize
 
 from unobs_lab.equivalence import ExtendedSpec, joint_cov
 from unobs_lab.model_core import (
-    ClusterData,
     CSParams,
     Dataset,
     DomainError,
+    RankDeficiencyError,
     gls_mean,
     validate_cs,
 )
@@ -40,10 +39,11 @@ __all__ = [
     "fit_balanced_closed_form",
     "simulate_cs",
     "simulate_extended",
+    "Latents",
 ]
 
-LOG_2PI = math.log(2.0 * math.pi)
 BOUNDARY_TOL = 1e-6
+FTOL_REL = 1e-12  # Nelder-Mead's objective tolerance, relative to |loglik|
 
 
 class UnsupportedLayoutError(ValueError):
@@ -86,20 +86,19 @@ class SimLayout:
             raise ValueError("explicit size list must have n_clusters entries")
         return sizes
 
-    def design_for(self, i: int, n: int) -> np.ndarray:
+    def design_matrix(self) -> np.ndarray:
+        """Every cluster's design rows, stacked: (sum of sizes, p)."""
+        sizes = self.sizes()
         if self.design is None:
-            return np.ones((n, 1))
-        if isinstance(self.design, np.ndarray):
-            x = np.asarray(self.design, dtype=float)
-        else:
-            x = np.asarray(self.design[i], dtype=float)
-        if x.shape[0] != n:
-            raise ValueError(f"design for cluster {i} has {x.shape[0]} rows, need {n}")
-        return x
-
-    def covariate_names(self) -> list[str]:
-        p = 1 if self.design is None else self.design_for(0, self.sizes()[0]).shape[1]
-        return [f"x{j + 1}" for j in range(p)]
+            return np.ones((sum(sizes), 1))
+        design = self.design
+        if isinstance(design, np.ndarray):  # one matrix shared by all clusters
+            design = [design] * self.n_clusters
+        blocks = [np.asarray(x, dtype=float) for x in design]
+        for i, (x, n) in enumerate(zip(blocks, sizes)):
+            if x.shape[0] != n:
+                raise ValueError(f"design for cluster {i} has {x.shape[0]} rows, need {n}")
+        return np.vstack(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -111,21 +110,13 @@ def loglik_cs(data: Dataset, params: CSParams) -> float:
     """Exact Gaussian log-likelihood of the compound-symmetry marginal model.
 
     Per cluster: log det V = (n-1) log phi + log(phi + n*lam) and
-    r' V^-1 r = r'r/phi - lam*(1'r)^2 / (phi*(phi + n*lam)).
+    r' V^-1 r = r'r/phi - lam*(1'r)^2 / (phi*(phi + n*lam)); summed per size.
     """
     lam, phi = params.lam, params.phi
-    check = validate_cs(data.cluster_sizes(), lam, phi)
+    check = validate_cs(data.stats.n, lam, phi)
     if not check:
         raise DomainError(check.message)
-    ll = 0.0
-    for c in data.clusters:
-        n = c.n
-        r = c.y - c.X @ params.xi
-        rs = r.sum()
-        quad = r @ r / phi - lam * rs * rs / (phi * (phi + n * lam))
-        logdet = (n - 1) * math.log(phi) + math.log(phi + n * lam)
-        ll -= 0.5 * (n * LOG_2PI + logdet + quad)
-    return ll
+    return data.stats.loglik(params.xi, lam, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -133,76 +124,21 @@ def loglik_cs(data: Dataset, params: CSParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _SizeStats:
-    """Cross-products for all clusters of one size, reused per optimizer step."""
-
-    n: int
-    count: int
-    sxx: np.ndarray  # sum of X_k' X_k, (p, p)
-    sxy: np.ndarray  # sum of X_k' y_k, (p,)
-    syy: float  # sum of y_k' y_k
-    xs: np.ndarray  # column sums of X_k, (count, p)
-    ys: np.ndarray  # sums of y_k, (count,)
-
-
-def _size_stats(data: Dataset) -> list[_SizeStats]:
-    groups: dict[int, list] = {}
-    for c in data.clusters:
-        groups.setdefault(c.n, []).append(c)
-    out = []
-    for n, cs in sorted(groups.items()):
-        out.append(
-            _SizeStats(
-                n=n,
-                count=len(cs),
-                sxx=sum(c.X.T @ c.X for c in cs),
-                sxy=sum(c.X.T @ c.y for c in cs),
-                syy=sum(float(c.y @ c.y) for c in cs),
-                xs=np.array([c.X.sum(axis=0) for c in cs]),
-                ys=np.array([c.y.sum() for c in cs]),
-            )
-        )
-    return out
-
-
-def _gls_from_stats(stats: list[_SizeStats], lam: float, phi: float) -> np.ndarray:
-    p = stats[0].sxx.shape[0]
-    A = np.zeros((p, p))
-    b = np.zeros(p)
-    for st in stats:
-        w = lam / (phi * (phi + st.n * lam))
-        A += st.sxx / phi - w * (st.xs.T @ st.xs)
-        b += st.sxy / phi - w * (st.xs.T @ st.ys)
-    return np.linalg.solve(A, b)
-
-
-def _loglik_from_stats(stats: list[_SizeStats], xi: np.ndarray, lam: float, phi: float) -> float:
-    ll = 0.0
-    for st in stats:
-        rr = st.syy - 2.0 * xi @ st.sxy + xi @ st.sxx @ xi
-        ones_r = st.ys - st.xs @ xi
-        quad = rr / phi - lam * float(ones_r @ ones_r) / (phi * (phi + st.n * lam))
-        logdet = (st.n - 1) * math.log(phi) + math.log(phi + st.n * lam)
-        ll -= 0.5 * (st.count * (st.n * LOG_2PI + logdet) + quad)
-    return ll
-
-
 def _moment_start(data: Dataset) -> tuple[float, float]:
-    """Method-of-moments starting values for (lam, phi), clipped feasible."""
-    X = np.vstack([c.X for c in data.clusters])
-    y = np.concatenate([c.y for c in data.clusters])
-    xi0, *_ = np.linalg.lstsq(X, y, rcond=None)
-    resid = [c.y - c.X @ xi0 for c in data.clusters]
+    """Method-of-moments starting values for (lam, phi), clipped feasible.
 
-    ssw = sum(float(np.sum((r - r.mean()) ** 2)) for r in resid)
-    dfw = sum(c.n - 1 for c in data.clusters)
-    phi0 = ssw / dfw if dfw > 0 and ssw > 0 else float(np.var(y)) or 1.0
-
-    means = np.array([r.mean() for r in resid])
-    nbar = np.mean([c.n for c in data.clusters])
-    lam0 = float(np.var(means)) - phi0 / nbar
-    n_max = max(c.n for c in data.clusters)
+    From the OLS residuals r: phi0 is the pooled within-cluster variance and
+    lam0 the mean squared cluster-mean residual less phi0/nbar.
+    """
+    st = data.stats
+    v = np.append(-st.gls(0.0, 1.0), 1.0)  # GLS at lam = 0 is OLS
+    rr = float(v @ st.zz_total @ v)
+    rs2 = np.einsum("i,sij,j->s", v, st.ww, v)  # sum of (1'r)^2 per size
+    ssw = rr - float(np.sum(rs2 / st.n))
+    dfw = st.n_obs - data.n_clusters
+    phi0 = ssw / dfw if dfw > 0 and ssw > 0 else float(np.var(data.y)) or 1.0
+    lam0 = float(np.sum(rs2 / st.n**2)) / data.n_clusters - phi0 * data.n_clusters / st.n_obs
+    n_max = int(st.n[-1])
     if phi0 + n_max * lam0 <= 0:
         lam0 = -0.5 * phi0 / n_max
     return lam0, phi0
@@ -211,48 +147,53 @@ def _moment_start(data: Dataset) -> tuple[float, float]:
 def fit_ml(data: Dataset, max_iter: int = 500, xtol: float = 1e-9) -> FitResult:
     """Maximize loglik_cs over {phi > 0, phi + n_i*lam > 0 for all i}.
 
-    Nelder-Mead over (lam, log phi) with profiled xi; infeasible points get a
-    large rejection penalty. Never restricts lam to be nonnegative.
+    Nelder-Mead over (lam, log phi) with profiled xi; infeasible or
+    ill-conditioned points get a large rejection penalty. Never restricts lam
+    to be nonnegative. The simplex stops when its vertices are within xtol
+    and their objective values within FTOL_REL of the objective's magnitude:
+    an absolute tolerance would sit below the rounding of a log-likelihood
+    summed over many clusters.
     """
+    from scipy.optimize import minimize
+
     if data.n_clusters < 2:
         raise DomainError("fitting requires at least two clusters")
-    sizes = data.cluster_sizes()
-    if all(n == 1 for n in sizes):
+    st = data.stats
+    n_max = int(st.n[-1])
+    if n_max == 1:
         raise DomainError(
             "lam is unidentified: every cluster has a single observation"
         )
-    n_set = sorted(set(sizes))
-    n_max = n_set[-1]
-    stats = _size_stats(data)
 
     def neg_loglik(z: np.ndarray) -> float:
         lam, phi = z[0], math.exp(z[1])
         worst = phi + n_max * lam
-        if worst <= 0 or not math.isfinite(phi):
+        if not (phi > 0 and worst > 0 and math.isfinite(phi)):
             return 1e10 * (1.0 + abs(worst))
-        xi = _gls_from_stats(stats, lam, phi)
-        return -_loglik_from_stats(stats, xi, lam, phi)
+        try:
+            return -st.loglik(st.gls(lam, phi), lam, phi)
+        except RankDeficiencyError:
+            return 1e10
 
     lam0, phi0 = _moment_start(data)
+    z0 = np.array([lam0, math.log(phi0)])
     res = minimize(
         neg_loglik,
-        np.array([lam0, math.log(phi0)]),
+        z0,
         method="Nelder-Mead",
         options={
             "maxiter": max_iter,
             "xatol": xtol,
-            "fatol": 1e-12,
+            "fatol": FTOL_REL * max(1.0, abs(neg_loglik(z0))),
         },
     )
     lam, phi = res.x[0], math.exp(res.x[1])
     xi = gls_mean(data, lam, phi)
     params = CSParams(xi=xi, lam=lam, phi=phi)
-    active = phi < BOUNDARY_TOL or any(
-        phi + n * lam < BOUNDARY_TOL for n in n_set
-    )
+    active = phi < BOUNDARY_TOL or bool(np.any(phi + st.n * lam < BOUNDARY_TOL))
     return FitResult(
         params=params,
-        loglik=-res.fun,
+        loglik=loglik_cs(data, params),
         converged=bool(res.success),
         iterations=int(res.nit),
         constraint_active=active,
@@ -265,16 +206,15 @@ def fit_balanced_closed_form(data: Dataset) -> FitResult:
     mu = grand mean, phi = SSW / (N*(n-1)), lam = SSB/(N*n) - phi/n; lam is
     not truncated at zero. Used as the oracle for fit_ml.
     """
-    sizes = data.cluster_sizes()
-    n = sizes[0]
-    if any(m != n for m in sizes):
+    n = int(data.sizes[0])
+    if np.any(data.sizes != n):
         raise UnsupportedLayoutError("closed form requires balanced clusters")
     if n < 2:
         raise UnsupportedLayoutError("closed form requires cluster size >= 2")
-    if data.p != 1 or any(not np.all(c.X == 1.0) for c in data.clusters):
+    if data.p != 1 or not np.all(data.X == 1.0):
         raise UnsupportedLayoutError("closed form requires an intercept-only design")
     N = data.n_clusters
-    y = np.array([c.y for c in data.clusters])  # (N, n)
+    y = data.y.reshape(N, n)
     mu = float(y.mean())
     cluster_means = y.mean(axis=1)
     ssw = float(np.sum((y - cluster_means[:, None]) ** 2))
@@ -326,21 +266,37 @@ def simulate_cs(
         for n in set(sizes):
             v = np.full((n, n), lam) + phi * np.eye(n)
             chols[n] = np.linalg.cholesky(v)
+    X, offsets = layout.design_matrix(), np.cumsum([0] + sizes).tolist()
+    mean = X @ params.xi
+    y = np.empty(len(mean))
 
-    def build(i: int) -> ClusterData:
-        n = sizes[i]
-        X = layout.design_for(i, n)
+    def build(i: int) -> None:
+        a, n = offsets[i], sizes[i]
         rng = substream(seed, i)
-        mean = X @ params.xi
         if lam >= 0:
             b = rng.normal(0.0, math.sqrt(lam)) if lam > 0 else 0.0
-            y = mean + b + rng.normal(0.0, math.sqrt(phi), size=n)
+            y[a : a + n] = mean[a : a + n] + b + rng.normal(0.0, math.sqrt(phi), size=n)
         else:
-            y = mean + chols[n] @ rng.standard_normal(n)
-        return ClusterData(cluster_id=f"c{i + 1}", y=y, X=X)
+            y[a : a + n] = mean[a : a + n] + chols[n] @ rng.standard_normal(n)
 
-    clusters = _map_clusters(build, layout.n_clusters, threads)
-    return Dataset(clusters=tuple(clusters), covariate_names=tuple(layout.covariate_names()))
+    _map_clusters(build, layout.n_clusters, threads)
+    return Dataset.from_columns(y, X, sizes)
+
+
+@dataclass(frozen=True)
+class Latents:
+    """simulate_extended's b per cluster and eps per row; item i is (b_i, eps_i)."""
+
+    b: np.ndarray
+    eps: np.ndarray
+    offsets: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.b)
+
+    def __getitem__(self, i: int) -> tuple[float, np.ndarray]:
+        i = range(len(self.b))[i]
+        return float(self.b[i]), self.eps[self.offsets[i] : self.offsets[i + 1]]
 
 
 def simulate_extended(
@@ -349,7 +305,7 @@ def simulate_extended(
     layout: SimLayout,
     seed: int,
     threads: int = 1,
-) -> tuple[Dataset, list[tuple[float, np.ndarray]]]:
+) -> tuple[Dataset, Latents]:
     """Simulate from the alpha-indexed hierarchy; returns data plus latents.
 
     (b, eps) are drawn jointly from the (n+1)-dimensional Gaussian through a
@@ -369,18 +325,17 @@ def simulate_extended(
                 f"joint covariance for n = {n} is not PSD: eigenvalue {w.min()}"
             )
         factors[n] = u * np.sqrt(np.clip(w, 0.0, None))
+    X, offsets = layout.design_matrix(), np.cumsum([0] + sizes).tolist()
+    mean = X @ xi
+    y, eps, b = np.empty(len(mean)), np.empty(len(mean)), np.empty(len(sizes))
 
-    def build(i: int) -> tuple[ClusterData, float, np.ndarray]:
-        n = sizes[i]
-        X = layout.design_for(i, n)
+    def build(i: int) -> None:
+        a, n = offsets[i], sizes[i]
         rng = substream(seed, i)
         v = factors[n] @ rng.standard_normal(n + 1)
-        b, eps = float(v[0]), v[1:]
-        y = X @ xi + b + eps
-        return ClusterData(cluster_id=f"c{i + 1}", y=y, X=X), b, eps
+        b[i], eps[a : a + n] = v[0], v[1:]
+        y[a : a + n] = mean[a : a + n] + float(v[0]) + v[1:]
 
-    rows = _map_clusters(build, layout.n_clusters, threads)
-    clusters = tuple(r[0] for r in rows)
-    latents = [(r[1], r[2]) for r in rows]
-    data = Dataset(clusters=clusters, covariate_names=tuple(layout.covariate_names()))
-    return data, latents
+    _map_clusters(build, layout.n_clusters, threads)
+    data = Dataset.from_columns(y, X, sizes)
+    return data, Latents(b, eps, data.offsets)

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln, gammasgn, ndtr
 
 from unobs_lab.model_core import DomainError
 from unobs_lab.rng import substream
@@ -224,8 +222,8 @@ def we_moment(spec: WeibullExpSpec, k: int) -> MomentResult:
     """Analytic k-th moment with pole and divergence detection.
 
     value = (k/rho)*(delta/phi)^(k/rho)*Gamma(1-k/rho)*Gamma(k/rho), computed
-    in log space with sign tracking, and reported only when the integral is
-    actually finite (k < rho).
+    in log space, and reported only when the integral is actually finite
+    (k < rho). Then both Gamma arguments lie in (0, 1), so the sign is +1.
     """
     if k < 1:
         raise DomainError("moment order k must be a positive integer")
@@ -235,14 +233,12 @@ def we_moment(spec: WeibullExpSpec, k: int) -> MomentResult:
     integral_finite = k < rho and formula_defined
     value = None
     if integral_finite:
-        sign = gammasgn(1.0 - r) * gammasgn(r)
-        logval = (
-            math.log(k / rho)
+        value = math.exp(
+            math.log(r)
             + r * (math.log(delta) - math.log(phi))
-            + gammaln(1.0 - r)
-            + gammaln(r)
+            + math.lgamma(1.0 - r)
+            + math.lgamma(r)
         )
-        value = float(sign * math.exp(logval))
     return MomentResult(
         k=k,
         formula_defined=formula_defined,
@@ -259,6 +255,7 @@ def truncated_moment(spec: WeibullExpSpec, k: int, T: float) -> float:
     for rho < 1. The range is split into geometric panels so huge T (slowly
     decaying integrands) stays accurate.
     """
+    from scipy.integrate import quad
     if not T > 0:
         raise DomainError("T must be strictly positive")
     if k < 1:
@@ -333,6 +330,7 @@ def pit_sample(
     quantile: Callable[[float], float], n_draws: int, seed: int
 ) -> np.ndarray:
     """Probability-integral-transform sampler: F^-1(ndtr(a)), a standard normal."""
+    from scipy.special import ndtr
     rng = substream(seed, 0)
     a = rng.standard_normal(n_draws)
     u = ndtr(a)

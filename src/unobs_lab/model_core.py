@@ -4,13 +4,15 @@ The marginal model handled throughout is Y_i ~ N(X_i xi, lam*J + phi*I) per
 cluster, with a sign-unrestricted between-component lam and residual phi > 0.
 All covariance work uses the rank-one structure of V = lam*J + phi*I:
 eigenvalues phi (multiplicity n-1) and phi + n*lam, and the closed-form
-inverse V^-1 = (1/phi) I - lam/(phi*(phi+n*lam)) J.
+inverse V^-1 = (1/phi) I - lam/(phi*(phi+n*lam)) J. A Dataset stores its
+clusters as columns; likelihood and GLS see it only through SuffStats.
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +22,7 @@ __all__ = [
     "CsvFormatError",
     "ClusterData",
     "Dataset",
+    "SuffStats",
     "CSParams",
     "SymMatrix",
     "Validation",
@@ -150,39 +153,114 @@ class ClusterData:
         return self.X.shape[1]
 
 
-@dataclass(frozen=True)
 class Dataset:
-    """Ordered collection of dimensionally consistent clusters."""
+    """Clustered data stored as read-only columns.
 
-    clusters: tuple[ClusterData, ...]
-    covariate_names: tuple[str, ...]
+    y (n_obs,) and X (n_obs, p) hold the rows cluster by cluster; cluster k
+    is cluster_ids[k] and owns rows offsets[k]:offsets[k+1].
+    Dataset.from_columns builds one without ClusterData objects.
+    """
 
-    def __post_init__(self):
-        clusters = tuple(self.clusters)
-        names = tuple(self.covariate_names)
-        if not clusters:
-            raise ValueError("dataset must contain at least one cluster")
-        p = clusters[0].p
-        for c in clusters:
-            if c.p != p:
-                raise ValueError(
-                    f"cluster {c.cluster_id} has {c.p} covariates, expected {p}"
-                )
-        if len(names) != p:
+    def __init__(self, clusters, covariate_names):
+        clusters = tuple(clusters)  # numpy refuses none, or differing widths
+        y, X = np.concatenate([c.y for c in clusters]), np.vstack([c.X for c in clusters])
+        ids, sizes = [c.cluster_id for c in clusters], [c.n for c in clusters]
+        self._set(y, X, sizes, ids, covariate_names)
+        self.__dict__["clusters"] = clusters
+
+    @classmethod
+    def from_columns(cls, y, X, sizes, cluster_ids=None, covariate_names=None) -> "Dataset":
+        """Ids default to c1, c2, ... and covariate names to x1, x2, ..."""
+        data = cls.__new__(cls)
+        if cluster_ids is None:
+            cluster_ids = [f"c{i + 1}" for i in range(len(sizes))]
+        if covariate_names is None:
+            covariate_names = [f"x{j + 1}" for j in range(np.shape(X)[1])]
+        data._set(y, X, sizes, cluster_ids, covariate_names)
+        return data
+
+    def _set(self, y, X, sizes, cluster_ids, covariate_names) -> None:
+        self.y, self.X = _frozen_array(y), _frozen_array(X)
+        self.sizes = _frozen_array(sizes, dtype=np.int64)
+        self.offsets = _frozen_array(np.cumsum([0, *self.sizes]), dtype=np.int64)
+        self.cluster_ids, self.covariate_names = tuple(cluster_ids), tuple(covariate_names)
+        if self.y.ndim != 1 or self.X.ndim != 2 or len(self.X) != len(self.y):
+            raise ValueError("X must have one row per observation of y")
+        if len(self.sizes) == 0 or self.sizes.min() < 1 or self.offsets[-1] != len(self.y):
+            raise ValueError("need one or more clusters of size >= 1 covering every row")
+        if len(self.cluster_ids) != len(self.sizes):
+            raise ValueError("need one cluster id per cluster")
+        if len(self.covariate_names) != self.X.shape[1]:
             raise ValueError("covariate_names length must match design columns")
-        object.__setattr__(self, "clusters", clusters)
-        object.__setattr__(self, "covariate_names", names)
 
     @property
     def n_clusters(self) -> int:
-        return len(self.clusters)
+        return len(self.sizes)
 
     @property
     def p(self) -> int:
-        return self.clusters[0].p
+        return self.X.shape[1]
 
     def cluster_sizes(self) -> list[int]:
-        return [c.n for c in self.clusters]
+        return self.sizes.tolist()
+
+    @cached_property
+    def clusters(self) -> tuple[ClusterData, ...]:
+        """Per-cluster view, built on first access; no computation needs it."""
+        bounds = zip(self.cluster_ids, self.offsets[:-1].tolist(), self.offsets[1:].tolist())
+        return tuple(ClusterData(k, self.y[a:b], self.X[a:b]) for k, a, b in bounds)
+
+    @cached_property
+    def stats(self) -> "SuffStats":
+        return SuffStats(self)
+
+
+class SuffStats:
+    """Everything the CS likelihood needs from a Dataset, per cluster size.
+
+    With z = (x, y) a row and w = (xs, ys) a cluster's column sums, the kernel
+    holds for each distinct size n[s]: count[s] clusters, zz[s] = sum z z'
+    (X'X, X'y, y'y) and ww[s] = sum w w' (xs xs', xs ys, ys^2). Since
+    V_n^-1 = I/phi - w_n J, each likelihood or GLS evaluation costs
+    O(#sizes * p^2), whatever the number of clusters.
+    """
+
+    def __init__(self, data: Dataset):
+        self.n, size_index = np.unique(data.sizes, return_inverse=True)
+        self.count = np.bincount(size_index)
+        self.n_obs, self.p = len(data.y), data.p
+        Z = np.column_stack([data.X, data.y])
+        W = np.add.reduceat(Z, data.offsets[:-1])  # cluster sums
+        ZZ = np.add.reduceat(Z[:, :, None] * Z[:, None, :], data.offsets[:-1])  # per cluster
+        order = np.argsort(size_index, kind="stable")  # clusters grouped by size
+        first = np.cumsum(self.count) - self.count
+        self.zz = np.add.reduceat(ZZ[order], first)
+        self.ww = np.add.reduceat((W[:, :, None] * W[:, None, :])[order], first)
+        self.zz_total = self.zz.sum(axis=0)
+
+    def _bordered(self, lam: float, phi: float) -> np.ndarray:
+        """sum_k Z_k' V_k^-1 Z_k: the GLS normal equations bordered by y."""
+        w = lam / (phi * (phi + self.n * lam))
+        return self.zz_total / phi - np.tensordot(w, self.ww, axes=1)
+
+    def loglik(self, xi: np.ndarray, lam: float, phi: float) -> float:
+        """CS Gaussian log-likelihood at (xi, lam, phi); no PD check."""
+        v = np.append(-np.asarray(xi, dtype=float), 1.0)
+        quad = v @ self._bordered(lam, phi) @ v
+        logdet = self.count @ ((self.n - 1) * math.log(phi) + np.log(phi + self.n * lam))
+        return float(-0.5 * (self.n_obs * math.log(2.0 * math.pi) + logdet + quad))
+
+    def gls(self, lam: float, phi: float) -> np.ndarray:
+        """GLS estimate of xi at (lam, phi); no PD check."""
+        M = self._bordered(lam, phi)
+        A = M[: self.p, : self.p]
+        try:
+            xi = np.linalg.solve(A, M[: self.p, self.p])
+        except np.linalg.LinAlgError as exc:
+            raise RankDeficiencyError(f"singular GLS normal equations: {exc}") from exc
+        if not np.all(np.isfinite(xi)) or np.linalg.cond(A) > 1e12:
+            raise RankDeficiencyError("GLS normal equations are rank deficient")
+        return xi
 
 
 @dataclass(frozen=True)
@@ -258,30 +336,11 @@ def icc(lam: float, phi: float) -> float:
 
 
 def gls_mean(data: Dataset, lam: float, phi: float) -> np.ndarray:
-    """GLS estimate of xi at fixed (lam, phi), via the rank-one inverse of V.
-
-    Uses V^-1 = (1/phi) I - lam/(phi*(phi+n*lam)) J per cluster, so no dense
-    matrix inversion is performed.
-    """
-    check = validate_cs(data.cluster_sizes(), lam, phi)
+    """GLS estimate of xi at fixed (lam, phi), from the sufficient statistics."""
+    check = validate_cs(data.stats.n, lam, phi)
     if not check:
         raise DomainError(check.message)
-    p = data.p
-    A = np.zeros((p, p))
-    b = np.zeros(p)
-    for c in data.clusters:
-        n = c.n
-        w = lam / (phi * (phi + n * lam))
-        xs = c.X.sum(axis=0)
-        A += c.X.T @ c.X / phi - w * np.outer(xs, xs)
-        b += c.X.T @ c.y / phi - w * xs * c.y.sum()
-    try:
-        xi = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficiencyError(f"singular GLS normal equations: {exc}") from exc
-    if not np.all(np.isfinite(xi)) or np.linalg.cond(A) > 1e12:
-        raise RankDeficiencyError("GLS normal equations are rank deficient")
-    return xi
+    return data.stats.gls(lam, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -293,63 +352,72 @@ def read_dataset_csv(path) -> Dataset:
     """Parse a long-format dataset CSV (header ``cluster,unit,y,x1,...,xp``).
 
     Clusters keep first-appearance order; rows within a cluster are sorted by
-    the integer ``unit`` column. Raises CsvFormatError with the offending line
-    number on malformed input.
+    the integer ``unit`` column. Cells are plain comma-separated values (no
+    quoting) and empty lines are skipped. Raises CsvFormatError with the
+    offending line number on malformed input, a non-finite number, or a
+    repeated (cluster, unit) pair.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError("line 1: empty file") from None
-        header = [h.strip() for h in header]
-        if len(header) < 3 or header[0] != "cluster" or header[1] != "unit" or header[2] != "y":
-            raise CsvFormatError(
-                "line 1: header must start with 'cluster,unit,y'"
-            )
-        covariate_names = header[3:]
-        p = len(covariate_names)
-        rows: dict[str, list[tuple[int, float, list[float]]]] = {}
-        order: list[str] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3 + p:
-                raise CsvFormatError(
-                    f"line {lineno}: expected {3 + p} columns, got {len(row)}"
-                )
-            key = row[0].strip()
-            try:
-                unit = int(row[1])
-                y = float(row[2])
-                x = [float(v) for v in row[3:]]
-            except ValueError as exc:
-                raise CsvFormatError(f"line {lineno}: {exc}") from None
-            if key not in rows:
-                rows[key] = []
-                order.append(key)
-            rows[key].append((unit, y, x))
-    if not order:
+        lines = fh.read().replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines == [""]:
+        raise CsvFormatError("line 1: empty file")
+    header = [h.strip() for h in lines[0].split(",")]
+    if header[:3] != ["cluster", "unit", "y"]:
+        raise CsvFormatError("line 1: header must start with 'cluster,unit,y'")
+    linenos = [i for i, line in enumerate(lines[1:], start=2) if line]
+    if not linenos:
         raise CsvFormatError("line 2: no data rows")
-    clusters = []
-    for key in order:
-        recs = sorted(rows[key], key=lambda r: r[0])
-        clusters.append(
-            ClusterData(
-                cluster_id=key,
-                y=np.array([r[1] for r in recs]),
-                X=np.array([r[2] for r in recs]).reshape(len(recs), p),
-            )
+    parts = [lines[i - 1].partition(",") for i in linenos]
+    unit, vals = _parse_numbers(parts, linenos, len(header) - 3)
+    bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
+    if len(bad):
+        raise CsvFormatError(f"line {linenos[bad[0]]}: non-finite value")
+    codes: dict[str, int] = {}  # cluster -> index, in order of first appearance
+    code = np.array([codes.setdefault(pt[0].strip(), len(codes)) for pt in parts])
+    perm = np.lexsort((unit, code))
+    dup = np.flatnonzero((np.diff(code[perm]) == 0) & (np.diff(unit[perm]) == 0))
+    if len(dup):
+        j = dup[np.argmin(perm[dup + 1])]  # the pair whose later line comes first
+        row, prev = perm[j + 1], perm[j]
+        raise CsvFormatError(
+            f"line {linenos[row]}: cluster {list(codes)[code[row]]!r} repeats unit "
+            f"{unit[row]} of line {linenos[prev]}"
         )
-    return Dataset(clusters=tuple(clusters), covariate_names=tuple(covariate_names))
+    sizes, ids = np.bincount(code), list(codes)
+    return Dataset.from_columns(vals[perm, 0], vals[perm, 1:], sizes, ids, header[3:])
 
 
-def write_dataset_csv(data: Dataset, path) -> None:
-    """Emit the long format consumed by read_dataset_csv (17 sig. digits)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("cluster,unit,y," + ",".join(data.covariate_names) + "\n")
-        for c in data.clusters:
-            for j in range(c.n):
-                cells = [c.cluster_id, str(j + 1), format_float(c.y[j])]
-                cells += [format_float(v) for v in c.X[j]]
-                fh.write(",".join(cells) + "\n")
+def _parse_numbers(parts, linenos, p):
+    """unit (int) and y, x1..xp (float) from each line split at its first comma."""
+    dtype = np.dtype([("unit", np.int64), ("v", float, (p + 1,))])
+    fields = [pt[2] for pt in parts]
+    try:
+        rec = np.loadtxt(fields, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        if len(rec) == len(fields):  # loadtxt skips blank lines
+            return rec["unit"], rec["v"]
+    except ValueError:
+        pass
+    for lineno, pt, field in zip(linenos, parts, fields):  # name the first bad line
+        n_cols = 2 + field.count(",") if pt[1] else 1
+        if n_cols != 3 + p:
+            raise CsvFormatError(f"line {lineno}: expected {3 + p} columns, got {n_cols}")
+        try:
+            np.loadtxt([field], dtype=dtype, delimiter=",", comments=None)
+        except ValueError as exc:  # drop numpy's position within the one line
+            raise CsvFormatError(f"line {lineno}: {str(exc).split(' at row')[0]}") from None
+    raise AssertionError("numpy refused the file but accepted each line")
+
+
+def write_dataset_csv(data: Dataset, dest) -> None:
+    """Emit the long format consumed by read_dataset_csv (17 sig. digits).
+
+    dest is a path or an open text handle.
+    """
+    if not hasattr(dest, "write"):
+        with open(dest, "w", encoding="utf-8", newline="\n") as fh:
+            return write_dataset_csv(data, fh)
+    ids = np.repeat(np.array(data.cluster_ids, dtype=object), data.sizes).tolist()
+    units = (np.arange(len(data.y)) - np.repeat(data.offsets[:-1], data.sizes) + 1).tolist()
+    row = "%s,%d" + ",%.17g" * (1 + data.p) + "\n"
+    dest.write("cluster,unit,y," + ",".join(data.covariate_names) + "\n")
+    dest.writelines(row % r for r in zip(ids, units, data.y.tolist(), *data.X.T.tolist()))

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -246,3 +248,27 @@ class TestContract:
         d, tau = eq.derive_d_tau(rec["lambda2"], rec["nu2"], rec["alpha"])
         assert rec["d"] == d
         assert rec["tau"] == tau
+
+
+class TestLazyScipy:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eb", "--lambda2", "3", "--nu2", "1", "--alpha=-0.5", "--n", "2"],
+            ["equivalence", "--lambda2", "2", "--nu2", "1", "--alpha-grid=-1,0,1"],
+            ["simulate", "--model", "cs", "--lambda", "1", "--phi", "1",
+             "--n-clusters", "5", "--cluster-size", "2", "--seed", "1"],
+        ],
+    )
+    def test_closed_form_commands_never_import_scipy(self, argv):
+        code = (
+            "import sys\n"
+            "from unobs_lab.cli import main\n"
+            f"rc = main({argv!r})\n"
+            "sys.stdout.flush()\n"
+            "sys.stderr.write(f'rc={rc} scipy={\"scipy\" in sys.modules}')\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, text=True)
+        assert proc.stderr.endswith("rc=0 scipy=False"), proc.stderr

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unobs_lab.equivalence import ExtendedSpec, eb_shrinkage, marginal_cov_extended
 from unobs_lab.estimation import (
@@ -15,7 +17,7 @@ from unobs_lab.estimation import (
     simulate_cs,
     simulate_extended,
 )
-from unobs_lab.model_core import ClusterData, CSParams, Dataset, DomainError
+from unobs_lab.model_core import ClusterData, CSParams, Dataset, DomainError, gls_mean
 
 # Monte-Carlo standard errors frozen from 200-replicate oracle runs
 # (simulate_cs at lam=-0.3, phi=1, n=2, N=500; simulate_extended at
@@ -80,6 +82,56 @@ class TestLoglik:
         data = intercept_dataset([[0.0, 1.0]])
         with pytest.raises(DomainError):
             loglik_cs(data, CSParams([0.0], -0.5, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# The sufficient-statistics kernel against a dense-V brute force
+# ---------------------------------------------------------------------------
+
+
+def dense_gls(data, lam, phi):
+    """GLS through an explicit per-cluster solve with V = lam*J + phi*I."""
+    A, b = np.zeros((data.p, data.p)), np.zeros(data.p)
+    for c in data.clusters:
+        v = np.full((c.n, c.n), lam) + phi * np.eye(c.n)
+        A += c.X.T @ np.linalg.solve(v, c.X)
+        b += c.X.T @ np.linalg.solve(v, c.y)
+    return np.linalg.solve(A, b)
+
+
+class TestKernelOracle:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_clusters=st.integers(3, 40),
+        p=st.integers(1, 3),
+        near_boundary=st.booleans(),
+        margin=st.floats(1e-3, 0.5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_unbalanced_design_matches_dense(self, seed, n_clusters, p, near_boundary, margin):
+        rng = np.random.default_rng(seed)
+        clusters = []
+        for _ in range(n_clusters):
+            n = int(rng.integers(1, 9))
+            X = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
+            clusters.append((rng.normal(1.0, 2.0, size=n), X))
+        data = Dataset(
+            tuple(ClusterData(f"c{i}", y, X) for i, (y, X) in enumerate(clusters)),
+            tuple(f"x{j + 1}" for j in range(p)),
+        )
+        n_max = max(data.cluster_sizes())
+        phi = float(rng.uniform(0.3, 2.0))
+        if near_boundary:  # phi + n_max*lam = margin*phi
+            lam = -phi * (1.0 - margin) / n_max
+        else:
+            lam = float(rng.uniform(0.0, 3.0))
+        want_xi = dense_gls(data, lam, phi)
+        got_xi = gls_mean(data, lam, phi)
+        assert np.max(np.abs(got_xi - want_xi)) <= 1e-10 * max(1.0, np.max(np.abs(want_xi)))
+        params = CSParams(want_xi + rng.normal(0.0, 0.3, size=p), lam, phi)
+        want = dense_loglik(data, params)
+        got = loglik_cs(data, params)
+        assert abs(got - want) <= 1e-10 * abs(want)
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +221,15 @@ class TestFitMl:
         data = intercept_dataset([[1.0, 2.0]])
         with pytest.raises(DomainError):
             fit_ml(data)
+
+    def test_converges_at_large_loglik_near_boundary(self):
+        # |loglik| ~ 5e4: an absolute objective tolerance of 1e-12 sits below
+        # its rounding, so convergence must be judged relative to it
+        data = simulate_cs(CSParams([0.5], -0.2, 1.0), SimLayout(10_000, 4), seed=4)
+        got = fit_ml(data, max_iter=500)
+        assert got.converged
+        assert got.iterations < 500
+        assert abs(got.params.lam + 0.2) < 0.02
 
     def test_consistency_error_shrinks_with_n(self):
         errs = {100: [], 400: []}

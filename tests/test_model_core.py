@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -240,6 +242,31 @@ class TestDataModel:
         with pytest.raises(ValueError):
             c.y[0] = 9.0
 
+    def test_columns_and_clusters_agree(self):
+        X = np.column_stack([np.ones(5), np.arange(5.0)])
+        y = np.array([1.0, 2.0, 0.5, -1.0, 3.0])
+        cols = Dataset.from_columns(y, X, [2, 3], ["a", "b"], ["x1", "x2"])
+        packed = Dataset(
+            (ClusterData("a", y[:2], X[:2]), ClusterData("b", y[2:], X[2:])),
+            ("x1", "x2"),
+        )
+        for d in (cols, packed):
+            assert d.cluster_sizes() == [2, 3]
+            assert d.n_clusters == 2 and d.p == 2
+            assert np.array_equal(d.y, y) and np.array_equal(d.X, X)
+            assert np.array_equal(d.offsets, [0, 2, 5])
+        assert [c.cluster_id for c in cols.clusters] == ["a", "b"]
+        assert np.array_equal(cols.clusters[1].X, X[2:])
+        assert gls_mean(cols, 0.4, 1.1) == pytest.approx(gls_mean(packed, 0.4, 1.1), abs=1e-14)
+        with pytest.raises(ValueError):
+            cols.y[0] = 9.0
+
+    def test_from_columns_checks_sizes(self):
+        with pytest.raises(ValueError):
+            Dataset.from_columns([1.0, 2.0], np.ones((2, 1)), [1, 2], ["a", "b"], ["x1"])
+        with pytest.raises(ValueError):
+            Dataset.from_columns([1.0, 2.0], np.ones((2, 1)), [2, 0], ["a", "b"], ["x1"])
+
 
 # ---------------------------------------------------------------------------
 # CSV long format
@@ -290,3 +317,35 @@ class TestCsv:
         path.write_text("id,y\n1,2\n")
         with pytest.raises(CsvFormatError, match="line 1"):
             read_dataset_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_names_line(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"cluster,unit,y,x1\na,1,1,1\n\na,2,2,{cell}\nb,1,3,1\n")
+        with pytest.raises(CsvFormatError, match="line 4: non-finite"):
+            read_dataset_csv(path)
+
+    def test_duplicate_unit_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("cluster,unit,y,x1\na,1,1,1\nb,1,2,1\na,2,3,1\nb,1,4,1\n")
+        with pytest.raises(CsvFormatError, match="line 5: cluster 'b' repeats unit 1 of line 3"):
+            read_dataset_csv(path)
+
+    def test_clusters_by_first_appearance(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("cluster,unit,y,x1\nz,2,2,1\na,1,5,1\nz,1,1,1\n")
+        data = read_dataset_csv(path)
+        assert data.cluster_ids == ("z", "a")
+        assert np.array_equal(data.y, [1.0, 2.0, 5.0])
+
+    def test_writer_accepts_text_handle(self, tmp_path):
+        data = Dataset(
+            (intercept_cluster("a", [0.1, -2.5e-300]), intercept_cluster("b", [1e22])),
+            ("x1",),
+        )
+        path = tmp_path / "data.csv"
+        write_dataset_csv(data, path)
+        buf = io.StringIO()
+        write_dataset_csv(data, buf)
+        assert buf.getvalue() == path.read_text()
+        assert buf.getvalue().splitlines()[1] == "a,1,0.10000000000000001,1"
