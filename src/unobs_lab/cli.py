@@ -37,7 +37,7 @@ __all__ = ["main", "entry"]
 
 
 def _json(obj) -> str:
-    """Deterministic JSON with floats at 17 significant digits."""
+    """Deterministic JSON, floats at 17 digits; JSON has no nan/inf, so those raise."""
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -45,6 +45,8 @@ def _json(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not np.isfinite(obj):
+            raise ValueError(f"non-finite value {obj} cannot be written as JSON")
         return format_float(obj)
     if isinstance(obj, str):
         return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'

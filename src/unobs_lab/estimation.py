@@ -2,9 +2,10 @@
 
 The likelihood never clamps lam at zero: negative between-component values
 are legitimate as long as phi + n*lam > 0 for every cluster size. Fitting
-profiles xi out via GLS and runs a derivative-free simplex search over
-(lam, log phi) with a rejection penalty outside the PD region. A closed-form
-one-way ANOVA estimator serves as the oracle on balanced intercept-only data.
+profiles xi (by GLS) and phi out in closed form and searches the one scalar
+left, r = lam/(lam+phi), over its open interval, which is exactly the PD
+region. A closed-form one-way ANOVA estimator serves as the oracle on
+balanced intercept-only data.
 
 Simulation draws each cluster from its own counter-based substream, so
 replicates are deterministic and order/thread independent.
@@ -25,7 +26,6 @@ from unobs_lab.model_core import (
     Dataset,
     DomainError,
     RankDeficiencyError,
-    gls_mean,
     validate_cs,
 )
 from unobs_lab.rng import substream
@@ -42,8 +42,9 @@ __all__ = [
     "Latents",
 ]
 
-BOUNDARY_TOL = 1e-6
-FTOL_REL = 1e-12  # Nelder-Mead's objective tolerance, relative to |loglik|
+GRID = 63  # interior points of the r interval scanned before refining
+XTOL = math.sqrt(np.finfo(float).eps)  # a maximum located from values alone
+INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class UnsupportedLayoutError(ValueError):
@@ -124,38 +125,19 @@ def loglik_cs(data: Dataset, params: CSParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _moment_start(data: Dataset) -> tuple[float, float]:
-    """Method-of-moments starting values for (lam, phi), clipped feasible.
-
-    From the OLS residuals r: phi0 is the pooled within-cluster variance and
-    lam0 the mean squared cluster-mean residual less phi0/nbar.
-    """
-    st = data.stats
-    v = np.append(-st.gls(0.0, 1.0), 1.0)  # GLS at lam = 0 is OLS
-    rr = float(v @ st.zz_total @ v)
-    rs2 = np.einsum("i,sij,j->s", v, st.ww, v)  # sum of (1'r)^2 per size
-    ssw = rr - float(np.sum(rs2 / st.n))
-    dfw = st.n_obs - data.n_clusters
-    phi0 = ssw / dfw if dfw > 0 and ssw > 0 else float(np.var(data.y)) or 1.0
-    lam0 = float(np.sum(rs2 / st.n**2)) / data.n_clusters - phi0 * data.n_clusters / st.n_obs
-    n_max = int(st.n[-1])
-    if phi0 + n_max * lam0 <= 0:
-        lam0 = -0.5 * phi0 / n_max
-    return lam0, phi0
-
-
-def fit_ml(data: Dataset, max_iter: int = 500, xtol: float = 1e-9) -> FitResult:
+def fit_ml(data: Dataset) -> FitResult:
     """Maximize loglik_cs over {phi > 0, phi + n_i*lam > 0 for all i}.
 
-    Nelder-Mead over (lam, log phi) with profiled xi; infeasible or
-    ill-conditioned points get a large rejection penalty. Never restricts lam
-    to be nonnegative. The simplex stops when its vertices are within xtol
-    and their objective values within FTOL_REL of the objective's magnitude:
-    an absolute tolerance would sit below the rounding of a log-likelihood
-    summed over many clusters.
+    xi and phi are profiled out in closed form, leaving r = lam/(lam+phi),
+    whose open interval (-1/(n_max-1), 1) is exactly the PD region. The best
+    of GRID evenly spaced interior points is bracketed by its neighbours
+    (guarding against several maxima), the bracket is closed by golden
+    section and the best point evaluated is returned. iterations counts
+    profile evaluations. constraint_active means the bracket closed against
+    an interval end or an unevaluable point: the likelihood still rose
+    towards the PD boundary, where it may be unbounded (e.g. when at most p
+    clusters have the largest size, or y is constant within every cluster).
     """
-    from scipy.optimize import minimize
-
     if data.n_clusters < 2:
         raise DomainError("fitting requires at least two clusters")
     st = data.stats
@@ -164,39 +146,52 @@ def fit_ml(data: Dataset, max_iter: int = 500, xtol: float = 1e-9) -> FitResult:
         raise DomainError(
             "lam is unidentified: every cluster has a single observation"
         )
+    evals = []
 
-    def neg_loglik(z: np.ndarray) -> float:
-        lam, phi = z[0], math.exp(z[1])
-        worst = phi + n_max * lam
-        if not (phi > 0 and worst > 0 and math.isfinite(phi)):
-            return 1e10 * (1.0 + abs(worst))
+    def profile(r: float) -> float:  # record (loglik, xi, lam, phi) at r; return loglik
+        g = r / (1.0 - r)  # lam/phi; at (g, 1), xi is GLS and phi = Q/N_obs, Q = v'Mv
         try:
-            return -st.loglik(st.gls(lam, phi), lam, phi)
+            xi = st.gls(g, 1.0)
+            v = np.append(-xi, 1.0)
+            phi = float(v @ st._bordered(g, 1.0) @ v) / st.n_obs
+            lam = g * phi
+            ok = phi > 0 and phi + n_max * lam > 0  # rounding can reach the boundary
         except RankDeficiencyError:
-            return 1e10
+            ok = False
+        entry = (st.loglik(xi, lam, phi), xi, lam, phi) if ok else (-math.inf, None, 0, 0)
+        evals.append(entry)
+        return entry[0]
 
-    lam0, phi0 = _moment_start(data)
-    z0 = np.array([lam0, math.log(phi0)])
-    res = minimize(
-        neg_loglik,
-        z0,
-        method="Nelder-Mead",
-        options={
-            "maxiter": max_iter,
-            "xatol": xtol,
-            "fatol": FTOL_REL * max(1.0, abs(neg_loglik(z0))),
-        },
-    )
-    lam, phi = res.x[0], math.exp(res.x[1])
-    xi = gls_mean(data, lam, phi)
-    params = CSParams(xi=xi, lam=lam, phi=phi)
-    active = phi < BOUNDARY_TOL or bool(np.any(phi + st.n * lam < BOUNDARY_TOL))
+    def closed() -> bool:  # relative to the distance from the nearer end, absolute at one
+        return b - a <= XTOL * (min(a - edges[0], edges[-1] - b) or 1.0)
+
+    # V is singular at both interval ends: they count as unevaluable
+    edges = np.linspace(-1.0 / (n_max - 1), 1.0, GRID + 2).tolist()
+    f = [-math.inf] + [profile(r) for r in edges[1:-1]] + [-math.inf]
+    k = 1 + int(np.argmax(f[1:-1]))
+    a, b, fa, fb = edges[k - 1], edges[k + 1], f[k - 1], f[k + 1]
+    c, d = b - INV_GOLDEN * (b - a), a + INV_GOLDEN * (b - a)
+    fc, fd = profile(c), profile(d)
+    while not closed() and a < c < d < b:  # else floats cannot split the bracket
+        if fc > fd:
+            b, fb, d, fd = d, fd, c, fc
+            c = b - INV_GOLDEN * (b - a)
+            fc = profile(c)
+        else:
+            a, fa, c, fc = c, fc, d, fd
+            d = a + INV_GOLDEN * (b - a)
+            fd = profile(d)
+    loglik, xi, lam, phi = max(evals, key=lambda e: e[0])
+    if xi is None:
+        raise RankDeficiencyError(
+            "no PD point has a finite likelihood: X is rank deficient or fits y exactly"
+        )
     return FitResult(
-        params=params,
-        loglik=loglik_cs(data, params),
-        converged=bool(res.success),
-        iterations=int(res.nit),
-        constraint_active=active,
+        params=CSParams(xi=xi, lam=lam, phi=phi),
+        loglik=loglik,
+        converged=closed(),
+        iterations=len(evals),
+        constraint_active=min(fa, fb) == -math.inf,
     )
 
 
@@ -231,7 +226,7 @@ def fit_balanced_closed_form(data: Dataset) -> FitResult:
         loglik=loglik_cs(data, params),
         converged=True,
         iterations=0,
-        constraint_active=phi < BOUNDARY_TOL or phi + n * lam < BOUNDARY_TOL,
+        constraint_active=False,
     )
 
 

@@ -221,9 +221,10 @@ def we_sample(spec: WeibullExpSpec, n_draws: int, seed: int) -> np.ndarray:
 def we_moment(spec: WeibullExpSpec, k: int) -> MomentResult:
     """Analytic k-th moment with pole and divergence detection.
 
-    value = (k/rho)*(delta/phi)^(k/rho)*Gamma(1-k/rho)*Gamma(k/rho), computed
-    in log space, and reported only when the integral is actually finite
-    (k < rho). Then both Gamma arguments lie in (0, 1), so the sign is +1.
+    value = (k/rho)*(delta/phi)^(k/rho)*Gamma(1-k/rho)*Gamma(k/rho), reported
+    only when the integral is actually finite (k < rho). Then r = k/rho lies
+    in (0, 1), where the reflection formula gives Gamma(1-r)*Gamma(r) =
+    pi/sin(pi*r).
     """
     if k < 1:
         raise DomainError("moment order k must be a positive integer")
@@ -233,12 +234,7 @@ def we_moment(spec: WeibullExpSpec, k: int) -> MomentResult:
     integral_finite = k < rho and formula_defined
     value = None
     if integral_finite:
-        value = math.exp(
-            math.log(r)
-            + r * (math.log(delta) - math.log(phi))
-            + math.lgamma(1.0 - r)
-            + math.lgamma(r)
-        )
+        value = r * (delta / phi) ** r * math.pi / math.sin(math.pi * r)
     return MomentResult(
         k=k,
         formula_defined=formula_defined,

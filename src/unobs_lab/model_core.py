@@ -219,10 +219,12 @@ class SuffStats:
     """Everything the CS likelihood needs from a Dataset, per cluster size.
 
     With z = (x, y) a row and w = (xs, ys) a cluster's column sums, the kernel
-    holds for each distinct size n[s]: count[s] clusters, zz[s] = sum z z'
-    (X'X, X'y, y'y) and ww[s] = sum w w' (xs xs', xs ys, ys^2). Since
-    V_n^-1 = I/phi - w_n J, each likelihood or GLS evaluation costs
-    O(#sizes * p^2), whatever the number of clusters.
+    holds zz_within = sum (z - w/n)(z - w/n)' over rows and, for each distinct
+    size n[s], count[s] clusters and ww[s] = sum w w' (xs xs', xs ys, ys^2).
+    Since V_n^-1 = (I - J/n)/phi + (J/n)/(phi + n*lam), each likelihood or GLS
+    evaluation costs O(#sizes * p^2), whatever the number of clusters, and
+    adds positive terms only, so no digits cancel however large lam/phi or
+    1/(phi + n*lam) grow.
     """
 
     def __init__(self, data: Dataset):
@@ -231,17 +233,16 @@ class SuffStats:
         self.n_obs, self.p = len(data.y), data.p
         Z = np.column_stack([data.X, data.y])
         W = np.add.reduceat(Z, data.offsets[:-1])  # cluster sums
-        ZZ = np.add.reduceat(Z[:, :, None] * Z[:, None, :], data.offsets[:-1])  # per cluster
+        Zc = Z - np.repeat(W / data.sizes[:, None], data.sizes, axis=0)
+        self.zz_within = Zc.T @ Zc
         order = np.argsort(size_index, kind="stable")  # clusters grouped by size
         first = np.cumsum(self.count) - self.count
-        self.zz = np.add.reduceat(ZZ[order], first)
         self.ww = np.add.reduceat((W[:, :, None] * W[:, None, :])[order], first)
-        self.zz_total = self.zz.sum(axis=0)
 
     def _bordered(self, lam: float, phi: float) -> np.ndarray:
         """sum_k Z_k' V_k^-1 Z_k: the GLS normal equations bordered by y."""
-        w = lam / (phi * (phi + self.n * lam))
-        return self.zz_total / phi - np.tensordot(w, self.ww, axes=1)
+        w = 1.0 / (self.n * (phi + self.n * lam))
+        return self.zz_within / phi + np.tensordot(w, self.ww, axes=1)
 
     def loglik(self, xi: np.ndarray, lam: float, phi: float) -> float:
         """CS Gaussian log-likelihood at (xi, lam, phi); no PD check."""
@@ -364,6 +365,8 @@ def read_dataset_csv(path) -> Dataset:
     header = [h.strip() for h in lines[0].split(",")]
     if header[:3] != ["cluster", "unit", "y"]:
         raise CsvFormatError("line 1: header must start with 'cluster,unit,y'")
+    if len(header) == 3:
+        raise CsvFormatError("line 1: no covariate columns x1..xp after 'cluster,unit,y'")
     linenos = [i for i, line in enumerate(lines[1:], start=2) if line]
     if not linenos:
         raise CsvFormatError("line 2: no data rows")

@@ -137,6 +137,14 @@ class TestSimulateAndFit:
         )
         assert rc == 2
 
+    def test_no_covariate_column_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "nox.csv"
+        path.write_text("cluster,unit,y\na,1,1\na,2,2\nb,1,3\nb,2,5\n")
+        rc, out, err = run(capsys, "fit", "--data", str(path))
+        assert rc == 1
+        assert out == ""
+        assert "line 1: no covariate columns x1..xp" in err
+
     def test_unidentified_lambda(self, tmp_path, capsys):
         path = tmp_path / "single.csv"
         path.write_text("cluster,unit,y,x1\na,1,1,1\nb,1,2,1\nc,1,3,1\n")
@@ -249,6 +257,19 @@ class TestContract:
         assert rec["d"] == d
         assert rec["tau"] == tau
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eb", "--lambda2", "inf", "--nu2", "1", "--alpha", "0.5"],
+            ["equivalence", "--lambda2", "1e308", "--nu2", "1e308", "--alpha-grid=0.5"],
+        ],
+    )
+    def test_non_finite_json_is_refused(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1
+        assert out == ""
+        assert "non-finite" in err
+
 
 class TestLazyScipy:
     @pytest.mark.parametrize(
@@ -258,9 +279,13 @@ class TestLazyScipy:
             ["equivalence", "--lambda2", "2", "--nu2", "1", "--alpha-grid=-1,0,1"],
             ["simulate", "--model", "cs", "--lambda", "1", "--phi", "1",
              "--n-clusters", "5", "--cluster-size", "2", "--seed", "1"],
+            ["fit", "--data", "{tiny_csv}"],
         ],
     )
-    def test_closed_form_commands_never_import_scipy(self, argv):
+    def test_closed_form_commands_never_import_scipy(self, argv, tmp_path):
+        tiny = tmp_path / "tiny.csv"
+        tiny.write_text("cluster,unit,y,x1\na,1,1,1\na,2,2,1\nb,1,4,1\nb,2,3,1\nc,1,0,1\n")
+        argv = [arg.replace("{tiny_csv}", str(tiny)) for arg in argv]
         code = (
             "import sys\n"
             "from unobs_lab.cli import main\n"

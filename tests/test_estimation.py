@@ -223,13 +223,78 @@ class TestFitMl:
             fit_ml(data)
 
     def test_converges_at_large_loglik_near_boundary(self):
-        # |loglik| ~ 5e4: an absolute objective tolerance of 1e-12 sits below
-        # its rounding, so convergence must be judged relative to it
+        # |loglik| ~ 5e4: the search is over r = lam/(lam+phi) alone, so its
+        # stopping rule does not depend on the size of the log-likelihood
         data = simulate_cs(CSParams([0.5], -0.2, 1.0), SimLayout(10_000, 4), seed=4)
-        got = fit_ml(data, max_iter=500)
+        got = fit_ml(data)
         assert got.converged
         assert got.iterations < 500
         assert abs(got.params.lam + 0.2) < 0.02
+
+    @pytest.mark.parametrize("c", [1e-4, 1e4])
+    def test_scale_equivariance(self, c):
+        rng = np.random.default_rng(8)
+        sizes = rng.integers(1, 6, 80)
+        cluster = np.repeat(np.arange(len(sizes)), sizes)
+        X = np.column_stack([np.ones(len(cluster)), rng.normal(size=len(cluster))])
+        y = X @ [0.5, -1.0] + rng.normal(0.0, 0.8, len(sizes))[cluster] + rng.normal(size=len(cluster))
+        base = fit_ml(Dataset.from_columns(y, X, sizes))
+        got = fit_ml(Dataset.from_columns(c * y, X, sizes))
+        assert got.params.lam == pytest.approx(c**2 * base.params.lam, rel=1e-6)
+        assert got.params.phi == pytest.approx(c**2 * base.params.phi, rel=1e-6)
+        np.testing.assert_allclose(got.params.xi, c * base.params.xi, rtol=1e-6)
+        assert not base.constraint_active and not got.constraint_active
+
+    def test_zero_within_variation_is_on_the_boundary(self):
+        # the likelihood rises without bound as phi -> 0
+        data = intercept_dataset([[1.0, 1.0], [-1.0, -1.0], [2.0, 2.0], [0.5, 0.5]])
+        got = fit_ml(data)
+        assert got.constraint_active
+        assert np.isfinite([got.params.lam, got.params.phi, got.loglik]).all()
+        assert 0 < got.params.phi < 1e-6 * got.params.lam
+
+    def test_zero_residual_sums_of_largest_clusters_is_on_the_boundary(self):
+        # xi = 0 at every lam, so the size-2 clusters' sums vanish and the
+        # likelihood rises without bound as phi + 2*lam -> 0
+        data = intercept_dataset(
+            [[1.0, -1.0], [2.0, -2.0], [0.5, -0.5], [3.0, -3.0], [1.5], [-1.5]]
+        )
+        got = fit_ml(data)
+        assert got.constraint_active
+        assert np.isfinite([got.params.lam, got.params.phi, got.loglik]).all()
+        assert 0 < got.params.phi + 2 * got.params.lam < 1e-6 * got.params.phi
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_clusters=st.integers(3, 40),
+        p=st.integers(1, 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_unbalanced_fit_against_dense_oracle(self, seed, n_clusters, p):
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 9, n_clusters)
+        sizes[0] = max(sizes[0], 2)  # lam identified
+        cluster = np.repeat(np.arange(n_clusters), sizes)
+        X = np.column_stack([np.ones(len(cluster)), rng.normal(size=(len(cluster), p - 1))])
+        y = rng.normal(1.0, 2.0, len(cluster)) + rng.normal(0.0, 1.0, n_clusters)[cluster]
+        data = Dataset.from_columns(y, X, sizes)
+        got = fit_ml(data)
+        lam, phi, n_max = got.params.lam, got.params.phi, int(sizes.max())
+        assert np.isfinite([lam, phi, got.loglik]).all()
+        assert phi > 0 and phi + n_max * lam > 0
+        if got.constraint_active:
+            # the supremum lies on the PD boundary, where no point is a maximum
+            return
+        want = dense_loglik(data, got.params)
+        # relative to the size of the terms the loglik sums, which can cancel
+        scale = abs(want) + len(y) * (1.0 + abs(math.log(phi)))
+        assert abs(got.loglik - want) <= 1e-10 * scale
+        for dlam, dphi in [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)]:
+            lam_s, phi_s = lam * (1 + 1e-4 * dlam), phi * (1 + 1e-4 * dphi)
+            if phi_s + n_max * lam_s > 0:
+                xi_s = gls_mean(data, lam_s, phi_s)
+                near = loglik_cs(data, CSParams(xi_s, lam_s, phi_s))
+                assert near <= got.loglik + 1e-9 * abs(got.loglik)
 
     def test_consistency_error_shrinks_with_n(self):
         errs = {100: [], 400: []}
@@ -285,6 +350,43 @@ class TestSimulateCs:
     def test_pd_violation(self):
         with pytest.raises(DomainError):
             simulate_cs(CSParams([0.0], -0.5, 1.0), SimLayout(10, 2), seed=0)
+
+
+class TestSubstreamPrefix:
+    """rng.py: cluster i's draws do not depend on how many clusters are simulated."""
+
+    @pytest.mark.parametrize("lam", [0.7, -0.2])  # random intercept; Cholesky
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        sizes=st.lists(st.integers(1, 4), min_size=2, max_size=30),
+        k=st.integers(1, 29),
+        balanced=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_simulate_cs_prefix(self, lam, seed, sizes, k, balanced):
+        k = min(k, len(sizes) - 1)
+        size = sizes[0] if balanced else sizes
+        head = sizes[0] if balanced else sizes[:k]
+        params = CSParams([0.5], lam, 1.0)
+        full = simulate_cs(params, SimLayout(len(sizes), size), seed=seed)
+        part = simulate_cs(params, SimLayout(k, head), seed=seed)
+        assert np.array_equal(full.y[: len(part.y)], part.y)
+
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        sizes=st.lists(st.integers(1, 2), min_size=2, max_size=30),
+        k=st.integers(1, 29),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_simulate_extended_prefix(self, seed, sizes, k):
+        k = min(k, len(sizes) - 1)
+        spec = ExtendedSpec(1.0, 1.0, 0.2)
+        full, lat_full = simulate_extended(spec, [0.5], SimLayout(len(sizes), sizes), seed=seed)
+        part, lat_part = simulate_extended(spec, [0.5], SimLayout(k, sizes[:k]), seed=seed)
+        rows = len(part.y)
+        assert np.array_equal(full.y[:rows], part.y)
+        assert np.array_equal(lat_full.b[:k], lat_part.b)
+        assert np.array_equal(lat_full.eps[:rows], lat_part.eps)
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,12 @@ class TestCsv:
         with pytest.raises(CsvFormatError, match="line 1"):
             read_dataset_csv(path)
 
+    def test_no_covariate_column_names_line_1(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("cluster,unit,y\na,1,1\na,2,2\nb,1,3\nb,2,5\n")
+        with pytest.raises(CsvFormatError, match="line 1: no covariate columns x1..xp"):
+            read_dataset_csv(path)
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
     def test_non_finite_cell_names_line(self, tmp_path, cell):
         path = tmp_path / "bad.csv"
