@@ -12,10 +12,10 @@ Two threads run through this package:
 
 from unobs_lab.model_core import (
     ClusterData,
+    CSMatrix,
     CSParams,
     Dataset,
     DomainError,
-    SymMatrix,
     cs_covariance,
     gls_mean,
     icc,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from unobs_lab.model_core import DomainError, SymMatrix, cs_covariance, validate_cs
+from unobs_lab.model_core import CSMatrix, DomainError, cs_covariance, validate_cs
 
 __all__ = [
     "SpecA",
@@ -86,18 +86,18 @@ class SpecB:
         return self.lambda2sq >= 0
 
 
-def v1_matrix(spec: SpecA) -> SymMatrix:
+def v1_matrix(spec: SpecA) -> np.ndarray:
     """2x2 marginal covariance of the heterogeneous-errors model."""
     l2, n1, n2 = spec.lambda2, spec.nu1sq, spec.nu2sq
-    return SymMatrix.from_array(np.array([[l2 + n1, l2], [l2, l2 + n2]]))
+    return np.array([[l2 + n1, l2], [l2, l2 + n2]])
 
 
-def v2_matrix(spec: SpecB) -> SymMatrix:
+def v2_matrix(spec: SpecB) -> np.ndarray:
     """2x2 marginal covariance of the intercept+slope model."""
     l1, l2, nu = spec.lambda1sq, spec.lambda2sq, spec.nusq
     # (l2 + nu) first: when l2 came from a variance difference this re-adds
     # the subtrahend before the large term, matching v1_matrix bit for bit
-    return SymMatrix.from_array(np.array([[l1 + nu, l1], [l1, l1 + (l2 + nu)]]))
+    return np.array([[l1 + nu, l1], [l1, l1 + (l2 + nu)]])
 
 
 def map_a_to_b(spec: SpecA) -> SpecB:
@@ -186,7 +186,7 @@ def decomposition_table(
     return var_row, cov_row
 
 
-def joint_cov(spec: ExtendedSpec, n: int) -> SymMatrix:
+def joint_cov(spec: ExtendedSpec, n: int) -> np.ndarray:
     """(n+1)-dimensional covariance of (b, eps_1, ..., eps_n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -195,7 +195,7 @@ def joint_cov(spec: ExtendedSpec, n: int) -> SymMatrix:
     c[0, 0] = d
     c[0, 1:] = tau
     c[1:, 0] = tau
-    return SymMatrix.from_array(c)
+    return c
 
 
 @dataclass(frozen=True)
@@ -203,7 +203,7 @@ class ConditionalErrorDist:
     """Gaussian law of the error vector given the random intercept."""
 
     mean: np.ndarray
-    cov: SymMatrix
+    cov: CSMatrix
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float).copy()
@@ -225,11 +225,10 @@ def conditional_error_dist(spec: ExtendedSpec, b: float, n: int) -> ConditionalE
             "random intercept is a point mass (d = 0); conditioning degenerate"
         )
     mean = np.full(n, tau * b / d)
-    cov = spec.nu2 * np.eye(n) - (tau * tau / d) * np.ones((n, n))
-    return ConditionalErrorDist(mean=mean, cov=SymMatrix.from_array(cov))
+    return ConditionalErrorDist(mean=mean, cov=cs_covariance(n, -(tau * tau / d), spec.nu2))
 
 
-def marginal_cov_extended(spec: ExtendedSpec, n: int) -> SymMatrix:
+def marginal_cov_extended(spec: ExtendedSpec, n: int) -> CSMatrix:
     """Implied marginal covariance (d + 2*tau)*J + sigma2*I; alpha-invariant."""
     d, tau = derive_d_tau(spec.lambda2, spec.nu2, spec.alpha)
     return cs_covariance(n, d + 2.0 * tau, spec.nu2)

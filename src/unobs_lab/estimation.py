@@ -8,13 +8,13 @@ region. A closed-form one-way ANOVA estimator serves as the oracle on
 balanced intercept-only data.
 
 Simulation draws each cluster from its own counter-based substream, so
-replicates are deterministic and order/thread independent.
+replicates are deterministic and cluster i's draws do not depend on how many
+clusters are simulated.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -26,6 +26,7 @@ from unobs_lab.model_core import (
     Dataset,
     DomainError,
     RankDeficiencyError,
+    cs_covariance,
     validate_cs,
 )
 from unobs_lab.rng import substream
@@ -235,16 +236,7 @@ def fit_balanced_closed_form(data: Dataset) -> FitResult:
 # ---------------------------------------------------------------------------
 
 
-def _map_clusters(build, count: int, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(build, range(count)))
-    return [build(i) for i in range(count)]
-
-
-def simulate_cs(
-    params: CSParams, layout: SimLayout, seed: int, threads: int = 1
-) -> Dataset:
+def simulate_cs(params: CSParams, layout: SimLayout, seed: int) -> Dataset:
     """Simulate from the compound-symmetry marginal model, bit-reproducibly.
 
     For lam >= 0 a real random intercept is drawn; for lam < 0 no hierarchy
@@ -259,22 +251,17 @@ def simulate_cs(
     chols = {}
     if lam < 0:
         for n in set(sizes):
-            v = np.full((n, n), lam) + phi * np.eye(n)
-            chols[n] = np.linalg.cholesky(v)
+            chols[n] = np.linalg.cholesky(cs_covariance(n, lam, phi).array)
     X, offsets = layout.design_matrix(), np.cumsum([0] + sizes).tolist()
     mean = X @ params.xi
     y = np.empty(len(mean))
-
-    def build(i: int) -> None:
-        a, n = offsets[i], sizes[i]
+    for i, (a, n) in enumerate(zip(offsets, sizes)):
         rng = substream(seed, i)
         if lam >= 0:
             b = rng.normal(0.0, math.sqrt(lam)) if lam > 0 else 0.0
             y[a : a + n] = mean[a : a + n] + b + rng.normal(0.0, math.sqrt(phi), size=n)
         else:
             y[a : a + n] = mean[a : a + n] + chols[n] @ rng.standard_normal(n)
-
-    _map_clusters(build, layout.n_clusters, threads)
     return Dataset.from_columns(y, X, sizes)
 
 
@@ -295,11 +282,7 @@ class Latents:
 
 
 def simulate_extended(
-    spec: ExtendedSpec,
-    xi: np.ndarray,
-    layout: SimLayout,
-    seed: int,
-    threads: int = 1,
+    spec: ExtendedSpec, xi: np.ndarray, layout: SimLayout, seed: int
 ) -> tuple[Dataset, Latents]:
     """Simulate from the alpha-indexed hierarchy; returns data plus latents.
 
@@ -312,8 +295,7 @@ def simulate_extended(
     sizes = layout.sizes()
     factors = {}
     for n in set(sizes):
-        c = joint_cov(spec, n).array
-        w, u = np.linalg.eigh(c)
+        w, u = np.linalg.eigh(joint_cov(spec, n))
         scale = max(1.0, float(w.max()))
         if w.min() < -1e-9 * scale:
             raise DomainError(
@@ -323,14 +305,9 @@ def simulate_extended(
     X, offsets = layout.design_matrix(), np.cumsum([0] + sizes).tolist()
     mean = X @ xi
     y, eps, b = np.empty(len(mean)), np.empty(len(mean)), np.empty(len(sizes))
-
-    def build(i: int) -> None:
-        a, n = offsets[i], sizes[i]
-        rng = substream(seed, i)
-        v = factors[n] @ rng.standard_normal(n + 1)
+    for i, (a, n) in enumerate(zip(offsets, sizes)):
+        v = factors[n] @ substream(seed, i).standard_normal(n + 1)
         b[i], eps[a : a + n] = v[0], v[1:]
         y[a : a + n] = mean[a : a + n] + float(v[0]) + v[1:]
-
-    _map_clusters(build, layout.n_clusters, threads)
     data = Dataset.from_columns(y, X, sizes)
     return data, Latents(b, eps, data.offsets)

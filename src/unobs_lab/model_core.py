@@ -24,7 +24,7 @@ __all__ = [
     "Dataset",
     "SuffStats",
     "CSParams",
-    "SymMatrix",
+    "CSMatrix",
     "Validation",
     "cs_covariance",
     "validate_cs",
@@ -51,66 +51,6 @@ class CsvFormatError(ValueError):
 def format_float(x: float) -> str:
     """Render a float with 17 significant digits (reproducible output)."""
     return format(float(x), ".17g")
-
-
-# ---------------------------------------------------------------------------
-# Symmetric matrices
-# ---------------------------------------------------------------------------
-
-MAX_DIM = 64
-
-
-class SymMatrix:
-    """Dense symmetric matrix, exact by construction (one triangle stored)."""
-
-    __slots__ = ("_n", "_tri")
-
-    def __init__(self, n: int, upper: np.ndarray):
-        if n < 1 or n > MAX_DIM:
-            raise ValueError(f"dimension {n} outside [1, {MAX_DIM}]")
-        upper = np.asarray(upper, dtype=float)
-        if upper.shape != (n * (n + 1) // 2,):
-            raise ValueError("packed upper triangle has wrong length")
-        upper = upper.copy()
-        upper.flags.writeable = False
-        self._n = n
-        self._tri = upper
-
-    @classmethod
-    def from_array(cls, a: np.ndarray) -> "SymMatrix":
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("square matrix required")
-        if not np.array_equal(a, a.T):
-            raise ValueError("matrix is not exactly symmetric")
-        n = a.shape[0]
-        return cls(n, a[np.triu_indices(n)])
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-    @property
-    def array(self) -> np.ndarray:
-        full = np.zeros((self._n, self._n))
-        iu = np.triu_indices(self._n)
-        full[iu] = self._tri
-        full = full + full.T
-        full[np.diag_indices(self._n)] /= 2.0
-        return full
-
-    def __getitem__(self, ij):
-        i, j = ij
-        if i > j:
-            i, j = j, i
-        # offset of row i in the packed upper triangle
-        return self._tri[i * self._n - i * (i - 1) // 2 + (j - i)]
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.array)
-
-    def __repr__(self) -> str:
-        return f"SymMatrix(n={self._n})"
 
 
 # ---------------------------------------------------------------------------
@@ -292,12 +232,30 @@ class CSParams:
 # ---------------------------------------------------------------------------
 
 
-def cs_covariance(n: int, lam: float, phi: float) -> SymMatrix:
+@dataclass(frozen=True)
+class CSMatrix:
+    """The n x n matrix lam*J_n + phi*I_n, held as its three numbers.
+
+    Its eigenvalues are phi (n-1 times) and phi + n*lam; .array builds the
+    dense matrix only on request, so n is not limited by storage.
+    """
+
+    n: int
+    lam: float
+    phi: float
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
+
+    @property
+    def array(self) -> np.ndarray:
+        return np.full((self.n, self.n), self.lam) + self.phi * np.eye(self.n)
+
+
+def cs_covariance(n: int, lam: float, phi: float) -> CSMatrix:
     """Compound-symmetry covariance lam*J_n + phi*I_n (no PD check here)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    v = np.full((n, n), lam) + phi * np.eye(n)
-    return SymMatrix(n, v[np.triu_indices(n)])
+    return CSMatrix(n, lam, phi)
 
 
 @dataclass(frozen=True)
@@ -313,11 +271,14 @@ def validate_cs(n_set, lam: float, phi: float) -> Validation:
     """Exact positive-definiteness check of lam*J_n + phi*I_n over cluster sizes.
 
     V is PD iff phi > 0 and phi + n*lam > 0 (its two distinct eigenvalues),
-    with strict inequalities; boundary points are rejected.
+    with strict inequalities; boundary points are rejected, and so is a
+    cluster size below 1.
     """
     sizes = sorted(set(int(n) for n in n_set))
     if not sizes:
         raise ValueError("n_set must be nonempty")
+    if sizes[0] < 1:
+        return Validation(False, f"cluster size n = {sizes[0]} is not >= 1")
     if not phi > 0:
         return Validation(False, f"phi = {phi} is not strictly positive")
     for n in sizes:

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from unobs_lab.cli import main
+from unobs_lab.cli import _json, main
 
 
 def run(capsys, *argv):
@@ -60,6 +60,16 @@ class TestEquivalenceCommand:
         assert dec["variance"]["total"] == dec["variance"]["sigma2"] + dec["variance"]["d"] + dec["variance"]["two_tau"]
         assert rec["d"] + 2 * rec["tau"] == pytest.approx(rec["lambda2"], abs=1e-12)
 
+    def test_report_size_limit(self, capsys):
+        argv = ["equivalence", "--lambda2", "2", "--nu2", "1", "--alpha-grid=-1,0,1"]
+        rc, out, _ = run(capsys, *argv, "--n", "64")
+        assert rc == 0
+        want = (np.full((64, 64), 2.0) + np.eye(64)).ravel().tolist()
+        assert all(r["marginal_cov"] == want for r in json.loads(out))
+        rc, out, err = run(capsys, *argv, "--n", "65")
+        assert (rc, out) == (1, "")
+        assert "dimension 65 outside [1, 64]" in err
+
 
 class TestEbCommand:
     def test_record(self, capsys):
@@ -70,6 +80,14 @@ class TestEbCommand:
         rec = json.loads(out)
         assert rec["shrinkage"] == pytest.approx(6 / 7)
         assert rec["tau"] == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_cluster_size_below_one(self, capsys, n):
+        rc, out, err = run(
+            capsys, "eb", "--lambda2", "1", "--nu2", "1", "--alpha", "0.5", f"--n={n}"
+        )
+        assert (rc, out) == (1, "")
+        assert f"cluster size n = {n} is not >= 1" in err
 
 
 class TestSimulateAndFit:
@@ -225,24 +243,6 @@ class TestContract:
         assert run(capsys, "nonsense")[0] == 2
         assert run(capsys, "equivalence")[0] == 2
 
-    def test_thread_env_does_not_change_bytes(self, tmp_path, capsys):
-        digests = {}
-        for threads in ("1", "4"):
-            os.environ["UNOBS_LAB_THREADS"] = threads
-            try:
-                path = tmp_path / f"t{threads}.csv"
-                rc, _, _ = run(
-                    capsys,
-                    "simulate", "--model", "extended", "--lambda2", "1.5",
-                    "--nu2", "1", "--alpha", "0.1", "--n-clusters", "100",
-                    "--cluster-size", "2", "--seed", "17", "--out", str(path),
-                )
-                assert rc == 0
-                digests[threads] = hashlib.sha256(path.read_bytes()).hexdigest()
-            finally:
-                del os.environ["UNOBS_LAB_THREADS"]
-        assert digests["1"] == digests["4"]
-
     def test_json_floats_have_17_digit_format(self, capsys):
         rc, out, _ = run(
             capsys,
@@ -270,6 +270,10 @@ class TestContract:
         assert out == ""
         assert "non-finite" in err
 
+    def test_float_array_with_nan_is_refused(self):
+        with pytest.raises(ValueError, match="non-finite value nan"):
+            _json({"v": np.array([1.0, np.nan, 2.0])})
+
 
 class TestLazyScipy:
     @pytest.mark.parametrize(
@@ -291,9 +295,10 @@ class TestLazyScipy:
             "from unobs_lab.cli import main\n"
             f"rc = main({argv!r})\n"
             "sys.stdout.flush()\n"
-            "sys.stderr.write(f'rc={rc} scipy={\"scipy\" in sys.modules}')\n"
+            "mods = [m in sys.modules for m in ('scipy', 'concurrent.futures')]\n"
+            "sys.stderr.write(f'rc={rc} scipy={mods[0]} pool={mods[1]}')\n"
         )
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, text=True)
-        assert proc.stderr.endswith("rc=0 scipy=False"), proc.stderr
+        assert proc.stderr.endswith("rc=0 scipy=False pool=False"), proc.stderr

@@ -32,15 +32,15 @@ finite = {"allow_nan": False, "allow_infinity": False}
 
 class TestEquivalencePair:
     def test_v1_examples(self):
-        assert np.array_equal(v1_matrix(SpecA(1, 1, 2)).array, [[2, 1], [1, 3]])
-        assert np.array_equal(v1_matrix(SpecA(0, 1, 1)).array, np.eye(2))
-        assert np.array_equal(v1_matrix(SpecA(2, 0.5, 0.5)).array, [[2.5, 2], [2, 2.5]])
+        assert np.array_equal(v1_matrix(SpecA(1, 1, 2)), [[2, 1], [1, 3]])
+        assert np.array_equal(v1_matrix(SpecA(0, 1, 1)), np.eye(2))
+        assert np.array_equal(v1_matrix(SpecA(2, 0.5, 0.5)), [[2.5, 2], [2, 2.5]])
 
     def test_v2_examples(self):
-        assert np.array_equal(v2_matrix(SpecB(1, 1, 1)).array, [[2, 1], [1, 3]])
-        assert np.array_equal(v2_matrix(SpecB(0, 0, 1)).array, np.eye(2))
+        assert np.array_equal(v2_matrix(SpecB(1, 1, 1)), [[2, 1], [1, 3]])
+        assert np.array_equal(v2_matrix(SpecB(0, 0, 1)), np.eye(2))
         assert np.array_equal(
-            v2_matrix(SpecB(2, -0.25, 0.5)).array, [[2.5, 2], [2, 2.25]]
+            v2_matrix(SpecB(2, -0.25, 0.5)), [[2.5, 2], [2, 2.25]]
         )
 
     def test_map_examples(self):
@@ -65,7 +65,7 @@ class TestEquivalencePair:
         # variance ratios within [1/2, 2] make nu2sq - nu1sq exact in floats
         # (Sterbenz), so the matrix identity holds bit for bit
         a = SpecA(lam2, nu1, nu1 * ratio)
-        assert np.array_equal(v1_matrix(a).array, v2_matrix(map_a_to_b(a)).array)
+        assert np.array_equal(v1_matrix(a), v2_matrix(map_a_to_b(a)))
 
     @given(
         lam2=st.floats(0, 50, **finite),
@@ -76,7 +76,7 @@ class TestEquivalencePair:
         # arbitrary variance ratios: the mapped slope variance is a rounded
         # difference, so agreement is only up to one rounding of the sum
         a = SpecA(lam2, nu1, nu2)
-        diff = np.abs(v1_matrix(a).array - v2_matrix(map_a_to_b(a)).array)
+        diff = np.abs(v1_matrix(a) - v2_matrix(map_a_to_b(a)))
         assert diff.max() <= 2 * np.spacing(max(lam2 + nu1, lam2 + nu2))
 
     def test_spec_validation(self):
@@ -180,15 +180,15 @@ class TestDecomposition:
 
 class TestJointCov:
     def test_alpha_zero(self):
-        got = joint_cov(ExtendedSpec(2, 1, 0), 2).array
+        got = joint_cov(ExtendedSpec(2, 1, 0), 2)
         assert np.array_equal(got, [[4, -1, -1], [-1, 1, 0], [-1, 0, 1]])
 
     def test_point_mass(self):
-        got = joint_cov(ExtendedSpec(0, 1, -1), 2).array
+        got = joint_cov(ExtendedSpec(0, 1, -1), 2)
         assert np.allclose(got, np.diag([0.0, 1.0, 1.0]), atol=1e-15)
 
     def test_tau_zero_is_diagonal(self):
-        got = joint_cov(ExtendedSpec(3, 1, -0.5), 3).array
+        got = joint_cov(ExtendedSpec(3, 1, -0.5), 3)
         assert np.allclose(got, np.diag([3.0, 1.0, 1.0, 1.0]), atol=1e-15)
 
     def test_psd_condition_is_n_tau_sq_le_d_sigma2(self):
@@ -203,12 +203,12 @@ class TestJointCov:
             n = int(rng.integers(1, 7))
             spec = ExtendedSpec(lam2, nu2, alpha)
             d, tau = derive_d_tau(lam2, nu2, alpha)
-            min_eig = joint_cov(spec, n).eigenvalues().min()
+            min_eig = np.linalg.eigvalsh(joint_cov(spec, n)).min()
             if n * tau * tau <= d * nu2 - 1e-9:
                 assert min_eig > -1e-12
             elif n * tau * tau >= d * nu2 + 1e-9:
                 assert min_eig < 0
-        min_eig = joint_cov(ExtendedSpec(2, 1, 1.0), 2).eigenvalues().min()
+        min_eig = np.linalg.eigvalsh(joint_cov(ExtendedSpec(2, 1, 1.0), 2)).min()
         assert min_eig < -1e-3
 
 
@@ -263,7 +263,7 @@ class TestConditionalErrorDist:
             joint[0, 0] = d
             joint[0, 1:] = joint[1:, 0] = d * slope  # Cov(b, eps) = d * tau/d
             joint[1:, 1:] = var_eps
-            assert np.allclose(joint, joint_cov(spec, n).array, atol=1e-10)
+            assert np.allclose(joint, joint_cov(spec, n), atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +284,13 @@ class TestMarginalInvariance:
     def test_matches_model_core_example(self):
         got = marginal_cov_extended(ExtendedSpec(-0.4, 1, 0.3), 2).array
         assert np.allclose(got, [[0.6, -0.4], [-0.4, 0.6]], atol=1e-12)
+
+    def test_exact_beyond_64(self):
+        # grid points where d + 2*tau rounds to lambda2 exactly
+        want = np.full((100, 100), 2.0) + np.eye(100)
+        for alpha in (-1.0, -0.5, -0.25, 0.0, 0.25, 1.0):
+            got = marginal_cov_extended(ExtendedSpec(2, 1, alpha), 100).array
+            assert np.array_equal(got, want)
 
     @given(
         nu2=st.floats(1e-2, 10, **finite),

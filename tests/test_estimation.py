@@ -342,10 +342,8 @@ class TestSimulateCs:
         layout = SimLayout(100, 3)
         a = simulate_cs(params, layout, seed=77)
         b = simulate_cs(params, layout, seed=77)
-        c = simulate_cs(params, layout, seed=77, threads=4)
-        for d1, d2 in [(a, b), (a, c)]:
-            for c1, c2 in zip(d1.clusters, d2.clusters):
-                assert np.array_equal(c1.y, c2.y)
+        for c1, c2 in zip(a.clusters, b.clusters):
+            assert np.array_equal(c1.y, c2.y)
 
     def test_pd_violation(self):
         with pytest.raises(DomainError):
@@ -425,10 +423,16 @@ class TestSimulateExtended:
             assert abs(got.params.lam - 1.5) < 3 * MC_SE_LAM_EXT
             assert abs(got.params.phi - 1.0) < 3 * MC_SE_PHI_EXT
 
+    def test_cluster_size_beyond_64(self):
+        spec = ExtendedSpec(3.0, 1.0, -0.5)  # tau = 0: the joint is PSD for every n
+        data, latents = simulate_extended(spec, [0.0], SimLayout(3, 100), seed=2)
+        assert data.cluster_sizes() == [100] * 3
+        assert np.array_equal(data.y, np.repeat(latents.b, 100) + latents.eps)
+
     def test_deterministic(self):
         spec = ExtendedSpec(1.0, 1.0, 0.2)
         a, la = simulate_extended(spec, [0.0], SimLayout(50, 2), seed=4)
-        b, lb = simulate_extended(spec, [0.0], SimLayout(50, 2), seed=4, threads=4)
+        b, lb = simulate_extended(spec, [0.0], SimLayout(50, 2), seed=4)
         for c1, c2 in zip(a.clusters, b.clusters):
             assert np.array_equal(c1.y, c2.y)
         for (b1, e1), (b2, e2) in zip(la, lb):
@@ -448,7 +452,7 @@ class TestInvarianceVsSensitivity:
         shrinkages = []
         for alpha in alphas:
             spec = ExtendedSpec(1.2, 1.0, alpha)
-            marg = marginal_cov_extended(spec, 2)
+            marg = marginal_cov_extended(spec, 2).array
             lam_implied = marg[0, 1]
             phi_implied = marg[0, 0] - lam_implied
             logliks.append(

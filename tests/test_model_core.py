@@ -9,7 +9,7 @@ from unobs_lab.model_core import (
     CsvFormatError,
     Dataset,
     DomainError,
-    SymMatrix,
+    CSMatrix,
     cs_covariance,
     gls_mean,
     icc,
@@ -25,25 +25,21 @@ def intercept_cluster(cid, y):
 
 
 # ---------------------------------------------------------------------------
-# SymMatrix
+# CSMatrix
 # ---------------------------------------------------------------------------
 
 
-class TestSymMatrix:
-    def test_roundtrip_and_indexing(self):
-        a = np.array([[3.0, 2.0], [2.0, 3.0]])
-        m = SymMatrix.from_array(a)
-        assert np.array_equal(m.array, a)
-        assert m[0, 1] == m[1, 0] == 2.0
+class TestCSMatrix:
+    def test_array_is_dense_cs(self):
+        m = CSMatrix(2, 2.0, 1.0)
+        assert (m.n, m.lam, m.phi) == (2, 2.0, 1.0)
+        assert np.array_equal(m.array, [[3.0, 2.0], [2.0, 3.0]])
+        with pytest.raises(AttributeError):
+            m.lam = 0.0
 
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            SymMatrix.from_array(np.array([[1.0, 2.0], [2.1, 1.0]]))
-
-    def test_dimension_cap(self):
-        SymMatrix.from_array(np.eye(64))
-        with pytest.raises(ValueError):
-            SymMatrix.from_array(np.eye(65))
+    def test_rejects_size_below_one(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            CSMatrix(0, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -73,9 +69,15 @@ class TestCsCovariance:
             n = int(rng.integers(1, 11))
             phi = float(rng.uniform(0.2, 3.0))
             lam = float(rng.uniform(-phi / n + 1e-3, 3.0))
-            ev = np.sort(cs_covariance(n, lam, phi).eigenvalues())
+            ev = np.sort(np.linalg.eigvalsh(cs_covariance(n, lam, phi).array))
             expect = np.sort(np.array([phi] * (n - 1) + [phi + n * lam]))
             assert np.max(np.abs(ev - expect)) < 1e-12
+
+    def test_eigenvalues_beyond_64(self):
+        n, lam, phi = 200, 0.3, 1.7
+        ev = np.linalg.eigvalsh(cs_covariance(n, lam, phi).array)
+        assert np.allclose(ev[:-1], phi, rtol=1e-12, atol=0)
+        assert ev[-1] == pytest.approx(phi + n * lam, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +114,12 @@ class TestValidateCs:
                     for n in sizes
                 )
             assert got == brute
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_size_below_one_rejected(self, n):
+        res = validate_cs({n, 2}, 0.5, 1.0)
+        assert not res.ok
+        assert res.message == f"cluster size n = {n} is not >= 1"
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
