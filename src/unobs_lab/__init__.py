@@ -11,12 +11,10 @@ Two threads run through this package:
 """
 
 from unobs_lab.model_core import (
-    ClusterData,
     CSMatrix,
     CSParams,
     Dataset,
     DomainError,
-    cs_covariance,
     gls_mean,
     icc,
     read_dataset_csv,

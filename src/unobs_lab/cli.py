@@ -25,6 +25,7 @@ from unobs_lab.model_core import (
     format_float,
     read_dataset_csv,
     write_dataset_csv,
+    write_rows,
 )
 
 __all__ = ["main", "entry"]
@@ -56,12 +57,9 @@ def _json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _write(path, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+def _dest(path):
+    """Where --out goes: stdout when it is absent or '-', else the path."""
+    return sys.stdout if path in (None, "-") else path
 
 
 def _float_list(text: str) -> list[float]:
@@ -132,7 +130,7 @@ def _cmd_equivalence(args) -> int:
         _equivalence_record(args.lambda2, args.nu2, alpha, args.n)
         for alpha in args.alpha_grid
     ]
-    _write(args.out, _json(records) + "\n")
+    write_rows(_dest(args.out), _json(records) + "\n")
     return 0
 
 
@@ -147,7 +145,7 @@ def _cmd_eb(args) -> int:
         "tau": spec.tau,
         "shrinkage": eq.eb_shrinkage(spec, args.n),
     }
-    _write(args.out, _json(record) + "\n")
+    write_rows(_dest(args.out), _json(record) + "\n")
     return 0
 
 
@@ -166,7 +164,7 @@ def _fit_record(result: est.FitResult) -> dict:
 def _cmd_fit(args) -> int:
     data = read_dataset_csv(args.data)
     result = est.fit_ml(data)
-    _write(args.out, _json(_fit_record(result)) + "\n")
+    write_rows(_dest(args.out), _json(_fit_record(result)) + "\n")
     return 0
 
 
@@ -175,20 +173,16 @@ def _cmd_simulate(args) -> int:
     if args.model == "cs":
         params = CSParams(xi=np.array(args.xi), lam=args.lam, phi=args.phi)
         data = est.simulate_cs(params, layout, seed=args.seed)
-        latents = None
     else:
         spec = eq.ExtendedSpec(lambda2=args.lambda2, nu2=args.nu2, alpha=args.alpha)
-        data, latents = est.simulate_extended(spec, np.array(args.xi), layout, seed=args.seed)
-    write_dataset_csv(data, sys.stdout if args.out in (None, "-") else args.out)
-    if args.latent is not None:
-        if latents is None:
-            raise DomainError("--latent requires --model extended")
-        n = args.cluster_size  # one line per cluster: id, b, eps1..epsn
+        data, latents = est.simulate_extended(spec, args.xi, layout, seed=args.seed)
+    write_dataset_csv(data, _dest(args.out))
+    if args.latent is not None:  # one line per cluster: id, b, eps1..epsn
+        n = args.cluster_size
+        head = "cluster,b," + ",".join(f"eps{j + 1}" for j in range(n)) + "\n"
         row = "%s,%.17g" + ",%.17g" * n + "\n"
-        eps = latents.eps.reshape(-1, n).T.tolist()
-        with open(args.latent, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("cluster,b," + ",".join(f"eps{j + 1}" for j in range(n)) + "\n")
-            fh.writelines(row % c for c in zip(data.cluster_ids, latents.b.tolist(), *eps))
+        eps = latents.eps.reshape(-1, n).T
+        write_rows(args.latent, head, row, data.cluster_ids, latents.b, *eps)
     return 0
 
 
@@ -206,22 +200,20 @@ def _cmd_heavytail(args) -> int:
                     "value": m.value,
                 }
             )
-        _write(args.out, _json(records) + "\n")
+        write_rows(_dest(args.out), _json(records) + "\n")
     elif args.action == "sample":
         draws = ht.we_sample(spec, args.n, seed=args.seed)
-        _write(args.out, "".join(format_float(v) + "\n" for v in draws))
+        write_rows(_dest(args.out), "", "%.17g\n", draws)
     else:  # trace
-        trace = ht.running_mean_trace(spec, N=args.n, stride=args.stride, seed=args.seed)
-        lines = ["n,running_mean\n"]
-        lines += [f"{n},{format_float(m)}\n" for n, m in trace]
-        _write(args.out, "".join(lines))
+        n, mean = ht.running_mean_trace(spec, N=args.n, stride=args.stride, seed=args.seed)
+        write_rows(_dest(args.out), "n,running_mean\n", "%d,%.17g\n", n, mean)
     return 0
 
 
 def _cmd_pit(args) -> int:
     spec = ht.WeibullExpSpec(phi=args.phi, rho=args.rho, delta=args.delta)
     draws = ht.pit_sample(lambda u: ht.we_quantile(spec, u), args.n, seed=args.seed)
-    _write(args.out, "".join(format_float(v) + "\n" for v in draws))
+    write_rows(_dest(args.out), "", "%.17g\n", draws)
     return 0
 
 
@@ -311,6 +303,8 @@ def _check_stochastic_flags(parser: argparse.ArgumentParser, args) -> None:
             args.lambda2 is None or args.nu2 is None or args.alpha is None
         ):
             parser.error("--model extended requires --lambda2, --nu2, --alpha")
+        if args.model == "cs" and args.latent is not None:
+            parser.error("--latent requires --model extended")
 
 
 def main(argv=None) -> int:

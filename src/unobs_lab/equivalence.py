@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from unobs_lab.model_core import CSMatrix, DomainError, cs_covariance, validate_cs
+from unobs_lab.model_core import CSMatrix, DomainError, validate_cs
 
 __all__ = [
     "SpecA",
@@ -225,13 +225,13 @@ def conditional_error_dist(spec: ExtendedSpec, b: float, n: int) -> ConditionalE
             "random intercept is a point mass (d = 0); conditioning degenerate"
         )
     mean = np.full(n, tau * b / d)
-    return ConditionalErrorDist(mean=mean, cov=cs_covariance(n, -(tau * tau / d), spec.nu2))
+    return ConditionalErrorDist(mean=mean, cov=CSMatrix(n, -(tau * tau / d), spec.nu2))
 
 
 def marginal_cov_extended(spec: ExtendedSpec, n: int) -> CSMatrix:
     """Implied marginal covariance (d + 2*tau)*J + sigma2*I; alpha-invariant."""
     d, tau = derive_d_tau(spec.lambda2, spec.nu2, spec.alpha)
-    return cs_covariance(n, d + 2.0 * tau, spec.nu2)
+    return CSMatrix(n, d + 2.0 * tau, spec.nu2)
 
 
 def eb_shrinkage(spec: ExtendedSpec, n: int) -> float:

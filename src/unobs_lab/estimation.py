@@ -7,26 +7,26 @@ left, r = lam/(lam+phi), over its open interval, which is exactly the PD
 region. A closed-form one-way ANOVA estimator serves as the oracle on
 balanced intercept-only data.
 
-Simulation draws each cluster from its own counter-based substream, so
-replicates are deterministic and cluster i's draws do not depend on how many
-clusters are simulated.
+Simulation is intercept-only and draws each cluster from its own
+counter-based substream, so replicates are deterministic and cluster i's
+draws do not depend on how many clusters are simulated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from unobs_lab.equivalence import ExtendedSpec, joint_cov
 from unobs_lab.model_core import (
+    CSMatrix,
     CSParams,
     Dataset,
     DomainError,
     RankDeficiencyError,
-    cs_covariance,
     validate_cs,
 )
 from unobs_lab.rng import substream
@@ -63,15 +63,10 @@ class FitResult:
 
 @dataclass(frozen=True)
 class SimLayout:
-    """Cluster layout for simulation: N clusters, balanced size or explicit list.
-
-    design is None for intercept-only, a single (n, p) matrix shared by all
-    clusters (balanced only), or one matrix per cluster.
-    """
+    """Cluster layout for simulation: N clusters, balanced size or explicit list."""
 
     n_clusters: int
     cluster_size: Union[int, Sequence[int]]
-    design: Optional[Union[np.ndarray, Sequence[np.ndarray]]] = None
 
     def __post_init__(self):
         if self.n_clusters < 1:
@@ -87,20 +82,6 @@ class SimLayout:
         if len(sizes) != self.n_clusters:
             raise ValueError("explicit size list must have n_clusters entries")
         return sizes
-
-    def design_matrix(self) -> np.ndarray:
-        """Every cluster's design rows, stacked: (sum of sizes, p)."""
-        sizes = self.sizes()
-        if self.design is None:
-            return np.ones((sum(sizes), 1))
-        design = self.design
-        if isinstance(design, np.ndarray):  # one matrix shared by all clusters
-            design = [design] * self.n_clusters
-        blocks = [np.asarray(x, dtype=float) for x in design]
-        for i, (x, n) in enumerate(zip(blocks, sizes)):
-            if x.shape[0] != n:
-                raise ValueError(f"design for cluster {i} has {x.shape[0]} rows, need {n}")
-        return np.vstack(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -236,63 +217,61 @@ def fit_balanced_closed_form(data: Dataset) -> FitResult:
 # ---------------------------------------------------------------------------
 
 
+def _intercept(xi) -> float:
+    """The simulators' mean: intercept-only, so xi must have one entry."""
+    xi = np.ravel(np.asarray(xi, dtype=float))
+    if len(xi) != 1:
+        raise DomainError(f"xi has {len(xi)} entries; simulation is intercept-only and needs 1")
+    return float(xi[0])
+
+
 def simulate_cs(params: CSParams, layout: SimLayout, seed: int) -> Dataset:
-    """Simulate from the compound-symmetry marginal model, bit-reproducibly.
+    """Simulate y = xi + cluster effect + noise from the intercept-only CS model.
 
     For lam >= 0 a real random intercept is drawn; for lam < 0 no hierarchy
-    exists, so each cluster is sampled directly from N(X xi, lam*J + phi*I)
-    via a Cholesky factor. Both branches share the marginal law.
+    exists, so each cluster is sampled directly from N(xi, lam*J + phi*I)
+    via a Cholesky factor. Both branches share the marginal law, and the
+    output is bit-reproducible.
     """
     sizes = layout.sizes()
     check = validate_cs(sizes, params.lam, params.phi)
     if not check:
         raise DomainError(check.message)
-    lam, phi = params.lam, params.phi
+    mu, lam, phi = _intercept(params.xi), params.lam, params.phi
     chols = {}
     if lam < 0:
         for n in set(sizes):
-            chols[n] = np.linalg.cholesky(cs_covariance(n, lam, phi).array)
-    X, offsets = layout.design_matrix(), np.cumsum([0] + sizes).tolist()
-    mean = X @ params.xi
-    y = np.empty(len(mean))
+            chols[n] = np.linalg.cholesky(CSMatrix(n, lam, phi).array)
+    offsets = np.cumsum([0] + sizes).tolist()
+    y = np.empty(offsets[-1])
     for i, (a, n) in enumerate(zip(offsets, sizes)):
         rng = substream(seed, i)
         if lam >= 0:
             b = rng.normal(0.0, math.sqrt(lam)) if lam > 0 else 0.0
-            y[a : a + n] = mean[a : a + n] + b + rng.normal(0.0, math.sqrt(phi), size=n)
+            y[a : a + n] = mu + b + rng.normal(0.0, math.sqrt(phi), size=n)
         else:
-            y[a : a + n] = mean[a : a + n] + chols[n] @ rng.standard_normal(n)
-    return Dataset.from_columns(y, X, sizes)
+            y[a : a + n] = mu + chols[n] @ rng.standard_normal(n)
+    return Dataset(y, np.ones((len(y), 1)), sizes)
 
 
 @dataclass(frozen=True)
 class Latents:
-    """simulate_extended's b per cluster and eps per row; item i is (b_i, eps_i)."""
+    """simulate_extended's latent columns: b per cluster, eps per row of y."""
 
     b: np.ndarray
     eps: np.ndarray
-    offsets: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.b)
-
-    def __getitem__(self, i: int) -> tuple[float, np.ndarray]:
-        i = range(len(self.b))[i]
-        return float(self.b[i]), self.eps[self.offsets[i] : self.offsets[i + 1]]
 
 
 def simulate_extended(
-    spec: ExtendedSpec, xi: np.ndarray, layout: SimLayout, seed: int
+    spec: ExtendedSpec, xi, layout: SimLayout, seed: int
 ) -> tuple[Dataset, Latents]:
-    """Simulate from the alpha-indexed hierarchy; returns data plus latents.
+    """Simulate y = xi + b + eps from the alpha-indexed hierarchy: data and latents.
 
     (b, eps) are drawn jointly from the (n+1)-dimensional Gaussian through a
     rank-revealing eigenfactorization, so the rank-deficient boundary
-    |alpha| = 1 is handled without failure. Latents are (b_i, eps_i) per
-    cluster, aligned with the returned dataset.
+    |alpha| = 1 is handled without failure. xi is the intercept, one entry.
     """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    sizes = layout.sizes()
+    mu, sizes = _intercept(xi), layout.sizes()
     factors = {}
     for n in set(sizes):
         w, u = np.linalg.eigh(joint_cov(spec, n))
@@ -302,12 +281,10 @@ def simulate_extended(
                 f"joint covariance for n = {n} is not PSD: eigenvalue {w.min()}"
             )
         factors[n] = u * np.sqrt(np.clip(w, 0.0, None))
-    X, offsets = layout.design_matrix(), np.cumsum([0] + sizes).tolist()
-    mean = X @ xi
-    y, eps, b = np.empty(len(mean)), np.empty(len(mean)), np.empty(len(sizes))
+    offsets = np.cumsum([0] + sizes).tolist()
+    y, eps, b = np.empty(offsets[-1]), np.empty(offsets[-1]), np.empty(len(sizes))
     for i, (a, n) in enumerate(zip(offsets, sizes)):
         v = factors[n] @ substream(seed, i).standard_normal(n + 1)
         b[i], eps[a : a + n] = v[0], v[1:]
-        y[a : a + n] = mean[a : a + n] + float(v[0]) + v[1:]
-    data = Dataset.from_columns(y, X, sizes)
-    return data, Latents(b, eps, data.offsets)
+        y[a : a + n] = mu + float(v[0]) + v[1:]
+    return Dataset(y, np.ones((len(y), 1)), sizes), Latents(b, eps)

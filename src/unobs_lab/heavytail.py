@@ -286,18 +286,17 @@ def truncated_moment(spec: WeibullExpSpec, k: int, T: float) -> float:
 
 def running_mean_trace(
     spec: WeibullExpSpec, N: int, stride: int, seed: int
-) -> list[tuple[int, float]]:
-    """Running sample mean at n = stride, 2*stride, ..., N; plot-ready.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Running sample mean at n = stride, 2*stride, ..., N: arrays (n, mean).
 
     No convergence is implied for rho <= 1: the trace exists to show the
     heavy-tail jumps of a mean that does not exist.
     """
     if not 1 <= stride <= N:
         raise DomainError("need N >= stride >= 1")
-    draws = we_sample(spec, N, seed)
-    csum = np.cumsum(draws)
-    idx = np.arange(stride, N + 1, stride)
-    return [(int(n), float(csum[n - 1] / n)) for n in idx]
+    csum = np.cumsum(we_sample(spec, N, seed))
+    n = np.arange(stride, N + 1, stride)
+    return n, csum[n - 1] / n
 
 
 # ---------------------------------------------------------------------------
@@ -323,20 +322,23 @@ def wg_sample(spec: WeibullGammaSpec, n_draws: int, seed: int) -> list[np.ndarra
 
 
 def pit_sample(
-    quantile: Callable[[float], float], n_draws: int, seed: int
+    quantile: Callable[[np.ndarray], np.ndarray], n_draws: int, seed: int
 ) -> np.ndarray:
-    """Probability-integral-transform sampler: F^-1(ndtr(a)), a standard normal."""
+    """Probability-integral-transform sampler: F^-1(ndtr(a)), a standard normal.
+
+    quantile is vectorised: it maps the array of probabilities to an array
+    of the same shape.
+    """
     from scipy.special import ndtr
     rng = substream(seed, 0)
     a = rng.standard_normal(n_draws)
     u = ndtr(a)
     u = np.clip(u, 1e-300, 1.0 - 1e-16)
-    try:
-        vals = np.asarray(quantile(u), dtype=float)
-        if vals.shape != u.shape:
-            raise TypeError
-    except (TypeError, ValueError, DomainError):
-        vals = np.array([float(quantile(ui)) for ui in u])
+    vals = np.asarray(quantile(u), dtype=float)
+    if vals.shape != u.shape:
+        raise TypeError(
+            f"quantile returned shape {vals.shape} for probabilities of shape {u.shape}"
+        )
     bad = ~np.isfinite(vals)
     if np.any(bad):
         raise ArithmeticError(

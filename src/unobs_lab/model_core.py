@@ -20,18 +20,17 @@ __all__ = [
     "DomainError",
     "RankDeficiencyError",
     "CsvFormatError",
-    "ClusterData",
     "Dataset",
     "SuffStats",
     "CSParams",
     "CSMatrix",
     "Validation",
-    "cs_covariance",
     "validate_cs",
     "icc",
     "gls_mean",
     "read_dataset_csv",
     "write_dataset_csv",
+    "write_rows",
     "format_float",
 ]
 
@@ -64,70 +63,27 @@ def _frozen_array(a, dtype=float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ClusterData:
-    """One cluster: response vector y and design matrix X (n rows, p columns)."""
-
-    cluster_id: str
-    y: np.ndarray
-    X: np.ndarray
-
-    def __post_init__(self):
-        y = _frozen_array(self.y)
-        X = _frozen_array(self.X)
-        if y.ndim != 1 or len(y) < 1:
-            raise ValueError(f"cluster {self.cluster_id}: y must be a nonempty vector")
-        if X.ndim != 2 or X.shape[0] != len(y):
-            raise ValueError(
-                f"cluster {self.cluster_id}: X must have one row per observation"
-            )
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "X", X)
-
-    @property
-    def n(self) -> int:
-        return len(self.y)
-
-    @property
-    def p(self) -> int:
-        return self.X.shape[1]
-
-
 class Dataset:
     """Clustered data stored as read-only columns.
 
     y (n_obs,) and X (n_obs, p) hold the rows cluster by cluster; cluster k
-    is cluster_ids[k] and owns rows offsets[k]:offsets[k+1].
-    Dataset.from_columns builds one without ClusterData objects.
+    is cluster_ids[k] and owns rows offsets[k]:offsets[k+1]. Ids default to
+    c1, c2, ... and covariate names to x1, x2, ...
     """
 
-    def __init__(self, clusters, covariate_names):
-        clusters = tuple(clusters)  # numpy refuses none, or differing widths
-        y, X = np.concatenate([c.y for c in clusters]), np.vstack([c.X for c in clusters])
-        ids, sizes = [c.cluster_id for c in clusters], [c.n for c in clusters]
-        self._set(y, X, sizes, ids, covariate_names)
-        self.__dict__["clusters"] = clusters
-
-    @classmethod
-    def from_columns(cls, y, X, sizes, cluster_ids=None, covariate_names=None) -> "Dataset":
-        """Ids default to c1, c2, ... and covariate names to x1, x2, ..."""
-        data = cls.__new__(cls)
-        if cluster_ids is None:
-            cluster_ids = [f"c{i + 1}" for i in range(len(sizes))]
-        if covariate_names is None:
-            covariate_names = [f"x{j + 1}" for j in range(np.shape(X)[1])]
-        data._set(y, X, sizes, cluster_ids, covariate_names)
-        return data
-
-    def _set(self, y, X, sizes, cluster_ids, covariate_names) -> None:
+    def __init__(self, y, X, sizes, cluster_ids=None, covariate_names=None):
         self.y, self.X = _frozen_array(y), _frozen_array(X)
         self.sizes = _frozen_array(sizes, dtype=np.int64)
         self.offsets = _frozen_array(np.cumsum([0, *self.sizes]), dtype=np.int64)
-        self.cluster_ids, self.covariate_names = tuple(cluster_ids), tuple(covariate_names)
         if self.y.ndim != 1 or self.X.ndim != 2 or len(self.X) != len(self.y):
             raise ValueError("X must have one row per observation of y")
         if len(self.sizes) == 0 or self.sizes.min() < 1 or self.offsets[-1] != len(self.y):
             raise ValueError("need one or more clusters of size >= 1 covering every row")
+        if cluster_ids is None:
+            cluster_ids = [f"c{k + 1}" for k in range(len(self.sizes))]
+        if covariate_names is None:
+            covariate_names = [f"x{j + 1}" for j in range(self.X.shape[1])]
+        self.cluster_ids, self.covariate_names = tuple(cluster_ids), tuple(covariate_names)
         if len(self.cluster_ids) != len(self.sizes):
             raise ValueError("need one cluster id per cluster")
         if len(self.covariate_names) != self.X.shape[1]:
@@ -140,15 +96,6 @@ class Dataset:
     @property
     def p(self) -> int:
         return self.X.shape[1]
-
-    def cluster_sizes(self) -> list[int]:
-        return self.sizes.tolist()
-
-    @cached_property
-    def clusters(self) -> tuple[ClusterData, ...]:
-        """Per-cluster view, built on first access; no computation needs it."""
-        bounds = zip(self.cluster_ids, self.offsets[:-1].tolist(), self.offsets[1:].tolist())
-        return tuple(ClusterData(k, self.y[a:b], self.X[a:b]) for k, a, b in bounds)
 
     @cached_property
     def stats(self) -> "SuffStats":
@@ -253,11 +200,6 @@ class CSMatrix:
         return np.full((self.n, self.n), self.lam) + self.phi * np.eye(self.n)
 
 
-def cs_covariance(n: int, lam: float, phi: float) -> CSMatrix:
-    """Compound-symmetry covariance lam*J_n + phi*I_n (no PD check here)."""
-    return CSMatrix(n, lam, phi)
-
-
 @dataclass(frozen=True)
 class Validation:
     ok: bool
@@ -348,7 +290,7 @@ def read_dataset_csv(path) -> Dataset:
             f"{unit[row]} of line {linenos[prev]}"
         )
     sizes, ids = np.bincount(code), list(codes)
-    return Dataset.from_columns(vals[perm, 0], vals[perm, 1:], sizes, ids, header[3:])
+    return Dataset(vals[perm, 0], vals[perm, 1:], sizes, ids, header[3:])
 
 
 def _parse_numbers(parts, linenos, p):
@@ -377,11 +319,22 @@ def write_dataset_csv(data: Dataset, dest) -> None:
 
     dest is a path or an open text handle.
     """
+    ids = np.repeat(np.array(data.cluster_ids, dtype=object), data.sizes)
+    units = np.arange(len(data.y)) - np.repeat(data.offsets[:-1], data.sizes) + 1
+    head = "cluster,unit,y," + ",".join(data.covariate_names) + "\n"
+    row = "%s,%d" + ",%.17g" * (1 + data.p) + "\n"
+    write_rows(dest, head, row, ids, units, data.y, *data.X.T)
+
+
+def write_rows(dest, head: str, row: str = "", *columns) -> None:
+    """Write head, then one line row % (c1[i], c2[i], ...) per i: every row output.
+
+    dest is a path or an open text handle. Arrays are turned into lists
+    first, so "%.17g" formats a Python float exactly as format_float does.
+    """
     if not hasattr(dest, "write"):
         with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-            return write_dataset_csv(data, fh)
-    ids = np.repeat(np.array(data.cluster_ids, dtype=object), data.sizes).tolist()
-    units = (np.arange(len(data.y)) - np.repeat(data.offsets[:-1], data.sizes) + 1).tolist()
-    row = "%s,%d" + ",%.17g" * (1 + data.p) + "\n"
-    dest.write("cluster,unit,y," + ",".join(data.covariate_names) + "\n")
-    dest.writelines(row % r for r in zip(ids, units, data.y.tolist(), *data.X.T.tolist()))
+            return write_rows(fh, head, row, *columns)
+    lists = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    dest.write(head)
+    dest.writelines(row % r for r in zip(*lists))

@@ -17,7 +17,7 @@ from scipy import integrate, stats
 import unobs_lab.equivalence as eq
 import unobs_lab.estimation as est
 import unobs_lab.heavytail as ht
-from unobs_lab.model_core import CSParams, cs_covariance
+from unobs_lab.model_core import CSMatrix, CSParams
 
 
 class criterion:
@@ -58,7 +58,7 @@ def test_criterion_01_marginal_invariance():
         for lambda2, nu2, alpha, n in GRID:
             spec = eq.ExtendedSpec(lambda2=lambda2, nu2=nu2, alpha=alpha)
             got = eq.marginal_cov_extended(spec, n).array
-            want = cs_covariance(n, lambda2, nu2).array
+            want = CSMatrix(n, lambda2, nu2).array
             worst = max(worst, np.max(np.abs(got - want)))
         assert worst <= 1e-12, worst
 

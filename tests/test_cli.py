@@ -7,7 +7,10 @@ import sys
 import numpy as np
 import pytest
 
+from unobs_lab import heavytail as ht
 from unobs_lab.cli import _json, main
+from unobs_lab.equivalence import ExtendedSpec
+from unobs_lab.estimation import SimLayout, simulate_extended
 
 
 def run(capsys, *argv):
@@ -147,6 +150,28 @@ class TestSimulateAndFit:
         b1, e11 = (float(v) for v in lines[1].split(",")[1:3])
         assert y11 == pytest.approx(b1 + e11, abs=1e-12)
 
+    def test_latent_needs_extended_model(self, tmp_path, capsys):
+        out, latent = tmp_path / "sim.csv", tmp_path / "latent.csv"
+        cs = ["simulate", "--model", "cs", "--lambda", "1", "--phi", "1",
+              "--n-clusters", "5", "--cluster-size", "2", "--seed", "1", "--latent", str(latent)]
+        for argv in (cs, cs + ["--out", str(out)]):
+            rc, stdout, err = run(capsys, *argv)
+            assert (rc, stdout) == (2, "")
+            assert "--latent requires --model extended" in err
+        assert not out.exists() and not latent.exists()
+
+    @pytest.mark.parametrize(
+        "model", [["--model", "cs", "--lambda", "1", "--phi", "1"],
+                  ["--model", "extended", "--lambda2", "1", "--nu2", "1", "--alpha", "0.2"]]
+    )
+    def test_xi_takes_one_value(self, capsys, model):
+        rc, out, err = run(
+            capsys, "simulate", *model, "--xi", "1,2",
+            "--n-clusters", "5", "--cluster-size", "2", "--seed", "1",
+        )
+        assert (rc, out) == (1, "")
+        assert "xi has 2 entries" in err
+
     def test_seed_required(self, capsys):
         rc, _, _ = run(
             capsys,
@@ -236,6 +261,57 @@ class TestPitCommand:
         vals = np.array([float(v) for v in out.strip().split("\n")])
         assert len(vals) == 1000
         assert np.all(vals > 0)
+
+
+def g17(x) -> str:
+    return format(float(x), ".17g")
+
+
+class TestLineFormats:
+    """Row outputs, byte for byte, against lines built here from the library."""
+
+    SPEC = ht.WeibullExpSpec(phi=1.3, rho=1.0, delta=0.7)
+    FLAGS = ["--phi", "1.3", "--rho", "1", "--delta", "0.7"]
+
+    def test_sample(self, capsys):
+        rc, out, _ = run(capsys, "heavytail", "sample", *self.FLAGS, "--n", "500", "--seed", "5")
+        assert rc == 0
+        assert out == "".join(g17(v) + "\n" for v in ht.we_sample(self.SPEC, 500, seed=5))
+
+    def test_pit(self, capsys):
+        rc, out, _ = run(capsys, "pit", *self.FLAGS, "--n", "500", "--seed", "8")
+        draws = ht.pit_sample(lambda u: ht.we_quantile(self.SPEC, u), 500, seed=8)
+        assert rc == 0
+        assert out == "".join(g17(v) + "\n" for v in draws)
+
+    def test_trace(self, capsys):
+        rc, out, _ = run(
+            capsys, "heavytail", "trace", *self.FLAGS,
+            "--n", "1000", "--stride", "7", "--seed", "3",
+        )
+        csum = np.cumsum(ht.we_sample(self.SPEC, 1000, seed=3))
+        assert rc == 0
+        assert out == "n,running_mean\n" + "".join(
+            f"{k},{g17(csum[k - 1] / k)}\n" for k in range(7, 1001, 7)
+        )
+
+    def test_simulate_extended_with_latent(self, tmp_path, capsys):
+        latent = tmp_path / "latent.csv"
+        rc, out, _ = run(
+            capsys, "simulate", "--model", "extended", "--lambda2", "3", "--nu2", "1",
+            "--alpha=-0.5", "--xi=-0.5", "--n-clusters", "6", "--cluster-size", "3",
+            "--seed", "11", "--latent", str(latent),
+        )
+        spec = ExtendedSpec(3.0, 1.0, -0.5)  # tau = 0: PSD for clusters of 3
+        data, lat = simulate_extended(spec, [-0.5], SimLayout(6, 3), seed=11)
+        y, eps = data.y.reshape(6, 3), lat.eps.reshape(6, 3)
+        assert rc == 0
+        assert out == "cluster,unit,y,x1\n" + "".join(
+            f"c{i + 1},{j + 1},{g17(y[i, j])},1\n" for i in range(6) for j in range(3)
+        )
+        assert latent.read_text() == "cluster,b,eps1,eps2,eps3\n" + "".join(
+            f"c{i + 1},{g17(lat.b[i])},{','.join(map(g17, eps[i]))}\n" for i in range(6)
+        )
 
 
 class TestContract:

@@ -20,7 +20,7 @@ from unobs_lab.equivalence import (
     v1_matrix,
     v2_matrix,
 )
-from unobs_lab.model_core import DomainError, cs_covariance
+from unobs_lab.model_core import CSMatrix, DomainError
 
 finite = {"allow_nan": False, "allow_infinity": False}
 
@@ -302,7 +302,7 @@ class TestMarginalInvariance:
     def test_property(self, nu2, excess, alpha, n):
         lam2 = excess / n - nu2 / n  # keeps nu2 + n*lam2 = excess > 0
         got = marginal_cov_extended(ExtendedSpec(lam2, nu2, alpha), n).array
-        want = cs_covariance(n, lam2, nu2).array
+        want = CSMatrix(n, lam2, nu2).array
         assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, nu2 + abs(lam2))
 
 

@@ -17,7 +17,7 @@ from unobs_lab.estimation import (
     simulate_cs,
     simulate_extended,
 )
-from unobs_lab.model_core import ClusterData, CSParams, Dataset, DomainError, gls_mean
+from unobs_lab.model_core import CSParams, Dataset, DomainError, gls_mean
 
 # Monte-Carlo standard errors frozen from 200-replicate oracle runs
 # (simulate_cs at lam=-0.3, phi=1, n=2, N=500; simulate_extended at
@@ -28,21 +28,25 @@ MC_SE_PHI_EXT = 0.07
 
 
 def intercept_dataset(rows):
-    clusters = tuple(
-        ClusterData(cluster_id=f"c{i}", y=np.asarray(y, dtype=float), X=np.ones((len(y), 1)))
-        for i, y in enumerate(rows)
-    )
-    return Dataset(clusters, ("x1",))
+    y = np.concatenate([np.asarray(r, dtype=float) for r in rows])
+    return Dataset(y, np.ones((len(y), 1)), [len(r) for r in rows])
+
+
+def cluster_blocks(data):
+    """(y, X) of each cluster, for the dense-V oracles."""
+    cuts = data.offsets[1:-1]
+    return zip(np.split(data.y, cuts), np.split(data.X, cuts))
 
 
 def dense_loglik(data, params):
     ll = 0.0
-    for c in data.clusters:
-        v = np.full((c.n, c.n), params.lam) + params.phi * np.eye(c.n)
-        r = c.y - c.X @ params.xi
+    for y, X in cluster_blocks(data):
+        n = len(y)
+        v = np.full((n, n), params.lam) + params.phi * np.eye(n)
+        r = y - X @ params.xi
         sign, logdet = np.linalg.slogdet(v)
         assert sign > 0
-        ll -= 0.5 * (c.n * math.log(2 * math.pi) + logdet + r @ np.linalg.solve(v, r))
+        ll -= 0.5 * (n * math.log(2 * math.pi) + logdet + r @ np.linalg.solve(v, r))
     return ll
 
 
@@ -70,7 +74,7 @@ class TestLoglik:
             data = intercept_dataset(
                 [rng.normal(size=rng.integers(1, 6)) for _ in range(4)]
             )
-            n_max = max(data.cluster_sizes())
+            n_max = int(data.sizes.max())
             phi = float(rng.uniform(0.3, 2.0))
             lam = float(rng.uniform(-phi / n_max + 1e-2, 2.0))
             params = CSParams([float(rng.normal())], lam, phi)
@@ -92,10 +96,10 @@ class TestLoglik:
 def dense_gls(data, lam, phi):
     """GLS through an explicit per-cluster solve with V = lam*J + phi*I."""
     A, b = np.zeros((data.p, data.p)), np.zeros(data.p)
-    for c in data.clusters:
-        v = np.full((c.n, c.n), lam) + phi * np.eye(c.n)
-        A += c.X.T @ np.linalg.solve(v, c.X)
-        b += c.X.T @ np.linalg.solve(v, c.y)
+    for y, X in cluster_blocks(data):
+        v = np.full((len(y), len(y)), lam) + phi * np.eye(len(y))
+        A += X.T @ np.linalg.solve(v, X)
+        b += X.T @ np.linalg.solve(v, y)
     return np.linalg.solve(A, b)
 
 
@@ -110,16 +114,10 @@ class TestKernelOracle:
     @settings(max_examples=60, deadline=None)
     def test_unbalanced_design_matches_dense(self, seed, n_clusters, p, near_boundary, margin):
         rng = np.random.default_rng(seed)
-        clusters = []
-        for _ in range(n_clusters):
-            n = int(rng.integers(1, 9))
-            X = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
-            clusters.append((rng.normal(1.0, 2.0, size=n), X))
-        data = Dataset(
-            tuple(ClusterData(f"c{i}", y, X) for i, (y, X) in enumerate(clusters)),
-            tuple(f"x{j + 1}" for j in range(p)),
-        )
-        n_max = max(data.cluster_sizes())
+        sizes = rng.integers(1, 9, n_clusters)
+        X = np.column_stack([np.ones(sizes.sum()), rng.normal(size=(sizes.sum(), p - 1))])
+        data = Dataset(rng.normal(1.0, 2.0, size=sizes.sum()), X, sizes)
+        n_max = int(sizes.max())
         phi = float(rng.uniform(0.3, 2.0))
         if near_boundary:  # phi + n_max*lam = margin*phi
             lam = -phi * (1.0 - margin) / n_max
@@ -173,10 +171,9 @@ class TestClosedForm:
             fit_balanced_closed_form(data)
 
     def test_non_intercept_rejected(self):
-        c = ClusterData("a", [1.0, 2.0], np.array([[1.0, 0.0], [1.0, 1.0]]))
-        d = ClusterData("b", [1.0, 2.0], np.array([[1.0, 0.0], [1.0, 1.0]]))
+        X = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         with pytest.raises(UnsupportedLayoutError):
-            fit_balanced_closed_form(Dataset((c, d), ("x1", "x2")))
+            fit_balanced_closed_form(Dataset([1.0, 2.0, 1.0, 2.0], X, [2, 2]))
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +235,8 @@ class TestFitMl:
         cluster = np.repeat(np.arange(len(sizes)), sizes)
         X = np.column_stack([np.ones(len(cluster)), rng.normal(size=len(cluster))])
         y = X @ [0.5, -1.0] + rng.normal(0.0, 0.8, len(sizes))[cluster] + rng.normal(size=len(cluster))
-        base = fit_ml(Dataset.from_columns(y, X, sizes))
-        got = fit_ml(Dataset.from_columns(c * y, X, sizes))
+        base = fit_ml(Dataset(y, X, sizes))
+        got = fit_ml(Dataset(c * y, X, sizes))
         assert got.params.lam == pytest.approx(c**2 * base.params.lam, rel=1e-6)
         assert got.params.phi == pytest.approx(c**2 * base.params.phi, rel=1e-6)
         np.testing.assert_allclose(got.params.xi, c * base.params.xi, rtol=1e-6)
@@ -277,7 +274,7 @@ class TestFitMl:
         cluster = np.repeat(np.arange(n_clusters), sizes)
         X = np.column_stack([np.ones(len(cluster)), rng.normal(size=(len(cluster), p - 1))])
         y = rng.normal(1.0, 2.0, len(cluster)) + rng.normal(0.0, 1.0, n_clusters)[cluster]
-        data = Dataset.from_columns(y, X, sizes)
+        data = Dataset(y, X, sizes)
         got = fit_ml(data)
         lam, phi, n_max = got.params.lam, got.params.phi, int(sizes.max())
         assert np.isfinite([lam, phi, got.loglik]).all()
@@ -316,7 +313,7 @@ class TestFitMl:
 
 
 def pair_matrix(data):
-    return np.array([c.y for c in data.clusters])
+    return data.y.reshape(data.n_clusters, -1)
 
 
 class TestSimulateCs:
@@ -342,12 +339,17 @@ class TestSimulateCs:
         layout = SimLayout(100, 3)
         a = simulate_cs(params, layout, seed=77)
         b = simulate_cs(params, layout, seed=77)
-        for c1, c2 in zip(a.clusters, b.clusters):
-            assert np.array_equal(c1.y, c2.y)
+        assert np.array_equal(a.y, b.y)
 
     def test_pd_violation(self):
         with pytest.raises(DomainError):
             simulate_cs(CSParams([0.0], -0.5, 1.0), SimLayout(10, 2), seed=0)
+
+    def test_intercept_only(self):
+        data = simulate_cs(CSParams([1.5], 0.7, 1.0), SimLayout(5, 3), seed=2)
+        assert np.array_equal(data.X, np.ones((15, 1))) and data.covariate_names == ("x1",)
+        with pytest.raises(DomainError, match="xi has 2 entries"):
+            simulate_cs(CSParams([1.0, 2.0], 0.7, 1.0), SimLayout(5, 3), seed=2)
 
 
 class TestSubstreamPrefix:
@@ -395,19 +397,17 @@ class TestSubstreamPrefix:
 class TestSimulateExtended:
     def test_tau_zero_decouples_latents(self):
         spec = ExtendedSpec(3.0, 1.0, -0.5)  # alpha* -> tau = 0
-        _, latents = simulate_extended(spec, [0.0], SimLayout(2000, 2), seed=9)
-        b = np.array([l[0] for l in latents])
-        eps0 = np.array([l[1][0] for l in latents])
-        assert abs(np.corrcoef(b, eps0)[0, 1]) < 0.05
+        data, latents = simulate_extended(spec, [0.0], SimLayout(2000, 2), seed=9)
+        eps0 = latents.eps[data.offsets[:-1]]
+        assert abs(np.corrcoef(latents.b, eps0)[0, 1]) < 0.05
 
     def test_boundary_correlation_is_minus_one(self):
         # |corr(b, eps)| = 1 at |alpha| = 1; the joint exists only for n = 1
         # there (n >= 2 would need n*tau^2 <= d*sigma2)
         spec = ExtendedSpec(2.0, 1.0, 1.0)
-        _, latents = simulate_extended(spec, [0.0], SimLayout(2000, 1), seed=13)
-        b = np.array([l[0] for l in latents])
-        eps0 = np.array([l[1][0] for l in latents])
-        assert np.corrcoef(b, eps0)[0, 1] < -0.99
+        data, latents = simulate_extended(spec, [0.0], SimLayout(2000, 1), seed=13)
+        eps0 = latents.eps[data.offsets[:-1]]
+        assert np.corrcoef(latents.b, eps0)[0, 1] < -0.99
 
     def test_joint_psd_failure_names_eigenvalue(self):
         with pytest.raises(DomainError, match="eigenvalue"):
@@ -426,17 +426,23 @@ class TestSimulateExtended:
     def test_cluster_size_beyond_64(self):
         spec = ExtendedSpec(3.0, 1.0, -0.5)  # tau = 0: the joint is PSD for every n
         data, latents = simulate_extended(spec, [0.0], SimLayout(3, 100), seed=2)
-        assert data.cluster_sizes() == [100] * 3
+        assert data.sizes.tolist() == [100] * 3
         assert np.array_equal(data.y, np.repeat(latents.b, 100) + latents.eps)
 
     def test_deterministic(self):
         spec = ExtendedSpec(1.0, 1.0, 0.2)
         a, la = simulate_extended(spec, [0.0], SimLayout(50, 2), seed=4)
         b, lb = simulate_extended(spec, [0.0], SimLayout(50, 2), seed=4)
-        for c1, c2 in zip(a.clusters, b.clusters):
-            assert np.array_equal(c1.y, c2.y)
-        for (b1, e1), (b2, e2) in zip(la, lb):
-            assert b1 == b2 and np.array_equal(e1, e2)
+        assert np.array_equal(a.y, b.y)
+        assert np.array_equal(la.b, lb.b) and np.array_equal(la.eps, lb.eps)
+
+    @pytest.mark.parametrize("xi", [[], [1.0, 2.0]])
+    def test_xi_must_be_one_intercept(self, xi):
+        spec = ExtendedSpec(1.0, 1.0, 0.2)
+        with pytest.raises(DomainError, match=f"xi has {len(xi)} entries"):
+            simulate_extended(spec, xi, SimLayout(5, 2), seed=4)
+        data, latents = simulate_extended(spec, [1.5], SimLayout(5, 2), seed=4)
+        assert np.array_equal(data.y, 1.5 + np.repeat(latents.b, 2) + latents.eps)
 
 
 # ---------------------------------------------------------------------------

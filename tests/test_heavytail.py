@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -275,23 +276,20 @@ class TestWeSample:
 
 class TestRunningMeanTrace:
     def test_convergent_control(self):
-        trace = running_mean_trace(WeibullExpSpec(1, 2, 1), 100_000, 1000, seed=2)
-        assert trace[-1][1] == pytest.approx(math.pi / 2, abs=0.05)
+        _, mean = running_mean_trace(WeibullExpSpec(1, 2, 1), 100_000, 1000, seed=2)
+        assert mean[-1] == pytest.approx(math.pi / 2, abs=0.05)
 
     def test_stride_equals_n(self):
-        trace = running_mean_trace(UNIT, 5000, 5000, seed=4)
-        assert len(trace) == 1
-        n, mean = trace[0]
-        assert n == 5000
-        assert mean == pytest.approx(we_sample(UNIT, 5000, seed=4).mean())
+        n, mean = running_mean_trace(UNIT, 5000, 5000, seed=4)
+        assert n.tolist() == [5000]
+        assert mean[0] == pytest.approx(we_sample(UNIT, 5000, seed=4).mean())
 
     def test_heavy_tail_jumps(self):
         # statistical smoke test: over ten frozen seeds at least one trace
         # jumps past 5x its median (calibrated on seeds 0..9; 2 and 5 fire)
         hits = 0
         for seed in range(10):
-            trace = running_mean_trace(UNIT, 100_000, 100, seed=seed)
-            means = np.array([m for _, m in trace])
+            _, means = running_mean_trace(UNIT, 100_000, 100, seed=seed)
             if means.max() > 5 * np.median(means):
                 hits += 1
         assert hits >= 1
@@ -317,6 +315,14 @@ class TestPitSample:
     def test_exponential_mean(self):
         draws = pit_sample(lambda u: -np.log(1 - u), 100_000, seed=7)
         assert draws.mean() == pytest.approx(1.0, abs=0.02)
+
+    @pytest.mark.parametrize(
+        "quantile,shape", [(lambda u: 1.0, "()"), (lambda u: np.ones((len(u), 1)), "(10, 1)")]
+    )
+    def test_unvectorised_quantile_names_shape(self, quantile, shape):
+        want = f"shape {shape} for probabilities of shape (10,)"
+        with pytest.raises(TypeError, match=re.escape(want)):
+            pit_sample(quantile, 10, seed=0)
 
     def test_nonfinite_quantile_reported(self):
         with pytest.raises(ArithmeticError, match="u ="):

@@ -4,24 +4,24 @@ import numpy as np
 import pytest
 
 from unobs_lab.model_core import (
-    ClusterData,
     CSParams,
     CsvFormatError,
     Dataset,
     DomainError,
     CSMatrix,
-    cs_covariance,
     gls_mean,
     icc,
     read_dataset_csv,
     validate_cs,
     write_dataset_csv,
+    write_rows,
 )
 
 
-def intercept_cluster(cid, y):
-    y = np.asarray(y, dtype=float)
-    return ClusterData(cluster_id=cid, y=y, X=np.ones((len(y), 1)))
+def intercept_dataset(clusters):
+    """Intercept-only Dataset from {cluster id: y values}."""
+    y = np.concatenate([np.asarray(v, dtype=float) for v in clusters.values()])
+    return Dataset(y, np.ones((len(y), 1)), [len(v) for v in clusters.values()], list(clusters))
 
 
 # ---------------------------------------------------------------------------
@@ -43,21 +43,21 @@ class TestCSMatrix:
 
 
 # ---------------------------------------------------------------------------
-# cs_covariance
+# CSMatrix as the compound-symmetry covariance
 # ---------------------------------------------------------------------------
 
 
 class TestCsCovariance:
     def test_basic(self):
         assert np.array_equal(
-            cs_covariance(2, 2.0, 1.0).array, [[3.0, 2.0], [2.0, 3.0]]
+            CSMatrix(2, 2.0, 1.0).array, [[3.0, 2.0], [2.0, 3.0]]
         )
 
     def test_lambda_zero_is_identity_scale(self):
-        assert np.array_equal(cs_covariance(3, 0.0, 1.0).array, np.eye(3))
+        assert np.array_equal(CSMatrix(3, 0.0, 1.0).array, np.eye(3))
 
     def test_negative_lambda(self):
-        got = cs_covariance(2, -0.4, 1.0).array
+        got = CSMatrix(2, -0.4, 1.0).array
         assert np.allclose(got, [[0.6, -0.4], [-0.4, 0.6]], atol=0, rtol=0)
         # eigenvalues 0.2 and 1.0 by hand
         assert np.allclose(sorted(np.linalg.eigvalsh(got)), [0.2, 1.0])
@@ -69,13 +69,13 @@ class TestCsCovariance:
             n = int(rng.integers(1, 11))
             phi = float(rng.uniform(0.2, 3.0))
             lam = float(rng.uniform(-phi / n + 1e-3, 3.0))
-            ev = np.sort(np.linalg.eigvalsh(cs_covariance(n, lam, phi).array))
+            ev = np.sort(np.linalg.eigvalsh(CSMatrix(n, lam, phi).array))
             expect = np.sort(np.array([phi] * (n - 1) + [phi + n * lam]))
             assert np.max(np.abs(ev - expect)) < 1e-12
 
     def test_eigenvalues_beyond_64(self):
         n, lam, phi = 200, 0.3, 1.7
-        ev = np.linalg.eigvalsh(cs_covariance(n, lam, phi).array)
+        ev = np.linalg.eigvalsh(CSMatrix(n, lam, phi).array)
         assert np.allclose(ev[:-1], phi, rtol=1e-12, atol=0)
         assert ev[-1] == pytest.approx(phi + n * lam, rel=1e-12)
 
@@ -110,7 +110,7 @@ class TestValidateCs:
                 brute = False
             else:
                 brute = all(
-                    np.linalg.eigvalsh(cs_covariance(n, lam, phi).array).min() > 0
+                    np.linalg.eigvalsh(CSMatrix(n, lam, phi).array).min() > 0
                     for n in sizes
                 )
             assert got == brute
@@ -164,26 +164,21 @@ def dense_gls(data, lam, phi):
     p = data.p
     A = np.zeros((p, p))
     b = np.zeros(p)
-    for c in data.clusters:
-        vinv = np.linalg.inv(np.full((c.n, c.n), lam) + phi * np.eye(c.n))
-        A += c.X.T @ vinv @ c.X
-        b += c.X.T @ vinv @ c.y
+    cuts = data.offsets[1:-1]
+    for y, X in zip(np.split(data.y, cuts), np.split(data.X, cuts)):
+        vinv = np.linalg.inv(np.full((len(y), len(y)), lam) + phi * np.eye(len(y)))
+        A += X.T @ vinv @ X
+        b += X.T @ vinv @ y
     return np.linalg.solve(A, b)
 
 
 class TestGlsMean:
     def test_lambda_zero_is_ols_mean(self):
-        data = Dataset(
-            (intercept_cluster("a", [1.0, 2.0]), intercept_cluster("b", [3.0])),
-            ("x1",),
-        )
+        data = intercept_dataset({"a": [1.0, 2.0], "b": [3.0]})
         assert gls_mean(data, 0.0, 1.0) == pytest.approx([2.0])
 
     def test_balanced_grand_mean(self):
-        data = Dataset(
-            (intercept_cluster("a", [1.0, 3.0]), intercept_cluster("b", [0.0, 4.0])),
-            ("x1",),
-        )
+        data = intercept_dataset({"a": [1.0, 3.0], "b": [0.0, 4.0]})
         for lam, phi in [(0.5, 1.0), (-0.3, 1.0), (2.0, 0.7)]:
             assert gls_mean(data, lam, phi) == pytest.approx([2.0], abs=1e-12)
             assert gls_mean(data, lam, phi) == pytest.approx(
@@ -191,32 +186,24 @@ class TestGlsMean:
             )
 
     def test_two_singletons(self):
-        data = Dataset(
-            (intercept_cluster("a", [1.0]), intercept_cluster("b", [5.0])),
-            ("x1",),
-        )
+        data = intercept_dataset({"a": [1.0], "b": [5.0]})
         assert gls_mean(data, 0.3, 1.0) == pytest.approx([3.0])
 
     def test_rank_one_inverse_matches_dense(self):
         rng = np.random.default_rng(17)
         for _ in range(25):
             p = int(rng.integers(1, 4))
-            clusters = []
-            for i in range(int(rng.integers(3, 7))):
-                n = int(rng.integers(1, 9))
-                X = np.column_stack([np.ones(n)] + [rng.normal(size=n) for _ in range(p - 1)])
-                clusters.append(
-                    ClusterData(cluster_id=f"c{i}", y=rng.normal(size=n), X=X)
-                )
-            data = Dataset(tuple(clusters), tuple(f"x{j}" for j in range(p)))
-            n_max = max(data.cluster_sizes())
+            sizes = rng.integers(1, 9, int(rng.integers(3, 7)))
+            X = np.column_stack([np.ones(sizes.sum()), rng.normal(size=(sizes.sum(), p - 1))])
+            data = Dataset(rng.normal(size=sizes.sum()), X, sizes)
+            n_max = int(sizes.max())
             phi = float(rng.uniform(0.3, 2.0))
             lam = float(rng.uniform(-phi / n_max + 1e-2, 2.0))
             got = gls_mean(data, lam, phi)
             assert got == pytest.approx(dense_gls(data, lam, phi), abs=1e-10)
 
     def test_invalid_params_rejected(self):
-        data = Dataset((intercept_cluster("a", [1.0, 2.0]),), ("x1",))
+        data = intercept_dataset({"a": [1.0, 2.0]})
         with pytest.raises(DomainError):
             gls_mean(data, -0.5, 1.0)
 
@@ -228,52 +215,49 @@ class TestGlsMean:
 
 class TestDataModel:
     def test_cluster_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            ClusterData(cluster_id="a", y=[1.0, 2.0], X=np.ones((3, 1)))
+        with pytest.raises(ValueError, match="one row per observation"):
+            Dataset([1.0, 2.0], np.ones((3, 1)), [2])
 
     def test_dataset_requires_consistent_p(self):
-        a = ClusterData("a", [1.0], np.ones((1, 1)))
-        b = ClusterData("b", [1.0], np.ones((1, 2)))
-        with pytest.raises(ValueError):
-            Dataset((a, b), ("x1",))
+        with pytest.raises(ValueError, match="covariate_names"):
+            Dataset([1.0, 1.0], np.ones((2, 1)), [1, 1], covariate_names=("x1", "x2"))
+        with pytest.raises(ValueError, match="one row per observation"):
+            Dataset([1.0, 1.0], np.ones(2), [1, 1])
 
     def test_dataset_nonempty(self):
         with pytest.raises(ValueError):
-            Dataset((), ())
+            Dataset([], np.ones((0, 1)), [])
 
     def test_csparams_phi_positive(self):
         with pytest.raises(DomainError):
             CSParams(xi=[0.0], lam=0.0, phi=0.0)
 
     def test_arrays_are_frozen(self):
-        c = intercept_cluster("a", [1.0, 2.0])
-        with pytest.raises(ValueError):
-            c.y[0] = 9.0
+        data = intercept_dataset({"a": [1.0, 2.0]})
+        for column in (data.y, data.X, data.sizes, data.offsets):
+            with pytest.raises(ValueError):
+                column[0] = 9
 
-    def test_columns_and_clusters_agree(self):
+    def test_columns_offsets_and_defaults(self):
         X = np.column_stack([np.ones(5), np.arange(5.0)])
         y = np.array([1.0, 2.0, 0.5, -1.0, 3.0])
-        cols = Dataset.from_columns(y, X, [2, 3], ["a", "b"], ["x1", "x2"])
-        packed = Dataset(
-            (ClusterData("a", y[:2], X[:2]), ClusterData("b", y[2:], X[2:])),
-            ("x1", "x2"),
-        )
-        for d in (cols, packed):
-            assert d.cluster_sizes() == [2, 3]
+        named = Dataset(y, X, [2, 3], ["a", "b"], ["u", "v"])
+        plain = Dataset(y, X, [2, 3])
+        for d in (named, plain):
             assert d.n_clusters == 2 and d.p == 2
             assert np.array_equal(d.y, y) and np.array_equal(d.X, X)
-            assert np.array_equal(d.offsets, [0, 2, 5])
-        assert [c.cluster_id for c in cols.clusters] == ["a", "b"]
-        assert np.array_equal(cols.clusters[1].X, X[2:])
-        assert gls_mean(cols, 0.4, 1.1) == pytest.approx(gls_mean(packed, 0.4, 1.1), abs=1e-14)
-        with pytest.raises(ValueError):
-            cols.y[0] = 9.0
+            assert np.array_equal(d.sizes, [2, 3]) and np.array_equal(d.offsets, [0, 2, 5])
+        assert (named.cluster_ids, named.covariate_names) == (("a", "b"), ("u", "v"))
+        assert (plain.cluster_ids, plain.covariate_names) == (("c1", "c2"), ("x1", "x2"))
+        assert gls_mean(plain, 0.4, 1.1) == pytest.approx(dense_gls(plain, 0.4, 1.1), abs=1e-14)
 
-    def test_from_columns_checks_sizes(self):
+    def test_sizes_must_cover_rows(self):
         with pytest.raises(ValueError):
-            Dataset.from_columns([1.0, 2.0], np.ones((2, 1)), [1, 2], ["a", "b"], ["x1"])
+            Dataset([1.0, 2.0], np.ones((2, 1)), [1, 2], ["a", "b"], ["x1"])
         with pytest.raises(ValueError):
-            Dataset.from_columns([1.0, 2.0], np.ones((2, 1)), [2, 0], ["a", "b"], ["x1"])
+            Dataset([1.0, 2.0], np.ones((2, 1)), [2, 0], ["a", "b"], ["x1"])
+        with pytest.raises(ValueError, match="one cluster id per cluster"):
+            Dataset([1.0, 2.0], np.ones((2, 1)), [1, 1], ["a"])
 
 
 # ---------------------------------------------------------------------------
@@ -283,30 +267,27 @@ class TestDataModel:
 
 class TestCsv:
     def test_roundtrip(self, tmp_path):
-        data = Dataset(
-            (intercept_cluster("a", [1.25, -2.5]), intercept_cluster("b", [0.0, 3.0])),
-            ("x1",),
-        )
+        data = intercept_dataset({"a": [1.25, -2.5], "b": [0.0, 3.0]})
         path = tmp_path / "data.csv"
         write_dataset_csv(data, path)
         back = read_dataset_csv(path)
         assert back.covariate_names == ("x1",)
-        for c1, c2 in zip(data.clusters, back.clusters):
-            assert c1.cluster_id == c2.cluster_id
-            assert np.array_equal(c1.y, c2.y)
-            assert np.array_equal(c1.X, c2.X)
+        assert back.cluster_ids == data.cluster_ids
+        assert np.array_equal(back.sizes, data.sizes)
+        assert np.array_equal(back.y, data.y)
+        assert np.array_equal(back.X, data.X)
 
     def test_unit_column_orders_rows(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("cluster,unit,y,x1\na,2,20,1\na,1,10,1\n")
         data = read_dataset_csv(path)
-        assert np.array_equal(data.clusters[0].y, [10.0, 20.0])
+        assert np.array_equal(data.y, [10.0, 20.0])
 
     def test_crlf_accepted(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_bytes(b"cluster,unit,y,x1\r\na,1,1.5,1\r\n")
         data = read_dataset_csv(path)
-        assert data.clusters[0].y[0] == 1.5
+        assert data.y[0] == 1.5
 
     def test_wrong_column_count_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -353,13 +334,23 @@ class TestCsv:
         assert np.array_equal(data.y, [1.0, 2.0, 5.0])
 
     def test_writer_accepts_text_handle(self, tmp_path):
-        data = Dataset(
-            (intercept_cluster("a", [0.1, -2.5e-300]), intercept_cluster("b", [1e22])),
-            ("x1",),
-        )
+        data = intercept_dataset({"a": [0.1, -2.5e-300], "b": [1e22]})
         path = tmp_path / "data.csv"
         write_dataset_csv(data, path)
         buf = io.StringIO()
         write_dataset_csv(data, buf)
         assert buf.getvalue() == path.read_text()
         assert buf.getvalue().splitlines()[1] == "a,1,0.10000000000000001,1"
+
+
+class TestWriteRows:
+    def test_head_and_rows_match_format_17g(self, tmp_path):
+        x = np.array([0.1, -2.5e-300, 1e22, -0.0, 1.0 / 3.0])
+        k = np.arange(len(x)) * 7
+        want = "k,x\n" + "".join(f"{a},{format(b, '.17g')}\n" for a, b in zip(k, x.tolist()))
+        buf = io.StringIO()
+        write_rows(buf, "k,x\n", "%d,%.17g\n", k, x)
+        assert buf.getvalue() == want
+        path = tmp_path / "rows.csv"
+        write_rows(path, "k,x\n", "%d,%.17g\n", k, x)
+        assert path.read_bytes() == want.encode()
