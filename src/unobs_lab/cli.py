@@ -58,8 +58,15 @@ def _json(obj) -> str:
 
 
 def _dest(path):
-    """Where --out goes: stdout when it is absent or '-', else the path."""
+    """Where --out or --latent goes: stdout when it is absent or '-', else the path."""
     return sys.stdout if path in (None, "-") else path
+
+
+def _draw_count(n: int) -> int:
+    """--n of sample and pit, refused by name before anything is drawn."""
+    if n < 0:
+        raise DomainError(f"--n = {n}: the number of draws must be >= 0")
+    return n
 
 
 def _float_list(text: str) -> list[float]:
@@ -182,7 +189,7 @@ def _cmd_simulate(args) -> int:
         head = "cluster,b," + ",".join(f"eps{j + 1}" for j in range(n)) + "\n"
         row = "%s,%.17g" + ",%.17g" * n + "\n"
         eps = latents.eps.reshape(-1, n).T
-        write_rows(args.latent, head, row, data.cluster_ids, latents.b, *eps)
+        write_rows(_dest(args.latent), head, row, data.cluster_ids, latents.b, *eps)
     return 0
 
 
@@ -202,7 +209,7 @@ def _cmd_heavytail(args) -> int:
             )
         write_rows(_dest(args.out), _json(records) + "\n")
     elif args.action == "sample":
-        draws = ht.we_sample(spec, args.n, seed=args.seed)
+        draws = ht.we_sample(spec, _draw_count(args.n), seed=args.seed)
         write_rows(_dest(args.out), "", "%.17g\n", draws)
     else:  # trace
         n, mean = ht.running_mean_trace(spec, N=args.n, stride=args.stride, seed=args.seed)
@@ -212,7 +219,8 @@ def _cmd_heavytail(args) -> int:
 
 def _cmd_pit(args) -> int:
     spec = ht.WeibullExpSpec(phi=args.phi, rho=args.rho, delta=args.delta)
-    draws = ht.pit_sample(lambda u: ht.we_quantile(spec, u), args.n, seed=args.seed)
+    n = _draw_count(args.n)
+    draws = ht.pit_sample(lambda u: ht.we_quantile(spec, u), n, seed=args.seed)
     write_rows(_dest(args.out), "", "%.17g\n", draws)
     return 0
 

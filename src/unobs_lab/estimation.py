@@ -7,9 +7,11 @@ left, r = lam/(lam+phi), over its open interval, which is exactly the PD
 region. A closed-form one-way ANOVA estimator serves as the oracle on
 balanced intercept-only data.
 
-Simulation is intercept-only and draws each cluster from its own
-counter-based substream, so replicates are deterministic and cluster i's
-draws do not depend on how many clusters are simulated.
+Simulation is intercept-only. Cluster i draws a fixed number of normals,
+set by its size, from counter-based stream (seed, i); the clusters of one
+size are drawn in a single vectorised call (rng.normals) and factored in a
+fixed order, so replicates are deterministic and cluster i's values do not
+depend on how many clusters are simulated.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from unobs_lab.model_core import (
     RankDeficiencyError,
     validate_cs,
 )
-from unobs_lab.rng import substream
+from unobs_lab.rng import normals
 
 __all__ = [
     "FitResult",
@@ -225,6 +227,30 @@ def _intercept(xi) -> float:
     return float(xi[0])
 
 
+def _size_groups(sizes: np.ndarray, seed: int, extra: int):
+    """Clusters grouped by size n: (n, cluster indices, row indices, normals).
+
+    Each group is one kernel call. Cluster i draws n + extra normals from
+    stream i, so its values depend only on (seed, i) and its size.
+    """
+    starts = np.cumsum(sizes) - sizes
+    for n in np.unique(sizes).tolist():
+        idx = np.flatnonzero(sizes == n)
+        yield n, idx, starts[idx, None] + np.arange(n), normals(seed, idx, n + extra)
+
+
+def _apply(z: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Each row of z times F', summed column by column in a fixed order.
+
+    A batched matmul lets BLAS choose the summation order by row count, so a
+    cluster's values would depend on how many clusters share the call.
+    """
+    v = z[:, :1] * F[:, 0]
+    for j in range(1, F.shape[1]):
+        v += z[:, j : j + 1] * F[:, j]
+    return v
+
+
 def simulate_cs(params: CSParams, layout: SimLayout, seed: int) -> Dataset:
     """Simulate y = xi + cluster effect + noise from the intercept-only CS model.
 
@@ -233,24 +259,17 @@ def simulate_cs(params: CSParams, layout: SimLayout, seed: int) -> Dataset:
     via a Cholesky factor. Both branches share the marginal law, and the
     output is bit-reproducible.
     """
-    sizes = layout.sizes()
-    check = validate_cs(sizes, params.lam, params.phi)
+    sizes = np.array(layout.sizes())
+    check = validate_cs(np.unique(sizes), params.lam, params.phi)
     if not check:
         raise DomainError(check.message)
     mu, lam, phi = _intercept(params.xi), params.lam, params.phi
-    chols = {}
-    if lam < 0:
-        for n in set(sizes):
-            chols[n] = np.linalg.cholesky(CSMatrix(n, lam, phi).array)
-    offsets = np.cumsum([0] + sizes).tolist()
-    y = np.empty(offsets[-1])
-    for i, (a, n) in enumerate(zip(offsets, sizes)):
-        rng = substream(seed, i)
-        if lam >= 0:
-            b = rng.normal(0.0, math.sqrt(lam)) if lam > 0 else 0.0
-            y[a : a + n] = mu + b + rng.normal(0.0, math.sqrt(phi), size=n)
+    y = np.empty(int(sizes.sum()))
+    for n, _, rows, z in _size_groups(sizes, seed, 1 if lam >= 0 else 0):
+        if lam >= 0:  # z[:, 0] draws the intercept, z[:, 1:] the noise
+            y[rows] = (mu + math.sqrt(lam) * z[:, :1]) + math.sqrt(phi) * z[:, 1:]
         else:
-            y[a : a + n] = mu + chols[n] @ rng.standard_normal(n)
+            y[rows] = mu + _apply(z, np.linalg.cholesky(CSMatrix(n, lam, phi).array))
     return Dataset(y, np.ones((len(y), 1)), sizes)
 
 
@@ -271,9 +290,9 @@ def simulate_extended(
     rank-revealing eigenfactorization, so the rank-deficient boundary
     |alpha| = 1 is handled without failure. xi is the intercept, one entry.
     """
-    mu, sizes = _intercept(xi), layout.sizes()
+    mu, sizes = _intercept(xi), np.array(layout.sizes())
     factors = {}
-    for n in set(sizes):
+    for n in np.unique(sizes).tolist():
         w, u = np.linalg.eigh(joint_cov(spec, n))
         scale = max(1.0, float(w.max()))
         if w.min() < -1e-9 * scale:
@@ -281,10 +300,9 @@ def simulate_extended(
                 f"joint covariance for n = {n} is not PSD: eigenvalue {w.min()}"
             )
         factors[n] = u * np.sqrt(np.clip(w, 0.0, None))
-    offsets = np.cumsum([0] + sizes).tolist()
-    y, eps, b = np.empty(offsets[-1]), np.empty(offsets[-1]), np.empty(len(sizes))
-    for i, (a, n) in enumerate(zip(offsets, sizes)):
-        v = factors[n] @ substream(seed, i).standard_normal(n + 1)
-        b[i], eps[a : a + n] = v[0], v[1:]
-        y[a : a + n] = mu + float(v[0]) + v[1:]
+    y, eps, b = np.empty(int(sizes.sum())), np.empty(int(sizes.sum())), np.empty(len(sizes))
+    for n, idx, rows, z in _size_groups(sizes, seed, 1):
+        v = _apply(z, factors[n])
+        b[idx], eps[rows] = v[:, 0], v[:, 1:]
+        y[rows] = (mu + v[:, :1]) + v[:, 1:]
     return Dataset(y, np.ones((len(y), 1)), sizes), Latents(b, eps)

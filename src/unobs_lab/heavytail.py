@@ -201,21 +201,29 @@ def we_cdf(spec: WeibullExpSpec, y):
 
 def we_quantile(spec: WeibullExpSpec, u):
     """Quantile (delta*u / (phi*(1-u)))^(1/rho), u in (0,1) exclusive."""
-    phi, rho, delta = spec.phi, spec.rho, spec.delta
-    u = np.asarray(u, dtype=float)
+    u = np.array(u, dtype=float)
     if np.any(u <= 0) or np.any(u >= 1):
         raise DomainError("u must lie strictly inside (0, 1)")
-    out = (delta * u / (phi * (1.0 - u))) ** (1.0 / rho)
+    out = _quantile_inplace(spec, u)
     return float(out) if out.ndim == 0 else out
+
+
+def _quantile_inplace(spec: WeibullExpSpec, u: np.ndarray) -> np.ndarray:
+    """we_quantile written over u, with one temporary the size of u."""
+    t = 1.0 - u
+    t *= spec.phi
+    u *= spec.delta
+    u /= t
+    u **= 1.0 / spec.rho
+    return u
 
 
 def we_sample(spec: WeibullExpSpec, n_draws: int, seed: int) -> np.ndarray:
     """Inverse-CDF sampler; deterministic per seed."""
-    rng = substream(seed, 0)
-    u = rng.random(n_draws)
+    u = substream(seed, 0).random(n_draws)
     # map endpoints into the open interval; probability-zero event
-    u = np.clip(u, 1e-300, 1.0 - 1e-16)
-    return we_quantile(spec, u)
+    np.clip(u, 1e-300, 1.0 - 1e-16, out=u)
+    return _quantile_inplace(spec, u)
 
 
 def we_moment(spec: WeibullExpSpec, k: int) -> MomentResult:
@@ -294,7 +302,8 @@ def running_mean_trace(
     """
     if not 1 <= stride <= N:
         raise DomainError("need N >= stride >= 1")
-    csum = np.cumsum(we_sample(spec, N, seed))
+    csum = we_sample(spec, N, seed)
+    np.cumsum(csum, out=csum)
     n = np.arange(stride, N + 1, stride)
     return n, csum[n - 1] / n
 

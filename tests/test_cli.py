@@ -150,6 +150,19 @@ class TestSimulateAndFit:
         b1, e11 = (float(v) for v in lines[1].split(",")[1:3])
         assert y11 == pytest.approx(b1 + e11, abs=1e-12)
 
+    def test_latent_dash_is_stdout(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc, out, _ = run(
+            capsys,
+            "simulate", "--model", "extended", "--lambda2", "1", "--nu2", "1",
+            "--alpha", "0.2", "--n-clusters", "4", "--cluster-size", "2",
+            "--seed", "3", "--out", "sim.csv", "--latent", "-",
+        )
+        assert rc == 0
+        assert sorted(os.listdir(tmp_path)) == ["sim.csv"]
+        lines = out.strip().split("\n")
+        assert lines[0] == "cluster,b,eps1,eps2" and len(lines) == 5
+
     def test_latent_needs_extended_model(self, tmp_path, capsys):
         out, latent = tmp_path / "sim.csv", tmp_path / "latent.csv"
         cs = ["simulate", "--model", "cs", "--lambda", "1", "--phi", "1",
@@ -240,6 +253,15 @@ class TestHeavytailCommand:
         vals = [float(v) for v in out.strip().split("\n")]
         assert len(vals) == 100
         assert all(v > 0 for v in vals)
+
+    @pytest.mark.parametrize("argv", [["heavytail", "sample"], ["pit"]])
+    def test_negative_draw_count_is_refused(self, capsys, argv):
+        rc, out, err = run(
+            capsys, *argv, "--phi", "1", "--rho", "1", "--delta", "1",
+            "--n", "-1", "--seed", "5",
+        )
+        assert (rc, out) == (1, "")
+        assert err == "error: --n = -1: the number of draws must be >= 0\n"
 
     def test_trace_needs_seed(self, capsys):
         rc, _, _ = run(

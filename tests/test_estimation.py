@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unobs_lab.equivalence import ExtendedSpec, eb_shrinkage, marginal_cov_extended
+from unobs_lab.equivalence import (
+    ExtendedSpec,
+    eb_shrinkage,
+    joint_cov,
+    marginal_cov_extended,
+)
 from unobs_lab.estimation import (
     FitResult,
     SimLayout,
@@ -17,7 +22,8 @@ from unobs_lab.estimation import (
     simulate_cs,
     simulate_extended,
 )
-from unobs_lab.model_core import CSParams, Dataset, DomainError, gls_mean
+from unobs_lab.model_core import CSMatrix, CSParams, Dataset, DomainError, gls_mean
+from unobs_lab.rng import normals
 
 # Monte-Carlo standard errors frozen from 200-replicate oracle runs
 # (simulate_cs at lam=-0.3, phi=1, n=2, N=500; simulate_extended at
@@ -345,6 +351,21 @@ class TestSimulateCs:
         with pytest.raises(DomainError):
             simulate_cs(CSParams([0.0], -0.5, 1.0), SimLayout(10, 2), seed=0)
 
+    @pytest.mark.parametrize("lam", [0.7, -0.2])
+    def test_cluster_i_reads_stream_i(self, lam):
+        # sizes interleave, so a cluster's place within its size group is not i
+        sizes, phi = [3, 1, 3, 2, 1, 3], 1.3
+        data = simulate_cs(CSParams([0.5], lam, phi), SimLayout(6, sizes), seed=41)
+        for i, y in enumerate(np.split(data.y, data.offsets[1:-1])):
+            n = sizes[i]
+            if lam >= 0:  # the intercept's normal comes first
+                z = normals(41, [i], n + 1)[0]
+                assert np.array_equal(y, (0.5 + math.sqrt(lam) * z[0]) + math.sqrt(phi) * z[1:])
+            else:  # the per-cluster matmul sums in another order: last bits may differ
+                L = np.linalg.cholesky(CSMatrix(n, lam, phi).array)
+                want = 0.5 + L @ normals(41, [i], n)[0]
+                np.testing.assert_allclose(y, want, rtol=1e-14, atol=1e-14)
+
     def test_intercept_only(self):
         data = simulate_cs(CSParams([1.5], 0.7, 1.0), SimLayout(5, 3), seed=2)
         assert np.array_equal(data.X, np.ones((15, 1))) and data.covariate_names == ("x1",)
@@ -383,6 +404,29 @@ class TestSubstreamPrefix:
         spec = ExtendedSpec(1.0, 1.0, 0.2)
         full, lat_full = simulate_extended(spec, [0.5], SimLayout(len(sizes), sizes), seed=seed)
         part, lat_part = simulate_extended(spec, [0.5], SimLayout(k, sizes[:k]), seed=seed)
+        rows = len(part.y)
+        assert np.array_equal(full.y[:rows], part.y)
+        assert np.array_equal(lat_full.b[:k], lat_part.b)
+        assert np.array_equal(lat_full.eps[:rows], lat_part.eps)
+
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        sizes=st.lists(st.integers(1, 9), min_size=2, max_size=40),
+        k=st.integers(1, 39),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_mixed_block_counts_prefix(self, seed, sizes, k):
+        # sizes 1..9 draw 1 to 3 Philox blocks per cluster in one run
+        k = min(k, len(sizes) - 1)
+        full_layout, part_layout = SimLayout(len(sizes), sizes), SimLayout(k, sizes[:k])
+        for lam in (0.7, -0.1):  # -0.1 keeps phi + 9*lam > 0
+            params = CSParams([0.5], lam, 1.0)
+            full = simulate_cs(params, full_layout, seed=seed)
+            part = simulate_cs(params, part_layout, seed=seed)
+            assert np.array_equal(full.y[: len(part.y)], part.y)
+        spec = ExtendedSpec(3.0, 1.0, -0.5)  # tau = 0: PSD for every size
+        full, lat_full = simulate_extended(spec, [0.5], full_layout, seed=seed)
+        part, lat_part = simulate_extended(spec, [0.5], part_layout, seed=seed)
         rows = len(part.y)
         assert np.array_equal(full.y[:rows], part.y)
         assert np.array_equal(lat_full.b[:k], lat_part.b)
@@ -428,6 +472,18 @@ class TestSimulateExtended:
         data, latents = simulate_extended(spec, [0.0], SimLayout(3, 100), seed=2)
         assert data.sizes.tolist() == [100] * 3
         assert np.array_equal(data.y, np.repeat(latents.b, 100) + latents.eps)
+
+    @pytest.mark.parametrize("n, alpha", [(1, 1.0), (2, 0.2), (3, -0.3)])
+    def test_latent_covariance_matches_joint_cov(self, n, alpha):
+        spec = ExtendedSpec(1.5, 1.0, alpha)
+        N = 20_000
+        data, latents = simulate_extended(spec, [0.0], SimLayout(N, n), seed=606)
+        lat = np.column_stack([latents.b, latents.eps.reshape(N, n)])
+        want = joint_cov(spec, n)
+        got = lat.T @ lat / N
+        se = np.sqrt((np.outer(np.diag(want), np.diag(want)) + want**2) / N)
+        assert np.max(np.abs(got - want) / se) < 4.5
+        assert np.max(np.abs(lat.mean(axis=0)) / np.sqrt(np.diag(want) / N)) < 4.5
 
     def test_deterministic(self):
         spec = ExtendedSpec(1.0, 1.0, 0.2)

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from unobs_lab.heavytail import (
     wg_sample,
 )
 from unobs_lab.model_core import DomainError
+from unobs_lab.rng import substream
 
 finite = {"allow_nan": False, "allow_infinity": False}
 
@@ -272,6 +274,22 @@ class TestWeSample:
 
     def test_deterministic(self):
         assert np.array_equal(we_sample(UNIT, 100, seed=9), we_sample(UNIT, 100, seed=9))
+
+    def test_in_place_equals_quantile_of_uniforms(self):
+        spec = WeibullExpSpec(1.3, 2.5, 0.8)
+        u = substream(9, 0).random(1000)
+        assert np.array_equal(we_sample(spec, 1000, seed=9), we_quantile(spec, u))
+        assert np.array_equal(u, substream(9, 0).random(1000))  # input left as it was
+
+    def test_peak_memory_is_two_outputs(self):
+        n = 1_000_000
+        tracemalloc.start()
+        try:
+            we_sample(UNIT, n, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.1 * 8 * n  # the draws and one temporary
 
 
 class TestRunningMeanTrace:
