@@ -69,6 +69,13 @@ def _draw_count(n: int) -> int:
     return n
 
 
+def _seed(seed: int) -> int:
+    """--seed of the stochastic subcommands, refused by name outside 64 bits."""
+    if not 0 <= seed <= 2**64 - 1:
+        raise DomainError(f"--seed = {seed}: the seed must be an integer in [0, 2**64 - 1]")
+    return seed
+
+
 def _float_list(text: str) -> list[float]:
     try:
         return [float(v) for v in text.split(",") if v != ""]
@@ -179,10 +186,10 @@ def _cmd_simulate(args) -> int:
     layout = est.SimLayout(n_clusters=args.n_clusters, cluster_size=args.cluster_size)
     if args.model == "cs":
         params = CSParams(xi=np.array(args.xi), lam=args.lam, phi=args.phi)
-        data = est.simulate_cs(params, layout, seed=args.seed)
+        data = est.simulate_cs(params, layout, seed=_seed(args.seed))
     else:
         spec = eq.ExtendedSpec(lambda2=args.lambda2, nu2=args.nu2, alpha=args.alpha)
-        data, latents = est.simulate_extended(spec, args.xi, layout, seed=args.seed)
+        data, latents = est.simulate_extended(spec, args.xi, layout, seed=_seed(args.seed))
     write_dataset_csv(data, _dest(args.out))
     if args.latent is not None:  # one line per cluster: id, b, eps1..epsn
         n = args.cluster_size
@@ -209,10 +216,11 @@ def _cmd_heavytail(args) -> int:
             )
         write_rows(_dest(args.out), _json(records) + "\n")
     elif args.action == "sample":
-        draws = ht.we_sample(spec, _draw_count(args.n), seed=args.seed)
+        draws = ht.we_sample(spec, _draw_count(args.n), seed=_seed(args.seed))
         write_rows(_dest(args.out), "", "%.17g\n", draws)
     else:  # trace
-        n, mean = ht.running_mean_trace(spec, N=args.n, stride=args.stride, seed=args.seed)
+        seed = _seed(args.seed)
+        n, mean = ht.running_mean_trace(spec, N=args.n, stride=args.stride, seed=seed)
         write_rows(_dest(args.out), "n,running_mean\n", "%d,%.17g\n", n, mean)
     return 0
 
@@ -220,7 +228,7 @@ def _cmd_heavytail(args) -> int:
 def _cmd_pit(args) -> int:
     spec = ht.WeibullExpSpec(phi=args.phi, rho=args.rho, delta=args.delta)
     n = _draw_count(args.n)
-    draws = ht.pit_sample(lambda u: ht.we_quantile(spec, u), n, seed=args.seed)
+    draws = ht.pit_sample(lambda u: ht.we_quantile(spec, u), n, seed=_seed(args.seed))
     write_rows(_dest(args.out), "", "%.17g\n", draws)
     return 0
 

@@ -209,21 +209,42 @@ def we_quantile(spec: WeibullExpSpec, u):
 
 
 def _quantile_inplace(spec: WeibullExpSpec, u: np.ndarray) -> np.ndarray:
-    """we_quantile written over u, with one temporary the size of u."""
-    t = 1.0 - u
-    t *= spec.phi
-    u *= spec.delta
-    u /= t
-    u **= 1.0 / spec.rho
+    """we_quantile written over u, with one temporary the size of u.
+
+    Where the quantile overflows the result is inf, without a warning; the
+    samplers refuse it by name (_non_finite).
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        t = 1.0 - u
+        t *= spec.phi
+        u *= spec.delta
+        u /= t
+        u **= 1.0 / spec.rho
+    return u
+
+
+def _non_finite(u: float):
+    raise ArithmeticError(f"quantile returned a non-finite value at u = {float(u)!r}")
+
+
+def _uniforms(seed: int, n_draws: int) -> np.ndarray:
+    u = substream(seed, 0).random(n_draws)
+    # map endpoints into the open interval; probability-zero event
+    np.clip(u, 1e-300, 1.0 - 1e-16, out=u)
     return u
 
 
 def we_sample(spec: WeibullExpSpec, n_draws: int, seed: int) -> np.ndarray:
-    """Inverse-CDF sampler; deterministic per seed."""
-    u = substream(seed, 0).random(n_draws)
-    # map endpoints into the open interval; probability-zero event
-    np.clip(u, 1e-300, 1.0 - 1e-16, out=u)
-    return _quantile_inplace(spec, u)
+    """Inverse-CDF sampler; deterministic per seed.
+
+    Raises ArithmeticError, naming the first u, where the quantile is not
+    finite (e.g. phi = 1e-300 with rho = 0.01), as pit_sample does.
+    """
+    draws = _quantile_inplace(spec, _uniforms(seed, n_draws))
+    if n_draws and not np.isfinite(draws.max()):
+        first = int(np.argmax(~np.isfinite(draws)))
+        _non_finite(_uniforms(seed, first + 1)[first])  # u was overwritten: redraw it
+    return draws
 
 
 def we_moment(spec: WeibullExpSpec, k: int) -> MomentResult:
@@ -298,7 +319,8 @@ def running_mean_trace(
     """Running sample mean at n = stride, 2*stride, ..., N: arrays (n, mean).
 
     No convergence is implied for rho <= 1: the trace exists to show the
-    heavy-tail jumps of a mean that does not exist.
+    heavy-tail jumps of a mean that does not exist. Raises ArithmeticError
+    where we_sample does.
     """
     if not 1 <= stride <= N:
         raise DomainError("need N >= stride >= 1")
@@ -350,7 +372,5 @@ def pit_sample(
         )
     bad = ~np.isfinite(vals)
     if np.any(bad):
-        raise ArithmeticError(
-            f"quantile returned a non-finite value at u = {u[bad][0]!r}"
-        )
+        _non_finite(u[bad][0])
     return vals

@@ -109,9 +109,11 @@ class SuffStats:
     holds zz_within = sum (z - w/n)(z - w/n)' over rows and, for each distinct
     size n[s], count[s] clusters and ww[s] = sum w w' (xs xs', xs ys, ys^2).
     Since V_n^-1 = (I - J/n)/phi + (J/n)/(phi + n*lam), each likelihood or GLS
-    evaluation costs O(#sizes * p^2), whatever the number of clusters, and
-    adds positive terms only, so no digits cancel however large lam/phi or
-    1/(phi + n*lam) grow.
+    evaluation costs O(#sizes * p^2), whatever the number of clusters.
+    Digits do cancel: ww holds raw cluster sums, so when the data sit far
+    from zero the between-cluster quadratic form is a small difference of
+    large terms. Adding 1e6 to y moves the fitted lam by about 5e-3, relative
+    (ROADMAP item 2).
     """
 
     def __init__(self, data: Dataset):
@@ -329,12 +331,22 @@ def write_dataset_csv(data: Dataset, dest) -> None:
 def write_rows(dest, head: str, row: str = "", *columns) -> None:
     """Write head, then one line row % (c1[i], c2[i], ...) per i: every row output.
 
-    dest is a path or an open text handle. Arrays are turned into lists
-    first, so "%.17g" formats a Python float exactly as format_float does.
+    dest is a path or an open text handle; a path is written as UTF-8 with
+    "\n" line ends. The lines are the bytes of Python's % operator, made in
+    numpy by unobs_lab.rows (see there for the %s, %d and %.17g a row may
+    hold). That module is loaded only when there is a row template, so a
+    JSON report, written as head alone, does not load it.
     """
-    if not hasattr(dest, "write"):
-        with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-            return write_rows(fh, head, row, *columns)
-    lists = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-    dest.write(head)
-    dest.writelines(row % r for r in zip(*lists))
+    lines = ()
+    if row or columns:
+        from unobs_lab.rows import lines as row_lines
+
+        lines = row_lines(row, columns)
+    if hasattr(dest, "write"):
+        dest.write(head)
+        for chunk in lines:
+            dest.write(chunk.decode())
+        return
+    with open(dest, "wb") as fh:
+        fh.write(head.encode())
+        fh.writelines(lines)

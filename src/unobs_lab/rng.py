@@ -35,7 +35,7 @@ WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # key increments between rounds
 def _seed(seed) -> int:
     seed = int(seed)
     if not 0 <= seed <= MASK64:
-        raise ValueError("seed must be a 64-bit unsigned integer")
+        raise ValueError(f"seed = {seed}: not a 64-bit unsigned integer, [0, 2**64 - 1]")
     return seed
 
 

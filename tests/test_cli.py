@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -271,6 +273,33 @@ class TestHeavytailCommand:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("argv", [["heavytail", "sample"], ["heavytail", "trace"], ["pit"]])
+    def test_overflowing_quantile_is_refused(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning would raise here
+            rc, out, err = run(
+                capsys, *argv, "--phi=1e-300", "--rho=0.01", "--delta=1",
+                "--n", "50", "--seed", "4",
+            )
+        assert (rc, out) == (1, "")
+        assert re.fullmatch(r"error: quantile returned a non-finite value at u = [0-9.e-]+\n", err)
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["heavytail", "sample", "--n", "5"],
+            ["heavytail", "trace", "--n", "5"],
+            ["pit", "--n", "5"],
+            ["simulate", "--n-clusters", "2", "--cluster-size", "2"],
+        ],
+    )
+    def test_seed_outside_64_bits_is_named(self, capsys, argv, seed):
+        spec = (["--lambda", "1"] if argv[0] == "simulate" else ["--rho", "1", "--delta", "1"])
+        rc, out, err = run(capsys, *argv, *spec, "--phi", "1", f"--seed={seed}")
+        assert (rc, out) == (1, "")
+        assert err == f"error: --seed = {seed}: the seed must be an integer in [0, 2**64 - 1]\n"
+
 
 class TestPitCommand:
     def test_output(self, capsys):
@@ -400,3 +429,26 @@ class TestLazyScipy:
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, text=True)
         assert proc.stderr.endswith("rc=0 scipy=False pool=False"), proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv,rows",
+        [
+            (["eb", "--lambda2", "3", "--nu2", "1", "--alpha=-0.5", "--n", "2"], False),
+            (["heavytail", "moments", "--phi", "1", "--rho", "2", "--delta", "1"], False),
+            (["heavytail", "sample", "--phi", "1", "--rho", "2", "--delta", "1",
+              "--n", "3", "--seed", "1"], True),
+        ],
+    )
+    def test_json_reports_never_load_the_row_formatter(self, argv, rows):
+        """A JSON report is written as a head alone, so a cold eb compiles no formatter."""
+        code = (
+            "import sys\n"
+            "from unobs_lab.cli import main\n"
+            f"rc = main({argv!r})\n"
+            "sys.stdout.flush()\n"
+            "sys.stderr.write(f'rc={rc} rows={\"unobs_lab.rows\" in sys.modules}')\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, text=True)
+        assert proc.stderr.endswith(f"rc=0 rows={rows}"), proc.stderr

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtr
 from scipy.stats import ks_2samp, kstest
 
 from unobs_lab.heavytail import (
@@ -291,6 +292,24 @@ class TestWeSample:
             tracemalloc.stop()
         assert peak < 2.1 * 8 * n  # the draws and one temporary
 
+    def test_overflow_names_the_first_u(self):
+        spec = WeibullExpSpec(phi=1e-300, rho=0.01, delta=1.0)
+        u = substream(4, 0).random(10)
+        want = f"quantile returned a non-finite value at u = {float(u[0])!r}"
+        for call in (lambda: we_sample(spec, 10, seed=4),
+                     lambda: running_mean_trace(spec, 10, 1, seed=4)):
+            with pytest.raises(ArithmeticError, match=re.escape(want)):
+                call()
+
+    def test_first_non_finite_draw_is_named(self):
+        spec = WeibullExpSpec(phi=1.0, rho=0.003, delta=1.0)  # overflows for u > 0.9
+        u = substream(5, 0).random(200)
+        with np.errstate(over="ignore"):
+            first = np.flatnonzero(~np.isfinite((u / (1 - u)) ** (1 / 0.003)))[0]
+        assert 0 < first
+        with pytest.raises(ArithmeticError, match=re.escape(f"u = {float(u[first])!r}")):
+            we_sample(spec, 200, seed=5)
+
 
 class TestRunningMeanTrace:
     def test_convergent_control(self):
@@ -345,6 +364,13 @@ class TestPitSample:
     def test_nonfinite_quantile_reported(self):
         with pytest.raises(ArithmeticError, match="u ="):
             pit_sample(lambda u: np.full_like(np.asarray(u, float), np.nan), 10, seed=0)
+
+    def test_overflow_names_the_first_u_like_we_sample(self):
+        spec = WeibullExpSpec(phi=1e-300, rho=0.01, delta=1.0)
+        u = ndtr(substream(3, 0).standard_normal(20))
+        want = f"quantile returned a non-finite value at u = {float(u[0])!r}"
+        with pytest.raises(ArithmeticError, match=re.escape(want)):
+            pit_sample(lambda v: we_quantile(spec, v), 20, seed=3)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,12 @@ class TestPhiloxRaw:
         with pytest.raises(ValueError, match="64-bit"):
             substream(seed, 0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_error_names_the_value(self, seed):
+        for call in (lambda: philox_raw(seed, [0], 4), lambda: substream(seed, 0)):
+            with pytest.raises(ValueError, match=f"^seed = {seed}: "):
+                call()
+
 
 class TestBatchIndependence:
     """Row j of a batched call is stream j's own draw, whatever else is in the batch."""

@@ -1,0 +1,172 @@
+"""write_rows writes the bytes of Python's % operator, row by row."""
+
+import io
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from unobs_lab.model_core import write_rows
+from unobs_lab.rows import CHUNK
+
+
+def expected(row, *columns) -> str:
+    """The reference: Python's % operator on each row of Python values."""
+    lists = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    return "".join(row % r for r in zip(*lists))
+
+
+def written(tmp_path, row, *columns) -> str:
+    """What write_rows gives, through a text handle and through a path alike."""
+    buf = io.StringIO()
+    write_rows(buf, "head\n", row, *columns)
+    path = tmp_path / "rows.txt"
+    write_rows(path, "head\n", row, *columns)
+    assert path.read_bytes() == buf.getvalue().encode()
+    assert buf.getvalue().startswith("head\n")
+    return buf.getvalue()[len("head\n"):]
+
+
+def assert_g17(tmp_path, x):
+    x = np.asarray(x, dtype=np.float64)
+    got, want = written(tmp_path, "%.17g\n", x).split("\n"), expected("%.17g\n", x).split("\n")
+    bad = [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w]
+    assert not bad, bad[:5]
+    assert got == want
+
+
+def powers_of_ten():
+    with np.errstate(over="ignore"):
+        p = 10.0 ** np.arange(-323, 309)
+    return np.concatenate([p, np.nextafter(p, 0), np.nextafter(p, np.inf)])
+
+
+class TestG17:
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    @example([0, 2**63, 1, 2**52, 0x7FEFFFFFFFFFFFFF, 0x7FF0000000000000, 0x7FF8000000000000])
+    @settings(max_examples=300, deadline=None)
+    def test_any_bit_pattern(self, tmp_path_factory, bits):
+        x = np.array(bits, dtype=np.uint64).view(np.float64)
+        assert_g17(tmp_path_factory.mktemp("g17"), x)
+
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=64))
+    @settings(max_examples=200, deadline=None)
+    def test_any_float(self, tmp_path_factory, values):
+        assert_g17(tmp_path_factory.mktemp("g17"), values)
+
+    def test_zeros_subnormals_and_extremes(self, tmp_path):
+        tiny = np.array([1, 2, 3, 12345, 2**52 - 1], dtype=np.uint64).view(np.float64)
+        x = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+             1.7976931348623157e308, 1e-280, 1e280, 9.99e-281, 1.001e280, *tiny]
+        assert_g17(tmp_path, np.concatenate([x, np.negative(x)]))
+
+    def test_powers_of_ten_and_neighbours(self, tmp_path):
+        p = powers_of_ten()
+        assert_g17(tmp_path, np.concatenate([p, -p]))
+
+    def test_fixed_to_exponent_switch_points(self, tmp_path):
+        x = np.array([1e-5, 1e-4, 1e16, 1e17, 9.9999999999999995e-5, 99999999999999999.0])
+        near = [np.nextafter(x, 0), np.nextafter(x, np.inf)]
+        for _ in range(3):
+            near += [np.nextafter(near[-2], 0), np.nextafter(near[-1], np.inf)]
+        assert_g17(tmp_path, np.concatenate([x, *near]))
+
+    def test_exact_ties_round_half_to_even(self, tmp_path):
+        above_1e9 = 1e9 + np.arange(1, 4000) * 2.0**-8  # x * 10^7: halves, often ties
+        above_2p53 = 2.0**53 * (1 + np.arange(1, 4000) * 2.0**-52)  # 16-digit integers
+        big = np.arange(1, 4000) * 2.0**10 + 2.0**60  # 19 digits: no tie is possible
+        assert written(tmp_path, "%.17g\n", [1e15 + 0.25]) == "1000000000000000.2\n"
+        assert written(tmp_path, "%.17g\n", [1e15 + 0.75]) == "1000000000000000.8\n"
+        assert_g17(tmp_path, np.concatenate([above_1e9, above_2p53, big]))
+
+    def test_near_ties_that_are_not_exact(self, tmp_path):
+        """x in [1, 2) with x * 1e16 = k + 1/2 + t / 2^36: settled by Python unless t = 0."""
+        inv = pow(5**16, -1, 2**36)
+        x = [1 + ((2**35 + t) * inv % 2**36) / 2**52 for t in (-68, -1, 0, 1, 68)]
+        for v, t in zip(x, (-68, -1, 0, 1, 68)):
+            assert Fraction(v) * 10**16 % 1 == Fraction(1, 2) + Fraction(t, 2**36)
+        assert_g17(tmp_path, x + [-v for v in x])
+
+    def test_five_powers_times_two_powers(self, tmp_path):
+        x = [5.0**k * 2.0**j * m for k in range(23) for j in range(-90, 90) for m in (1, 3, -7)]
+        assert_g17(tmp_path, x)
+
+    def test_integer_column(self, tmp_path):
+        v = np.array([0, 1, -1, 2**53 + 1, -(2**62), 123456789012345678])
+        assert written(tmp_path, "%.17g\n", v) == expected("%.17g\n", v)
+
+
+class TestD:
+    def test_signs_zero_and_int64_extremes(self, tmp_path):
+        v = np.array([0, 1, -1, 9, 10, -10, 9999, 10000, -10001, 2**63 - 1, -(2**63)])
+        assert written(tmp_path, "%d\n", v) == expected("%d\n", v)
+
+    @given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=64))
+    @settings(max_examples=200, deadline=None)
+    def test_any_int64(self, tmp_path_factory, values):
+        v = np.array(values, dtype=np.int64)
+        assert written(tmp_path_factory.mktemp("d"), "%d\n", v) == expected("%d\n", v)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.uint32, bool])
+    def test_narrow_integer_types(self, tmp_path, dtype):
+        v = np.arange(-5, 300).astype(dtype)
+        assert written(tmp_path, "%d\n", v) == expected("%d\n", v)
+
+    @pytest.mark.parametrize("bad", [np.array([1.5]), np.array([2**64 - 1], dtype=np.uint64)])
+    def test_refuses_what_int64_cannot_hold(self, bad):
+        with pytest.raises(TypeError):
+            write_rows(io.StringIO(), "", "%d\n", bad)
+
+
+class TestS:
+    def test_non_ascii_empty_and_nul(self, tmp_path):
+        ids = ["a", "ü", "日本語", "", "x\x00", "\x00", "\U0001F600z", "c,1"]
+        assert written(tmp_path, "%s|%.17g\n", ids, np.arange(8) / 3) == expected(
+            "%s|%.17g\n", ids, np.arange(8) / 3
+        )
+
+    def test_any_text(self, tmp_path):
+        ids = ["é" * k + str(k) for k in range(50)] + [" x ", "%d", "\t"]
+        assert written(tmp_path, "%s\n", ids) == expected("%s\n", ids)
+
+    def test_object_array_and_numbers(self, tmp_path):
+        ids = np.repeat(np.array(["c1", "größe", 7, 0.1], dtype=object), 3)
+        assert written(tmp_path, "%s\n", ids) == expected("%s\n", ids)
+
+
+class TestTemplate:
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1])
+    def test_chunk_boundaries(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_cauchy(n) ** 3
+        k = rng.integers(-(10**12), 10**12, n)
+        ids = [f"ü{i % 97}" for i in range(n)]
+        row = "%s,%d,%.17g;%%\n"
+        assert written(tmp_path, row, ids, k, x) == expected(row, ids, k, x)
+
+    def test_head_only(self, tmp_path):
+        assert written(tmp_path, "") == ""
+        assert written(tmp_path, "%.17g\n", np.array([])) == ""
+
+    def test_literal_row_parts(self, tmp_path):
+        x = np.array([0.5, -2.0])
+        for row in ("[%.17g]", "%.17g", "x=%.17g%%\r\n", "%.17g%.17g\n"):
+            cols = (x, x) if row.count("%.17g") == 2 else (x,)
+            assert written(tmp_path, row, *cols) == expected(row, *cols)
+
+    @pytest.mark.parametrize("row", ["%f\n", "%5d\n", "%.16g\n", "%r\n", "%.17e\n", "%"])
+    def test_other_conversions_are_refused(self, row):
+        with pytest.raises(ValueError, match="only %s, %d and %.17g"):
+            write_rows(io.StringIO(), "", row, [1.0])
+
+    def test_columns_are_one_dimensional(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            write_rows(io.StringIO(), "", "%.17g\n", np.ones((2, 2)))
+
+    def test_columns_must_match_template(self):
+        with pytest.raises(ValueError, match="2 conversions"):
+            write_rows(io.StringIO(), "", "%d,%d\n", [1])
+        with pytest.raises(ValueError, match="differ in length"):
+            write_rows(io.StringIO(), "", "%d,%.17g\n", [1, 2], [1.0])
