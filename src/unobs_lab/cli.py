@@ -12,6 +12,7 @@ the '--flag=value' form, as in ``--alpha-grid=-1,0,1``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -101,15 +102,14 @@ def _k_range(text: str) -> list[int]:
 
 def _equivalence_record(lambda2: float, nu2: float, alpha: float, n: int) -> dict:
     spec = eq.ExtendedSpec(lambda2=lambda2, nu2=nu2, alpha=alpha)
-    d, tau = spec.d, spec.tau
     var_row, cov_row = eq.decomposition_table(lambda2, nu2, alpha)
     marg = eq.marginal_cov_extended(spec, n)
     return {
         "lambda2": lambda2,
         "nu2": nu2,
         "alpha": alpha,
-        "d": d,
-        "tau": tau,
+        "d": spec.d,
+        "tau": spec.tau,
         "slack": eq.psd_slack(spec),
         "shrinkage": eq.eb_shrinkage(spec, n),
         "marginal_cov": list(marg.array.ravel()),
@@ -133,7 +133,7 @@ def _equivalence_record(lambda2: float, nu2: float, alpha: float, n: int) -> dic
 # The report writes all n*n entries of marginal_cov for every alpha. Larger n
 # stays refused until the benchmark's peak_rss_mb stops counting its own parse
 # of the report: at n = 100 that parse alone lifts closed-form's figure by 20%
-# (ROADMAP item 6). The library has no such limit.
+# (ROADMAP item 4). The library has no such limit.
 REPORT_MAX_N = 64
 
 
@@ -194,34 +194,23 @@ def _cmd_simulate(args) -> int:
     if args.latent is not None:  # one line per cluster: id, b, eps1..epsn
         n = args.cluster_size
         head = "cluster,b," + ",".join(f"eps{j + 1}" for j in range(n)) + "\n"
-        row = "%s,%.17g" + ",%.17g" * n + "\n"
         eps = latents.eps.reshape(-1, n).T
-        write_rows(_dest(args.latent), head, row, data.cluster_ids, latents.b, *eps)
+        write_rows(_dest(args.latent), head, data.cluster_ids, latents.b, *eps)
     return 0
 
 
 def _cmd_heavytail(args) -> int:
     spec = ht.WeibullExpSpec(phi=args.phi, rho=args.rho, delta=args.delta)
     if args.action == "moments":
-        records = []
-        for k in args.k:
-            m = ht.we_moment(spec, k)
-            records.append(
-                {
-                    "k": m.k,
-                    "formula_defined": m.formula_defined,
-                    "integral_finite": m.integral_finite,
-                    "value": m.value,
-                }
-            )
+        records = [dataclasses.asdict(ht.we_moment(spec, k)) for k in args.k]
         write_rows(_dest(args.out), _json(records) + "\n")
     elif args.action == "sample":
         draws = ht.we_sample(spec, _draw_count(args.n), seed=_seed(args.seed))
-        write_rows(_dest(args.out), "", "%.17g\n", draws)
+        write_rows(_dest(args.out), "", draws)
     else:  # trace
         seed = _seed(args.seed)
         n, mean = ht.running_mean_trace(spec, N=args.n, stride=args.stride, seed=seed)
-        write_rows(_dest(args.out), "n,running_mean\n", "%d,%.17g\n", n, mean)
+        write_rows(_dest(args.out), "n,running_mean\n", n, mean)
     return 0
 
 
@@ -229,7 +218,7 @@ def _cmd_pit(args) -> int:
     spec = ht.WeibullExpSpec(phi=args.phi, rho=args.rho, delta=args.delta)
     n = _draw_count(args.n)
     draws = ht.pit_sample(lambda u: ht.we_quantile(spec, u), n, seed=_seed(args.seed))
-    write_rows(_dest(args.out), "", "%.17g\n", draws)
+    write_rows(_dest(args.out), "", draws)
     return 0
 
 

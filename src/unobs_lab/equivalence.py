@@ -18,7 +18,7 @@ Three pieces:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -138,24 +138,20 @@ def derive_d_tau(lambda2: float, nu2: float, alpha: float) -> tuple[float, float
 class ExtendedSpec:
     """Correlated random-intercept model indexed by alpha in [-1, 1].
 
-    (lambda2, nu2) are the marginal compound-symmetry parameters; d, tau and
-    s are derived on access, never stored.
+    (lambda2, nu2) are the marginal compound-symmetry parameters; d and tau
+    are derived once, by derive_d_tau, which also validates all three.
     """
 
     lambda2: float
     nu2: float
     alpha: float
+    d: float = field(init=False)
+    tau: float = field(init=False)
 
     def __post_init__(self):
-        derive_d_tau(self.lambda2, self.nu2, self.alpha)  # validates
-
-    @property
-    def d(self) -> float:
-        return derive_d_tau(self.lambda2, self.nu2, self.alpha)[0]
-
-    @property
-    def tau(self) -> float:
-        return derive_d_tau(self.lambda2, self.nu2, self.alpha)[1]
+        d, tau = derive_d_tau(self.lambda2, self.nu2, self.alpha)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "tau", tau)
 
     @property
     def s(self) -> float:
@@ -190,11 +186,9 @@ def joint_cov(spec: ExtendedSpec, n: int) -> np.ndarray:
     """(n+1)-dimensional covariance of (b, eps_1, ..., eps_n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    d, tau = derive_d_tau(spec.lambda2, spec.nu2, spec.alpha)
     c = spec.nu2 * np.eye(n + 1)
-    c[0, 0] = d
-    c[0, 1:] = tau
-    c[1:, 0] = tau
+    c[0, 0] = spec.d
+    c[0, 1:] = c[1:, 0] = spec.tau
     return c
 
 
@@ -219,7 +213,7 @@ def conditional_error_dist(spec: ExtendedSpec, b: float, n: int) -> ConditionalE
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    d, tau = derive_d_tau(spec.lambda2, spec.nu2, spec.alpha)
+    d, tau = spec.d, spec.tau
     if d == 0.0:
         raise DomainError(
             "random intercept is a point mass (d = 0); conditioning degenerate"
@@ -230,8 +224,7 @@ def conditional_error_dist(spec: ExtendedSpec, b: float, n: int) -> ConditionalE
 
 def marginal_cov_extended(spec: ExtendedSpec, n: int) -> CSMatrix:
     """Implied marginal covariance (d + 2*tau)*J + sigma2*I; alpha-invariant."""
-    d, tau = derive_d_tau(spec.lambda2, spec.nu2, spec.alpha)
-    return CSMatrix(n, d + 2.0 * tau, spec.nu2)
+    return CSMatrix(n, spec.d + 2.0 * spec.tau, spec.nu2)
 
 
 def eb_shrinkage(spec: ExtendedSpec, n: int) -> float:
@@ -241,14 +234,11 @@ def eb_shrinkage(spec: ExtendedSpec, n: int) -> float:
     which is linear in alpha; marginal invariance makes the denominator
     alpha-free, so the alpha-dependence sits entirely in d + tau.
     """
-    check = validate_cs({n}, spec.lambda2, spec.nu2)
-    if not check:
-        raise DomainError(check.message)
-    d, tau = derive_d_tau(spec.lambda2, spec.nu2, spec.alpha)
+    validate_cs({n}, spec.lambda2, spec.nu2)
+    d, tau = spec.d, spec.tau
     return n * (d + tau) / (spec.nu2 + n * (d + 2.0 * tau))
 
 
 def psd_slack(spec: ExtendedSpec) -> float:
     """Slack d*sigma2 - tau^2 of the pairwise PSD condition; zero at |alpha| = 1."""
-    d, tau = derive_d_tau(spec.lambda2, spec.nu2, spec.alpha)
-    return d * spec.nu2 - tau * tau
+    return spec.d * spec.nu2 - spec.tau * spec.tau

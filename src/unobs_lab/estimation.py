@@ -98,9 +98,7 @@ def loglik_cs(data: Dataset, params: CSParams) -> float:
     r' V^-1 r = r'r/phi - lam*(1'r)^2 / (phi*(phi + n*lam)); summed per size.
     """
     lam, phi = params.lam, params.phi
-    check = validate_cs(data.stats.n, lam, phi)
-    if not check:
-        raise DomainError(check.message)
+    validate_cs(data.stats.n, lam, phi)
     return data.stats.loglik(params.xi, lam, phi)
 
 
@@ -227,6 +225,11 @@ def _intercept(xi) -> float:
     return float(xi[0])
 
 
+def _distinct(sizes: np.ndarray) -> list[int]:
+    """The distinct sizes, ascending; np.unique would import numpy.ma (numpy 2.4)."""
+    return sorted(set(sizes.tolist()))
+
+
 def _size_groups(sizes: np.ndarray, seed: int, extra: int):
     """Clusters grouped by size n: (n, cluster indices, row indices, normals).
 
@@ -234,7 +237,7 @@ def _size_groups(sizes: np.ndarray, seed: int, extra: int):
     stream i, so its values depend only on (seed, i) and its size.
     """
     starts = np.cumsum(sizes) - sizes
-    for n in np.unique(sizes).tolist():
+    for n in _distinct(sizes):
         idx = np.flatnonzero(sizes == n)
         yield n, idx, starts[idx, None] + np.arange(n), normals(seed, idx, n + extra)
 
@@ -260,9 +263,7 @@ def simulate_cs(params: CSParams, layout: SimLayout, seed: int) -> Dataset:
     output is bit-reproducible.
     """
     sizes = np.array(layout.sizes())
-    check = validate_cs(np.unique(sizes), params.lam, params.phi)
-    if not check:
-        raise DomainError(check.message)
+    validate_cs(_distinct(sizes), params.lam, params.phi)
     mu, lam, phi = _intercept(params.xi), params.lam, params.phi
     y = np.empty(int(sizes.sum()))
     for n, _, rows, z in _size_groups(sizes, seed, 1 if lam >= 0 else 0):
@@ -292,7 +293,7 @@ def simulate_extended(
     """
     mu, sizes = _intercept(xi), np.array(layout.sizes())
     factors = {}
-    for n in np.unique(sizes).tolist():
+    for n in _distinct(sizes):
         w, u = np.linalg.eigh(joint_cov(spec, n))
         scale = max(1.0, float(w.max()))
         if w.min() < -1e-9 * scale:

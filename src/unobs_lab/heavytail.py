@@ -362,9 +362,9 @@ def pit_sample(
     """
     from scipy.special import ndtr
     rng = substream(seed, 0)
-    a = rng.standard_normal(n_draws)
-    u = ndtr(a)
-    u = np.clip(u, 1e-300, 1.0 - 1e-16)
+    u = rng.standard_normal(n_draws)  # overwritten: normals, then probabilities
+    ndtr(u, out=u)
+    np.clip(u, 1e-300, 1.0 - 1e-16, out=u)
     vals = np.asarray(quantile(u), dtype=float)
     if vals.shape != u.shape:
         raise TypeError(

@@ -24,7 +24,6 @@ __all__ = [
     "SuffStats",
     "CSParams",
     "CSMatrix",
-    "Validation",
     "validate_cs",
     "icc",
     "gls_mean",
@@ -202,36 +201,23 @@ class CSMatrix:
         return np.full((self.n, self.n), self.lam) + self.phi * np.eye(self.n)
 
 
-@dataclass(frozen=True)
-class Validation:
-    ok: bool
-    message: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_cs(n_set, lam: float, phi: float) -> Validation:
+def validate_cs(n_set, lam: float, phi: float) -> None:
     """Exact positive-definiteness check of lam*J_n + phi*I_n over cluster sizes.
 
     V is PD iff phi > 0 and phi + n*lam > 0 (its two distinct eigenvalues),
     with strict inequalities; boundary points are rejected, and so is a
-    cluster size below 1.
+    cluster size below 1. Raises DomainError naming the first failure.
     """
     sizes = sorted(set(int(n) for n in n_set))
     if not sizes:
         raise ValueError("n_set must be nonempty")
     if sizes[0] < 1:
-        return Validation(False, f"cluster size n = {sizes[0]} is not >= 1")
+        raise DomainError(f"cluster size n = {sizes[0]} is not >= 1")
     if not phi > 0:
-        return Validation(False, f"phi = {phi} is not strictly positive")
+        raise DomainError(f"phi = {phi} is not strictly positive")
     for n in sizes:
         if not phi + n * lam > 0:
-            return Validation(
-                False,
-                f"phi + n*lam = {phi + n * lam} <= 0 for cluster size n = {n}",
-            )
-    return Validation(True, "positive definite for all cluster sizes")
+            raise DomainError(f"phi + n*lam = {phi + n * lam} <= 0 for cluster size n = {n}")
 
 
 def icc(lam: float, phi: float) -> float:
@@ -243,9 +229,7 @@ def icc(lam: float, phi: float) -> float:
 
 def gls_mean(data: Dataset, lam: float, phi: float) -> np.ndarray:
     """GLS estimate of xi at fixed (lam, phi), from the sufficient statistics."""
-    check = validate_cs(data.stats.n, lam, phi)
-    if not check:
-        raise DomainError(check.message)
+    validate_cs(data.stats.n, lam, phi)
     return data.stats.gls(lam, phi)
 
 
@@ -324,24 +308,24 @@ def write_dataset_csv(data: Dataset, dest) -> None:
     ids = np.repeat(np.array(data.cluster_ids, dtype=object), data.sizes)
     units = np.arange(len(data.y)) - np.repeat(data.offsets[:-1], data.sizes) + 1
     head = "cluster,unit,y," + ",".join(data.covariate_names) + "\n"
-    row = "%s,%d" + ",%.17g" * (1 + data.p) + "\n"
-    write_rows(dest, head, row, ids, units, data.y, *data.X.T)
+    write_rows(dest, head, ids, units, data.y, *data.X.T)
 
 
-def write_rows(dest, head: str, row: str = "", *columns) -> None:
-    """Write head, then one line row % (c1[i], c2[i], ...) per i: every row output.
+def write_rows(dest, head: str, *columns) -> None:
+    """Write head, then one line per row of the columns: every row output.
 
     dest is a path or an open text handle; a path is written as UTF-8 with
-    "\n" line ends. The lines are the bytes of Python's % operator, made in
-    numpy by unobs_lab.rows (see there for the %s, %d and %.17g a row may
-    hold). That module is loaded only when there is a row template, so a
-    JSON report, written as head alone, does not load it.
+    "\n" line ends. Line i holds c1[i], c2[i], ... joined by "," and ended by
+    "\n", each cell with the bytes of Python's %: %d for an integer or bool
+    column, %.17g for a float column, %s for a str or object column. The
+    lines are made in numpy by unobs_lab.rows, which is loaded only when there
+    are columns, so a JSON report, written as head alone, does not load it.
     """
     lines = ()
-    if row or columns:
+    if columns:
         from unobs_lab.rows import lines as row_lines
 
-        lines = row_lines(row, columns)
+        lines = row_lines(columns)
     if hasattr(dest, "write"):
         dest.write(head)
         for chunk in lines:

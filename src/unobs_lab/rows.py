@@ -1,10 +1,11 @@
 """The lines of every row output (CSV, latent, trace, sample), made in numpy.
 
-lines(row, columns) gives the bytes of row % (c1[i], c2[i], ...) for each i,
-the same as Python's % operator, for model_core.write_rows to write. The
-template may hold %s, %d and %.17g conversions, and %% for a percent sign.
-Columns are formatted whole, CHUNK rows at a time: each conversion fills a
-uint8 matrix with one line per row and DROP in the cells it leaves out.
+lines(columns) gives, for each i, the cells c1[i], c2[i], ... joined by ","
+and ended by "\n", for model_core.write_rows to write. A column's dtype
+picks its conversion, with the bytes of Python's % operator: %d for an
+integer or bool column, %.17g for a float column and %s for a str or object
+column. Columns are formatted whole, CHUNK rows at a time: each column fills
+a uint8 matrix with one line per row and DROP in the cells it leaves out.
 DROP is 0xFF, a byte no UTF-8 text holds, so one boolean index over all the
 matrices (cells != DROP), read row by row, gives the bytes.
 
@@ -33,7 +34,6 @@ value's UTF-8 bytes.
 from __future__ import annotations
 
 import functools
-import re
 from typing import Iterator
 
 import numpy as np
@@ -48,7 +48,6 @@ WIDTH = 24  # the longest %.17g: "-d.dddddddddddddddde-XXX"
 DROP = 0xFF  # a matrix cell that is not written; never a byte of UTF-8
 # 4-digit groups in ascii, one uint32 each; the styles drop some zeros
 FULL, RSTRIP, LSTRIP, LSTRIP0 = 0, 10_000, 20_000, 30_000
-_CONVERSION = re.compile(r"%(%|s|d|\.17g)?")
 
 
 @functools.cache
@@ -211,69 +210,44 @@ def _format_s(v: list):
     return np.where(np.arange(cells.shape[1]) < lengths[:, None], cells, DROP)
 
 
-_FORMATS = {"s": _format_s, "d": _format_d, ".17g": _format_g17}
-
-
-def _column(conv: str, col):
-    """A column as its conversion reads it; refuses what it cannot write."""
-    if conv == "s":
-        return col.tolist() if isinstance(col, np.ndarray) else list(col)
-    v = np.asarray(col, dtype=np.float64) if conv == ".17g" else np.asarray(col)
+def _column(col):
+    """A column's formatter and values; refuses what it cannot write."""
+    if isinstance(col, (list, tuple)) and col and isinstance(col[0], str):
+        col = np.array(col, dtype=object)  # not n * (longest * 4) bytes of fixed-width str
+    v = np.asarray(col)
     if v.ndim != 1:
-        raise ValueError(f"a %{conv} column must be one-dimensional, not of shape {v.shape}")
-    if conv == ".17g":
-        return v
-    if v.dtype.kind not in "biu":
-        raise TypeError(f"%d takes an integer column, not {v.dtype}")
-    return v.astype(np.int64, casting="safe")
+        raise ValueError(f"a column must be one-dimensional, not of shape {v.shape}")
+    if v.dtype.kind in "biu":
+        return _format_d, v.astype(np.int64, casting="safe", copy=False)
+    if v.dtype.kind == "f":
+        return _format_g17, v.astype(np.float64, copy=False)
+    if v.dtype.kind in "UO":  # str() of each value as given: a list keeps its NULs
+        return _format_s, col.tolist() if isinstance(col, np.ndarray) else list(col)
+    raise TypeError(f"a column of dtype {v.dtype} is not written: only int, bool, float and str")
 
 
-def _template(row: str):
-    """Literal pieces (bytes, one more than conversions) and the conversions."""
-    pieces, convs, pos = [""], [], 0
-    for m in _CONVERSION.finditer(row):
-        pieces[-1] += row[pos : m.start()]
-        pos = m.end()
-        if m.group(1) == "%":
-            pieces[-1] += "%"
-        elif m.group(1) is None:
-            raise ValueError(f"row template {row!r}: only %s, %d and %.17g are written")
-        else:
-            convs.append(m.group(1))
-            pieces.append("")
-    pieces[-1] += row[pos:]
-    return [p.encode() for p in pieces], convs
-
-
-def _chunks(pieces, convs, columns, n: int) -> Iterator[bytes]:
+def _chunks(columns, n: int) -> Iterator[bytes]:
     for start in range(0, n, CHUNK):
         stop = min(start + CHUNK, n)
+        comma = np.full((stop - start, 1), ord(","), dtype=np.uint8)
         cells = []
-        for piece, conv, col in zip(pieces, convs + [None], columns + [None]):
-            if piece:
-                lit = np.frombuffer(piece, np.uint8)
-                cells.append(np.broadcast_to(lit, (stop - start, len(lit))))
-            if conv is not None:
-                cells.append(_FORMATS[conv](col[start:stop]))
+        for fmt, col in columns:
+            cells += [fmt(col[start:stop]), comma]
+        cells[-1] = np.full_like(comma, ord("\n"))
         M = np.concatenate(cells, axis=1)
         yield M[M != DROP].tobytes()
 
 
-def lines(row: str, columns) -> Iterator[bytes]:
-    """The bytes of row % (c1[i], c2[i], ...) for every i, CHUNK lines at a time.
+def lines(columns) -> Iterator[bytes]:
+    """Each row's cells joined by "," and ended by "\n", CHUNK lines at a time.
 
-    row may hold %s (any values, as str), %d (integer columns) and %.17g
-    (anything numpy reads as float64), plus %%. The columns, one per
-    conversion, must be one-dimensional and equally long. All of this is
-    checked before the first line is made.
+    Integer and bool columns are written as %d, float columns as %.17g, str
+    and object columns as %s; any other dtype is a TypeError. The columns
+    must be one-dimensional and equally long. All of this is checked before
+    the first line is made.
     """
-    pieces, convs = _template(row)
-    if len(convs) != len(columns):
-        raise ValueError(
-            f"row template {row!r} has {len(convs)} conversions for {len(columns)} columns"
-        )
-    cols = [_column(conv, col) for conv, col in zip(convs, columns)]
-    lengths = {len(c) for c in cols}
+    cols = [_column(col) for col in columns]
+    lengths = {len(col) for _, col in cols}
     if len(lengths) > 1:
         raise ValueError(f"columns differ in length: {sorted(lengths)}")
-    return _chunks(pieces, convs, cols, lengths.pop() if lengths else 0)
+    return _chunks(cols, lengths.pop() if lengths else 0)

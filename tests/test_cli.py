@@ -411,9 +411,14 @@ class TestLazyScipy:
             ["simulate", "--model", "cs", "--lambda", "1", "--phi", "1",
              "--n-clusters", "5", "--cluster-size", "2", "--seed", "1"],
             ["fit", "--data", "{tiny_csv}"],
+            ["simulate", "--model", "cs", "--lambda=-0.2", "--phi", "1",
+             "--n-clusters", "5", "--cluster-size", "2", "--seed", "1"],
+            ["simulate", "--model", "extended", "--lambda2", "1", "--nu2", "1", "--alpha", "0",
+             "--n-clusters", "5", "--cluster-size", "2", "--seed", "1", "--latent", "-"],
         ],
     )
     def test_closed_form_commands_never_import_scipy(self, argv, tmp_path):
+        """Nor numpy.ma, which np.unique of a plain array loads in numpy 2.4."""
         tiny = tmp_path / "tiny.csv"
         tiny.write_text("cluster,unit,y,x1\na,1,1,1\na,2,2,1\nb,1,4,1\nb,2,3,1\nc,1,0,1\n")
         argv = [arg.replace("{tiny_csv}", str(tiny)) for arg in argv]
@@ -422,13 +427,13 @@ class TestLazyScipy:
             "from unobs_lab.cli import main\n"
             f"rc = main({argv!r})\n"
             "sys.stdout.flush()\n"
-            "mods = [m in sys.modules for m in ('scipy', 'concurrent.futures')]\n"
-            "sys.stderr.write(f'rc={rc} scipy={mods[0]} pool={mods[1]}')\n"
+            "mods = [m in sys.modules for m in ('scipy', 'concurrent.futures', 'numpy.ma')]\n"
+            "sys.stderr.write(f'rc={rc} scipy={mods[0]} pool={mods[1]} ma={mods[2]}')\n"
         )
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, text=True)
-        assert proc.stderr.endswith("rc=0 scipy=False pool=False"), proc.stderr
+        assert proc.stderr.endswith("rc=0 scipy=False pool=False ma=False"), proc.stderr
 
     @pytest.mark.parametrize(
         "argv,rows",

@@ -349,6 +349,22 @@ class TestPitSample:
         # two-sample critical value at level 0.001
         assert stat < math.sqrt(-0.5 * math.log(0.0005)) * math.sqrt(2 / n)
 
+    def test_draws_are_the_quantile_of_ndtr_of_the_normals(self):
+        u = np.clip(ndtr(substream(5, 0).standard_normal(1000)), 1e-300, 1.0 - 1e-16)
+        draws = pit_sample(lambda v: we_quantile(UNIT, v), 1000, seed=5)
+        assert np.array_equal(draws, we_quantile(UNIT, u))
+
+    def test_peak_memory_is_three_outputs(self):
+        n = 1_000_000
+        pit_sample(lambda u: we_quantile(UNIT, u), 10, seed=1)  # scipy loaded before tracing
+        tracemalloc.start()
+        try:
+            pit_sample(lambda u: we_quantile(UNIT, u), n, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.1 * 8 * n  # u, we_quantile's copy of it and one temporary
+
     def test_exponential_mean(self):
         draws = pit_sample(lambda u: -np.log(1 - u), 100_000, seed=7)
         assert draws.mean() == pytest.approx(1.0, abs=0.02)

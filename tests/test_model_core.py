@@ -87,17 +87,15 @@ class TestCsCovariance:
 
 class TestValidateCs:
     def test_negative_lambda_ok_for_small_n(self):
-        assert validate_cs({2}, -0.4, 1.0).ok
+        assert validate_cs({2}, -0.4, 1.0) is None
 
     def test_boundary_excluded(self):
-        res = validate_cs({2}, -0.5, 1.0)
-        assert not res.ok
-        assert "n = 2" in res.message
+        with pytest.raises(DomainError, match="n = 2"):
+            validate_cs({2}, -0.5, 1.0)
 
     def test_larger_cluster_fails(self):
-        res = validate_cs({2, 3}, -0.4, 1.0)
-        assert not res.ok
-        assert "n = 3" in res.message
+        with pytest.raises(DomainError, match="n = 3"):
+            validate_cs({2, 3}, -0.4, 1.0)
 
     def test_agrees_with_brute_force_eigenvalues(self):
         rng = np.random.default_rng(11)
@@ -105,7 +103,11 @@ class TestValidateCs:
             phi = float(rng.uniform(-0.5, 2.0))
             lam = float(rng.uniform(-1.0, 1.0))
             sizes = set(rng.integers(1, 9, size=3).tolist())
-            got = bool(validate_cs(sizes, lam, phi))
+            try:
+                validate_cs(sizes, lam, phi)
+                got = True
+            except DomainError:
+                got = False
             if phi <= 0:
                 brute = False
             else:
@@ -117,9 +119,8 @@ class TestValidateCs:
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_size_below_one_rejected(self, n):
-        res = validate_cs({n, 2}, 0.5, 1.0)
-        assert not res.ok
-        assert res.message == f"cluster size n = {n} is not >= 1"
+        with pytest.raises(DomainError, match=f"^cluster size n = {n} is not >= 1$"):
+            validate_cs({n, 2}, 0.5, 1.0)
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
@@ -150,9 +151,13 @@ class TestIcc:
             n = int(rng.integers(2, 9))
             phi = float(rng.uniform(0.1, 2.0))
             lam = float(rng.uniform(-2.0, 2.0))
-            if validate_cs({n}, lam, phi):
-                rho = icc(lam, phi)
-                assert -1.0 / (n - 1) < rho < 1.0
+            if phi + n * lam <= 0:
+                with pytest.raises(DomainError, match=f"n = {n}"):
+                    validate_cs({n}, lam, phi)
+                continue
+            validate_cs({n}, lam, phi)
+            rho = icc(lam, phi)
+            assert -1.0 / (n - 1) < rho < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +354,8 @@ class TestWriteRows:
         k = np.arange(len(x)) * 7
         want = "k,x\n" + "".join(f"{a},{format(b, '.17g')}\n" for a, b in zip(k, x.tolist()))
         buf = io.StringIO()
-        write_rows(buf, "k,x\n", "%d,%.17g\n", k, x)
+        write_rows(buf, "k,x\n", k, x)
         assert buf.getvalue() == want
         path = tmp_path / "rows.csv"
-        write_rows(path, "k,x\n", "%d,%.17g\n", k, x)
+        write_rows(path, "k,x\n", k, x)
         assert path.read_bytes() == want.encode()
