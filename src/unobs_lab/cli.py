@@ -7,27 +7,19 @@ digits so byte-level reproducibility is meaningful.
 
 Note: option values starting with '-' (e.g. a negative alpha grid) must use
 the '--flag=value' form, as in ``--alpha-grid=-1,0,1``.
+
+Each subcommand imports the modules it uses in its own body, so eb,
+equivalence and heavytail moments run without numpy or scipy.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
-import numpy as np
-
-from unobs_lab import equivalence as eq
-from unobs_lab import estimation as est
-from unobs_lab import heavytail as ht
-from unobs_lab.model_core import (
-    CSParams,
-    DomainError,
-    format_float,
-    read_dataset_csv,
-    write_dataset_csv,
-    write_rows,
-)
+from unobs_lab.cs import DomainError, format_float, write_rows
 
 __all__ = ["main", "entry"]
 
@@ -38,23 +30,30 @@ __all__ = ["main", "entry"]
 
 
 def _json(obj) -> str:
-    """Deterministic JSON, floats at 17 digits; JSON has no nan/inf, so those raise."""
+    """Deterministic JSON, floats at 17 digits; JSON has no nan/inf, so those raise.
+
+    numpy scalars and arrays (anything with .tolist()) are written as the
+    Python values .tolist() gives, so numpy is never imported here and an
+    np.bool_ is written as true or false.
+    """
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"non-finite value {obj} cannot be written as JSON")
+        return format_float(obj)
     if obj is None:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        if not np.isfinite(obj):
-            raise ValueError(f"non-finite value {obj} cannot be written as JSON")
-        return format_float(obj)
     if isinstance(obj, str):
         return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
     if isinstance(obj, dict):
         return "{" + ", ".join(f"{_json(k)}: {_json(v)}" for k, v in obj.items()) + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(_json(v) for v in obj) + "]"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(map(_json, obj)) + "]"
+    if hasattr(obj, "tolist"):
+        return _json(obj.tolist())
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -101,6 +100,8 @@ def _k_range(text: str) -> list[int]:
 
 
 def _equivalence_record(lambda2: float, nu2: float, alpha: float, n: int) -> dict:
+    from unobs_lab import equivalence as eq
+
     spec = eq.ExtendedSpec(lambda2=lambda2, nu2=nu2, alpha=alpha)
     var_row, cov_row = eq.decomposition_table(lambda2, nu2, alpha)
     marg = eq.marginal_cov_extended(spec, n)
@@ -112,7 +113,7 @@ def _equivalence_record(lambda2: float, nu2: float, alpha: float, n: int) -> dic
         "tau": spec.tau,
         "slack": eq.psd_slack(spec),
         "shrinkage": eq.eb_shrinkage(spec, n),
-        "marginal_cov": list(marg.array.ravel()),
+        "marginal_cov": marg.flat(),
         "decomposition": {
             "variance": {
                 "sigma2": var_row.sigma2_part,
@@ -149,6 +150,8 @@ def _cmd_equivalence(args) -> int:
 
 
 def _cmd_eb(args) -> int:
+    from unobs_lab import equivalence as eq
+
     spec = eq.ExtendedSpec(lambda2=args.lambda2, nu2=args.nu2, alpha=args.alpha)
     record = {
         "lambda2": args.lambda2,
@@ -163,7 +166,7 @@ def _cmd_eb(args) -> int:
     return 0
 
 
-def _fit_record(result: est.FitResult) -> dict:
+def _fit_record(result) -> dict:
     return {
         "xi": list(result.params.xi),
         "lambda": result.params.lam,
@@ -176,6 +179,9 @@ def _fit_record(result: est.FitResult) -> dict:
 
 
 def _cmd_fit(args) -> int:
+    from unobs_lab import estimation as est
+    from unobs_lab.model_core import read_dataset_csv
+
     data = read_dataset_csv(args.data)
     result = est.fit_ml(data)
     write_rows(_dest(args.out), _json(_fit_record(result)) + "\n")
@@ -183,6 +189,12 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    import numpy as np
+
+    from unobs_lab import equivalence as eq
+    from unobs_lab import estimation as est
+    from unobs_lab.model_core import CSParams, write_dataset_csv
+
     layout = est.SimLayout(n_clusters=args.n_clusters, cluster_size=args.cluster_size)
     if args.model == "cs":
         params = CSParams(xi=np.array(args.xi), lam=args.lam, phi=args.phi)
@@ -200,6 +212,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_heavytail(args) -> int:
+    from unobs_lab import heavytail as ht
+
     spec = ht.WeibullExpSpec(phi=args.phi, rho=args.rho, delta=args.delta)
     if args.action == "moments":
         records = [dataclasses.asdict(ht.we_moment(spec, k)) for k in args.k]
@@ -215,6 +229,8 @@ def _cmd_heavytail(args) -> int:
 
 
 def _cmd_pit(args) -> int:
+    from unobs_lab import heavytail as ht
+
     spec = ht.WeibullExpSpec(phi=args.phi, rho=args.rho, delta=args.delta)
     n = _draw_count(args.n)
     draws = ht.pit_sample(lambda u: ht.we_quantile(spec, u), n, seed=_seed(args.seed))
@@ -323,14 +339,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
-    except (
-        DomainError,
-        ValueError,
-        ArithmeticError,
-        RuntimeError,
-        OSError,
-        np.linalg.LinAlgError,
-    ) as exc:
+    # DomainError and numpy's LinAlgError are ValueErrors
+    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

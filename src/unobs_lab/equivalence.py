@@ -13,16 +13,21 @@ Three pieces:
   the identical marginal covariance lam2*J + nu2*I;
 * the empirical-Bayes shrinkage coefficient c(alpha), which does depend on
   alpha and so exposes the sensitivity hidden by marginal invariance.
+
+The scalars are plain Python; numpy is imported only by the functions that
+return arrays, so eb and equivalence never load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+from unobs_lab.cs import CSMatrix, DomainError, validate_cs
 
-from unobs_lab.model_core import CSMatrix, DomainError, validate_cs
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SpecA",
@@ -88,12 +93,16 @@ class SpecB:
 
 def v1_matrix(spec: SpecA) -> np.ndarray:
     """2x2 marginal covariance of the heterogeneous-errors model."""
+    import numpy as np
+
     l2, n1, n2 = spec.lambda2, spec.nu1sq, spec.nu2sq
     return np.array([[l2 + n1, l2], [l2, l2 + n2]])
 
 
 def v2_matrix(spec: SpecB) -> np.ndarray:
     """2x2 marginal covariance of the intercept+slope model."""
+    import numpy as np
+
     l1, l2, nu = spec.lambda1sq, spec.lambda2sq, spec.nusq
     # (l2 + nu) first: when l2 came from a variance difference this re-adds
     # the subtrahend before the large term, matching v1_matrix bit for bit
@@ -184,6 +193,8 @@ def decomposition_table(
 
 def joint_cov(spec: ExtendedSpec, n: int) -> np.ndarray:
     """(n+1)-dimensional covariance of (b, eps_1, ..., eps_n)."""
+    import numpy as np
+
     if n < 1:
         raise ValueError("n must be >= 1")
     c = spec.nu2 * np.eye(n + 1)
@@ -200,6 +211,8 @@ class ConditionalErrorDist:
     cov: CSMatrix
 
     def __post_init__(self):
+        import numpy as np
+
         mean = np.asarray(self.mean, dtype=float).copy()
         mean.flags.writeable = False
         object.__setattr__(self, "mean", mean)
@@ -211,6 +224,8 @@ def conditional_error_dist(spec: ExtendedSpec, b: float, n: int) -> ConditionalE
     Mean (tau*b/d) * 1_n, covariance sigma2*I - (tau^2/d)*J; singular exactly
     at |alpha| = 1 (the PSD slack d*sigma2 - tau^2 vanishes there).
     """
+    import numpy as np
+
     if n < 1:
         raise ValueError("n must be >= 1")
     d, tau = spec.d, spec.tau

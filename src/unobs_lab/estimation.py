@@ -31,7 +31,6 @@ from unobs_lab.model_core import (
     RankDeficiencyError,
     validate_cs,
 )
-from unobs_lab.rng import normals
 
 __all__ = [
     "FitResult",
@@ -234,8 +233,11 @@ def _size_groups(sizes: np.ndarray, seed: int, extra: int):
     """Clusters grouped by size n: (n, cluster indices, row indices, normals).
 
     Each group is one kernel call. Cluster i draws n + extra normals from
-    stream i, so its values depend only on (seed, i) and its size.
+    stream i, so its values depend only on (seed, i) and its size. The rng
+    is loaded here, so fit never loads it.
     """
+    from unobs_lab.rng import normals
+
     starts = np.cumsum(sizes) - sizes
     for n in _distinct(sizes):
         idx = np.flatnonzero(sizes == n)

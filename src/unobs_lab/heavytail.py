@@ -11,18 +11,22 @@ The k-th moment integral is finite iff k < rho; the moment formula itself is
 additionally undefined when k/rho is a positive integer (Gamma pole). At
 rho = 1 (exponential-exponential) no moment is finite: a Cauchy-type family.
 MomentResult keeps the two facts separate instead of collapsing them.
+
+Moments and pole checks are plain Python; numpy, the rng and scipy are
+imported only by the functions that take arrays or draw samples, so
+heavytail moments never loads them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional
 
-import numpy as np
+from unobs_lab.cs import DomainError
 
-from unobs_lab.model_core import DomainError
-from unobs_lab.rng import substream
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "WeibullGammaSpec",
@@ -79,6 +83,8 @@ class WeibullGammaSpec:
     constraint_mode: str = "frailty"
 
     def __post_init__(self):
+        import numpy as np
+
         if not (self.lam > 0 and self.rho > 0):
             raise DomainError("lam and rho must be strictly positive")
         xi = np.atleast_1d(np.asarray(self.xi, dtype=float))
@@ -180,6 +186,8 @@ def we_pdf(spec: WeibullExpSpec, y):
     At y = 0 with rho < 1 the density diverges; +inf is returned as a
     documented sentinel.
     """
+    import numpy as np
+
     phi, rho, delta = spec.phi, spec.rho, spec.delta
     y = np.asarray(y, dtype=float)
     if np.any(y < 0):
@@ -191,6 +199,8 @@ def we_pdf(spec: WeibullExpSpec, y):
 
 def we_cdf(spec: WeibullExpSpec, y):
     """CDF 1 - delta / (delta + phi*y^rho) for y >= 0."""
+    import numpy as np
+
     phi, rho, delta = spec.phi, spec.rho, spec.delta
     y = np.asarray(y, dtype=float)
     if np.any(y < 0):
@@ -201,6 +211,8 @@ def we_cdf(spec: WeibullExpSpec, y):
 
 def we_quantile(spec: WeibullExpSpec, u):
     """Quantile (delta*u / (phi*(1-u)))^(1/rho), u in (0,1) exclusive."""
+    import numpy as np
+
     u = np.array(u, dtype=float)
     if np.any(u <= 0) or np.any(u >= 1):
         raise DomainError("u must lie strictly inside (0, 1)")
@@ -214,6 +226,8 @@ def _quantile_inplace(spec: WeibullExpSpec, u: np.ndarray) -> np.ndarray:
     Where the quantile overflows the result is inf, without a warning; the
     samplers refuse it by name (_non_finite).
     """
+    import numpy as np
+
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         t = 1.0 - u
         t *= spec.phi
@@ -228,6 +242,10 @@ def _non_finite(u: float):
 
 
 def _uniforms(seed: int, n_draws: int) -> np.ndarray:
+    import numpy as np
+
+    from unobs_lab.rng import substream
+
     u = substream(seed, 0).random(n_draws)
     # map endpoints into the open interval; probability-zero event
     np.clip(u, 1e-300, 1.0 - 1e-16, out=u)
@@ -240,6 +258,8 @@ def we_sample(spec: WeibullExpSpec, n_draws: int, seed: int) -> np.ndarray:
     Raises ArithmeticError, naming the first u, where the quantile is not
     finite (e.g. phi = 1e-300 with rho = 0.01), as pit_sample does.
     """
+    import numpy as np
+
     draws = _quantile_inplace(spec, _uniforms(seed, n_draws))
     if n_draws and not np.isfinite(draws.max()):
         first = int(np.argmax(~np.isfinite(draws)))
@@ -280,11 +300,12 @@ def truncated_moment(spec: WeibullExpSpec, k: int, T: float) -> float:
     for rho < 1. The range is split into geometric panels so huge T (slowly
     decaying integrands) stays accurate.
     """
-    from scipy.integrate import quad
     if not T > 0:
         raise DomainError("T must be strictly positive")
     if k < 1:
         raise DomainError("moment order k must be a positive integer")
+    from scipy.integrate import quad
+
     phi, rho, delta = spec.phi, spec.rho, spec.delta
     r = k / rho
     c = (delta / phi) ** r
@@ -322,6 +343,8 @@ def running_mean_trace(
     heavy-tail jumps of a mean that does not exist. Raises ArithmeticError
     where we_sample does.
     """
+    import numpy as np
+
     if not 1 <= stride <= N:
         raise DomainError("need N >= stride >= 1")
     csum = we_sample(spec, N, seed)
@@ -342,6 +365,10 @@ def wg_sample(spec: WeibullGammaSpec, n_draws: int, seed: int) -> list[np.ndarra
     survival S(y) = exp(-lam * y^rho * theta_j * e^(x_j' xi)) by inverse
     survival: y = (-log u / (lam * theta_j * e^(x_j' xi)))^(1/rho).
     """
+    import numpy as np
+
+    from unobs_lab.rng import substream
+
     out = []
     for j in range(spec.n_components):
         rng = substream(seed, j)
@@ -360,7 +387,11 @@ def pit_sample(
     quantile is vectorised: it maps the array of probabilities to an array
     of the same shape.
     """
+    import numpy as np
     from scipy.special import ndtr
+
+    from unobs_lab.rng import substream
+
     rng = substream(seed, 0)
     u = rng.standard_normal(n_draws)  # overwritten: normals, then probabilities
     ndtr(u, out=u)

@@ -6,6 +6,8 @@ All covariance work uses the rank-one structure of V = lam*J + phi*I:
 eigenvalues phi (multiplicity n-1) and phi + n*lam, and the closed-form
 inverse V^-1 = (1/phi) I - lam/(phi*(phi+n*lam)) J. A Dataset stores its
 clusters as columns; likelihood and GLS see it only through SuffStats.
+The numpy-free part (errors, CSMatrix, validate_cs, icc, format_float,
+write_rows) lives in unobs_lab.cs and is re-exported here.
 """
 
 from __future__ import annotations
@@ -15,6 +17,17 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from unobs_lab.cs import (
+    CSMatrix,
+    CsvFormatError,
+    DomainError,
+    RankDeficiencyError,
+    format_float,
+    icc,
+    validate_cs,
+    write_rows,
+)
 
 __all__ = [
     "DomainError",
@@ -32,23 +45,6 @@ __all__ = [
     "write_rows",
     "format_float",
 ]
-
-
-class DomainError(ValueError):
-    """A parameter lies outside the admissible region of the model."""
-
-
-class RankDeficiencyError(ValueError):
-    """The GLS normal equations are singular."""
-
-
-class CsvFormatError(ValueError):
-    """A dataset CSV file violates the long-format contract."""
-
-
-def format_float(x: float) -> str:
-    """Render a float with 17 significant digits (reproducible output)."""
-    return format(float(x), ".17g")
 
 
 # ---------------------------------------------------------------------------
@@ -176,55 +172,8 @@ class CSParams:
 
 
 # ---------------------------------------------------------------------------
-# Covariance algebra
+# GLS at fixed (lam, phi)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CSMatrix:
-    """The n x n matrix lam*J_n + phi*I_n, held as its three numbers.
-
-    Its eigenvalues are phi (n-1 times) and phi + n*lam; .array builds the
-    dense matrix only on request, so n is not limited by storage.
-    """
-
-    n: int
-    lam: float
-    phi: float
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.full((self.n, self.n), self.lam) + self.phi * np.eye(self.n)
-
-
-def validate_cs(n_set, lam: float, phi: float) -> None:
-    """Exact positive-definiteness check of lam*J_n + phi*I_n over cluster sizes.
-
-    V is PD iff phi > 0 and phi + n*lam > 0 (its two distinct eigenvalues),
-    with strict inequalities; boundary points are rejected, and so is a
-    cluster size below 1. Raises DomainError naming the first failure.
-    """
-    sizes = sorted(set(int(n) for n in n_set))
-    if not sizes:
-        raise ValueError("n_set must be nonempty")
-    if sizes[0] < 1:
-        raise DomainError(f"cluster size n = {sizes[0]} is not >= 1")
-    if not phi > 0:
-        raise DomainError(f"phi = {phi} is not strictly positive")
-    for n in sizes:
-        if not phi + n * lam > 0:
-            raise DomainError(f"phi + n*lam = {phi + n * lam} <= 0 for cluster size n = {n}")
-
-
-def icc(lam: float, phi: float) -> float:
-    """Within-cluster correlation lam / (lam + phi) of the marginal model."""
-    if not lam + phi > 0:
-        raise DomainError(f"lam + phi = {lam + phi} must be strictly positive")
-    return lam / (lam + phi)
 
 
 def gls_mean(data: Dataset, lam: float, phi: float) -> np.ndarray:
@@ -309,28 +258,3 @@ def write_dataset_csv(data: Dataset, dest) -> None:
     units = np.arange(len(data.y)) - np.repeat(data.offsets[:-1], data.sizes) + 1
     head = "cluster,unit,y," + ",".join(data.covariate_names) + "\n"
     write_rows(dest, head, ids, units, data.y, *data.X.T)
-
-
-def write_rows(dest, head: str, *columns) -> None:
-    """Write head, then one line per row of the columns: every row output.
-
-    dest is a path or an open text handle; a path is written as UTF-8 with
-    "\n" line ends. Line i holds c1[i], c2[i], ... joined by "," and ended by
-    "\n", each cell with the bytes of Python's %: %d for an integer or bool
-    column, %.17g for a float column, %s for a str or object column. The
-    lines are made in numpy by unobs_lab.rows, which is loaded only when there
-    are columns, so a JSON report, written as head alone, does not load it.
-    """
-    lines = ()
-    if columns:
-        from unobs_lab.rows import lines as row_lines
-
-        lines = row_lines(columns)
-    if hasattr(dest, "write"):
-        dest.write(head)
-        for chunk in lines:
-            dest.write(chunk.decode())
-        return
-    with open(dest, "wb") as fh:
-        fh.write(head.encode())
-        fh.writelines(lines)

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -15,10 +16,39 @@ from unobs_lab.equivalence import ExtendedSpec
 from unobs_lab.estimation import SimLayout, simulate_extended
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def run(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+def fresh(code: str) -> subprocess.CompletedProcess:
+    """code run in a fresh interpreter that imports the package from src."""
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, text=True)
+
+
+def cold(code: str):
+    """The value of the last stderr line of code run in a fresh interpreter."""
+    proc = fresh(code)
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 0 and lines, proc.stderr
+    return ast.literal_eval(lines[-1])
+
+
+def cold_main(argv, modules):
+    """Exit code of main(argv) in a fresh interpreter, and which of modules it loaded."""
+    rc, loaded = cold(
+        "import sys\n"
+        "from unobs_lab.cli import main\n"
+        f"rc = main({argv!r})\n"
+        "sys.stdout.flush()\n"
+        f"sys.stderr.write('\\n' + repr((rc, [m in sys.modules for m in {modules!r}])))\n"
+    )
+    return rc, dict(zip(modules, loaded))
 
 
 class TestEquivalenceCommand:
@@ -397,9 +427,50 @@ class TestContract:
         assert out == ""
         assert "non-finite" in err
 
+    @pytest.mark.parametrize(
+        "argv,rc",
+        [(["eb", "--lambda2", "1", "--nu2", "1", "--alpha", "0"], 0),
+         (["eb", "--lambda2", "1", "--nu2", "1", "--alpha", "2"], 1),
+         (["eb"], 2)],
+    )
+    def test_console_entry_exits_with_the_code_of_main(self, argv, rc):
+        """entry() is the installed unobs-lab script; stdout is main's."""
+        proc = fresh(
+            "import sys\n"
+            f"sys.argv = ['unobs-lab', *{argv!r}]\n"
+            "from unobs_lab.cli import entry\n"
+            "entry()\n"
+        )
+        assert proc.returncode == rc, proc.stderr
+        if rc == 0:
+            assert json.loads(proc.stdout)["shrinkage"] == pytest.approx(4.0 / 3.0)
+
     def test_float_array_with_nan_is_refused(self):
         with pytest.raises(ValueError, match="non-finite value nan"):
             _json({"v": np.array([1.0, np.nan, 2.0])})
+
+    @pytest.mark.parametrize("value,text", [(np.float32("nan"), "nan"), (np.float64("-inf"), "-inf")])
+    def test_non_finite_numpy_scalar_is_refused(self, value, text):
+        with pytest.raises(ValueError, match=f"^non-finite value {text} cannot be written as JSON$"):
+            _json([1.0, value])
+
+    @pytest.mark.parametrize(
+        "value,text",
+        [
+            (np.int64(-3), "-3"),
+            (np.float32(0.1), "0.10000000149011612"),  # the float32's own value, 17 digits
+            (np.bool_(True), "true"),
+            (np.bool_(False), "false"),
+            (np.array([[1.0, 2.5], [-0.0, 1e-300]]), "[[1, 2.5], [-0, 1e-300]]"),
+            (np.array([3, 250], dtype=np.uint8), "[3, 250]"),
+            (
+                {"a": {"b": [np.int64(1), np.float64(0.5)], "c": None, "d": (True, 'x"y')}},
+                '{"a": {"b": [1, 0.5], "c": null, "d": [true, "x\\"y"]}}',
+            ),
+        ],
+    )
+    def test_numpy_values_are_written_as_their_python_values(self, value, text):
+        assert _json(value) == text
 
 
 class TestLazyScipy:
@@ -422,18 +493,8 @@ class TestLazyScipy:
         tiny = tmp_path / "tiny.csv"
         tiny.write_text("cluster,unit,y,x1\na,1,1,1\na,2,2,1\nb,1,4,1\nb,2,3,1\nc,1,0,1\n")
         argv = [arg.replace("{tiny_csv}", str(tiny)) for arg in argv]
-        code = (
-            "import sys\n"
-            "from unobs_lab.cli import main\n"
-            f"rc = main({argv!r})\n"
-            "sys.stdout.flush()\n"
-            "mods = [m in sys.modules for m in ('scipy', 'concurrent.futures', 'numpy.ma')]\n"
-            "sys.stderr.write(f'rc={rc} scipy={mods[0]} pool={mods[1]} ma={mods[2]}')\n"
-        )
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, text=True)
-        assert proc.stderr.endswith("rc=0 scipy=False pool=False ma=False"), proc.stderr
+        rc, loaded = cold_main(argv, ("scipy", "concurrent.futures", "numpy.ma"))
+        assert rc == 0 and not any(loaded.values()), loaded
 
     @pytest.mark.parametrize(
         "argv,rows",
@@ -446,14 +507,69 @@ class TestLazyScipy:
     )
     def test_json_reports_never_load_the_row_formatter(self, argv, rows):
         """A JSON report is written as a head alone, so a cold eb compiles no formatter."""
-        code = (
-            "import sys\n"
-            "from unobs_lab.cli import main\n"
-            f"rc = main({argv!r})\n"
-            "sys.stdout.flush()\n"
-            "sys.stderr.write(f'rc={rc} rows={\"unobs_lab.rows\" in sys.modules}')\n"
+        assert cold_main(argv, ("unobs_lab.rows",)) == (0, {"unobs_lab.rows": rows})
+
+    @pytest.mark.parametrize(
+        "argv,rc",
+        [
+            (["eb", "--lambda2", "1", "--nu2", "1", "--alpha", "0"], 0),
+            (["equivalence", "--lambda2", "2", "--nu2", "1", "--alpha-grid=-1,0,1", "--n", "2"], 0),
+            (["equivalence", "--lambda2=-0.01", "--nu2", "1", "--alpha-grid=-1,1", "--n", "64"], 0),
+            (["heavytail", "moments", "--phi", "1", "--rho", "2", "--delta", "1", "--k", "1..4"], 0),
+            (["equivalence", "--lambda2", "2", "--nu2", "1", "--alpha-grid=0", "--n", "100"], 1),
+            (["eb", "--lambda2", "1", "--nu2", "1", "--alpha", "2"], 1),
+        ],
+    )
+    def test_closed_form_commands_load_neither_numpy_nor_scipy(self, argv, rc):
+        assert cold_main(argv, ("numpy", "scipy")) == (rc, {"numpy": False, "scipy": False})
+
+    def test_fit_loads_no_sampler(self, tmp_path):
+        tiny = tmp_path / "tiny.csv"
+        tiny.write_text("cluster,unit,y,x1\na,1,1,1\na,2,2,1\nb,1,4,1\nb,2,3,1\nc,1,0,1\n")
+        modules = ("unobs_lab.heavytail", "unobs_lab.rows", "unobs_lab.rng")
+        rc, loaded = cold_main(["fit", "--data", str(tiny)], modules)
+        assert rc == 0 and not any(loaded.values()), loaded
+
+    @pytest.mark.parametrize("action", ["sample", "trace"])
+    def test_samplers_load_no_equivalence_model(self, action):
+        argv = ["heavytail", action, "--phi", "1", "--rho", "2", "--delta", "1",
+                "--n", "4", "--seed", "1"]
+        modules = ("unobs_lab.estimation", "unobs_lab.equivalence")
+        rc, loaded = cold_main(argv, modules)
+        assert rc == 0 and not any(loaded.values()), loaded
+
+    def test_package_names_resolve_to_their_modules(self):
+        """Every name the package has exported, loaded on first use, in dir()."""
+        exported = {
+            "model_core": ["CSMatrix", "CSParams", "Dataset", "DomainError", "gls_mean", "icc",
+                           "read_dataset_csv", "validate_cs", "write_dataset_csv"],
+            "equivalence": ["ConditionalErrorDist", "DecompRow", "ExtendedSpec", "SpecA", "SpecB",
+                            "conditional_error_dist", "decomposition_table", "derive_d_tau",
+                            "eb_shrinkage", "joint_cov", "map_a_to_b", "marginal_cov_extended",
+                            "psd_slack", "v1_matrix", "v2_matrix"],
+            "estimation": ["FitResult", "SimLayout", "fit_balanced_closed_form", "fit_ml",
+                           "loglik_cs", "simulate_cs", "simulate_extended"],
+            "heavytail": ["MomentResult", "WeibullExpSpec", "WeibullGammaSpec", "pit_sample",
+                          "running_mean_trace", "truncated_moment", "we_cdf", "we_moment",
+                          "we_pdf", "we_quantile", "we_sample", "wg_moment_defined",
+                          "wg_sample"],
+        }
+        loaded, wrong = cold(
+            "import importlib, sys, unobs_lab\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('unobs_lab'))\n"
+            "wrong = []\n"
+            f"for module, names in {exported!r}.items():\n"
+            "    for name in names:\n"
+            "        exec(f'from unobs_lab import {name} as value')\n"
+            "        if not (value is getattr(importlib.import_module(f'unobs_lab.{module}'), name)\n"
+            "                and name in dir(unobs_lab)):\n"
+            "            wrong.append(name)\n"
+            "sys.stderr.write(repr((loaded, wrong)))\n"
         )
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, text=True)
-        assert proc.stderr.endswith(f"rc=0 rows={rows}"), proc.stderr
+        assert (loaded, wrong) == (["unobs_lab"], [])
+        import unobs_lab
+
+        assert sorted(unobs_lab.__all__) == sorted(n for names in exported.values() for n in names)
+        assert unobs_lab.__version__ == "0.1.0"
+        with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+            unobs_lab.nope

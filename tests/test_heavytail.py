@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -251,6 +254,22 @@ class TestTruncatedMoment:
     def test_domain(self):
         with pytest.raises(DomainError):
             truncated_moment(UNIT, 1, 0.0)
+
+    @pytest.mark.parametrize("k,T", [(1, 0.0), (0, 1.0), (1, float("nan"))])
+    def test_arguments_are_refused_before_scipy_is_imported(self, k, T):
+        code = (
+            "import sys\n"
+            "from unobs_lab.heavytail import WeibullExpSpec, truncated_moment\n"
+            "from unobs_lab.model_core import DomainError\n"
+            "try:\n"
+            f"    truncated_moment(WeibullExpSpec(1.0, 1.0, 1.0), {k}, float({str(T)!r}))\n"
+            "except DomainError:\n"
+            "    print('scipy' in sys.modules)\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, text=True)
+        assert proc.stdout == "False\n", proc.stderr
 
 
 # ---------------------------------------------------------------------------

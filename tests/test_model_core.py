@@ -2,7 +2,10 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from unobs_lab import cs, model_core
 from unobs_lab.model_core import (
     CSParams,
     CsvFormatError,
@@ -40,6 +43,28 @@ class TestCSMatrix:
     def test_rejects_size_below_one(self):
         with pytest.raises(ValueError, match="n must be >= 1"):
             CSMatrix(0, 1.0, 1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 64),
+        lam=st.one_of(
+            st.sampled_from([0.0, -0.0, -1.0, -1e-300, 5e-324, -5e-324]),
+            st.floats(min_value=-1e300, max_value=1e300),
+        ),
+        phi=st.floats(min_value=5e-324, max_value=1e300),
+    )
+    def test_flat_has_the_bits_of_array(self, n, lam, phi):
+        """Built in plain Python, yet bit for bit numpy's lam*J + phi*I, -0.0 included."""
+        got = CSMatrix(n, lam, phi).flat()
+        want = CSMatrix(n, lam, phi).array.ravel().tolist()
+        assert [float.hex(v) for v in got] == [float.hex(v) for v in want]
+
+
+def test_model_core_reexports_the_scalar_layer():
+    """The numpy-free names are the same objects under both modules."""
+    for name in cs.__all__:
+        assert name in model_core.__all__
+        assert getattr(model_core, name) is getattr(cs, name)
 
 
 # ---------------------------------------------------------------------------
