@@ -12,9 +12,18 @@ additionally undefined when k/rho is a positive integer (Gamma pole). At
 rho = 1 (exponential-exponential) no moment is finite: a Cauchy-type family.
 MomentResult keeps the two facts separate instead of collapsing them.
 
-Moments and pole checks are plain Python; numpy, the rng and scipy are
-imported only by the functions that take arrays or draw samples, so
-heavytail moments never loads them.
+Moments and pole checks are plain Python; numpy and the rng are imported
+only by the functions that take arrays or draw samples, and scipy only by
+truncated_moment, so heavytail moments never loads them. pit_sample takes
+ndtr from unobs_lab.special, bit-equal to scipy.special.ndtr.
+
+we_sample and running_mean_trace share one block path: BLOCK uniforms at a
+time, drawn into reused buffers and mapped through the quantile. we_sample
+fills its output block by block, so it peaks at the output plus two blocks
+(1.07 outputs at 1e6 draws; it was 2). running_mean_trace carries the
+running sum from block to block and keeps every stride-th sum only: 0.30 x
+8N bytes at N = 1e6, stride 10, where it held all N draws and sums before
+(2.0 x 8N).
 """
 
 from __future__ import annotations
@@ -46,6 +55,8 @@ __all__ = [
 ]
 
 POLE_TOL = 1e-9
+BLOCK = 1 << 15  # draws per block of we_sample and running_mean_trace
+FRAILTY_TOL = 4 * 2.0**-52  # a few ulps of 1: 49 * (1/49) is 1 - 2**-53
 
 CONSTRAINT_MODES = ("frailty", "bayarri", "free")
 
@@ -67,7 +78,8 @@ class WeibullGammaSpec:
     and conditional survival exp(-lam * y^rho * theta_j * exp(x_j' xi)).
 
     constraint_mode:
-      * "frailty": alpha_g[j] * beta_g[j] = 1 (unit-mean frailty),
+      * "frailty": alpha_g[j] * beta_g[j] = 1 (unit-mean frailty), up to
+        FRAILTY_TOL for the rounding of a product such as 49 * (1/49),
       * "bayarri": alpha_g[j] = 1, beta_g[j] = 1/delta_j (exponential frailty),
       * "free": both parameters unconstrained. In free mode alpha_g and
         beta_g are not jointly identifiable with an intercept in xi; this is
@@ -100,8 +112,10 @@ class WeibullGammaSpec:
             raise DomainError("gamma parameters must be strictly positive")
         if self.constraint_mode not in CONSTRAINT_MODES:
             raise ValueError(f"constraint_mode must be one of {CONSTRAINT_MODES}")
-        if self.constraint_mode == "frailty" and not np.all(a * b == 1.0):
-            raise DomainError("frailty mode requires alpha_g * beta_g = 1 exactly")
+        if self.constraint_mode == "frailty" and not np.all(abs(a * b - 1.0) <= FRAILTY_TOL):
+            raise DomainError(
+                f"frailty mode requires |alpha_g * beta_g - 1| <= {FRAILTY_TOL!r}"
+            )
         if self.constraint_mode == "bayarri" and not np.all(a == 1.0):
             raise DomainError("bayarri mode requires alpha_g = 1")
         for name, val in (("xi", xi), ("x", x), ("alpha_g", a), ("beta_g", b)):
@@ -213,15 +227,15 @@ def we_quantile(spec: WeibullExpSpec, u):
     """Quantile (delta*u / (phi*(1-u)))^(1/rho), u in (0,1) exclusive."""
     import numpy as np
 
-    u = np.array(u, dtype=float)
+    u = np.asarray(u, dtype=float)
     if np.any(u <= 0) or np.any(u >= 1):
         raise DomainError("u must lie strictly inside (0, 1)")
-    out = _quantile_inplace(spec, u)
+    out = _quantile(spec, u, np.empty_like(u), np.empty_like(u))
     return float(out) if out.ndim == 0 else out
 
 
-def _quantile_inplace(spec: WeibullExpSpec, u: np.ndarray) -> np.ndarray:
-    """we_quantile written over u, with one temporary the size of u.
+def _quantile(spec: WeibullExpSpec, u: np.ndarray, out: np.ndarray, t: np.ndarray):
+    """we_quantile of u written to out, with t (u's shape) as scratch; u is kept.
 
     Where the quantile overflows the result is inf, without a warning; the
     samplers refuse it by name (_non_finite).
@@ -229,41 +243,60 @@ def _quantile_inplace(spec: WeibullExpSpec, u: np.ndarray) -> np.ndarray:
     import numpy as np
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        t = 1.0 - u
+        np.subtract(1.0, u, out=t)
         t *= spec.phi
-        u *= spec.delta
-        u /= t
-        u **= 1.0 / spec.rho
-    return u
+        np.multiply(u, spec.delta, out=out)
+        out /= t
+        out **= 1.0 / spec.rho
+    return out
 
 
 def _non_finite(u: float):
     raise ArithmeticError(f"quantile returned a non-finite value at u = {float(u)!r}")
 
 
-def _uniforms(seed: int, n_draws: int) -> np.ndarray:
+def _quantile_blocks(spec: WeibullExpSpec, n_draws: int, seed: int, out=None):
+    """Yield (start, q), q the quantiles of draws start, ..., start + len(q) - 1.
+
+    The uniforms of substream (seed, 0) are drawn BLOCK at a time into a
+    reused buffer, the same stream as one call for all n_draws, and clipped
+    into the open interval (the endpoints have probability zero). q is a
+    slice of out when out is given, else a reused buffer the caller may
+    overwrite. Raises ArithmeticError, naming the first u, where the
+    quantile is not finite.
+    """
     import numpy as np
 
     from unobs_lab.rng import substream
 
-    u = substream(seed, 0).random(n_draws)
-    # map endpoints into the open interval; probability-zero event
-    np.clip(u, 1e-300, 1.0 - 1e-16, out=u)
-    return u
+    rng = substream(seed, 0)
+    size = min(BLOCK, n_draws)
+    u, t = np.empty(size), np.empty(size)
+    buf = np.empty(size) if out is None else None
+    for start in range(0, n_draws, BLOCK):
+        m = min(BLOCK, n_draws - start)
+        ub = rng.random(m, out=u[:m])
+        np.clip(ub, 1e-300, 1.0 - 1e-16, out=ub)
+        q = buf[:m] if out is None else out[start : start + m]
+        _quantile(spec, ub, q, t[:m])
+        if not np.isfinite(q.max()):
+            _non_finite(ub[np.argmax(~np.isfinite(q))])
+        yield start, q
 
 
 def we_sample(spec: WeibullExpSpec, n_draws: int, seed: int) -> np.ndarray:
     """Inverse-CDF sampler; deterministic per seed.
 
-    Raises ArithmeticError, naming the first u, where the quantile is not
-    finite (e.g. phi = 1e-300 with rho = 0.01), as pit_sample does.
+    Fills its output block by block, so its peak memory is the output plus
+    two blocks. Raises ArithmeticError, naming the first u, where the
+    quantile is not finite (e.g. phi = 1e-300 with rho = 0.01), as
+    pit_sample does.
     """
     import numpy as np
 
-    draws = _quantile_inplace(spec, _uniforms(seed, n_draws))
-    if n_draws and not np.isfinite(draws.max()):
-        first = int(np.argmax(~np.isfinite(draws)))
-        _non_finite(_uniforms(seed, first + 1)[first])  # u was overwritten: redraw it
+    draws = np.empty(n_draws)
+    for _ in _quantile_blocks(spec, n_draws, seed, out=draws):
+        pass
     return draws
 
 
@@ -339,6 +372,10 @@ def running_mean_trace(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Running sample mean at n = stride, 2*stride, ..., N: arrays (n, mean).
 
+    The draws are we_sample's, summed block by block with the running sum
+    carried across blocks; cumsum adds in order, so the sums have the bits
+    of one cumsum over all N draws. Only every stride-th sum is kept.
+
     No convergence is implied for rho <= 1: the trace exists to show the
     heavy-tail jumps of a mean that does not exist. Raises ArithmeticError
     where we_sample does.
@@ -347,10 +384,18 @@ def running_mean_trace(
 
     if not 1 <= stride <= N:
         raise DomainError("need N >= stride >= 1")
-    csum = we_sample(spec, N, seed)
-    np.cumsum(csum, out=csum)
     n = np.arange(stride, N + 1, stride)
-    return n, csum[n - 1] / n
+    sums = np.empty(len(n))
+    carry = 0.0
+    for start, q in _quantile_blocks(spec, N, seed):
+        q[0] += carry
+        np.cumsum(q, out=q)
+        carry = q[-1]
+        # the sums at n = (k + 1) * stride, k0 <= k < k1, end in this block
+        k0, k1 = start // stride, (start + len(q)) // stride
+        sums[k0:k1] = q[(k0 + 1) * stride - 1 - start :: stride]
+    sums /= n
+    return n, sums
 
 
 # ---------------------------------------------------------------------------
@@ -384,13 +429,15 @@ def pit_sample(
 ) -> np.ndarray:
     """Probability-integral-transform sampler: F^-1(ndtr(a)), a standard normal.
 
+    ndtr (unobs_lab.special) runs in place over the normals, a block at a time.
+
     quantile is vectorised: it maps the array of probabilities to an array
     of the same shape.
     """
     import numpy as np
-    from scipy.special import ndtr
 
     from unobs_lab.rng import substream
+    from unobs_lab.special import ndtr
 
     rng = substream(seed, 0)
     u = rng.standard_normal(n_draws)  # overwritten: normals, then probabilities

@@ -40,7 +40,7 @@ import numpy as np
 
 __all__ = ["lines", "CHUNK"]
 
-CHUNK = 1 << 16  # rows formatted at once: bounds the memory of any write
+CHUNK = 1 << 13  # rows formatted at once: bounds the memory of any write
 SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
 EXP_MIN, EXP_MAX = -280, 280  # decimal exponents formatted in numpy
 TIE_TOL = 1e-9  # rounding within this of a half is decided exactly

@@ -538,6 +538,19 @@ class TestLazyScipy:
         rc, loaded = cold_main(argv, modules)
         assert rc == 0 and not any(loaded.values()), loaded
 
+    def test_pit_loads_no_scipy(self):
+        """ndtr is unobs_lab.special's, so a cold pit call never imports scipy."""
+        argv = ["pit", "--phi", "1", "--rho", "1", "--delta", "1", "--n", "20", "--seed", "1"]
+        assert cold_main(argv, ("scipy", "unobs_lab.special")) == (
+            0, {"scipy": False, "unobs_lab.special": True})
+
+    @pytest.mark.parametrize("action", ["sample", "trace"])
+    def test_samplers_load_no_ndtr(self, action):
+        argv = ["heavytail", action, "--phi", "1", "--rho", "2", "--delta", "1",
+                "--n", "4", "--seed", "1"]
+        assert cold_main(argv, ("scipy", "unobs_lab.special")) == (
+            0, {"scipy": False, "unobs_lab.special": False})
+
     def test_package_names_resolve_to_their_modules(self):
         """Every name the package has exported, loaded on first use, in dir()."""
         exported = {

@@ -14,6 +14,8 @@ from scipy.special import ndtr
 from scipy.stats import ks_2samp, kstest
 
 from unobs_lab.heavytail import (
+    BLOCK,
+    FRAILTY_TOL,
     MomentResult,
     QuadratureError,
     WeibullExpSpec,
@@ -277,6 +279,15 @@ class TestTruncatedMoment:
 # ---------------------------------------------------------------------------
 
 
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestWeSample:
     def test_median(self):
         draws = we_sample(UNIT, 100_000, seed=2)
@@ -296,20 +307,17 @@ class TestWeSample:
         assert np.array_equal(we_sample(UNIT, 100, seed=9), we_sample(UNIT, 100, seed=9))
 
     def test_in_place_equals_quantile_of_uniforms(self):
+        """Drawn BLOCK at a time, the uniforms are one long stream's."""
         spec = WeibullExpSpec(1.3, 2.5, 0.8)
-        u = substream(9, 0).random(1000)
-        assert np.array_equal(we_sample(spec, 1000, seed=9), we_quantile(spec, u))
-        assert np.array_equal(u, substream(9, 0).random(1000))  # input left as it was
+        n = 3 * BLOCK + 5
+        u = substream(9, 0).random(n)
+        assert np.array_equal(we_sample(spec, n, seed=9), we_quantile(spec, u))
+        assert np.array_equal(u, substream(9, 0).random(n))  # input left as it was
 
-    def test_peak_memory_is_two_outputs(self):
+    def test_peak_memory_is_one_output(self):
         n = 1_000_000
-        tracemalloc.start()
-        try:
-            we_sample(UNIT, n, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.1 * 8 * n  # the draws and one temporary
+        peak = traced_peak(lambda: we_sample(UNIT, n, seed=1))
+        assert peak < 1.1 * 8 * n + 2 * 8 * BLOCK  # the draws, u and one temporary block
 
     def test_overflow_names_the_first_u(self):
         spec = WeibullExpSpec(phi=1e-300, rho=0.01, delta=1.0)
@@ -328,6 +336,19 @@ class TestWeSample:
         assert 0 < first
         with pytest.raises(ArithmeticError, match=re.escape(f"u = {float(u[first])!r}")):
             we_sample(spec, 200, seed=5)
+
+    def test_first_non_finite_draw_in_a_later_block_is_named(self):
+        spec = WeibullExpSpec(phi=1.0, rho=0.016, delta=1.0)  # overflows for 1-u < ~1e-5
+        N = 4 * BLOCK
+        u = np.clip(substream(10, 0).random(N), 1e-300, 1.0 - 1e-16)
+        with np.errstate(over="ignore"):
+            first = np.flatnonzero(~np.isfinite((u / (1 - u)) ** (1 / spec.rho)))[0]
+        assert first >= 2 * BLOCK
+        want = f"quantile returned a non-finite value at u = {float(u[first])!r}"
+        for call in (lambda: we_sample(spec, N, seed=10),
+                     lambda: running_mean_trace(spec, N, 7, seed=10)):
+            with pytest.raises(ArithmeticError, match=re.escape(want)):
+                call()
 
 
 class TestRunningMeanTrace:
@@ -353,6 +374,22 @@ class TestRunningMeanTrace:
     def test_invalid_stride(self):
         with pytest.raises(DomainError):
             running_mean_trace(UNIT, 10, 11, seed=0)
+
+    @pytest.mark.parametrize("N", [2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 7])
+    @pytest.mark.parametrize("stride", [1, 7, BLOCK + 1])
+    def test_is_the_cumulative_mean_of_the_sample(self, N, stride):
+        """Summed BLOCK draws at a time, with the same bits as one cumsum."""
+        spec = WeibullExpSpec(1.3, 0.7, 0.7)
+        n, mean = running_mean_trace(spec, N, stride, seed=8)
+        want = np.arange(stride, N + 1, stride)
+        assert np.array_equal(n, want)
+        expected = np.cumsum(we_sample(spec, N, seed=8))[want - 1] / want
+        assert mean.tobytes() == expected.tobytes()
+
+    def test_peak_memory_keeps_only_every_stride_th_sum(self):
+        N = 1_000_000
+        peak = traced_peak(lambda: running_mean_trace(UNIT, N, 10, seed=1))
+        assert peak < 0.5 * 8 * N  # n, the means and three blocks
 
 
 class TestPitSample:
@@ -449,10 +486,22 @@ class TestWgSample:
         assert stat < 1.95 / math.sqrt(n)
 
     def test_constraint_validation(self):
-        with pytest.raises(DomainError):
+        want = f"frailty mode requires |alpha_g * beta_g - 1| <= {FRAILTY_TOL!r}"
+        with pytest.raises(DomainError, match=re.escape(want)):
             make_wg("frailty", 2.0, 1.0)
         with pytest.raises(DomainError):
             make_wg("bayarri", 2.0, 1.0)
+
+    @pytest.mark.parametrize("alpha", [49.0, 98.0, 103.0])
+    def test_frailty_mode_accepts_a_rounded_unit_mean(self, alpha):
+        assert alpha * (1.0 / alpha) == 1.0 - 2.0**-53
+        spec = make_wg("frailty", alpha, 1.0 / alpha)
+        assert spec.beta_g.tolist() == [1.0 / alpha]
+
+    def test_frailty_mode_tolerance_is_a_few_ulps(self):
+        make_wg("frailty", 1.0 + FRAILTY_TOL, 1.0)
+        with pytest.raises(DomainError):
+            make_wg("frailty", 1.0 + 2 * FRAILTY_TOL, 1.0)
 
     def test_free_mode_aliasing_flag(self):
         spec = make_wg("free", 2.0, 3.0)
