@@ -142,7 +142,10 @@ class TestS:
 class TestTemplate:
     """The row layout: each column's cell, joined by "," and ended by "\n"."""
 
-    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1])
+    # Boundaries of the first chunk and of the eighth, where a write spans many chunks.
+    @pytest.mark.parametrize(
+        "n", [CHUNK - 1, CHUNK, CHUNK + 1, 8 * CHUNK - 1, 8 * CHUNK, 8 * CHUNK + 1]
+    )
     def test_chunk_boundaries(self, tmp_path, n):
         rng = np.random.default_rng(n)
         x = rng.standard_cauchy(n) ** 3
