@@ -16,17 +16,8 @@ import importlib
 # first use (PEP 562), so `import unobs_lab` loads no submodule, and the
 # closed-form commands never load numpy.
 _SOURCES = {
-    "model_core": (
-        "CSMatrix",
-        "CSParams",
-        "Dataset",
-        "DomainError",
-        "gls_mean",
-        "icc",
-        "read_dataset_csv",
-        "validate_cs",
-        "write_dataset_csv",
-    ),
+    "cs": ("CSMatrix", "DomainError", "icc", "validate_cs"),
+    "model_core": ("CSParams", "Dataset", "gls_mean", "read_dataset_csv", "write_dataset_csv"),
     "equivalence": (
         "ConditionalErrorDist",
         "DecompRow",

@@ -133,8 +133,9 @@ def _equivalence_record(lambda2: float, nu2: float, alpha: float, n: int) -> dic
 
 # The report writes all n*n entries of marginal_cov for every alpha. Larger n
 # stays refused until the benchmark's peak_rss_mb stops counting its own parse
-# of the report: at n = 100 that parse alone lifts closed-form's figure by 20%
-# (ROADMAP item 4). The library has no such limit.
+# of the report: at n = 100 that parse alone lifts closed-form's figure by 20%,
+# because the harness reads the memory high-water mark of its own process, not
+# the child's. The library has no such limit.
 REPORT_MAX_N = 64
 
 

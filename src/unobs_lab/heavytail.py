@@ -17,13 +17,14 @@ only by the functions that take arrays or draw samples, and scipy only by
 truncated_moment, so heavytail moments never loads them. pit_sample takes
 ndtr from unobs_lab.special, bit-equal to scipy.special.ndtr.
 
-we_sample and running_mean_trace share one block path: BLOCK uniforms at a
-time, drawn into reused buffers and mapped through the quantile. we_sample
-fills its output block by block, so it peaks at the output plus two blocks
-(1.07 outputs at 1e6 draws; it was 2). running_mean_trace carries the
-running sum from block to block and keeps every stride-th sum only: 0.30 x
-8N bytes at N = 1e6, stride 10, where it held all N draws and sums before
-(2.0 x 8N).
+we_sample, running_mean_trace and pit_sample share one block loop: BLOCK
+probabilities at a time (uniforms, or ndtr of normals for pit_sample) drawn
+into a reused buffer, clipped, mapped through the quantile and checked for
+non-finite values. The quantile therefore sees one block at a time and must
+be elementwise. we_sample and pit_sample fill their output block by block, so
+they peak at the output plus a few blocks (1.07 and 1.19 outputs at 1e6
+draws). running_mean_trace carries the running sum from block to block and
+keeps every stride-th sum only: 0.30 x 8N bytes at N = 1e6, stride 10.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ __all__ = [
 ]
 
 POLE_TOL = 1e-9
-BLOCK = 1 << 15  # draws per block of we_sample and running_mean_trace
+BLOCK = 1 << 15  # draws per block of every sampler but wg_sample
 FRAILTY_TOL = 4 * 2.0**-52  # a few ulps of 1: 49 * (1/49) is 1 - 2**-53
 
 CONSTRAINT_MODES = ("frailty", "bayarri", "free")
@@ -230,12 +231,12 @@ def we_quantile(spec: WeibullExpSpec, u):
     u = np.asarray(u, dtype=float)
     if np.any(u <= 0) or np.any(u >= 1):
         raise DomainError("u must lie strictly inside (0, 1)")
-    out = _quantile(spec, u, np.empty_like(u), np.empty_like(u))
+    out = _quantile(spec, u, np.empty_like(u))
     return float(out) if out.ndim == 0 else out
 
 
-def _quantile(spec: WeibullExpSpec, u: np.ndarray, out: np.ndarray, t: np.ndarray):
-    """we_quantile of u written to out, with t (u's shape) as scratch; u is kept.
+def _quantile(spec: WeibullExpSpec, u: np.ndarray, out: np.ndarray):
+    """we_quantile of u written to out; u is kept.
 
     Where the quantile overflows the result is inf, without a warning; the
     samplers refuse it by name (_non_finite).
@@ -243,10 +244,8 @@ def _quantile(spec: WeibullExpSpec, u: np.ndarray, out: np.ndarray, t: np.ndarra
     import numpy as np
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        np.subtract(1.0, u, out=t)
-        t *= spec.phi
         np.multiply(u, spec.delta, out=out)
-        out /= t
+        out /= (1.0 - u) * spec.phi
         out **= 1.0 / spec.rho
     return out
 
@@ -255,33 +254,47 @@ def _non_finite(u: float):
     raise ArithmeticError(f"quantile returned a non-finite value at u = {float(u)!r}")
 
 
-def _quantile_blocks(spec: WeibullExpSpec, n_draws: int, seed: int, out=None):
+def _uniforms(rng, u: np.ndarray) -> np.ndarray:
+    return rng.random(out=u)
+
+
+def _blocks(n_draws: int, seed: int, probabilities, quantile, out=None):
     """Yield (start, q), q the quantiles of draws start, ..., start + len(q) - 1.
 
-    The uniforms of substream (seed, 0) are drawn BLOCK at a time into a
-    reused buffer, the same stream as one call for all n_draws, and clipped
-    into the open interval (the endpoints have probability zero). q is a
-    slice of out when out is given, else a reused buffer the caller may
-    overwrite. Raises ArithmeticError, naming the first u, where the
-    quantile is not finite.
+    probabilities(rng, u) fills u, a reused buffer of at most BLOCK entries,
+    from substream (seed, 0) and returns it; numpy's generators give the same
+    stream drawn a block at a time as in one call for all n_draws. The block
+    is clipped into the open interval (the endpoints have probability zero)
+    and quantile(u, q) writes its quantiles to q, a slice of out when out is
+    given, else a reused buffer the caller may overwrite. Raises
+    ArithmeticError, naming the first u, where the quantile is not finite.
     """
     import numpy as np
 
     from unobs_lab.rng import substream
 
     rng = substream(seed, 0)
-    size = min(BLOCK, n_draws)
-    u, t = np.empty(size), np.empty(size)
-    buf = np.empty(size) if out is None else None
+    u = np.empty(min(BLOCK, n_draws))
+    buf = np.empty_like(u) if out is None else None
     for start in range(0, n_draws, BLOCK):
         m = min(BLOCK, n_draws - start)
-        ub = rng.random(m, out=u[:m])
+        ub = probabilities(rng, u[:m])
         np.clip(ub, 1e-300, 1.0 - 1e-16, out=ub)
         q = buf[:m] if out is None else out[start : start + m]
-        _quantile(spec, ub, q, t[:m])
+        quantile(ub, q)
         if not np.isfinite(q.max()):
             _non_finite(ub[np.argmax(~np.isfinite(q))])
         yield start, q
+
+
+def _fill(n_draws: int, seed: int, probabilities, quantile) -> np.ndarray:
+    """All n_draws quantiles of _blocks, written block by block to one array."""
+    import numpy as np
+
+    draws = np.empty(n_draws)
+    for _ in _blocks(n_draws, seed, probabilities, quantile, out=draws):
+        pass
+    return draws
 
 
 def we_sample(spec: WeibullExpSpec, n_draws: int, seed: int) -> np.ndarray:
@@ -292,12 +305,7 @@ def we_sample(spec: WeibullExpSpec, n_draws: int, seed: int) -> np.ndarray:
     quantile is not finite (e.g. phi = 1e-300 with rho = 0.01), as
     pit_sample does.
     """
-    import numpy as np
-
-    draws = np.empty(n_draws)
-    for _ in _quantile_blocks(spec, n_draws, seed, out=draws):
-        pass
-    return draws
+    return _fill(n_draws, seed, _uniforms, lambda u, q: _quantile(spec, u, q))
 
 
 def we_moment(spec: WeibullExpSpec, k: int) -> MomentResult:
@@ -387,7 +395,7 @@ def running_mean_trace(
     n = np.arange(stride, N + 1, stride)
     sums = np.empty(len(n))
     carry = 0.0
-    for start, q in _quantile_blocks(spec, N, seed):
+    for start, q in _blocks(N, seed, _uniforms, lambda u, q: _quantile(spec, u, q)):
         q[0] += carry
         np.cumsum(q, out=q)
         carry = q[-1]
@@ -429,26 +437,25 @@ def pit_sample(
 ) -> np.ndarray:
     """Probability-integral-transform sampler: F^-1(ndtr(a)), a standard normal.
 
-    ndtr (unobs_lab.special) runs in place over the normals, a block at a time.
-
-    quantile is vectorised: it maps the array of probabilities to an array
-    of the same shape.
+    The draws run through the samplers' one block loop (_blocks): BLOCK
+    normals at a time, mapped in place by ndtr (unobs_lab.special), clipped,
+    then through quantile into their slice of the output, so the peak is the
+    output plus a few blocks. quantile is elementwise: it maps an array of probabilities,
+    one block of them, to an array of the same shape.
     """
     import numpy as np
 
-    from unobs_lab.rng import substream
     from unobs_lab.special import ndtr
 
-    rng = substream(seed, 0)
-    u = rng.standard_normal(n_draws)  # overwritten: normals, then probabilities
-    ndtr(u, out=u)
-    np.clip(u, 1e-300, 1.0 - 1e-16, out=u)
-    vals = np.asarray(quantile(u), dtype=float)
-    if vals.shape != u.shape:
-        raise TypeError(
-            f"quantile returned shape {vals.shape} for probabilities of shape {u.shape}"
-        )
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        _non_finite(u[bad][0])
-    return vals
+    def normal_cdf(rng, u):
+        return ndtr(rng.standard_normal(out=u), out=u)
+
+    def into(u, q):
+        vals = np.asarray(quantile(u), dtype=float)
+        if vals.shape != u.shape:
+            raise TypeError(
+                f"quantile returned shape {vals.shape} for probabilities of shape {u.shape}"
+            )
+        q[...] = vals
+
+    return _fill(n_draws, seed, normal_cdf, into)

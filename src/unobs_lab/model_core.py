@@ -107,8 +107,8 @@ class SuffStats:
     evaluation costs O(#sizes * p^2), whatever the number of clusters.
     Digits do cancel: ww holds raw cluster sums, so when the data sit far
     from zero the between-cluster quadratic form is a small difference of
-    large terms. Adding 1e6 to y moves the fitted lam by about 5e-3, relative
-    (ROADMAP item 2).
+    large terms. Adding 1e6 to y moves the fitted lam by about 5e-3, relative,
+    so the fit is not yet translation-equivariant.
     """
 
     def __init__(self, data: Dataset):

@@ -18,7 +18,8 @@ last bit from the C library's for some inputs, so exp(-z*z) comes from
 math.exp, on the z >= 1 entries only. The underflow test skips exp and the
 polynomials, as Cephes does.
 
-ndtr works BLOCK entries at a time, so its temporaries stay bounded.
+ndtr allocates a few temporaries of its input's size; heavytail.pit_sample
+calls it one block of draws at a time, so there they stay bounded.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ import math
 
 import numpy as np
 
-__all__ = ["ndtr", "BLOCK"]
+__all__ = ["ndtr"]
 
-BLOCK = 1 << 15
 SQRT1_2 = 0.70710678118654752440
 MAXLOG = 7.09782712893383996732e2  # log(DBL_MAX)
 
@@ -118,33 +118,6 @@ def _erfc_tail(z: np.ndarray) -> np.ndarray:
     return e
 
 
-def _ndtr_block(a: np.ndarray, out: np.ndarray, x: np.ndarray, t: np.ndarray,
-                w: np.ndarray) -> None:
-    """out = ndtr(a), where out may be a; x, t and w are scratch of a's length."""
-    np.multiply(a, SQRT1_2, out=x)
-    far = np.flatnonzero(np.abs(x, out=t) >= SQRT1_2)
-    xf = x[far]
-    # erf(x) = x * T(x*x) / U(x*x) for every entry; the far ones are replaced
-    np.multiply(x, x, out=out)
-    _horner(out, T, t, False)
-    _horner(out, U, w, True)
-    t *= x
-    t /= w
-    np.multiply(t, 0.5, out=out)
-    out += 0.5
-    if far.size:
-        z = np.abs(xf)
-        e = np.abs(t[far])  # erf(z): the same products as erf(x), sign aside
-        np.subtract(1.0, e, out=e)
-        tail = np.flatnonzero(z >= 1.0)
-        if tail.size:
-            e[tail] = _erfc_tail(z[tail])
-        e *= 0.5
-        np.subtract(1.0, e, out=e, where=xf > 0.0)
-        out[far] = e
-    out[np.isnan(out)] = np.nan  # Cephes returns its own NaN, not a's
-
-
 def ndtr(a, out: np.ndarray | None = None) -> np.ndarray:
     """Standard normal CDF of a float array, bit-equal to scipy.special.ndtr.
 
@@ -155,12 +128,27 @@ def ndtr(a, out: np.ndarray | None = None) -> np.ndarray:
         out = np.empty_like(a, order="C")
     elif out.shape != a.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError("out must be a C-contiguous float64 array of the input's shape")
-    src, dst = a.reshape(-1), out.reshape(-1)
-    x = np.empty(min(BLOCK, src.size))
-    t, w = np.empty_like(x), np.empty_like(x)
+    dst = out.reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):  # x*x of huge x; replaced
-        for start in range(0, src.size, BLOCK):
-            stop = min(start + BLOCK, src.size)
-            m = stop - start
-            _ndtr_block(src[start:stop], dst[start:stop], x[:m], t[:m], w[:m])
+        x = a.reshape(-1) * SQRT1_2  # read before dst, which may be a, is written
+        far = np.flatnonzero(np.abs(x) >= SQRT1_2)
+        xf = x[far]
+        # erf(x) = x * T(x*x) / U(x*x) for every entry; the far ones are replaced
+        np.multiply(x, x, out=dst)
+        t = _horner(dst, T, np.empty_like(x), False)
+        t *= x
+        t /= _horner(dst, U, np.empty_like(x), True)
+        np.multiply(t, 0.5, out=dst)
+        dst += 0.5
+        if far.size:
+            z = np.abs(xf)
+            e = np.abs(t[far])  # erf(z): the same products as erf(x), sign aside
+            np.subtract(1.0, e, out=e)
+            tail = np.flatnonzero(z >= 1.0)
+            if tail.size:
+                e[tail] = _erfc_tail(z[tail])
+            e *= 0.5
+            np.subtract(1.0, e, out=e, where=xf > 0.0)
+            dst[far] = e
+    dst[np.isnan(dst)] = np.nan  # Cephes returns its own NaN, not a's
     return out

@@ -551,6 +551,16 @@ class TestLazyScipy:
         assert cold_main(argv, ("scipy", "unobs_lab.special")) == (
             0, {"scipy": False, "unobs_lab.special": False})
 
+    def test_scalar_layer_names_load_no_numpy(self):
+        """The package's CS names come from cs.py, the numpy-free scalar layer."""
+        loaded = cold(
+            "import sys\n"
+            "from unobs_lab import CSMatrix, DomainError, icc, validate_cs\n"
+            "sys.stderr.write(repr(sorted(m for m in sys.modules\n"
+            "                             if m == 'numpy' or m.startswith('unobs_lab'))))\n"
+        )
+        assert loaded == ["unobs_lab", "unobs_lab.cs"]
+
     def test_package_names_resolve_to_their_modules(self):
         """Every name the package has exported, loaded on first use, in dir()."""
         exported = {

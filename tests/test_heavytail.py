@@ -410,16 +410,21 @@ class TestPitSample:
         draws = pit_sample(lambda v: we_quantile(UNIT, v), 1000, seed=5)
         assert np.array_equal(draws, we_quantile(UNIT, u))
 
-    def test_peak_memory_is_three_outputs(self):
+    def test_blocks_are_one_stream(self):
+        """Mapped BLOCK normals at a time, the draws are one long call's."""
+        spec = WeibullExpSpec(1.3, 0.7, 0.8)
+        n = 2 * BLOCK + 7
+        u = np.clip(ndtr(substream(6, 0).standard_normal(n)), 1e-300, 1.0 - 1e-16)
+        seen = []
+        draws = pit_sample(lambda v: seen.append(len(v)) or we_quantile(spec, v), n, seed=6)
+        assert seen == [BLOCK, BLOCK, 7]
+        assert draws.tobytes() == we_quantile(spec, u).tobytes()
+
+    def test_peak_memory_is_below_one_and_a_half_outputs(self):
         n = 1_000_000
-        pit_sample(lambda u: we_quantile(UNIT, u), 10, seed=1)  # scipy loaded before tracing
-        tracemalloc.start()
-        try:
-            pit_sample(lambda u: we_quantile(UNIT, u), n, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3.1 * 8 * n  # u, we_quantile's copy of it and one temporary
+        pit_sample(lambda u: we_quantile(UNIT, u), 10, seed=1)  # ndtr loaded before tracing
+        peak = traced_peak(lambda: pit_sample(lambda u: we_quantile(UNIT, u), n, seed=1))
+        assert peak < 1.5 * 8 * n  # the draws and a few blocks of ndtr's temporaries
 
     def test_exponential_mean(self):
         draws = pit_sample(lambda u: -np.log(1 - u), 100_000, seed=7)
@@ -468,6 +473,18 @@ class TestWgSample:
         draws = wg_sample(spec, 100_000, seed=15)[0]
         ecdf_at_1 = np.mean(draws <= 1.0)
         assert ecdf_at_1 == pytest.approx(0.5, abs=0.01)
+
+    @pytest.mark.parametrize("rho", [0.5, 1.0, 2.5])
+    @pytest.mark.parametrize("delta", [0.5, 2.0])
+    def test_bayarri_mode_is_weibull_exponential(self, rho, delta):
+        """Exponential frailties of rate delta give WE(phi = lam * e^(x'xi), rho, delta)."""
+        n, lam, xi, x = 20_000, 0.7, [0.4, -1.1], [[1.5, 0.2], [-0.8, 0.9]]
+        spec = WeibullGammaSpec(lam=lam, rho=rho, xi=xi, x=x, alpha_g=[1.0, 1.0],
+                                beta_g=[1.0 / delta, 1.0 / delta], constraint_mode="bayarri")
+        for j, draws in enumerate(wg_sample(spec, n, seed=18)):
+            phi = lam * math.exp(float(np.dot(x[j], xi)))
+            we = WeibullExpSpec(phi, rho, delta)
+            assert kstest(draws, lambda y: we_cdf(we, y)).statistic < ks_critical(n)
 
     def test_degenerate_frailty_limit_is_weibull(self):
         spec = make_wg("frailty", 1e4, 1e-4, rho=1.5)

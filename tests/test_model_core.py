@@ -319,6 +319,37 @@ class TestCsv:
         data = read_dataset_csv(path)
         assert data.y[0] == 1.5
 
+    def test_lone_cr_accepted(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"cluster,unit,y,x1\ra,1,1.5,1\ra,2,2.5,1\r")
+        data = read_dataset_csv(path)
+        assert data.y.tolist() == [1.5, 2.5]
+
+    def test_empty_file_names_line_1(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(CsvFormatError, match="^line 1: empty file$"):
+            read_dataset_csv(path)
+
+    def test_header_only_names_line_2(self, tmp_path):
+        path = tmp_path / "head.csv"
+        path.write_text("cluster,unit,y,x1\n\n")
+        with pytest.raises(CsvFormatError, match="^line 2: no data rows$"):
+            read_dataset_csv(path)
+
+    def test_whitespace_only_line_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("cluster,unit,y,x1\na,1,1,1\n   \na,2,2,1\n")
+        with pytest.raises(CsvFormatError, match="^line 3: expected 4 columns, got 1$"):
+            read_dataset_csv(path)
+
+    def test_cluster_ids_are_stripped(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("cluster,unit,y,x1\n a,1,1,1\na ,2,2,1\nb,1,3,1\n")
+        data = read_dataset_csv(path)
+        assert data.cluster_ids == ("a", "b")
+        assert data.sizes.tolist() == [2, 1]
+
     def test_wrong_column_count_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("cluster,unit,y,x1\na,1,1,1\na,2,2\n")
