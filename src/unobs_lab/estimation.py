@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 import numpy as np
 
-from unobs_lab.equivalence import ExtendedSpec, joint_cov
 from unobs_lab.model_core import (
     CSMatrix,
     CSParams,
@@ -31,6 +30,9 @@ from unobs_lab.model_core import (
     RankDeficiencyError,
     validate_cs,
 )
+
+if TYPE_CHECKING:
+    from unobs_lab.equivalence import ExtendedSpec
 
 __all__ = [
     "FitResult",
@@ -293,6 +295,8 @@ def simulate_extended(
     rank-revealing eigenfactorization, so the rank-deficient boundary
     |alpha| = 1 is handled without failure. xi is the intercept, one entry.
     """
+    from unobs_lab.equivalence import joint_cov
+
     mu, sizes = _intercept(xi), np.array(layout.sizes())
     factors = {}
     for n in _distinct(sizes):

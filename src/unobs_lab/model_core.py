@@ -63,7 +63,7 @@ class Dataset:
 
     y (n_obs,) and X (n_obs, p) hold the rows cluster by cluster; cluster k
     is cluster_ids[k] and owns rows offsets[k]:offsets[k+1]. Ids default to
-    c1, c2, ... and covariate names to x1, x2, ...
+    c1, c2, ..., built when first read, and covariate names to x1, x2, ...
     """
 
     def __init__(self, y, X, sizes, cluster_ids=None, covariate_names=None):
@@ -74,15 +74,20 @@ class Dataset:
             raise ValueError("X must have one row per observation of y")
         if len(self.sizes) == 0 or self.sizes.min() < 1 or self.offsets[-1] != len(self.y):
             raise ValueError("need one or more clusters of size >= 1 covering every row")
-        if cluster_ids is None:
-            cluster_ids = [f"c{k + 1}" for k in range(len(self.sizes))]
+        if cluster_ids is not None:  # else the default is built on first read
+            self.cluster_ids = tuple(cluster_ids)
+            if len(self.cluster_ids) != len(self.sizes):
+                raise ValueError("need one cluster id per cluster")
         if covariate_names is None:
             covariate_names = [f"x{j + 1}" for j in range(self.X.shape[1])]
-        self.cluster_ids, self.covariate_names = tuple(cluster_ids), tuple(covariate_names)
-        if len(self.cluster_ids) != len(self.sizes):
-            raise ValueError("need one cluster id per cluster")
+        self.covariate_names = tuple(covariate_names)
         if len(self.covariate_names) != self.X.shape[1]:
             raise ValueError("covariate_names length must match design columns")
+
+    @cached_property
+    def cluster_ids(self) -> tuple:
+        """c1, c2, ...; given ids are set in __init__ and shadow this."""
+        return tuple(f"c{k + 1}" for k in range(self.n_clusters))
 
     @property
     def n_clusters(self) -> int:
@@ -190,11 +195,17 @@ def gls_mean(data: Dataset, lam: float, phi: float) -> np.ndarray:
 def read_dataset_csv(path) -> Dataset:
     """Parse a long-format dataset CSV (header ``cluster,unit,y,x1,...,xp``).
 
-    Clusters keep first-appearance order; rows within a cluster are sorted by
-    the integer ``unit`` column. Cells are plain comma-separated values (no
-    quoting) and empty lines are skipped. Raises CsvFormatError with the
+    The non-empty lines after the header are parsed in one ``np.loadtxt``
+    call into a cluster id (an object field, so no id is truncated), an
+    integer unit and p + 1 floats. Rows are coded by runs of equal ids and
+    each run's stripped id is looked up once, so clusters keep the order of
+    their first appearance whatever the file's order, interleaved or not.
+    Rows within a cluster are sorted by the integer ``unit`` column. Cells
+    are plain comma-separated values (no quoting); LF, CRLF and a lone CR
+    end lines, and empty lines are skipped. Raises CsvFormatError with the
     offending line number on malformed input, a non-finite number, or a
-    repeated (cluster, unit) pair.
+    repeated (cluster, unit) pair; a malformed line is found by bisecting
+    the lines, in O(log n) parses.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = fh.read().replace("\r\n", "\n").replace("\r", "\n").split("\n")
@@ -205,47 +216,71 @@ def read_dataset_csv(path) -> Dataset:
         raise CsvFormatError("line 1: header must start with 'cluster,unit,y'")
     if len(header) == 3:
         raise CsvFormatError("line 1: no covariate columns x1..xp after 'cluster,unit,y'")
-    linenos = [i for i, line in enumerate(lines[1:], start=2) if line]
-    if not linenos:
+    body = list(filter(None, lines[1:]))
+    if not body:
         raise CsvFormatError("line 2: no data rows")
-    parts = [lines[i - 1].partition(",") for i in linenos]
-    unit, vals = _parse_numbers(parts, linenos, len(header) - 3)
+    dtype = np.dtype([("c", object), ("unit", np.int64), ("v", float, (len(header) - 2,))])
+    rec = _parse_rows(body, dtype)
+    if rec is None:
+        _refuse_first_bad_row(body, dtype, lines)
+    c, unit, vals = rec["c"], rec["unit"], rec["v"]
     bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
     if len(bad):
-        raise CsvFormatError(f"line {linenos[bad[0]]}: non-finite value")
+        raise CsvFormatError(f"line {_linenos(lines)[bad[0]]}: non-finite value")
+    heads = np.flatnonzero(np.concatenate([[True], c[1:] != c[:-1]]))
     codes: dict[str, int] = {}  # cluster -> index, in order of first appearance
-    code = np.array([codes.setdefault(pt[0].strip(), len(codes)) for pt in parts])
+    run_code = [codes.setdefault(cid.strip(), len(codes)) for cid in c[heads]]
+    code = np.repeat(run_code, np.diff(np.append(heads, len(c))))
     perm = np.lexsort((unit, code))
-    dup = np.flatnonzero((np.diff(code[perm]) == 0) & (np.diff(unit[perm]) == 0))
+    if not (np.diff(perm) == 1).all():  # else the rows are in order already
+        code, unit, vals = code[perm], unit[perm], vals[perm]
+    dup = np.flatnonzero((np.diff(code) == 0) & (np.diff(unit) == 0))
     if len(dup):
         j = dup[np.argmin(perm[dup + 1])]  # the pair whose later line comes first
-        row, prev = perm[j + 1], perm[j]
+        linenos = _linenos(lines)
         raise CsvFormatError(
-            f"line {linenos[row]}: cluster {list(codes)[code[row]]!r} repeats unit "
-            f"{unit[row]} of line {linenos[prev]}"
+            f"line {linenos[perm[j + 1]]}: cluster {list(codes)[code[j]]!r} repeats unit "
+            f"{unit[j]} of line {linenos[perm[j]]}"
         )
-    sizes, ids = np.bincount(code), list(codes)
-    return Dataset(vals[perm, 0], vals[perm, 1:], sizes, ids, header[3:])
+    return Dataset(vals[:, 0], vals[:, 1:], np.bincount(code), list(codes), header[3:])
 
 
-def _parse_numbers(parts, linenos, p):
-    """unit (int) and y, x1..xp (float) from each line split at its first comma."""
-    dtype = np.dtype([("unit", np.int64), ("v", float, (p + 1,))])
-    fields = [pt[2] for pt in parts]
+def _linenos(lines) -> list[int]:
+    """The 1-based line number of each non-empty line after the header."""
+    return [i for i, line in enumerate(lines[1:], start=2) if line]
+
+
+def _parse_rows(body, dtype):
+    """The records of body's lines, or None if numpy refuses any of them."""
     try:
-        rec = np.loadtxt(fields, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-        if len(rec) == len(fields):  # loadtxt skips blank lines
-            return rec["unit"], rec["v"]
+        rec = np.loadtxt(body, dtype=dtype, delimiter=",", comments=None, ndmin=1)
     except ValueError:
-        pass
-    for lineno, pt, field in zip(linenos, parts, fields):  # name the first bad line
-        n_cols = 2 + field.count(",") if pt[1] else 1
-        if n_cols != 3 + p:
-            raise CsvFormatError(f"line {lineno}: expected {3 + p} columns, got {n_cols}")
-        try:
-            np.loadtxt([field], dtype=dtype, delimiter=",", comments=None)
-        except ValueError as exc:  # drop numpy's position within the one line
-            raise CsvFormatError(f"line {lineno}: {str(exc).split(' at row')[0]}") from None
+        return None
+    return rec if len(rec) == len(body) else None
+
+
+def _refuse_first_bad_row(body, dtype, lines):
+    """Raise CsvFormatError naming the first line of body that numpy refuses.
+
+    Every line before body[lo] parses and body[lo:hi] holds a refused one, so
+    each step parses only the lines between and halves them: O(log n) calls
+    and O(n) lines parsed in all.
+    """
+    lo, hi = 0, len(body)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _parse_rows(body[lo:mid], dtype) is None:
+            hi = mid
+        else:
+            lo = mid
+    lineno, line = _linenos(lines)[lo], body[lo]
+    n_cols, want = line.count(",") + 1, 2 + dtype["v"].shape[0]
+    if n_cols != want:
+        raise CsvFormatError(f"line {lineno}: expected {want} columns, got {n_cols}")
+    try:
+        np.loadtxt([line], dtype=dtype, delimiter=",", comments=None)
+    except ValueError as exc:  # drop numpy's position within the one line
+        raise CsvFormatError(f"line {lineno}: {str(exc).split(' at row')[0]}") from None
     raise AssertionError("numpy refused the file but accepted each line")
 
 

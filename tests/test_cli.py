@@ -524,9 +524,11 @@ class TestLazyScipy:
         assert cold_main(argv, ("numpy", "scipy")) == (rc, {"numpy": False, "scipy": False})
 
     def test_fit_loads_no_sampler(self, tmp_path):
+        """Nor the equivalence model, which only simulate_extended uses."""
         tiny = tmp_path / "tiny.csv"
         tiny.write_text("cluster,unit,y,x1\na,1,1,1\na,2,2,1\nb,1,4,1\nb,2,3,1\nc,1,0,1\n")
-        modules = ("unobs_lab.heavytail", "unobs_lab.rows", "unobs_lab.rng")
+        modules = ("unobs_lab.heavytail", "unobs_lab.rows", "unobs_lab.rng",
+                   "unobs_lab.equivalence")
         rc, loaded = cold_main(["fit", "--data", str(tiny)], modules)
         assert rc == 0 and not any(loaded.values()), loaded
 

@@ -1,4 +1,7 @@
 import io
+import os
+import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -281,6 +284,12 @@ class TestDataModel:
         assert (plain.cluster_ids, plain.covariate_names) == (("c1", "c2"), ("x1", "x2"))
         assert gls_mean(plain, 0.4, 1.1) == pytest.approx(dense_gls(plain, 0.4, 1.1), abs=1e-14)
 
+    def test_default_ids_are_built_on_first_read(self):
+        data = Dataset(np.zeros(3), np.ones((3, 1)), [1, 2])
+        assert "cluster_ids" not in vars(data)
+        assert data.cluster_ids == ("c1", "c2")
+        assert data.cluster_ids is data.cluster_ids
+
     def test_sizes_must_cover_rows(self):
         with pytest.raises(ValueError):
             Dataset([1.0, 2.0], np.ones((2, 1)), [1, 2], ["a", "b"], ["x1"])
@@ -402,6 +411,95 @@ class TestCsv:
         write_dataset_csv(data, buf)
         assert buf.getvalue() == path.read_text()
         assert buf.getvalue().splitlines()[1] == "a,1,0.10000000000000001,1"
+
+
+def reference_read(text):
+    """The reader's contract in plain Python: ids, sizes, y and X of a CSV text."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    clusters = {}  # stripped id -> [(unit, [y, x1, ..., xp])], first appearance first
+    for line in lines[1:]:
+        if line:
+            cid, unit, *vals = line.split(",")
+            clusters.setdefault(cid.strip(), []).append((int(unit), [float(v) for v in vals]))
+    rows = [v for r in clusters.values() for _, v in sorted(r, key=lambda t: t[0])]
+    return tuple(clusters), [len(r) for r in clusters.values()], np.array(rows)
+
+
+@st.composite
+def csv_texts(draw):
+    """A valid dataset CSV: padded, interleaved, shuffled, blank lines, any line end."""
+    id_text = st.text(st.characters(codec="utf-8", exclude_characters=",\r\n"),
+                      min_size=1, max_size=100)
+    ids = draw(st.lists(id_text, min_size=1, max_size=5, unique_by=str.strip))
+    p = draw(st.integers(1, 3))
+    cell = st.floats(allow_nan=False, allow_infinity=False)
+    rows = []
+    for cid in ids:
+        units = draw(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=6, unique=True))
+        for unit in units:
+            pad = draw(st.sampled_from(["", " ", "  "])), draw(st.sampled_from(["", " "]))
+            vals = draw(st.lists(cell, min_size=p + 1, max_size=p + 1))
+            rows.append(",".join([pad[0] + cid + pad[1], str(unit), *map(repr, vals)]))
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    ends = st.sampled_from(["\n", "\r\n", "\r", "\n\n", "\r\n\r\n", "\n\n\n"])
+    head = "cluster,unit,y," + ",".join(f"x{j + 1}" for j in range(p))
+    text = "".join(line + draw(ends) for line in [head, *rows])
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
+class TestCsvAgainstReference:
+    @given(text=csv_texts())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_plain_python_reader(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            data = read_dataset_csv(path)
+        ids, sizes, rows = reference_read(text)
+        assert data.cluster_ids == ids
+        assert data.sizes.tolist() == sizes
+        assert np.array_equal(data.y, rows[:, 0]) and np.array_equal(data.X, rows[:, 1:])
+
+    def test_long_id_round_trips_untruncated(self, tmp_path):
+        cid = "é" + "x" * 98 + "z"
+        data = intercept_dataset({cid: [1.0, 2.0], "b": [3.0]})
+        write_dataset_csv(data, tmp_path / "data.csv")
+        back = read_dataset_csv(tmp_path / "data.csv")
+        assert back.cluster_ids == (cid, "b") and len(back.cluster_ids[0]) == 100
+
+    @pytest.mark.parametrize("bad", [0, 1, 2047, 4095])
+    def test_refusal_bisects(self, tmp_path, monkeypatch, bad):
+        """A bad cell costs O(log n) loadtxt calls and is still named by its line."""
+        rows = [f"a,{k + 1},{k},1" for k in range(4096)]
+        rows[bad] = f"a,{bad + 1},oops,1"
+        path = tmp_path / "bad.csv"
+        path.write_text("cluster,unit,y,x1\n" + "\n".join(rows) + "\n")
+        calls = []
+        loadtxt = np.loadtxt
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counting)
+        with pytest.raises(CsvFormatError,
+                           match=f"^line {bad + 2}: could not convert string 'oops' to float64$"):
+            read_dataset_csv(path)
+        assert len(calls) <= 2 * 12 + 2 and sum(calls) <= 3 * 4096
+
+    @pytest.mark.parametrize("line,message", [
+        ("a,3,1", "expected 4 columns, got 3"),
+        ("a,3,1,1,1", "expected 4 columns, got 5"),
+        ("a,3.5,1,1", "could not convert string '3.5' to int64"),
+        ("a,3,1,", "could not convert string '' to float64"),
+    ])
+    def test_refusal_after_blank_lines_names_line(self, tmp_path, line, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"cluster,unit,y,x1\n\na,1,1,1\n\n\na,2,2,1\n{line}\n\nb,1,1,1\n")
+        with pytest.raises(CsvFormatError, match=f"^line 7: {re.escape(message)}$"):
+            read_dataset_csv(path)
 
 
 class TestWriteRows:
