@@ -63,7 +63,7 @@ class Dataset:
 
     y (n_obs,) and X (n_obs, p) hold the rows cluster by cluster; cluster k
     is cluster_ids[k] and owns rows offsets[k]:offsets[k+1]. Ids default to
-    c1, c2, ..., built when first read, and covariate names to x1, x2, ...
+    c1, c2, ... and covariate names to x1, x2, ...
     """
 
     def __init__(self, y, X, sizes, cluster_ids=None, covariate_names=None):
@@ -74,20 +74,15 @@ class Dataset:
             raise ValueError("X must have one row per observation of y")
         if len(self.sizes) == 0 or self.sizes.min() < 1 or self.offsets[-1] != len(self.y):
             raise ValueError("need one or more clusters of size >= 1 covering every row")
-        if cluster_ids is not None:  # else the default is built on first read
-            self.cluster_ids = tuple(cluster_ids)
-            if len(self.cluster_ids) != len(self.sizes):
-                raise ValueError("need one cluster id per cluster")
+        if cluster_ids is None:
+            cluster_ids = [f"c{k + 1}" for k in range(len(self.sizes))]
         if covariate_names is None:
             covariate_names = [f"x{j + 1}" for j in range(self.X.shape[1])]
-        self.covariate_names = tuple(covariate_names)
+        self.cluster_ids, self.covariate_names = tuple(cluster_ids), tuple(covariate_names)
+        if len(self.cluster_ids) != len(self.sizes):
+            raise ValueError("need one cluster id per cluster")
         if len(self.covariate_names) != self.X.shape[1]:
             raise ValueError("covariate_names length must match design columns")
-
-    @cached_property
-    def cluster_ids(self) -> tuple:
-        """c1, c2, ...; given ids are set in __init__ and shadow this."""
-        return tuple(f"c{k + 1}" for k in range(self.n_clusters))
 
     @property
     def n_clusters(self) -> int:
@@ -232,8 +227,7 @@ def read_dataset_csv(path) -> Dataset:
     run_code = [codes.setdefault(cid.strip(), len(codes)) for cid in c[heads]]
     code = np.repeat(run_code, np.diff(np.append(heads, len(c))))
     perm = np.lexsort((unit, code))
-    if not (np.diff(perm) == 1).all():  # else the rows are in order already
-        code, unit, vals = code[perm], unit[perm], vals[perm]
+    code, unit, vals = code[perm], unit[perm], vals[perm]
     dup = np.flatnonzero((np.diff(code) == 0) & (np.diff(unit) == 0))
     if len(dup):
         j = dup[np.argmin(perm[dup + 1])]  # the pair whose later line comes first

@@ -284,12 +284,6 @@ class TestDataModel:
         assert (plain.cluster_ids, plain.covariate_names) == (("c1", "c2"), ("x1", "x2"))
         assert gls_mean(plain, 0.4, 1.1) == pytest.approx(dense_gls(plain, 0.4, 1.1), abs=1e-14)
 
-    def test_default_ids_are_built_on_first_read(self):
-        data = Dataset(np.zeros(3), np.ones((3, 1)), [1, 2])
-        assert "cluster_ids" not in vars(data)
-        assert data.cluster_ids == ("c1", "c2")
-        assert data.cluster_ids is data.cluster_ids
-
     def test_sizes_must_cover_rows(self):
         with pytest.raises(ValueError):
             Dataset([1.0, 2.0], np.ones((2, 1)), [1, 2], ["a", "b"], ["x1"])
@@ -394,6 +388,12 @@ class TestCsv:
         path = tmp_path / "bad.csv"
         path.write_text("cluster,unit,y,x1\na,1,1,1\nb,1,2,1\na,2,3,1\nb,1,4,1\n")
         with pytest.raises(CsvFormatError, match="line 5: cluster 'b' repeats unit 1 of line 3"):
+            read_dataset_csv(path)
+
+    def test_duplicate_unit_in_sorted_file_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("cluster,unit,y,x1\na,1,1,1\na,1,2,1\nb,1,3,1\n")
+        with pytest.raises(CsvFormatError, match="line 3: cluster 'a' repeats unit 1 of line 2"):
             read_dataset_csv(path)
 
     def test_clusters_by_first_appearance(self, tmp_path):
