@@ -15,7 +15,6 @@ equivalence and heavytail moments run without numpy or scipy.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 
@@ -76,11 +75,19 @@ def _seed(seed: int) -> int:
     return seed
 
 
+def _nonempty(values: list, text: str) -> list:
+    """values parsed from text, refused as a usage error (argparse names the flag) if empty."""
+    if not values:
+        raise argparse.ArgumentTypeError(f"{text!r} gives no values")
+    return values
+
+
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v != ""]
+        values = [float(v) for v in text.split(",") if v != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
+    return _nonempty(values, text)
 
 
 def _k_range(text: str) -> list[int]:
@@ -88,7 +95,7 @@ def _k_range(text: str) -> list[int]:
     try:
         if ".." in text:
             lo, hi = text.split("..")
-            return list(range(int(lo), int(hi) + 1))
+            return _nonempty(list(range(int(lo), int(hi) + 1)), text)
         return [int(v) for v in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a k range: {text!r}")
@@ -192,7 +199,6 @@ def _cmd_fit(args) -> int:
 def _cmd_simulate(args) -> int:
     import numpy as np
 
-    from unobs_lab import equivalence as eq
     from unobs_lab import estimation as est
     from unobs_lab.model_core import CSParams, write_dataset_csv
 
@@ -201,7 +207,9 @@ def _cmd_simulate(args) -> int:
         params = CSParams(xi=np.array(args.xi), lam=args.lam, phi=args.phi)
         data = est.simulate_cs(params, layout, seed=_seed(args.seed))
     else:
-        spec = eq.ExtendedSpec(lambda2=args.lambda2, nu2=args.nu2, alpha=args.alpha)
+        from unobs_lab.equivalence import ExtendedSpec
+
+        spec = ExtendedSpec(lambda2=args.lambda2, nu2=args.nu2, alpha=args.alpha)
         data, latents = est.simulate_extended(spec, args.xi, layout, seed=_seed(args.seed))
     write_dataset_csv(data, _dest(args.out))
     if args.latent is not None:  # one line per cluster: id, b, eps1..epsn
@@ -217,7 +225,7 @@ def _cmd_heavytail(args) -> int:
 
     spec = ht.WeibullExpSpec(phi=args.phi, rho=args.rho, delta=args.delta)
     if args.action == "moments":
-        records = [dataclasses.asdict(ht.we_moment(spec, k)) for k in args.k]
+        records = [ht.we_moment(spec, k)._asdict() for k in args.k]
         write_rows(_dest(args.out), _json(records) + "\n")
     elif args.action == "sample":
         draws = ht.we_sample(spec, _draw_count(args.n), seed=_seed(args.seed))

@@ -7,7 +7,7 @@ re-exports every name, which stays the usual place to import them from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "DomainError",
@@ -38,21 +38,19 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-@dataclass(frozen=True)
-class CSMatrix:
+class CSMatrix(namedtuple("CSMatrix", "n lam phi")):
     """The n x n matrix lam*J_n + phi*I_n, held as its three numbers.
 
     Its eigenvalues are phi (n-1 times) and phi + n*lam; .array builds the
     dense matrix only on request, so n is not limited by storage.
     """
 
-    n: int
-    lam: float
-    phi: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n: int, lam: float, phi: float):
+        if n < 1:
             raise ValueError("n must be >= 1")
+        return super().__new__(cls, n, lam, phi)
 
     @property
     def array(self):

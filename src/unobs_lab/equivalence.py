@@ -21,11 +21,11 @@ return arrays, so eb and equivalence never load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from collections import namedtuple
 
 from unobs_lab.cs import CSMatrix, DomainError, validate_cs
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
     import numpy as np
 
@@ -53,38 +53,34 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpecA:
+class SpecA(namedtuple("SpecA", "lambda2 nu1sq nu2sq")):
     """Random intercept (variance lambda2) with heterogeneous errors, n = 2."""
 
-    lambda2: float
-    nu1sq: float
-    nu2sq: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lambda2 < 0:
+    def __new__(cls, lambda2: float, nu1sq: float, nu2sq: float):
+        if lambda2 < 0:
             raise DomainError("lambda2 must be >= 0")
-        if not (self.nu1sq > 0 and self.nu2sq > 0):
+        if not (nu1sq > 0 and nu2sq > 0):
             raise DomainError("error variances must be strictly positive")
+        return super().__new__(cls, lambda2, nu1sq, nu2sq)
 
 
-@dataclass(frozen=True)
-class SpecB:
+class SpecB(namedtuple("SpecB", "lambda1sq lambda2sq nusq")):
     """Uncorrelated intercept+slope random effects with homogeneous error, n = 2.
 
     lambda2sq may be negative so that the image of map_a_to_b is always
     representable; is_valid_hierarchy reports whether a real hierarchy exists.
     """
 
-    lambda1sq: float
-    lambda2sq: float
-    nusq: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lambda1sq < 0:
+    def __new__(cls, lambda1sq: float, lambda2sq: float, nusq: float):
+        if lambda1sq < 0:
             raise DomainError("lambda1sq must be >= 0")
-        if not self.nusq > 0:
+        if not nusq > 0:
             raise DomainError("nusq must be strictly positive")
+        return super().__new__(cls, lambda1sq, lambda2sq, nusq)
 
     @property
     def is_valid_hierarchy(self) -> bool:
@@ -143,38 +139,39 @@ def derive_d_tau(lambda2: float, nu2: float, alpha: float) -> tuple[float, float
     return max(d, 0.0), tau
 
 
-@dataclass(frozen=True)
-class ExtendedSpec:
+class ExtendedSpec(namedtuple("ExtendedSpec", "lambda2 nu2 alpha d tau")):
     """Correlated random-intercept model indexed by alpha in [-1, 1].
 
     (lambda2, nu2) are the marginal compound-symmetry parameters; d and tau
-    are derived once, by derive_d_tau, which also validates all three.
+    are derived at construction by derive_d_tau, which also validates all
+    three. _replace, _make, copy and pickle go through __new__ too, so d and
+    tau always match alpha: _replace refuses d and tau, _make takes three values.
     """
 
-    lambda2: float
-    nu2: float
-    alpha: float
-    d: float = field(init=False)
-    tau: float = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        d, tau = derive_d_tau(self.lambda2, self.nu2, self.alpha)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "tau", tau)
+    def __new__(cls, lambda2: float, nu2: float, alpha: float):
+        return super().__new__(cls, lambda2, nu2, alpha, *derive_d_tau(lambda2, nu2, alpha))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def _replace(self, **changes):
+        return type(self)(**dict(zip(self._fields[:3], self), **changes))
+
+    def __getnewargs__(self):
+        return self[:3]
 
     @property
     def s(self) -> float:
         return math.sqrt(self.lambda2 + self.nu2)
 
 
-@dataclass(frozen=True)
-class DecompRow:
-    """One row of the variance/covariance decomposition into sigma2, d, 2*tau."""
+class DecompRow(namedtuple("DecompRow", "quantity sigma2_part d_part two_tau_part")):
+    """One row, quantity "variance" or "covariance", of its split into sigma2, d, 2*tau."""
 
-    quantity: str  # "variance" or "covariance"
-    sigma2_part: float
-    d_part: float
-    two_tau_part: float
+    __slots__ = ()
 
     @property
     def total(self) -> float:
@@ -203,19 +200,17 @@ def joint_cov(spec: ExtendedSpec, n: int) -> np.ndarray:
     return c
 
 
-@dataclass(frozen=True)
-class ConditionalErrorDist:
-    """Gaussian law of the error vector given the random intercept."""
+class ConditionalErrorDist(namedtuple("ConditionalErrorDist", "mean cov")):
+    """Gaussian law of the error vector given the random intercept; mean is read-only."""
 
-    mean: np.ndarray
-    cov: CSMatrix
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, mean, cov: CSMatrix):
         import numpy as np
 
-        mean = np.asarray(self.mean, dtype=float).copy()
+        mean = np.array(mean, dtype=float)
         mean.flags.writeable = False
-        object.__setattr__(self, "mean", mean)
+        return super().__new__(cls, mean, cov)
 
 
 def conditional_error_dist(spec: ExtendedSpec, b: float, n: int) -> ConditionalErrorDist:

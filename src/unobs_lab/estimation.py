@@ -17,8 +17,7 @@ depend on how many clusters are simulated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence, Union
+from collections import namedtuple
 
 import numpy as np
 
@@ -31,7 +30,10 @@ from unobs_lab.model_core import (
     validate_cs,
 )
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
+    from typing import Sequence
+
     from unobs_lab.equivalence import ExtendedSpec
 
 __all__ = [
@@ -55,28 +57,27 @@ class UnsupportedLayoutError(ValueError):
     """Closed-form estimation requested on a layout it does not cover."""
 
 
-@dataclass(frozen=True)
-class FitResult:
-    params: CSParams
-    loglik: float
-    converged: bool
-    iterations: int
-    constraint_active: bool
+class FitResult(
+    namedtuple("FitResult", "params loglik converged iterations constraint_active")
+):
+    """An ML fit: the CSParams at the maximum, its log-likelihood and how it was found."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SimLayout:
+class SimLayout(namedtuple("SimLayout", "n_clusters cluster_size")):
     """Cluster layout for simulation: N clusters, balanced size or explicit list."""
 
-    n_clusters: int
-    cluster_size: Union[int, Sequence[int]]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n_clusters < 1:
+    def __new__(cls, n_clusters: int, cluster_size: int | Sequence[int]):
+        self = super().__new__(cls, n_clusters, cluster_size)
+        if n_clusters < 1:
             raise ValueError("n_clusters must be >= 1")
         for n in self.sizes():
             if n < 1:
                 raise ValueError("cluster sizes must be >= 1")
+        return self
 
     def sizes(self) -> list[int]:
         if isinstance(self.cluster_size, int):
@@ -278,12 +279,10 @@ def simulate_cs(params: CSParams, layout: SimLayout, seed: int) -> Dataset:
     return Dataset(y, np.ones((len(y), 1)), sizes)
 
 
-@dataclass(frozen=True)
-class Latents:
+class Latents(namedtuple("Latents", "b eps")):
     """simulate_extended's latent columns: b per cluster, eps per row of y."""
 
-    b: np.ndarray
-    eps: np.ndarray
+    __slots__ = ()
 
 
 def simulate_extended(

@@ -30,12 +30,14 @@ keeps every stride-th sum only: 0.30 x 8N bytes at N = 1e6, stride 10.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from collections import namedtuple
 
 from unobs_lab.cs import DomainError
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
+    from typing import Callable
+
     import numpy as np
 
 __all__ = [
@@ -71,8 +73,9 @@ class QuadratureError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeibullGammaSpec:
+class WeibullGammaSpec(
+    namedtuple("WeibullGammaSpec", "lam rho xi x alpha_g beta_g constraint_mode")
+):
     """Weibull outcomes with independent gamma frailties per component.
 
     Component j has frailty theta_j ~ Gamma(shape alpha_g[j], scale beta_g[j])
@@ -85,25 +88,23 @@ class WeibullGammaSpec:
       * "free": both parameters unconstrained. In free mode alpha_g and
         beta_g are not jointly identifiable with an intercept in xi; this is
         surfaced via aliasing_warning, not rejected.
+
+    x holds one covariate row per component, shape (m, p). xi, x, alpha_g and
+    beta_g are held as read-only float copies.
     """
 
-    lam: float
-    rho: float
-    xi: np.ndarray
-    x: np.ndarray  # (m, p): covariate row per component
-    alpha_g: np.ndarray
-    beta_g: np.ndarray
-    constraint_mode: str = "frailty"
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, lam: float, rho: float, xi, x, alpha_g, beta_g,
+                constraint_mode: str = "frailty"):
         import numpy as np
 
-        if not (self.lam > 0 and self.rho > 0):
+        if not (lam > 0 and rho > 0):
             raise DomainError("lam and rho must be strictly positive")
-        xi = np.atleast_1d(np.asarray(self.xi, dtype=float))
-        x = np.atleast_2d(np.asarray(self.x, dtype=float))
-        a = np.atleast_1d(np.asarray(self.alpha_g, dtype=float))
-        b = np.atleast_1d(np.asarray(self.beta_g, dtype=float))
+        xi = np.array(xi, dtype=float, ndmin=1)  # copies: the caller's arrays stay writable
+        x = np.array(x, dtype=float, ndmin=2)
+        a = np.array(alpha_g, dtype=float, ndmin=1)
+        b = np.array(beta_g, dtype=float, ndmin=1)
         if x.shape[1] != len(xi):
             raise ValueError("covariate rows must match the length of xi")
         m = x.shape[0]
@@ -111,17 +112,17 @@ class WeibullGammaSpec:
             raise ValueError("alpha_g and beta_g must have one entry per component")
         if not (np.all(a > 0) and np.all(b > 0)):
             raise DomainError("gamma parameters must be strictly positive")
-        if self.constraint_mode not in CONSTRAINT_MODES:
+        if constraint_mode not in CONSTRAINT_MODES:
             raise ValueError(f"constraint_mode must be one of {CONSTRAINT_MODES}")
-        if self.constraint_mode == "frailty" and not np.all(abs(a * b - 1.0) <= FRAILTY_TOL):
+        if constraint_mode == "frailty" and not np.all(abs(a * b - 1.0) <= FRAILTY_TOL):
             raise DomainError(
                 f"frailty mode requires |alpha_g * beta_g - 1| <= {FRAILTY_TOL!r}"
             )
-        if self.constraint_mode == "bayarri" and not np.all(a == 1.0):
+        if constraint_mode == "bayarri" and not np.all(a == 1.0):
             raise DomainError("bayarri mode requires alpha_g = 1")
-        for name, val in (("xi", xi), ("x", x), ("alpha_g", a), ("beta_g", b)):
+        for val in (xi, x, a, b):
             val.flags.writeable = False
-            object.__setattr__(self, name, val)
+        return super().__new__(cls, lam, rho, xi, x, a, b, constraint_mode)
 
     @property
     def n_components(self) -> int:
@@ -133,17 +134,15 @@ class WeibullGammaSpec:
         return self.constraint_mode == "free" and len(self.xi) > 0
 
 
-@dataclass(frozen=True)
-class WeibullExpSpec:
+class WeibullExpSpec(namedtuple("WeibullExpSpec", "phi rho delta")):
     """Single-outcome Weibull-exponential parameters (phi, rho, delta)."""
 
-    phi: float
-    rho: float
-    delta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.phi > 0 and self.rho > 0 and self.delta > 0):
+    def __new__(cls, phi: float, rho: float, delta: float):
+        if not (phi > 0 and rho > 0 and delta > 0):
             raise DomainError("phi, rho, delta must all be strictly positive")
+        return super().__new__(cls, phi, rho, delta)
 
     @classmethod
     def from_weibull(cls, lam: float, rho: float, delta: float, mu: float = 0.0):
@@ -151,8 +150,7 @@ class WeibullExpSpec:
         return cls(phi=lam * math.exp(mu), rho=rho, delta=delta)
 
 
-@dataclass(frozen=True)
-class MomentResult:
+class MomentResult(namedtuple("MomentResult", "k formula_defined integral_finite value")):
     """Tri-state outcome of evaluating E(Y^k).
 
     formula_defined: the Gamma arguments avoid non-positive integers.
@@ -160,18 +158,17 @@ class MomentResult:
     value: present iff integral_finite.
     """
 
-    k: int
-    formula_defined: bool
-    integral_finite: bool
-    value: Optional[float] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.integral_finite and not self.formula_defined:
+    def __new__(cls, k: int, formula_defined: bool, integral_finite: bool,
+                value: float | None = None):
+        if integral_finite and not formula_defined:
             raise ValueError("finite integral implies a defined formula")
-        if (self.value is not None) != self.integral_finite:
+        if (value is not None) != integral_finite:
             raise ValueError("value must be present exactly when the integral is finite")
-        if self.value is not None and not self.value > 0:
+        if value is not None and not value > 0:
             raise ValueError("moments of a positive variable must be positive")
+        return super().__new__(cls, k, formula_defined, integral_finite, value)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ write_rows) lives in unobs_lab.cs and is re-exported here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 import numpy as np
@@ -148,23 +148,18 @@ class SuffStats:
         return xi
 
 
-@dataclass(frozen=True)
-class CSParams:
+class CSParams(namedtuple("CSParams", "xi lam phi")):
     """Marginal compound-symmetry parameters (xi, lam, phi); lam may be negative."""
 
-    xi: np.ndarray
-    lam: float
-    phi: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        xi = _frozen_array(np.atleast_1d(self.xi))
+    def __new__(cls, xi, lam: float, phi: float):
+        xi = _frozen_array(np.atleast_1d(xi))
         if xi.ndim != 1:
             raise ValueError("xi must be a vector")
-        if not self.phi > 0:
-            raise DomainError(f"phi must be strictly positive, got {self.phi}")
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "lam", float(self.lam))
-        object.__setattr__(self, "phi", float(self.phi))
+        if not phi > 0:
+            raise DomainError(f"phi must be strictly positive, got {phi}")
+        return super().__new__(cls, xi, float(lam), float(phi))
 
     @property
     def p(self) -> int:

@@ -400,6 +400,23 @@ class TestContract:
         assert run(capsys, "nonsense")[0] == 2
         assert run(capsys, "equivalence")[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv,flag,text",
+        [
+            (["heavytail", "moments", "--phi", "1", "--rho", "2", "--delta", "1",
+              "--k", "3..1"], "--k", "'3..1'"),
+            (["equivalence", "--lambda2", "1", "--nu2", "1", "--alpha-grid=,"],
+             "--alpha-grid", "','"),
+            (["simulate", "--model", "cs", "--lambda", "1", "--phi", "1", "--xi=",
+              "--n-clusters", "2", "--cluster-size", "2", "--seed", "1"], "--xi", "''"),
+        ],
+    )
+    def test_empty_lists_are_usage_errors_naming_the_flag(self, capsys, argv, flag, text):
+        """An empty k range or float list is refused, not written as an empty report."""
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err.splitlines()[-1].endswith(f"error: argument {flag}: {text} gives no values")
+
     def test_json_floats_have_17_digit_format(self, capsys):
         rc, out, _ = run(
             capsys,
@@ -521,7 +538,60 @@ class TestLazyScipy:
         ],
     )
     def test_closed_form_commands_load_neither_numpy_nor_scipy(self, argv, rc):
-        assert cold_main(argv, ("numpy", "scipy")) == (rc, {"numpy": False, "scipy": False})
+        """Nor dataclasses and inspect: the value classes are namedtuples."""
+        modules = ("numpy", "scipy", "dataclasses", "inspect")
+        assert cold_main(argv, modules) == (rc, dict.fromkeys(modules, False))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eb", "--lambda2", "1", "--nu2", "1", "--alpha", "0"],
+            ["equivalence", "--lambda2", "2", "--nu2", "1", "--alpha-grid=-1,0,1", "--n", "2"],
+            ["heavytail", "moments", "--phi", "1", "--rho", "2", "--delta", "1", "--k", "1..4"],
+        ],
+    )
+    def test_closed_form_commands_without_site_load_no_typing(self, argv):
+        """Under python -S no .pth file preloads typing, so its cost would show here."""
+        modules = ["numpy", "scipy", "dataclasses", "inspect", "typing"]
+        code = (
+            "import sys\n"
+            "from unobs_lab.cli import main\n"
+            f"rc = main({argv!r})\n"
+            "sys.stdout.flush()\n"
+            f"sys.stderr.write('\\n' + repr((rc, [m for m in {modules!r} if m in sys.modules])))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                              env=env, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert ast.literal_eval(proc.stderr.splitlines()[-1]) == (0, [])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--model", "cs", "--lambda", "1", "--phi", "1",
+             "--n-clusters", "5", "--cluster-size", "2", "--seed", "1"],
+            ["simulate", "--model", "extended", "--lambda2", "1", "--nu2", "1", "--alpha", "0",
+             "--n-clusters", "5", "--cluster-size", "2", "--seed", "1", "--latent", "-"],
+            ["fit", "--data", "{tiny_csv}"],
+            ["heavytail", "sample", "--phi", "1", "--rho", "2", "--delta", "1",
+             "--n", "3", "--seed", "1"],
+            ["heavytail", "trace", "--phi", "1", "--rho", "2", "--delta", "1",
+             "--n", "3", "--seed", "1"],
+            ["pit", "--phi", "1", "--rho", "1", "--delta", "1", "--n", "3", "--seed", "1"],
+        ],
+    )
+    def test_numpy_commands_load_no_dataclasses(self, argv, tmp_path):
+        tiny = tmp_path / "tiny.csv"
+        tiny.write_text("cluster,unit,y,x1\na,1,1,1\na,2,2,1\nb,1,4,1\nb,2,3,1\nc,1,0,1\n")
+        argv = [arg.replace("{tiny_csv}", str(tiny)) for arg in argv]
+        assert cold_main(argv, ("dataclasses",)) == (0, {"dataclasses": False})
+
+    def test_cs_simulation_loads_no_equivalence_model(self):
+        argv = ["simulate", "--model", "cs", "--lambda", "1", "--phi", "1",
+                "--n-clusters", "5", "--cluster-size", "2", "--seed", "1"]
+        assert cold_main(argv, ("unobs_lab.equivalence",)) == (
+            0, {"unobs_lab.equivalence": False})
 
     def test_fit_loads_no_sampler(self, tmp_path):
         """Nor the equivalence model, which only simulate_extended uses."""
