@@ -83,8 +83,12 @@ def _nonempty(values: list, text: str) -> list:
 
 
 def _float_list(text: str) -> list[float]:
+    items = text.split(",")
+    if any(items) and not all(items):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} has an empty item (a doubled, leading or trailing comma)")
     try:
-        values = [float(v) for v in text.split(",") if v != ""]
+        values = [float(v) for v in items if v]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
     return _nonempty(values, text)

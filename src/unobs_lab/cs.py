@@ -1,8 +1,8 @@
 """The numpy-free scalar layer: errors, the CS matrix, its checks, the row writer.
 
 Everything here is plain Python, so the closed-form commands (eb,
-equivalence, heavytail moments) run without importing numpy. model_core
-re-exports every name, which stays the usual place to import them from.
+equivalence, heavytail moments) run without importing numpy. This module is
+the one place to import these names from.
 """
 
 from __future__ import annotations

@@ -216,8 +216,12 @@ class ConditionalErrorDist(namedtuple("ConditionalErrorDist", "mean cov")):
 def conditional_error_dist(spec: ExtendedSpec, b: float, n: int) -> ConditionalErrorDist:
     """Distribution of the errors given the random intercept value b.
 
-    Mean (tau*b/d) * 1_n, covariance sigma2*I - (tau^2/d)*J; singular exactly
-    at |alpha| = 1 (the PSD slack d*sigma2 - tau^2 vanishes there).
+    Mean (tau*b/d) * 1_n, covariance sigma2*I - (tau^2/d)*J, whose least
+    eigenvalue is sigma2 - n*tau^2/d: a law only where d*sigma2 >= n*tau^2,
+    singular where equality holds. At n = 1 that is exactly |alpha| = 1 (the
+    PSD slack d*sigma2 - tau^2 vanishes there); at n >= 2 the covariance is
+    not PSD near |alpha| = 1 unless tau = 0, and it is returned unchecked
+    (ROADMAP item 1, the admissible set of alpha).
     """
     import numpy as np
 

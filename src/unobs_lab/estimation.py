@@ -21,14 +21,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from unobs_lab.model_core import (
-    CSMatrix,
-    CSParams,
-    Dataset,
-    DomainError,
-    RankDeficiencyError,
-    validate_cs,
-)
+from unobs_lab.cs import CSMatrix, DomainError, RankDeficiencyError, validate_cs
+from unobs_lab.model_core import CSParams, Dataset
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
@@ -80,8 +74,8 @@ class SimLayout(namedtuple("SimLayout", "n_clusters cluster_size")):
         return self
 
     def sizes(self) -> list[int]:
-        if isinstance(self.cluster_size, int):
-            return [self.cluster_size] * self.n_clusters
+        if isinstance(self.cluster_size, (int, np.integer)):
+            return [int(self.cluster_size)] * self.n_clusters
         sizes = [int(n) for n in self.cluster_size]
         if len(sizes) != self.n_clusters:
             raise ValueError("explicit size list must have n_clusters entries")
@@ -291,8 +285,12 @@ def simulate_extended(
     """Simulate y = xi + b + eps from the alpha-indexed hierarchy: data and latents.
 
     (b, eps) are drawn jointly from the (n+1)-dimensional Gaussian through a
-    rank-revealing eigenfactorization, so the rank-deficient boundary
-    |alpha| = 1 is handled without failure. xi is the intercept, one entry.
+    rank-revealing eigenfactorization. That Gaussian exists only where its
+    covariance is PSD, d*sigma2 >= n*tau^2, for every cluster size n. At
+    n = 1 this holds on all of [-1, 1], the rank-deficient boundary
+    |alpha| = 1 included; at n >= 2 it fails near |alpha| = 1 unless tau = 0,
+    and a DomainError names the size and the eigenvalue (ROADMAP item 1, the
+    admissible set of alpha). xi is the intercept, one entry.
     """
     from unobs_lab.equivalence import joint_cov
 

@@ -144,11 +144,6 @@ class WeibullExpSpec(namedtuple("WeibullExpSpec", "phi rho delta")):
             raise DomainError("phi, rho, delta must all be strictly positive")
         return super().__new__(cls, phi, rho, delta)
 
-    @classmethod
-    def from_weibull(cls, lam: float, rho: float, delta: float, mu: float = 0.0):
-        """Build from Weibull scale lam and linear predictor mu: phi = lam*e^mu."""
-        return cls(phi=lam * math.exp(mu), rho=rho, delta=delta)
-
 
 class MomentResult(namedtuple("MomentResult", "k formula_defined integral_finite value")):
     """Tri-state outcome of evaluating E(Y^k).

@@ -6,8 +6,8 @@ All covariance work uses the rank-one structure of V = lam*J + phi*I:
 eigenvalues phi (multiplicity n-1) and phi + n*lam, and the closed-form
 inverse V^-1 = (1/phi) I - lam/(phi*(phi+n*lam)) J. A Dataset stores its
 clusters as columns; likelihood and GLS see it only through SuffStats.
-The numpy-free part (errors, CSMatrix, validate_cs, icc, format_float,
-write_rows) lives in unobs_lab.cs and is re-exported here.
+The numpy-free part (errors, CSMatrix, validate_cs, icc, write_rows)
+lives in unobs_lab.cs.
 """
 
 from __future__ import annotations
@@ -18,33 +18,9 @@ from functools import cached_property
 
 import numpy as np
 
-from unobs_lab.cs import (
-    CSMatrix,
-    CsvFormatError,
-    DomainError,
-    RankDeficiencyError,
-    format_float,
-    icc,
-    validate_cs,
-    write_rows,
-)
+from unobs_lab.cs import CsvFormatError, DomainError, RankDeficiencyError, validate_cs, write_rows
 
-__all__ = [
-    "DomainError",
-    "RankDeficiencyError",
-    "CsvFormatError",
-    "Dataset",
-    "SuffStats",
-    "CSParams",
-    "CSMatrix",
-    "validate_cs",
-    "icc",
-    "gls_mean",
-    "read_dataset_csv",
-    "write_dataset_csv",
-    "write_rows",
-    "format_float",
-]
+__all__ = ["Dataset", "SuffStats", "CSParams", "gls_mean", "read_dataset_csv", "write_dataset_csv"]
 
 
 # ---------------------------------------------------------------------------

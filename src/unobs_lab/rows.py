@@ -1,7 +1,7 @@
 """The lines of every row output (CSV, latent, trace, sample), made in numpy.
 
 lines(columns) gives, for each i, the cells c1[i], c2[i], ... joined by ","
-and ended by "\n", for model_core.write_rows to write. A column's dtype
+and ended by "\n", for cs.write_rows to write. A column's dtype
 picks its conversion, with the bytes of Python's % operator: %d for an
 integer or bool column, %.17g for a float column and %s for a str or object
 column. Columns are formatted whole, CHUNK rows at a time: each column fills

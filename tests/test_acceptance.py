@@ -17,7 +17,8 @@ from scipy import integrate, stats
 import unobs_lab.equivalence as eq
 import unobs_lab.estimation as est
 import unobs_lab.heavytail as ht
-from unobs_lab.model_core import CSMatrix, CSParams
+from unobs_lab.cs import CSMatrix
+from unobs_lab.model_core import CSParams
 
 
 class criterion:

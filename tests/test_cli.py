@@ -417,6 +417,25 @@ class TestContract:
         assert (rc, out) == (2, "")
         assert err.splitlines()[-1].endswith(f"error: argument {flag}: {text} gives no values")
 
+    @pytest.mark.parametrize(
+        "argv,flag,text",
+        [
+            (["equivalence", "--lambda2", "1", "--nu2", "1", "--alpha-grid=1,,2"],
+             "--alpha-grid", "'1,,2'"),
+            (["equivalence", "--lambda2", "1", "--nu2", "1", "--alpha-grid=,0.5"],
+             "--alpha-grid", "',0.5'"),
+            (["simulate", "--model", "cs", "--lambda", "1", "--phi", "1", "--xi=1,",
+              "--n-clusters", "2", "--cluster-size", "2", "--seed", "1"], "--xi", "'1,'"),
+        ],
+    )
+    def test_empty_list_items_are_usage_errors_naming_the_flag(self, capsys, argv, flag, text):
+        """A doubled, leading or trailing comma is refused, not dropped."""
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err.splitlines()[-1].endswith(
+            f"error: argument {flag}: {text} has an empty item "
+            "(a doubled, leading or trailing comma)")
+
     def test_json_floats_have_17_digit_format(self, capsys):
         rc, out, _ = run(
             capsys,
@@ -624,47 +643,24 @@ class TestLazyScipy:
             0, {"scipy": False, "unobs_lab.special": False})
 
     def test_scalar_layer_names_load_no_numpy(self):
-        """The package's CS names come from cs.py, the numpy-free scalar layer."""
+        """The CS names live in cs.py, the numpy-free scalar layer."""
         loaded = cold(
             "import sys\n"
-            "from unobs_lab import CSMatrix, DomainError, icc, validate_cs\n"
+            "from unobs_lab.cs import CSMatrix, DomainError, icc, validate_cs\n"
             "sys.stderr.write(repr(sorted(m for m in sys.modules\n"
             "                             if m == 'numpy' or m.startswith('unobs_lab'))))\n"
         )
         assert loaded == ["unobs_lab", "unobs_lab.cs"]
 
     def test_package_names_resolve_to_their_modules(self):
-        """Every name the package has exported, loaded on first use, in dir()."""
-        exported = {
-            "model_core": ["CSMatrix", "CSParams", "Dataset", "DomainError", "gls_mean", "icc",
-                           "read_dataset_csv", "validate_cs", "write_dataset_csv"],
-            "equivalence": ["ConditionalErrorDist", "DecompRow", "ExtendedSpec", "SpecA", "SpecB",
-                            "conditional_error_dist", "decomposition_table", "derive_d_tau",
-                            "eb_shrinkage", "joint_cov", "map_a_to_b", "marginal_cov_extended",
-                            "psd_slack", "v1_matrix", "v2_matrix"],
-            "estimation": ["FitResult", "SimLayout", "fit_balanced_closed_form", "fit_ml",
-                           "loglik_cs", "simulate_cs", "simulate_extended"],
-            "heavytail": ["MomentResult", "WeibullExpSpec", "WeibullGammaSpec", "pit_sample",
-                          "running_mean_trace", "truncated_moment", "we_cdf", "we_moment",
-                          "we_pdf", "we_quantile", "we_sample", "wg_moment_defined",
-                          "wg_sample"],
-        }
-        loaded, wrong = cold(
-            "import importlib, sys, unobs_lab\n"
-            "loaded = sorted(m for m in sys.modules if m.startswith('unobs_lab'))\n"
-            "wrong = []\n"
-            f"for module, names in {exported!r}.items():\n"
-            "    for name in names:\n"
-            "        exec(f'from unobs_lab import {name} as value')\n"
-            "        if not (value is getattr(importlib.import_module(f'unobs_lab.{module}'), name)\n"
-            "                and name in dir(unobs_lab)):\n"
-            "            wrong.append(name)\n"
-            "sys.stderr.write(repr((loaded, wrong)))\n"
+        """The package root holds only __version__; every other name is its module's."""
+        loaded = cold(
+            "import sys, unobs_lab\n"
+            "sys.stderr.write(repr(sorted(m for m in sys.modules if m.startswith('unobs_lab'))))\n"
         )
-        assert (loaded, wrong) == (["unobs_lab"], [])
+        assert loaded == ["unobs_lab"]
         import unobs_lab
 
-        assert sorted(unobs_lab.__all__) == sorted(n for names in exported.values() for n in names)
         assert unobs_lab.__version__ == "0.1.0"
         with pytest.raises(AttributeError, match="has no attribute 'nope'"):
             unobs_lab.nope

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unobs_lab.cs import CSMatrix, DomainError
 from unobs_lab.equivalence import (
     ExtendedSpec,
     SpecA,
@@ -20,7 +21,6 @@ from unobs_lab.equivalence import (
     v1_matrix,
     v2_matrix,
 )
-from unobs_lab.model_core import CSMatrix, DomainError
 
 finite = {"allow_nan": False, "allow_infinity": False}
 

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unobs_lab.cs import CSMatrix, DomainError
 from unobs_lab.equivalence import (
     ExtendedSpec,
     eb_shrinkage,
@@ -22,7 +24,7 @@ from unobs_lab.estimation import (
     simulate_cs,
     simulate_extended,
 )
-from unobs_lab.model_core import CSMatrix, CSParams, Dataset, DomainError, gls_mean
+from unobs_lab.model_core import CSParams, Dataset, gls_mean, write_dataset_csv
 from unobs_lab.rng import normals
 
 # Monte-Carlo standard errors frozen from 200-replicate oracle runs
@@ -365,6 +367,16 @@ class TestSimulateCs:
                 L = np.linalg.cholesky(CSMatrix(n, lam, phi).array)
                 want = 0.5 + L @ normals(41, [i], n)[0]
                 np.testing.assert_allclose(y, want, rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("lam", [0.7, -0.2])  # random intercept; Cholesky
+    def test_numpy_integer_size_gives_the_same_bytes(self, lam):
+        """A numpy integer cluster size is a balanced layout, as a Python int is."""
+        params, texts = CSParams([0.5], lam, 1.0), []
+        for size in (2, np.int64(2)):
+            buf = io.StringIO()
+            write_dataset_csv(simulate_cs(params, SimLayout(5, size), seed=3), buf)
+            texts.append(buf.getvalue())
+        assert texts[0] == texts[1] and texts[0].count("\n") == 11
 
     def test_intercept_only(self):
         data = simulate_cs(CSParams([1.5], 0.7, 1.0), SimLayout(5, 3), seed=2)

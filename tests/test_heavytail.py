@@ -13,6 +13,7 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 from scipy.stats import ks_2samp, kstest
 
+from unobs_lab.cs import DomainError
 from unobs_lab.heavytail import (
     BLOCK,
     FRAILTY_TOL,
@@ -31,7 +32,6 @@ from unobs_lab.heavytail import (
     wg_moment_defined,
     wg_sample,
 )
-from unobs_lab.model_core import DomainError
 from unobs_lab.rng import substream
 
 finite = {"allow_nan": False, "allow_infinity": False}
@@ -262,7 +262,7 @@ class TestTruncatedMoment:
         code = (
             "import sys\n"
             "from unobs_lab.heavytail import WeibullExpSpec, truncated_moment\n"
-            "from unobs_lab.model_core import DomainError\n"
+            "from unobs_lab.cs import DomainError\n"
             "try:\n"
             f"    truncated_moment(WeibullExpSpec(1.0, 1.0, 1.0), {k}, float({str(T)!r}))\n"
             "except DomainError:\n"

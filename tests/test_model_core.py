@@ -1,5 +1,7 @@
+import importlib
 import io
 import os
+import pkgutil
 import re
 import tempfile
 
@@ -8,20 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unobs_lab import cs, model_core
-from unobs_lab.model_core import (
-    CSParams,
-    CsvFormatError,
-    Dataset,
-    DomainError,
-    CSMatrix,
-    gls_mean,
-    icc,
-    read_dataset_csv,
-    validate_cs,
-    write_dataset_csv,
-    write_rows,
-)
+import unobs_lab
+from unobs_lab.cs import CSMatrix, CsvFormatError, DomainError, icc, validate_cs, write_rows
+from unobs_lab.model_core import CSParams, Dataset, gls_mean, read_dataset_csv, write_dataset_csv
 
 
 def intercept_dataset(clusters):
@@ -63,11 +54,15 @@ class TestCSMatrix:
         assert [float.hex(v) for v in got] == [float.hex(v) for v in want]
 
 
-def test_model_core_reexports_the_scalar_layer():
-    """The numpy-free names are the same objects under both modules."""
-    for name in cs.__all__:
-        assert name in model_core.__all__
-        assert getattr(model_core, name) is getattr(cs, name)
+def test_every_exported_name_is_defined_where_it_is_exported():
+    """Each public name has one home: no module's __all__ lists a name defined elsewhere."""
+    modules = [unobs_lab] + [importlib.import_module(f"unobs_lab.{m.name}")
+                             for m in pkgutil.iter_modules(unobs_lab.__path__)]
+    assert {"unobs_lab.cs", "unobs_lab.model_core"} <= {m.__name__ for m in modules}
+    aliases = [(module.__name__, name) for module in modules
+               for name in getattr(module, "__all__", ())
+               if getattr(getattr(module, name), "__module__", module.__name__) != module.__name__]
+    assert aliases == []
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from unobs_lab.model_core import write_rows
+from unobs_lab.cs import write_rows
 from unobs_lab.rows import CHUNK
 
 
