@@ -7,6 +7,7 @@ the one place to import these names from.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 __all__ = [
@@ -41,7 +42,8 @@ def format_float(x: float) -> str:
 class CSMatrix(namedtuple("CSMatrix", "n lam phi")):
     """The n x n matrix lam*J_n + phi*I_n, held as its three numbers.
 
-    Its eigenvalues are phi (n-1 times) and phi + n*lam; .array builds the
+    Its eigenvalues are phi (n-1 times) and phi + n*lam, and its square root
+    is CS too (.sqrt), so no factorization is needed; .array builds the
     dense matrix only on request, so n is not limited by storage.
     """
 
@@ -57,6 +59,20 @@ class CSMatrix(namedtuple("CSMatrix", "n lam phi")):
         import numpy as np
 
         return np.full((self.n, self.n), self.lam) + self.phi * np.eye(self.n)
+
+    def sqrt(self) -> CSMatrix:
+        """The symmetric PSD root: CSMatrix(n, lam/(sqrt(phi + n*lam) + sqrt(phi)), sqrt(phi)).
+
+        That lam part does not cancel when |lam| << phi, as
+        (sqrt(phi + n*lam) - sqrt(phi))/n would. A DomainError names n and the
+        eigenvalue where phi < 0 or phi + n*lam < 0 (phi even at n = 1).
+        """
+        n, lam, phi = self
+        e1 = phi + n * lam  # the eigenvalue of the all-ones vector
+        if not (phi >= 0 and e1 >= 0):
+            raise DomainError(f"CS matrix for n = {n} is not PSD: eigenvalue {min(phi, e1)}")
+        root = math.sqrt(phi)
+        return CSMatrix(n, lam / (math.sqrt(e1) + root) if lam else 0.0, root)
 
     def flat(self) -> list[float]:
         """The n*n entries of .array, row by row, with its bits, without numpy.

@@ -189,7 +189,7 @@ def decomposition_table(
 
 
 def joint_cov(spec: ExtendedSpec, n: int) -> np.ndarray:
-    """(n+1)-dimensional covariance of (b, eps_1, ..., eps_n)."""
+    """(n+1)-dimensional covariance of (b, eps_1, ..., eps_n): the dense oracle."""
     import numpy as np
 
     if n < 1:

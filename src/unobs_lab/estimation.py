@@ -9,9 +9,10 @@ balanced intercept-only data.
 
 Simulation is intercept-only. Cluster i draws a fixed number of normals,
 set by its size, from counter-based stream (seed, i); the clusters of one
-size are drawn in a single vectorised call (rng.normals) and factored in a
-fixed order, so replicates are deterministic and cluster i's values do not
-depend on how many clusters are simulated.
+size are drawn in a single vectorised call (rng.normals) and mapped through
+the closed-form CS square root of their covariance, summed in a fixed order,
+so replicates are deterministic and cluster i's values do not depend on how
+many clusters are simulated.
 """
 
 from __future__ import annotations
@@ -221,62 +222,63 @@ def _intercept(xi) -> float:
     return float(xi[0])
 
 
-def _distinct(sizes: np.ndarray) -> list[int]:
-    """The distinct sizes, ascending; np.unique would import numpy.ma (numpy 2.4)."""
-    return sorted(set(sizes.tolist()))
+class Latents(namedtuple("Latents", "b eps")):
+    """simulate_extended's latent columns: b per cluster, eps per row of y."""
+
+    __slots__ = ()
 
 
-def _size_groups(sizes: np.ndarray, seed: int, extra: int):
-    """Clusters grouped by size n: (n, cluster indices, row indices, normals).
+def _simulate(sizes, seed: int, mu: float, lam: float, phi: float, d=None, tau=0.0):
+    """y = (mu + b) + eps, b = sqrt(d)*z0, eps = (tau/d)*b + R z: data and latents.
 
-    Each group is one kernel call. Cluster i draws n + extra normals from
-    stream i, so its values depend only on (seed, i) and its size. The rng
-    is loaded here, so fit never loads it.
+    R is the CS square root of lam*J + phi*I, the covariance of eps given b
+    (tau/d is 0 at d = 0). Cluster i reads n normals from stream i, n + 1
+    with z0 first where b is drawn (d not None), one kernel call per size.
+    Row sums go column by column: BLAS would pick the order by row count.
+    The rng is loaded here, so fit never loads it.
     """
     from unobs_lab.rng import normals
 
-    starts = np.cumsum(sizes) - sizes
-    for n in _distinct(sizes):
+    roots = {}  # every size is checked before any is drawn
+    for n in sorted(set(sizes.tolist())):  # np.unique would import numpy.ma (numpy 2.4)
+        # near 0, the joint covariance of (b, eps) has least eigenvalue
+        # d*(phi + n*lam)/(d + phi); within 1e-9*max(1, d + phi) below 0 it is rounding
+        rounding = d and -1e-9 * max(1.0, d + phi) * (d + phi) <= d * (phi + n * lam) < 0
+        roots[n] = CSMatrix(n, lam, -n * lam if rounding else phi).sqrt()
+    t, k = (tau / d if d else 0.0), (0 if d is None else 1)
+    starts, eps, b = np.cumsum(sizes) - sizes, np.empty(int(sizes.sum())), np.zeros(len(sizes))
+    for n, (_, a, c) in roots.items():  # R = a*J + c*I
         idx = np.flatnonzero(sizes == n)
-        yield n, idx, starts[idx, None] + np.arange(n), normals(seed, idx, n + extra)
-
-
-def _apply(z: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Each row of z times F', summed column by column in a fixed order.
-
-    A batched matmul lets BLAS choose the summation order by row count, so a
-    cluster's values would depend on how many clusters share the call.
-    """
-    v = z[:, :1] * F[:, 0]
-    for j in range(1, F.shape[1]):
-        v += z[:, j : j + 1] * F[:, j]
-    return v
+        z = normals(seed, idx, n + k)
+        v = c * z[:, k:]
+        if a:  # 0 for cs with lam >= 0
+            s = z[:, k].copy()
+            for j in range(k + 1, k + n):
+                s += z[:, j]
+            v += a * s[:, None]
+        if k:
+            bi = math.sqrt(d) * z[:, :1]
+            if t:
+                v += t * bi
+            b[idx] = bi[:, 0]
+        eps[starts[idx, None] + np.arange(n)] = v
+    y = (mu + np.repeat(b, sizes)) + eps
+    return Dataset(y, np.ones((len(y), 1)), sizes), Latents(b, eps)
 
 
 def simulate_cs(params: CSParams, layout: SimLayout, seed: int) -> Dataset:
     """Simulate y = xi + cluster effect + noise from the intercept-only CS model.
 
-    For lam >= 0 a real random intercept is drawn; for lam < 0 no hierarchy
-    exists, so each cluster is sampled directly from N(xi, lam*J + phi*I)
-    via a Cholesky factor. Both branches share the marginal law, and the
-    output is bit-reproducible.
+    For lam >= 0 a real random intercept b ~ N(0, lam) is drawn and the
+    noise is N(0, phi*I); for lam < 0 no hierarchy exists, so each cluster
+    is drawn directly from N(xi, lam*J + phi*I) through its CS square root.
+    Both branches share the marginal law, and the output is bit-reproducible.
     """
     sizes = np.array(layout.sizes())
-    validate_cs(_distinct(sizes), params.lam, params.phi)
+    validate_cs(set(sizes.tolist()), params.lam, params.phi)
     mu, lam, phi = _intercept(params.xi), params.lam, params.phi
-    y = np.empty(int(sizes.sum()))
-    for n, _, rows, z in _size_groups(sizes, seed, 1 if lam >= 0 else 0):
-        if lam >= 0:  # z[:, 0] draws the intercept, z[:, 1:] the noise
-            y[rows] = (mu + math.sqrt(lam) * z[:, :1]) + math.sqrt(phi) * z[:, 1:]
-        else:
-            y[rows] = mu + _apply(z, np.linalg.cholesky(CSMatrix(n, lam, phi).array))
-    return Dataset(y, np.ones((len(y), 1)), sizes)
-
-
-class Latents(namedtuple("Latents", "b eps")):
-    """simulate_extended's latent columns: b per cluster, eps per row of y."""
-
-    __slots__ = ()
+    d, lam_eps = (lam, 0.0) if lam >= 0 else (None, lam)
+    return _simulate(sizes, seed, mu, lam_eps, phi, d)[0]
 
 
 def simulate_extended(
@@ -284,29 +286,11 @@ def simulate_extended(
 ) -> tuple[Dataset, Latents]:
     """Simulate y = xi + b + eps from the alpha-indexed hierarchy: data and latents.
 
-    (b, eps) are drawn jointly from the (n+1)-dimensional Gaussian through a
-    rank-revealing eigenfactorization. That Gaussian exists only where its
-    covariance is PSD, d*sigma2 >= n*tau^2, for every cluster size n. At
-    n = 1 this holds on all of [-1, 1], the rank-deficient boundary
-    |alpha| = 1 included; at n >= 2 it fails near |alpha| = 1 unless tau = 0,
-    and a DomainError names the size and the eigenvalue (ROADMAP item 1, the
-    admissible set of alpha). xi is the intercept, one entry.
+    b ~ N(0, d) and eps given b ~ N((tau/d)*b*1, sigma2*I - (tau^2/d)*J), a
+    law only where d*sigma2 >= n*tau^2 for every cluster size n: on all of
+    [-1, 1] at n = 1, |alpha| = 1 included; at n >= 2 not near |alpha| = 1
+    unless tau = 0, and a DomainError names the size and the eigenvalue
+    (ROADMAP item 1, the admissible set of alpha). xi is the intercept.
     """
-    from unobs_lab.equivalence import joint_cov
-
-    mu, sizes = _intercept(xi), np.array(layout.sizes())
-    factors = {}
-    for n in _distinct(sizes):
-        w, u = np.linalg.eigh(joint_cov(spec, n))
-        scale = max(1.0, float(w.max()))
-        if w.min() < -1e-9 * scale:
-            raise DomainError(
-                f"joint covariance for n = {n} is not PSD: eigenvalue {w.min()}"
-            )
-        factors[n] = u * np.sqrt(np.clip(w, 0.0, None))
-    y, eps, b = np.empty(int(sizes.sum())), np.empty(int(sizes.sum())), np.empty(len(sizes))
-    for n, idx, rows, z in _size_groups(sizes, seed, 1):
-        v = _apply(z, factors[n])
-        b[idx], eps[rows] = v[:, 0], v[:, 1:]
-        y[rows] = (mu + v[:, :1]) + v[:, 1:]
-    return Dataset(y, np.ones((len(y), 1)), sizes), Latents(b, eps)
+    mu, sizes, d, tau = _intercept(xi), np.array(layout.sizes()), spec.d, spec.tau
+    return _simulate(sizes, seed, mu, -(tau * tau / d) if d else 0.0, spec.nu2, d, tau)

@@ -363,12 +363,12 @@ class TestSimulateCs:
             if lam >= 0:  # the intercept's normal comes first
                 z = normals(41, [i], n + 1)[0]
                 assert np.array_equal(y, (0.5 + math.sqrt(lam) * z[0]) + math.sqrt(phi) * z[1:])
-            else:  # the per-cluster matmul sums in another order: last bits may differ
-                L = np.linalg.cholesky(CSMatrix(n, lam, phi).array)
-                want = 0.5 + L @ normals(41, [i], n)[0]
+            else:  # the symmetric root, built by eigh: last bits may differ
+                w, u = np.linalg.eigh(CSMatrix(n, lam, phi).array)
+                want = 0.5 + (u * np.sqrt(w)) @ u.T @ normals(41, [i], n)[0]
                 np.testing.assert_allclose(y, want, rtol=1e-14, atol=1e-14)
 
-    @pytest.mark.parametrize("lam", [0.7, -0.2])  # random intercept; Cholesky
+    @pytest.mark.parametrize("lam", [0.7, -0.2])  # random intercept; no hierarchy
     def test_numpy_integer_size_gives_the_same_bytes(self, lam):
         """A numpy integer cluster size is a balanced layout, as a Python int is."""
         params, texts = CSParams([0.5], lam, 1.0), []
@@ -388,7 +388,7 @@ class TestSimulateCs:
 class TestSubstreamPrefix:
     """rng.py: cluster i's draws do not depend on how many clusters are simulated."""
 
-    @pytest.mark.parametrize("lam", [0.7, -0.2])  # random intercept; Cholesky
+    @pytest.mark.parametrize("lam", [0.7, -0.2])  # random intercept; no hierarchy
     @given(
         seed=st.integers(0, 2**64 - 1),
         sizes=st.lists(st.integers(1, 4), min_size=2, max_size=30),
@@ -445,6 +445,17 @@ class TestSubstreamPrefix:
         assert np.array_equal(lat_full.eps[:rows], lat_part.eps)
 
 
+def test_simulators_factor_no_matrix(monkeypatch):
+    """Both simulators draw through the closed-form CS root, never through LAPACK."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a simulator called np.linalg")
+
+    for name in ("cholesky", "eigh", "eig", "svd", "qr"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    simulate_cs(CSParams([0.0], -0.2, 1.0), SimLayout(4, [1, 3, 2, 3]), seed=1)
+    simulate_extended(ExtendedSpec(1.0, 1.0, 0.2), [0.0], SimLayout(4, [1, 2, 2, 1]), seed=1)
+
+
 # ---------------------------------------------------------------------------
 # simulate_extended
 # ---------------------------------------------------------------------------
@@ -470,6 +481,40 @@ class TestSimulateExtended:
             simulate_extended(
                 ExtendedSpec(2.0, 1.0, 1.0), [0.0], SimLayout(10, 2), seed=0
             )
+
+    def test_accepts_and_refuses_exactly_where_n_tau_sq_meets_d_sigma2(self):
+        # the joint of (b, eps) is PSD iff n*tau^2 <= d*sigma2 (as in test_equivalence)
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            nu2 = float(rng.uniform(0.2, 2.0))
+            lam2 = float(rng.uniform(-nu2 + 1e-3, 2.0))
+            spec = ExtendedSpec(lam2, nu2, float(rng.uniform(-1, 1)))
+            n = int(rng.integers(1, 7))
+            excess = n * spec.tau**2 - spec.d * nu2
+            if excess <= -1e-9:
+                simulate_extended(spec, [0.0], SimLayout(2, n), seed=1)
+            elif excess >= 1e-9:
+                with pytest.raises(DomainError, match=f"n = {n} is not PSD: eigenvalue"):
+                    simulate_extended(spec, [0.0], SimLayout(2, n), seed=1)
+
+    @pytest.mark.parametrize("lam2", [0.3, 1.5, 2.0])
+    @pytest.mark.parametrize("alpha", [-1.0, 1.0])
+    def test_single_error_boundary_is_accepted(self, lam2, alpha):
+        """At n = 1, |alpha| = 1 makes the law singular, and rounding may put its
+        least eigenvalue just below 0 (-2.2e-16 at lambda2 = 1.5, alpha = 1)."""
+        spec = ExtendedSpec(lam2, 1.0, alpha)
+        data, latents = simulate_extended(spec, [0.0], SimLayout(50, 1), seed=5)
+        assert np.all(np.isfinite(data.y)) and np.array_equal(data.y, latents.b + latents.eps)
+
+    def test_point_mass_intercept(self):
+        spec = ExtendedSpec(0.0, 1.0, -1.0)  # d = 0 and tau = 0: b is 0, eps ~ N(0, I)
+        assert (spec.d, spec.tau) == (0.0, 0.0)
+        N, n = 20_000, 3
+        data, latents = simulate_extended(spec, [0.5], SimLayout(N, n), seed=8)
+        assert np.all(latents.b == 0.0) and np.array_equal(data.y, 0.5 + latents.eps)
+        eps = latents.eps.reshape(N, n)
+        se = np.sqrt((1.0 + np.eye(n)) / N)
+        assert np.max(np.abs(eps.T @ eps / N - np.eye(n)) / se) < 4.5
 
     def test_roundtrip_fit_recovers_marginal(self):
         for alpha in (-0.6, 0.0, 0.3):

@@ -1,5 +1,7 @@
+import decimal
 import importlib
 import io
+import math
 import os
 import pkgutil
 import re
@@ -52,6 +54,78 @@ class TestCSMatrix:
         got = CSMatrix(n, lam, phi).flat()
         want = CSMatrix(n, lam, phi).array.ravel().tolist()
         assert [float.hex(v) for v in got] == [float.hex(v) for v in want]
+
+
+# phi + n*lam runs over phi * 10**[-6, 6]: from just above lam = -phi/n to large
+ROOT_CASES = dict(n=st.integers(1, 50), phi=st.floats(1e-3, 1e3), k=st.floats(-6, 6))
+
+
+def root_case(n, phi, k):
+    """(matrix, least eigenvalue, scale) with phi + n*lam = phi*10**k.
+
+    The scale is the largest eigenvalue, or phi if larger: at n = 1 phi is no
+    eigenvalue, yet the root's parts are of size sqrt(phi).
+    """
+    m = CSMatrix(n, phi * (10.0**k - 1.0) / n, phi)
+    big = m.phi + n * m.lam
+    return m, min(big, phi) if n > 1 else big, max(big, phi)
+
+
+class TestCSMatrixSqrt:
+    @settings(max_examples=200, deadline=None)
+    @given(**ROOT_CASES)
+    def test_root_squares_to_the_matrix(self, n, phi, k):
+        m, _, top = root_case(n, phi, k)
+        r = m.sqrt()
+        assert isinstance(r, CSMatrix) and r.n == n
+        np.testing.assert_allclose(r.array @ r.array, m.array, rtol=0, atol=1e-14 * top)
+
+    @settings(max_examples=200, deadline=None)
+    @given(**ROOT_CASES)
+    def test_root_is_the_symmetric_psd_root_from_eigh(self, n, phi, k):
+        """The unique PSD root, U sqrt(W) U', up to eigh's error on the least eigenvalue."""
+        m, low, top = root_case(n, phi, k)
+        w, u = np.linalg.eigh(m.array)
+        want = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.T
+        eps = np.finfo(float).eps
+        atol = 4 * n * eps * (top / math.sqrt(low) + math.sqrt(top) + math.sqrt(phi))
+        np.testing.assert_allclose(m.sqrt().array, want, rtol=0, atol=atol)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 50),
+        lam=st.one_of(st.sampled_from([0.0, -0.0, -0.25, -1.0]), st.floats(-10, 10)),
+        phi=st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1e-300]), st.floats(-10, 10)),
+    )
+    def test_refuses_exactly_a_negative_eigenvalue(self, n, lam, phi):
+        m = CSMatrix(n, lam, phi)
+        if phi < 0 or phi + n * lam < 0:
+            with pytest.raises(DomainError, match=rf"n = {n} is not PSD: eigenvalue"):
+                m.sqrt()
+        else:
+            r = m.sqrt()
+            assert r.phi == math.sqrt(phi) and math.isfinite(r.lam)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 50),
+        phi=st.floats(1e-3, 1e3),
+        k=st.floats(-300, -4),
+        sign=st.sampled_from([1.0, -1.0]),
+    )
+    def test_off_diagonal_keeps_its_digits_when_lam_is_small(self, n, phi, k, sign):
+        """(sqrt(phi + n*lam) - sqrt(phi))/n would cancel; the root keeps ~1 ulp."""
+        lam = sign * phi * 10.0**k
+        with decimal.localcontext(decimal.Context(prec=800)):
+            dphi = decimal.Decimal(phi)
+            want = float(((dphi + n * decimal.Decimal(lam)).sqrt() - dphi.sqrt()) / n)
+        got = CSMatrix(n, lam, phi).sqrt().lam
+        assert abs(got - want) <= 4 * np.finfo(float).eps * abs(want)
+
+    def test_singular_and_zero_matrices(self):
+        assert CSMatrix(4, -0.25, 1.0).sqrt() == (4, -0.25, 1.0)  # least eigenvalue 0
+        assert CSMatrix(3, 0.0, 0.0).sqrt() == (3, 0.0, 0.0)
+        assert CSMatrix(2, 8.0, 0.0).sqrt() == (2, 2.0, 0.0)
 
 
 def test_every_exported_name_is_defined_where_it_is_exported():
