@@ -9,9 +9,9 @@ balanced intercept-only data.
 
 Simulation is intercept-only. Cluster i draws a fixed number of normals,
 set by its size, from counter-based stream (seed, i); the clusters of one
-size are drawn in a single vectorised call (rng.normals) and mapped through
-the closed-form CS square root of their covariance, summed in a fixed order,
-so replicates are deterministic and cluster i's values do not depend on how
+size are drawn in a single vectorised call (rng.normals) and mapped in
+closed form, with no factorization and row sums in a fixed order, so
+replicates are deterministic and cluster i's values do not depend on how
 many clusters are simulated.
 """
 
@@ -228,40 +228,26 @@ class Latents(namedtuple("Latents", "b eps")):
     __slots__ = ()
 
 
-def _simulate(sizes, seed: int, mu: float, lam: float, phi: float, d=None, tau=0.0):
-    """y = (mu + b) + eps, b = sqrt(d)*z0, eps = (tau/d)*b + R z: data and latents.
+def _simulate(sizes, seed: int, mu: float, loads):
+    """y = (mu + b) + eps, eps = a*s + c*z and b = t*s + r*z0: data and latents.
 
-    R is the CS square root of lam*J + phi*I, the covariance of eps given b
-    (tau/d is 0 at d = 0). Cluster i reads n normals from stream i, n + 1
-    with z0 first where b is drawn (d not None), one kernel call per size.
-    Row sums go column by column: BLAS would pick the order by row count.
-    The rng is loaded here, so fit never loads it.
+    loads(n) gives (a, c, t, r) for size n, checked for every size before
+    any draw; r is None where no b is drawn. z holds a cluster's n normals,
+    from stream i after z0 where b is drawn, one kernel call per size, and s
+    their sum, so a*s + c*z is (a*J + c*I) z. s goes column by column: BLAS
+    would pick the order by row count. The rng is loaded here, not by fit.
     """
     from unobs_lab.rng import normals
 
-    roots = {}  # every size is checked before any is drawn
-    for n in sorted(set(sizes.tolist())):  # np.unique would import numpy.ma (numpy 2.4)
-        # near 0, the joint covariance of (b, eps) has least eigenvalue
-        # d*(phi + n*lam)/(d + phi); within 1e-9*max(1, d + phi) below 0 it is rounding
-        rounding = d and -1e-9 * max(1.0, d + phi) * (d + phi) <= d * (phi + n * lam) < 0
-        roots[n] = CSMatrix(n, lam, -n * lam if rounding else phi).sqrt()
-    t, k = (tau / d if d else 0.0), (0 if d is None else 1)
+    sizes_of = {n: loads(n) for n in sorted(set(sizes.tolist()))}  # not np.unique: numpy.ma
     starts, eps, b = np.cumsum(sizes) - sizes, np.empty(int(sizes.sum())), np.zeros(len(sizes))
-    for n, (_, a, c) in roots.items():  # R = a*J + c*I
-        idx = np.flatnonzero(sizes == n)
+    for n, (a, c, t, r) in sizes_of.items():
+        idx, k = np.flatnonzero(sizes == n), int(r is not None)
         z = normals(seed, idx, n + k)
-        v = c * z[:, k:]
-        if a:  # 0 for cs with lam >= 0
-            s = z[:, k].copy()
-            for j in range(k + 1, k + n):
-                s += z[:, j]
-            v += a * s[:, None]
+        s = sum(z[:, j] for j in range(k, k + n)) if a or t else None  # None for cs, lam >= 0
+        eps[starts[idx, None] + np.arange(n)] = c * z[:, k:] + a * s[:, None] if a else c * z[:, k:]
         if k:
-            bi = math.sqrt(d) * z[:, :1]
-            if t:
-                v += t * bi
-            b[idx] = bi[:, 0]
-        eps[starts[idx, None] + np.arange(n)] = v
+            b[idx] = t * s + r * z[:, 0] if t else r * z[:, 0]
     y = (mu + np.repeat(b, sizes)) + eps
     return Dataset(y, np.ones((len(y), 1)), sizes), Latents(b, eps)
 
@@ -277,8 +263,9 @@ def simulate_cs(params: CSParams, layout: SimLayout, seed: int) -> Dataset:
     sizes = np.array(layout.sizes())
     validate_cs(set(sizes.tolist()), params.lam, params.phi)
     mu, lam, phi = _intercept(params.xi), params.lam, params.phi
-    d, lam_eps = (lam, 0.0) if lam >= 0 else (None, lam)
-    return _simulate(sizes, seed, mu, lam_eps, phi, d)[0]
+    if lam >= 0:
+        return _simulate(sizes, seed, mu, lambda n: (0.0, math.sqrt(phi), 0.0, math.sqrt(lam)))[0]
+    return _simulate(sizes, seed, mu, lambda n: (*CSMatrix(n, lam, phi).sqrt()[1:], 0.0, None))[0]
 
 
 def simulate_extended(
@@ -286,11 +273,23 @@ def simulate_extended(
 ) -> tuple[Dataset, Latents]:
     """Simulate y = xi + b + eps from the alpha-indexed hierarchy: data and latents.
 
-    b ~ N(0, d) and eps given b ~ N((tau/d)*b*1, sigma2*I - (tau^2/d)*J), a
-    law only where d*sigma2 >= n*tau^2 for every cluster size n: on all of
-    [-1, 1] at n = 1, |alpha| = 1 included; at n >= 2 not near |alpha| = 1
-    unless tau = 0, and a DomainError names the size and the eigenvalue
-    (ROADMAP item 1, the admissible set of alpha). xi is the intercept.
+    eps ~ N(0, sigma2*I) and b given eps ~ N((tau/sigma2)*sum(eps),
+    d - n*tau^2/sigma2), a law only where d*sigma2 >= n*tau^2 for every
+    cluster size n: on all of [-1, 1] at n = 1, |alpha| = 1 included; at
+    n >= 2 not near |alpha| = 1 unless tau = 0, and a DomainError names the
+    size and the least eigenvalue of the covariance of (b, eps) (ROADMAP
+    item 1, the admissible set of alpha). xi is the intercept.
     """
-    mu, sizes, d, tau = _intercept(xi), np.array(layout.sizes()), spec.d, spec.tau
-    return _simulate(sizes, seed, mu, -(tau * tau / d) if d else 0.0, spec.nu2, d, tau)
+    mu, d, tau, nu2 = _intercept(xi), spec.d, spec.tau, spec.nu2
+
+    def loads(n):  # (b, eps) has eigenvalues nu2, n - 1 times, and those of
+        # [[d, tau*sqrt(n)], [tau*sqrt(n), nu2]]: top, and low without cancellation
+        top = (d + nu2) / 2 + math.hypot((d - nu2) / 2, tau * math.sqrt(n))
+        low = (d * nu2 - n * tau * tau) / top
+        if low < -1e-9 * max(1.0, top):
+            raise DomainError(f"joint covariance for n = {n} is not PSD: eigenvalue {low}")
+        x = max(0.0, -low)  # rounding: the ridge x*I lifts low to 0, moving nothing more
+        c = math.sqrt(nu2 + x)
+        return 0.0, c, tau / c, math.sqrt(max(0.0, d + x - n * (tau / c) ** 2))
+
+    return _simulate(np.array(layout.sizes()), seed, mu, loads)

@@ -516,6 +516,24 @@ class TestSimulateExtended:
         se = np.sqrt((1.0 + np.eye(n)) / N)
         assert np.max(np.abs(eps.T @ eps / N - np.eye(n)) / se) < 4.5
 
+    # d*sigma2 - n*tau^2 is -3e-12 with d ~ 1e-12, and -1e-12 with sigma2 = 1e-12:
+    # not PSD, but within the rounding band, so the draw may move the law by that much only
+    @pytest.mark.parametrize("spec, n", [(ExtendedSpec(2e-6, 1.0, -1.0), 4),
+                                         (ExtendedSpec(1.0, 1e-12, 1.0), 2)])
+    def test_band_moves_the_law_by_its_least_eigenvalue_only(self, spec, n):
+        low = np.linalg.eigvalsh(joint_cov(spec, n))[0]
+        assert -1e-11 < low < 0
+        N = 20_000
+        data, latents = simulate_extended(spec, [0.0], SimLayout(N, n), seed=606)
+        lat = np.column_stack([latents.b, latents.eps.reshape(N, n)])
+        want = joint_cov(spec, n) - low * np.eye(n + 1)  # the PSD matrix nearest in norm 2
+        se = np.sqrt((np.outer(np.diag(want), np.diag(want)) + want**2) / N)
+        assert np.max(np.abs(lat.T @ lat / N - want) / se) < 4.5
+        y = data.y.reshape(N, n)
+        want = CSMatrix(n, spec.lambda2, spec.nu2).array  # the marginal law of a cluster
+        se = np.sqrt((np.outer(np.diag(want), np.diag(want)) + want**2) / N)
+        assert np.max(np.abs(y.T @ y / N - want) / se) < 4.5
+
     def test_roundtrip_fit_recovers_marginal(self):
         for alpha in (-0.6, 0.0, 0.3):
             spec = ExtendedSpec(1.5, 1.0, alpha)

@@ -5,7 +5,8 @@ were formatted column by column in numpy, so they pin the bytes each output
 must keep. Every call writes through --out (and --latent) into a file.
 
 Five digests were re-recorded when both simulators moved from a Cholesky or
-eigh factor to the closed-form CS square root, which changes the draws:
+eigh factor to closed forms (cs at lam < 0 through the CS square root,
+extended as eps, then b given the sum of eps), which changes the draws:
 simulate-cs-lam-0.2 (out), simulate-extended-latent (out and latent) and
 simulate-extended-latent-size3 (out and latent). The other fourteen
 entries, simulate-cs-lam0.7 among them, and the fit report kept theirs.
@@ -36,8 +37,8 @@ GOLDEN = {
     "simulate-extended-latent": (
         ["simulate", "--model", "extended", "--lambda2", "1", "--nu2", "1", "--alpha", "0.2",
          "--n-clusters", "30", "--cluster-size", "2", "--seed", "13"],
-        "8c7e01ffb2fced2699dc8fde304244ae3b3dbda373580607eee59323dba674fb",
-        "44cb1a6822849aaad852c1b4b36bc0bef8ef25f840b67ee0e9c616630d714050",
+        "e3ce2205c7db1c3150d6db1283a9a6a991d3fffc70cda521c13ea2f31f18e651",
+        "6bacbdec801fe5185359ebcc65b93c16ea4b7b3d477528ee12d6d516edc08c87",
     ),
     "simulate-extended-latent-size3": (
         ["simulate", "--model", "extended", "--lambda2", "3", "--nu2", "1", "--alpha=-0.5",
