@@ -8,15 +8,18 @@ digits so byte-level reproducibility is meaningful.
 Note: option values starting with '-' (e.g. a negative alpha grid) must use
 the '--flag=value' form, as in ``--alpha-grid=-1,0,1``.
 
-Each subcommand imports the modules it uses in its own body, so eb,
+One grammar table, COMMANDS, gives every subcommand and flag. Plain argv is
+read from it directly; help, abbreviations and usage errors go to the
+argparse parser built from the same table, so argparse is imported only for
+them. Each subcommand imports the modules it uses in its own body, so eb,
 equivalence and heavytail moments run without numpy or scipy.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
+from types import SimpleNamespace
 
 from unobs_lab.cs import DomainError, format_float, write_rows
 
@@ -75,22 +78,29 @@ def _seed(seed: int) -> int:
     return seed
 
 
+def _bad_value(message: str) -> Exception:
+    """argparse's error for a bad option value; argparse is imported only here."""
+    import argparse
+
+    return argparse.ArgumentTypeError(message)
+
+
 def _nonempty(values: list, text: str) -> list:
     """values parsed from text, refused as a usage error (argparse names the flag) if empty."""
     if not values:
-        raise argparse.ArgumentTypeError(f"{text!r} gives no values")
+        raise _bad_value(f"{text!r} gives no values")
     return values
 
 
 def _float_list(text: str) -> list[float]:
     items = text.split(",")
     if any(items) and not all(items):
-        raise argparse.ArgumentTypeError(
+        raise _bad_value(
             f"{text!r} has an empty item (a doubled, leading or trailing comma)")
     try:
         values = [float(v) for v in items if v]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
+        raise _bad_value(f"not a comma-separated float list: {text!r}")
     return _nonempty(values, text)
 
 
@@ -102,7 +112,7 @@ def _k_range(text: str) -> list[int]:
             return _nonempty(list(range(int(lo), int(hi) + 1)), text)
         return [int(v) for v in text.split(",")]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a k range: {text!r}")
+        raise _bad_value(f"not a k range: {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -252,103 +262,161 @@ def _cmd_pit(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Grammar
 # ---------------------------------------------------------------------------
 
+REQUIRED = object()  # the default of an option that must be given
 
-def build_parser() -> argparse.ArgumentParser:
+_OUT = ("--out", "out", str, None, None)
+_WEIBULL_EXP = (("--phi", "phi", float, REQUIRED, None), ("--rho", "rho", float, REQUIRED, None),
+                ("--delta", "delta", float, REQUIRED, None))
+
+# subcommand -> (help, body, positionals as (dest, choices),
+#                options as (flag, dest, type, default or REQUIRED, choices))
+COMMANDS = {
+    "equivalence": ("alpha-grid report of the extended family", _cmd_equivalence, (), (
+        ("--lambda2", "lambda2", float, REQUIRED, None),
+        ("--nu2", "nu2", float, REQUIRED, None),
+        ("--alpha-grid", "alpha_grid", _float_list, REQUIRED, None),
+        ("--n", "n", int, 2, None),
+        _OUT,
+    )),
+    "eb": ("empirical-Bayes shrinkage at one alpha", _cmd_eb, (), (
+        ("--lambda2", "lambda2", float, REQUIRED, None),
+        ("--nu2", "nu2", float, REQUIRED, None),
+        ("--alpha", "alpha", float, REQUIRED, None),
+        ("--n", "n", int, 2, None),
+        _OUT,
+    )),
+    "fit": ("ML fit of the compound-symmetry model", _cmd_fit, (), (
+        ("--data", "data", str, REQUIRED, None),
+        _OUT,
+    )),
+    "simulate": ("simulate clustered data (CSV long format)", _cmd_simulate, (), (
+        ("--model", "model", str, "cs", ("cs", "extended")),
+        ("--lambda", "lam", float, None, None),
+        ("--phi", "phi", float, None, None),
+        ("--lambda2", "lambda2", float, None, None),
+        ("--nu2", "nu2", float, None, None),
+        ("--alpha", "alpha", float, None, None),
+        ("--xi", "xi", _float_list, [0.0], None),
+        ("--n-clusters", "n_clusters", int, REQUIRED, None),
+        ("--cluster-size", "cluster_size", int, REQUIRED, None),
+        ("--seed", "seed", int, REQUIRED, None),
+        _OUT,
+        ("--latent", "latent", str, None, None),
+    )),
+    "heavytail": ("Weibull-exponential moments/samples/traces", _cmd_heavytail,
+                  (("action", ("moments", "sample", "trace")),), (
+        *_WEIBULL_EXP,
+        ("--k", "k", _k_range, [1], None),
+        ("--n", "n", int, None, None),
+        ("--stride", "stride", int, 1, None),
+        ("--seed", "seed", int, None, None),
+        _OUT,
+    )),
+    "pit": ("probability-integral-transform sampler", _cmd_pit, (), (
+        ("--dist", "dist", str, "weibull-exp", ("weibull-exp",)),
+        *_WEIBULL_EXP,
+        ("--n", "n", int, REQUIRED, None),
+        ("--seed", "seed", int, REQUIRED, None),
+        _OUT,
+    )),
+}
+
+
+def build_parser():
+    """The argparse parser of COMMANDS: help, abbreviations and every usage message."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="unobs-lab",
         description="Compound-symmetry equivalence classes and heavy-tailed frailty laws",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("equivalence", help="alpha-grid report of the extended family")
-    p.add_argument("--lambda2", type=float, required=True)
-    p.add_argument("--nu2", type=float, required=True)
-    p.add_argument("--alpha-grid", type=_float_list, required=True)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_equivalence)
-
-    p = sub.add_parser("eb", help="empirical-Bayes shrinkage at one alpha")
-    p.add_argument("--lambda2", type=float, required=True)
-    p.add_argument("--nu2", type=float, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_eb)
-
-    p = sub.add_parser("fit", help="ML fit of the compound-symmetry model")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_fit)
-
-    p = sub.add_parser("simulate", help="simulate clustered data (CSV long format)")
-    p.add_argument("--model", choices=["cs", "extended"], default="cs")
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--phi", type=float, default=None)
-    p.add_argument("--lambda2", type=float, default=None)
-    p.add_argument("--nu2", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--xi", type=_float_list, default=[0.0])
-    p.add_argument("--n-clusters", type=int, required=True)
-    p.add_argument("--cluster-size", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--latent", default=None)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("heavytail", help="Weibull-exponential moments/samples/traces")
-    p.add_argument("action", choices=["moments", "sample", "trace"])
-    p.add_argument("--phi", type=float, required=True)
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--k", type=_k_range, default=[1])
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--stride", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_heavytail)
-
-    p = sub.add_parser("pit", help="probability-integral-transform sampler")
-    p.add_argument("--dist", choices=["weibull-exp"], default="weibull-exp")
-    p.add_argument("--phi", type=float, required=True)
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_pit)
-
+    for name, (text, func, positionals, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for dest, choices in positionals:
+            p.add_argument(dest, choices=choices)
+        for flag, dest, type_, default, choices in options:
+            required = default is REQUIRED
+            p.add_argument(flag, dest=dest, type=type_, choices=choices, required=required,
+                           default=None if required else default)
+        p.set_defaults(func=func)
     return parser
 
 
-def _check_stochastic_flags(parser: argparse.ArgumentParser, args) -> None:
+def _fast_parse(argv):
+    """argparse's namespace for plain argv, or None where argparse must read argv.
+
+    Plain argv is a subcommand, its positionals, and exact flags each given
+    once as --flag=value or as --flag value with a value that does not start
+    with '-', every value accepted by its type and choices, and every
+    required flag given. Help, abbreviations, repeats and every usage error
+    give None, so argparse writes each message as before.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, positionals, options = COMMANDS[argv[0]]
+    spec = {flag: (dest, type_, choices) for flag, dest, type_, _, choices in options}
+    values = {dest: None if default is REQUIRED else default
+              for _, dest, _, default, _ in options}
+    given, words, rest = set(), [], iter(argv[1:])
+    for arg in rest:
+        if not arg.startswith("-"):
+            words.append(arg)
+            continue
+        flag, eq, text = arg.partition("=")
+        if not eq:
+            text = next(rest, "-")
+            if text.startswith("-"):
+                return None
+        if flag not in spec or flag in given or text == "--":  # argparse drops an '=--'
+            return None
+        given.add(flag)
+        dest, type_, choices = spec[flag]
+        try:
+            values[dest] = type_(text)
+        except Exception:  # argparse reads it again and names the flag
+            return None
+        if choices is not None and values[dest] not in choices:
+            return None
+    required = {flag for flag, _, _, default, _ in options if default is REQUIRED}
+    if len(words) != len(positionals) or not required <= given:
+        return None
+    for (dest, choices), word in zip(positionals, words):
+        if word not in choices:
+            return None
+        values[dest] = word
+    return SimpleNamespace(subcommand=argv[0], **values, func=func)
+
+
+def _flag_error(args):
+    """The usage error of flags that argparse reads one by one, or None."""
     if args.subcommand == "heavytail" and args.action in ("sample", "trace"):
         if args.seed is None:
-            parser.error("--seed is required for stochastic subcommands")
+            return "--seed is required for stochastic subcommands"
         if args.n is None:
-            parser.error("--n is required for sample/trace")
+            return "--n is required for sample/trace"
     if args.subcommand == "simulate":
         if args.model == "cs" and (args.lam is None or args.phi is None):
-            parser.error("--model cs requires --lambda and --phi")
+            return "--model cs requires --lambda and --phi"
         if args.model == "extended" and (
             args.lambda2 is None or args.nu2 is None or args.alpha is None
         ):
-            parser.error("--model extended requires --lambda2, --nu2, --alpha")
+            return "--model extended requires --lambda2, --nu2, --alpha"
         if args.model == "cs" and args.latent is not None:
-            parser.error("--latent requires --model extended")
+            return "--latent requires --model extended"
+    return None
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 2
-    try:
-        _check_stochastic_flags(parser, args)
+        args = _fast_parse(argv) or build_parser().parse_args(argv)
+        message = _flag_error(args)
+        if message is not None:
+            build_parser().error(message)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2

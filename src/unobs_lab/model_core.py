@@ -45,7 +45,7 @@ class Dataset:
     def __init__(self, y, X, sizes, cluster_ids=None, covariate_names=None):
         self.y, self.X = _frozen_array(y), _frozen_array(X)
         self.sizes = _frozen_array(sizes, dtype=np.int64)
-        self.offsets = _frozen_array(np.cumsum([0, *self.sizes]), dtype=np.int64)
+        self.offsets = _frozen_array(np.concatenate(([0], np.cumsum(self.sizes))), dtype=np.int64)
         if self.y.ndim != 1 or self.X.ndim != 2 or len(self.X) != len(self.y):
             raise ValueError("X must have one row per observation of y")
         if len(self.sizes) == 0 or self.sizes.min() < 1 or self.offsets[-1] != len(self.y):

@@ -1,22 +1,28 @@
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unobs_lab import heavytail as ht
-from unobs_lab.cli import _json, main
+from unobs_lab.cli import COMMANDS, REQUIRED, _fast_parse, _json, build_parser, main
 from unobs_lab.equivalence import ExtendedSpec
 from unobs_lab.estimation import SimLayout, simulate_extended
 
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 
 def run(capsys, *argv):
@@ -509,6 +515,180 @@ class TestContract:
         assert _json(value) == text
 
 
+# SHA-256 of `unobs-lab [<cmd>] --help` with COLUMNS=80, as the hand-written
+# argparse parser that preceded the grammar table printed it.
+HELP_SHA256 = {
+    "": "ad0eff090854698b9cd6b57d8900c27ab5fb18c8e55c50b5098de97820d930cf",
+    "equivalence": "33de23b0a176da1566383e6b38608cc3f64d2f4d30497431b3015fcef4e3c94c",
+    "eb": "a3d5edc862f33906c2cb4f3b98601609eea467f11e5aff459fb54970a7ddfc2a",
+    "fit": "8b473e5ab29af609cd9d12cef04b69a8a84d9da145e0f7b3730827598a7ae41c",
+    "simulate": "0808fff8fa62b43e16d6496126f49eedb358882ab1c422b841919fa4d14c47bf",
+    "heavytail": "a75ed024020ef4601d0bbc8347885352305442ec491132935eba8e5bb0de5f5d",
+    "pit": "db36b80c5eec90d1e4e5db5969e1bb8b119cc739173a52b904f4f4461ec50352",
+}
+
+# Values for every kind of option: good ones, then ones that argparse refuses
+# or reads in its own way (negative numbers, '-', '--', the empty string).
+VALUES = {
+    "float": (["1", "0.5", "2e-3", "inf", "nan", "-0.5"], ["-1", "x", "", "1,2", "-"]),
+    "int": (["2", "10", "0", "007", "-3"], ["1.5", "x", "", "-"]),
+    "_float_list": (["0", "0.5,1", "-1,0,1"], ["1,,2", ",", "1,", "", "x", "-"]),
+    "_k_range": (["1..4", "3", "1,2"], ["3..1", "1..", "x", "", "-1"]),
+    "str": (["d.csv", "a=b", "x y", "-"], ["", "--", "-x"]),
+}
+NOISE = ["-h", "--help", "--", "--lam", "--al", "--n", "--see", "--bogus", "--bogus=1",
+         "extra", "moments", "-1", "", "-"]
+
+
+@st.composite
+def _argv(draw):
+    """argv near the grammar: known and unknown subcommands, flags, values and noise.
+
+    Most draws are plain argv, so both the fast path and argparse's own
+    readings (repeats, '-' values, abbreviations, errors) are reached.
+    """
+    cmd = draw(st.sampled_from([*COMMANDS, "nonsense", "", "--help"]))
+    _, _, positionals, options = COMMANDS.get(cmd, (None, None, (), ()))
+    groups = []
+    for flag, _, type_, default, choices in options:
+        counts = [0, *[1] * 17, 2, 2] if default is REQUIRED else [*[0] * 10, *[1] * 9, 2]
+        good, bad = (choices, ["nope", ""]) if choices else VALUES[type_.__name__]
+        for _ in range(draw(st.sampled_from(counts))):
+            value = draw(st.sampled_from(good if draw(st.integers(0, 9)) else bad))
+            groups.append([f"{flag}={value}"] if draw(st.booleans()) else [flag, value])
+    for _, choices in positionals:
+        if draw(st.integers(0, 9)):
+            groups.append([draw(st.sampled_from([*choices, "moment", "-"]))])
+    flags = [flag for cmd_options in COMMANDS.values() for flag, *_ in cmd_options[3]]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 0, 0, 0, 1, 2]))):
+        groups.append([draw(st.sampled_from(NOISE + flags))])
+    groups = draw(st.permutations(groups))
+    return [cmd] + [arg for group in groups for arg in group]
+
+
+def _parsed(namespace):
+    """A namespace's values in an order-free form that counts nan equal to nan."""
+    return repr(sorted(vars(namespace).items()))
+
+
+PARSER = build_parser()
+
+
+def _argparse_vars(parser, argv):
+    """argparse's parse of argv, or None where it exits (help or a usage error)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return _parsed(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _readme_commands():
+    """Every `unobs-lab ...` command line of the README, without the program name."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        text = fh.read().replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in text.splitlines() if line.startswith("unobs-lab ")]
+
+
+class TestGrammar:
+    @pytest.mark.parametrize("cmd", list(HELP_SHA256))
+    def test_help_is_byte_identical(self, cmd, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        rc, out, err = run(capsys, *([cmd] if cmd else []), "--help")
+        assert (rc, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[cmd], out
+
+    @pytest.mark.parametrize(
+        "argv,err",
+        [
+            (["eb", "--lambda2", "1", "--nu2", "1"],
+             "usage: unobs-lab eb [-h] --lambda2 LAMBDA2 --nu2 NU2 --alpha ALPHA [--n N]\n"
+             "                    [--out OUT]\n"
+             "unobs-lab eb: error: the following arguments are required: --alpha\n"),
+            (["simulate", "--lam", "1", "--phi", "1", "--n-clusters", "2", "--cluster-size", "2",
+              "--seed", "1"],
+             "usage: unobs-lab simulate [-h] [--model {cs,extended}] [--lambda LAM]\n"
+             "                          [--phi PHI] [--lambda2 LAMBDA2] [--nu2 NU2]\n"
+             "                          [--alpha ALPHA] [--xi XI] --n-clusters N_CLUSTERS\n"
+             "                          --cluster-size CLUSTER_SIZE --seed SEED [--out OUT]\n"
+             "                          [--latent LATENT]\n"
+             "unobs-lab simulate: error: ambiguous option: --lam could match --lambda, --lambda2\n"),
+            (["heavytail", "moment", "--phi", "1", "--rho", "2", "--delta", "1"],
+             "usage: unobs-lab heavytail [-h] --phi PHI --rho RHO --delta DELTA [--k K]\n"
+             "                           [--n N] [--stride STRIDE] [--seed SEED] [--out OUT]\n"
+             "                           {moments,sample,trace}\n"
+             "unobs-lab heavytail: error: argument action: invalid choice: 'moment' "
+             "(choose from 'moments', 'sample', 'trace')\n"),
+            (["equivalence", "--lambda2", "1", "--nu2", "1", "--alpha-grid", "-1,0"],
+             "usage: unobs-lab equivalence [-h] --lambda2 LAMBDA2 --nu2 NU2 --alpha-grid\n"
+             "                             ALPHA_GRID [--n N] [--out OUT]\n"
+             "unobs-lab equivalence: error: argument --alpha-grid: expected one argument\n"),
+            (["heavytail", "trace", "--phi", "1", "--rho", "1", "--delta", "1", "--n", "3"],
+             "usage: unobs-lab [-h] {equivalence,eb,fit,simulate,heavytail,pit} ...\n"
+             "unobs-lab: error: --seed is required for stochastic subcommands\n"),
+        ],
+    )
+    def test_usage_errors_are_byte_identical(self, argv, err, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(capsys, *argv) == (2, "", err)
+
+    @pytest.mark.parametrize(
+        "argv,want",
+        [
+            (["equivalence", "--lambda2", "1", "--nu2", "1", "--alpha-grid", "0"],
+             {"subcommand": "equivalence", "lambda2": 1.0, "nu2": 1.0, "alpha_grid": [0.0],
+              "n": 2, "out": None, "func": "_cmd_equivalence"}),
+            (["eb", "--lambda2", "1", "--nu2", "1", "--alpha", "0"],
+             {"subcommand": "eb", "lambda2": 1.0, "nu2": 1.0, "alpha": 0.0, "n": 2, "out": None,
+              "func": "_cmd_eb"}),
+            (["fit", "--data", "d.csv"],
+             {"subcommand": "fit", "data": "d.csv", "out": None, "func": "_cmd_fit"}),
+            (["simulate", "--n-clusters", "2", "--cluster-size", "2", "--seed", "1"],
+             {"subcommand": "simulate", "model": "cs", "lam": None, "phi": None, "lambda2": None,
+              "nu2": None, "alpha": None, "xi": [0.0], "n_clusters": 2, "cluster_size": 2,
+              "seed": 1, "out": None, "latent": None, "func": "_cmd_simulate"}),
+            (["heavytail", "moments", "--phi", "1", "--rho", "2", "--delta", "1"],
+             {"subcommand": "heavytail", "action": "moments", "phi": 1.0, "rho": 2.0,
+              "delta": 1.0, "k": [1], "n": None, "stride": 1, "seed": None, "out": None,
+              "func": "_cmd_heavytail"}),
+            (["pit", "--phi", "1", "--rho", "2", "--delta", "1", "--n", "3", "--seed", "1"],
+             {"subcommand": "pit", "dist": "weibull-exp", "phi": 1.0, "rho": 2.0, "delta": 1.0,
+              "n": 3, "seed": 1, "out": None, "func": "_cmd_pit"}),
+        ],
+    )
+    def test_parsed_values_are_pinned(self, argv, want):
+        """Both parsers read COMMANDS, so these values, which the argparse parser written
+        out flag by flag gave, pin every dest, type and default of the table."""
+        for args in (_fast_parse(argv), build_parser().parse_args(argv)):
+            got = dict(vars(args), func=args.func.__name__)
+            assert got == want
+
+    @settings(max_examples=500, deadline=None)
+    @given(_argv())
+    def test_fast_path_agrees_with_argparse(self, argv):
+        fast = _fast_parse(argv)
+        assert fast is None or _parsed(fast) == _argparse_vars(PARSER, argv), argv
+
+    @pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: " ".join(argv[:2]))
+    def test_readme_examples_take_the_fast_path(self, argv):
+        fast = _fast_parse(argv)
+        assert fast is not None and _parsed(fast) == _argparse_vars(PARSER, argv)
+
+    def test_readme_lists_every_subcommand(self):
+        assert {argv[0] for argv in _readme_commands()} == set(COMMANDS)
+
+    def test_benchmark_calls_take_the_fast_path(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+        import workloads
+
+        calls = [call for name in workloads.WORKLOADS
+                 for call in workloads.build(name, 1, str(tmp_path), smoke=True).calls]
+        assert {call.argv[0] for call in calls} == set(COMMANDS)
+        for call in calls:
+            fast = _fast_parse(call.argv)
+            assert fast is not None and _parsed(fast) == _argparse_vars(PARSER, call.argv)
+
+
 class TestLazyScipy:
     @pytest.mark.parametrize(
         "argv",
@@ -571,7 +751,7 @@ class TestLazyScipy:
     )
     def test_closed_form_commands_without_site_load_no_typing(self, argv):
         """Under python -S no .pth file preloads typing, so its cost would show here."""
-        modules = ["numpy", "scipy", "dataclasses", "inspect", "typing"]
+        modules = ["numpy", "scipy", "dataclasses", "inspect", "typing", "argparse"]
         code = (
             "import sys\n"
             "from unobs_lab.cli import main\n"
@@ -605,6 +785,40 @@ class TestLazyScipy:
         tiny.write_text("cluster,unit,y,x1\na,1,1,1\na,2,2,1\nb,1,4,1\nb,2,3,1\nc,1,0,1\n")
         argv = [arg.replace("{tiny_csv}", str(tiny)) for arg in argv]
         assert cold_main(argv, ("dataclasses",)) == (0, {"dataclasses": False})
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["equivalence", "--lambda2", "2", "--nu2", "1", "--alpha-grid=-1,0,1"],
+            ["eb", "--lambda2", "1", "--nu2", "1", "--alpha", "0", "--n", "3"],
+            ["fit", "--data", "{tiny_csv}"],
+            ["simulate", "--model", "extended", "--lambda2", "1", "--nu2", "1", "--alpha", "0",
+             "--n-clusters", "5", "--cluster-size", "2", "--seed", "1", "--latent=-"],
+            ["heavytail", "moments", "--phi", "1", "--rho", "2", "--delta", "1", "--k", "1..4"],
+            ["heavytail", "trace", "--phi", "1", "--rho", "2", "--delta", "1",
+             "--n", "3", "--seed", "1"],
+            ["pit", "--dist", "weibull-exp", "--phi", "1", "--rho", "1", "--delta", "1",
+             "--n", "3", "--seed", "1"],
+        ],
+    )
+    def test_plain_argv_loads_no_argparse(self, argv, tmp_path):
+        """Plain argv is read from the grammar table; argparse and gettext stay unloaded."""
+        tiny = tmp_path / "tiny.csv"
+        tiny.write_text("cluster,unit,y,x1\na,1,1,1\na,2,2,1\nb,1,4,1\nb,2,3,1\nc,1,0,1\n")
+        argv = [arg.replace("{tiny_csv}", str(tiny)) for arg in argv]
+        modules = ("argparse", "gettext")
+        assert cold_main(argv, modules) == (0, dict.fromkeys(modules, False))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eb", "--lambda2", "1", "--nu2", "1"],
+            ["equivalence", "--lambda2", "1", "--nu2", "1", "--alpha-grid=1,,2"],
+            ["heavytail", "trace", "--phi", "1", "--rho", "1", "--delta", "1", "--n", "3"],
+        ],
+    )
+    def test_usage_error_loads_argparse(self, argv):
+        assert cold_main(argv, ("argparse",)) == (2, {"argparse": True})
 
     def test_cs_simulation_loads_no_equivalence_model(self):
         argv = ["simulate", "--model", "cs", "--lambda", "1", "--phi", "1",
