@@ -5,8 +5,10 @@ error. Every stochastic subcommand requires --seed; identical seeds and flags
 produce byte-identical output. All numbers are serialized with 17 significant
 digits so byte-level reproducibility is meaningful.
 
-Note: option values starting with '-' (e.g. a negative alpha grid) must use
-the '--flag=value' form, as in ``--alpha-grid=-1,0,1``.
+Note: an option value that starts with '-' may be a separate word only when
+it is a negative number or a lone '-' (``--alpha -0.5``, ``--out -``); any
+other, such as a negative alpha grid, must use the '--flag=value' form, as
+in ``--alpha-grid=-1,0,1``.
 
 One grammar table, COMMANDS, gives every subcommand and flag. Plain argv is
 read from it directly; help, abbreviations and usage errors go to the

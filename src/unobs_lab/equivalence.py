@@ -33,7 +33,6 @@ __all__ = [
     "SpecA",
     "SpecB",
     "ExtendedSpec",
-    "ConditionalErrorDist",
     "DecompRow",
     "v1_matrix",
     "v2_matrix",
@@ -41,7 +40,7 @@ __all__ = [
     "derive_d_tau",
     "decomposition_table",
     "joint_cov",
-    "conditional_error_dist",
+    "intercept_given_y",
     "marginal_cov_extended",
     "eb_shrinkage",
     "psd_slack",
@@ -200,57 +199,36 @@ def joint_cov(spec: ExtendedSpec, n: int) -> np.ndarray:
     return c
 
 
-class ConditionalErrorDist(namedtuple("ConditionalErrorDist", "mean cov")):
-    """Gaussian law of the error vector given the random intercept; mean is read-only."""
-
-    __slots__ = ()
-
-    def __new__(cls, mean, cov: CSMatrix):
-        import numpy as np
-
-        mean = np.array(mean, dtype=float)
-        mean.flags.writeable = False
-        return super().__new__(cls, mean, cov)
-
-
-def conditional_error_dist(spec: ExtendedSpec, b: float, n: int) -> ConditionalErrorDist:
-    """Distribution of the errors given the random intercept value b.
-
-    Mean (tau*b/d) * 1_n, covariance sigma2*I - (tau^2/d)*J, whose least
-    eigenvalue is sigma2 - n*tau^2/d: a law only where d*sigma2 >= n*tau^2,
-    singular where equality holds. At n = 1 that is exactly |alpha| = 1 (the
-    PSD slack d*sigma2 - tau^2 vanishes there); at n >= 2 the covariance is
-    not PSD near |alpha| = 1 unless tau = 0, and it is returned unchecked
-    (ROADMAP item 1, the admissible set of alpha).
-    """
-    import numpy as np
-
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    d, tau = spec.d, spec.tau
-    if d == 0.0:
-        raise DomainError(
-            "random intercept is a point mass (d = 0); conditioning degenerate"
-        )
-    mean = np.full(n, tau * b / d)
-    return ConditionalErrorDist(mean=mean, cov=CSMatrix(n, -(tau * tau / d), spec.nu2))
-
-
 def marginal_cov_extended(spec: ExtendedSpec, n: int) -> CSMatrix:
     """Implied marginal covariance (d + 2*tau)*J + sigma2*I; alpha-invariant."""
     return CSMatrix(n, spec.d + 2.0 * spec.tau, spec.nu2)
 
 
+def intercept_given_y(spec: ExtendedSpec, n: int, ridge: float = 0.0) -> tuple[float, float]:
+    """Law of a cluster's intercept given its n values: b | y ~ N(c*(ybar - mu), v).
+
+    Gaussian conditioning of b on y gives c = n*(d+tau) / (sigma2 + n*(d+2*tau))
+    and v = (d*sigma2 - n*tau^2) / (sigma2 + n*(d+2*tau)): marginal invariance
+    makes the denominator alpha-free, so c is linear in alpha, and v >= 0 is
+    the PSD condition of the joint of (b, eps). ridge adds ridge*I to that
+    joint, as simulate_extended does inside its rounding band. Where the
+    denominator is not positive ybar is a constant, so b given y has its
+    marginal law: c = 0 and v = d + ridge.
+    """
+    d, tau, nu2 = spec.d + ridge, spec.tau, spec.nu2 + ridge
+    m = nu2 + n * (d + 2.0 * tau)
+    if not m > 0:
+        return 0.0, d
+    return n * (d + tau) / m, (d * nu2 - n * tau * tau) / m
+
+
 def eb_shrinkage(spec: ExtendedSpec, n: int) -> float:
     """Empirical-Bayes shrinkage: E(b_i | Y_i) = c * (ybar_i - xbar_i' xi).
 
-    Gaussian conditioning of b on Y gives c = n*(d+tau) / (sigma2 + n*(d+2*tau)),
-    which is linear in alpha; marginal invariance makes the denominator
-    alpha-free, so the alpha-dependence sits entirely in d + tau.
+    c is intercept_given_y's, on a marginal that validate_cs accepts.
     """
     validate_cs({n}, spec.lambda2, spec.nu2)
-    d, tau = spec.d, spec.tau
-    return n * (d + tau) / (spec.nu2 + n * (d + 2.0 * tau))
+    return intercept_given_y(spec, n)[0]
 
 
 def psd_slack(spec: ExtendedSpec) -> float:

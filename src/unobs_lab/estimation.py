@@ -228,28 +228,34 @@ class Latents(namedtuple("Latents", "b eps")):
     __slots__ = ()
 
 
-def _simulate(sizes, seed: int, mu: float, loads):
-    """y = (mu + b) + eps, eps = a*s + c*z and b = t*s + r*z0: data and latents.
+def _simulate(sizes, seed: int, mu: float, lam: float, phi: float, laws=None):
+    """y ~ N(mu, lam*J + phi*I) per cluster; given laws, also b given y and eps.
 
-    loads(n) gives (a, c, t, r) for size n, checked for every size before
-    any draw; r is None where no b is drawn. z holds a cluster's n normals,
-    from stream i after z0 where b is drawn, one kernel call per size, and s
-    their sum, so a*s + c*z is (a*J + c*I) z. s goes column by column: BLAS
-    would pick the order by row count. The rng is loaded here, not by fit.
+    z holds cluster i's n normals from stream i, after z0 at lam >= 0, where
+    y = (mu + sqrt(lam)*z0) + sqrt(phi)*z; at lam < 0, y = mu + (c*z + a*s),
+    (a, c) the CS root of lam*J + phi*I (checked for every size before any
+    draw) and s the sum of z. laws maps a size to intercept_given_y's (c, v):
+    one more normal z' makes b = c*(ybar - mu) + sqrt(v)*z', eps = y - (mu + b).
+    Sums go column by column, as BLAS would pick the order by row count.
     """
     from unobs_lab.rng import normals
 
-    sizes_of = {n: loads(n) for n in sorted(set(sizes.tolist()))}  # not np.unique: numpy.ma
-    starts, eps, b = np.cumsum(sizes) - sizes, np.empty(int(sizes.sum())), np.zeros(len(sizes))
-    for n, (a, c, t, r) in sizes_of.items():
-        idx, k = np.flatnonzero(sizes == n), int(r is not None)
-        z = normals(seed, idx, n + k)
-        s = sum(z[:, j] for j in range(k, k + n)) if a or t else None  # None for cs, lam >= 0
-        eps[starts[idx, None] + np.arange(n)] = c * z[:, k:] + a * s[:, None] if a else c * z[:, k:]
+    roots = {n: CSMatrix(n, lam, phi).sqrt() for n in sorted(set(sizes.tolist()))}  # not np.unique: numpy.ma
+    starts, y, b = np.cumsum(sizes) - sizes, np.empty(int(sizes.sum())), np.empty(len(sizes))
+    for n, root in roots.items():
+        idx, k = np.flatnonzero(sizes == n), int(lam >= 0)
+        z = normals(seed, idx, n + k + (laws is not None))
         if k:
-            b[idx] = t * s + r * z[:, 0] if t else r * z[:, 0]
-    y = (mu + np.repeat(b, sizes)) + eps
-    return Dataset(y, np.ones((len(y), 1)), sizes), Latents(b, eps)
+            yn = (mu + math.sqrt(lam) * z[:, 0])[:, None] + math.sqrt(phi) * z[:, 1 : n + 1]
+        else:
+            s = sum(z[:, j] for j in range(n))
+            yn = mu + (root.phi * z[:, :n] + root.lam * s[:, None])
+        y[starts[idx, None] + np.arange(n)] = yn
+        if laws is not None:
+            c, v = laws[n]
+            b[idx] = c * (sum(yn[:, j] - mu for j in range(n)) / n) + math.sqrt(max(v, 0.0)) * z[:, -1]
+    data = Dataset(y, np.ones((len(y), 1)), sizes)
+    return data if laws is None else (data, Latents(b, y - (mu + np.repeat(b, sizes))))
 
 
 def simulate_cs(params: CSParams, layout: SimLayout, seed: int) -> Dataset:
@@ -262,10 +268,7 @@ def simulate_cs(params: CSParams, layout: SimLayout, seed: int) -> Dataset:
     """
     sizes = np.array(layout.sizes())
     validate_cs(set(sizes.tolist()), params.lam, params.phi)
-    mu, lam, phi = _intercept(params.xi), params.lam, params.phi
-    if lam >= 0:
-        return _simulate(sizes, seed, mu, lambda n: (0.0, math.sqrt(phi), 0.0, math.sqrt(lam)))[0]
-    return _simulate(sizes, seed, mu, lambda n: (*CSMatrix(n, lam, phi).sqrt()[1:], 0.0, None))[0]
+    return _simulate(sizes, seed, _intercept(params.xi), params.lam, params.phi)
 
 
 def simulate_extended(
@@ -273,23 +276,27 @@ def simulate_extended(
 ) -> tuple[Dataset, Latents]:
     """Simulate y = xi + b + eps from the alpha-indexed hierarchy: data and latents.
 
-    eps ~ N(0, sigma2*I) and b given eps ~ N((tau/sigma2)*sum(eps),
-    d - n*tau^2/sigma2), a law only where d*sigma2 >= n*tau^2 for every
-    cluster size n: on all of [-1, 1] at n = 1, |alpha| = 1 included; at
-    n >= 2 not near |alpha| = 1 unless tau = 0, and a DomainError names the
-    size and the least eigenvalue of the covariance of (b, eps) (ROADMAP
-    item 1, the admissible set of alpha). xi is the intercept.
+    Marginal first: y is simulate_cs(CSParams(xi, lambda2, nu2))'s, bytes
+    included, so the data do not depend on alpha; b is drawn from its law
+    given y (intercept_given_y) with one more normal of the cluster's
+    stream, and eps = y - (xi + b). (b, eps) is a law only where d*sigma2 >=
+    n*tau^2 for every cluster size n: on all of [-1, 1] at n = 1; at n >= 2
+    not near |alpha| = 1 unless tau = 0, and a DomainError names the size
+    and the least eigenvalue of the covariance of (b, eps) (ROADMAP item 1).
     """
-    mu, d, tau, nu2 = _intercept(xi), spec.d, spec.tau, spec.nu2
+    from unobs_lab.equivalence import intercept_given_y
 
-    def loads(n):  # (b, eps) has eigenvalues nu2, n - 1 times, and those of
+    mu, sizes, d, tau, nu2 = _intercept(xi), np.array(layout.sizes()), spec.d, spec.tau, spec.nu2
+    size_set = sorted(set(sizes.tolist()))
+    slack = nu2 * (spec.lambda2 + nu2) * ((1.0 - spec.alpha) * (1.0 + spec.alpha))  # d*nu2 - tau^2
+    x = 0.0  # rounding: a ridge x*I lifts the least eigenvalue to 0, moving nothing more
+    for n in size_set:  # (b, eps) has eigenvalues nu2, n - 1 times, and those of
         # [[d, tau*sqrt(n)], [tau*sqrt(n), nu2]]: top, and low without cancellation
         top = (d + nu2) / 2 + math.hypot((d - nu2) / 2, tau * math.sqrt(n))
-        low = (d * nu2 - n * tau * tau) / top
+        low = (slack - (n - 1) * tau * tau) / top
         if low < -1e-9 * max(1.0, top):
             raise DomainError(f"joint covariance for n = {n} is not PSD: eigenvalue {low}")
-        x = max(0.0, -low)  # rounding: the ridge x*I lifts low to 0, moving nothing more
-        c = math.sqrt(nu2 + x)
-        return 0.0, c, tau / c, math.sqrt(max(0.0, d + x - n * (tau / c) ** 2))
-
-    return _simulate(np.array(layout.sizes()), seed, mu, loads)
+        x = max(x, -low)
+    validate_cs(size_set, spec.lambda2, nu2)  # y is drawn as simulate_cs draws it
+    laws = {n: intercept_given_y(spec, n, x) for n in size_set}
+    return _simulate(sizes, seed, mu, spec.lambda2 + x, nu2 + x, laws)

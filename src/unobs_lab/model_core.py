@@ -83,8 +83,10 @@ class SuffStats:
     evaluation costs O(#sizes * p^2), whatever the number of clusters.
     Digits do cancel: ww holds raw cluster sums, so when the data sit far
     from zero the between-cluster quadratic form is a small difference of
-    large terms. Adding 1e6 to y moves the fitted lam by about 5e-3, relative,
-    so the fit is not yet translation-equivariant.
+    large terms. Adding 1e6 to y moves the fitted lam by 2.5e-3, relative, and
+    adding 1e7 by 5.8e-3 (simulate_cs seed 5, 1000 clusters of 4, lam = phi =
+    1, against fit_balanced_closed_form), so the fit is not yet
+    translation-equivariant (ROADMAP item 3).
     """
 
     def __init__(self, data: Dataset):

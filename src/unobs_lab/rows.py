@@ -6,8 +6,8 @@ picks its conversion, with the bytes of Python's % operator: %d for an
 integer or bool column, %.17g for a float column and %s for a str or object
 column. Columns are formatted whole, CHUNK rows at a time: each column fills
 a uint8 matrix with one line per row and DROP in the cells it leaves out.
-DROP is 0xFF, a byte no UTF-8 text holds, so one boolean index over all the
-matrices (cells != DROP), read row by row, gives the bytes.
+DROP is 0xFF, a byte no UTF-8 text holds, so the matrices' bytes, read row by
+row with every DROP deleted (bytes.translate), are the lines.
 
 %.17g writes |x| as D * 10^(X-16), with D the 17-digit integer in [1e16,
 1e17) rounded half to even. With X = floor(log10|x|) and s = 16 - X,
@@ -235,7 +235,7 @@ def _chunks(columns, n: int) -> Iterator[bytes]:
             cells += [fmt(col[start:stop]), comma]
         cells[-1] = np.full_like(comma, ord("\n"))
         M = np.concatenate(cells, axis=1)
-        yield M[M != DROP].tobytes()
+        yield M.tobytes().translate(None, bytes([DROP]))
 
 
 def lines(columns) -> Iterator[bytes]:

@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -18,7 +19,8 @@ from hypothesis import strategies as st
 from unobs_lab import heavytail as ht
 from unobs_lab.cli import COMMANDS, REQUIRED, _fast_parse, _json, build_parser, main
 from unobs_lab.equivalence import ExtendedSpec
-from unobs_lab.estimation import SimLayout, simulate_extended
+from unobs_lab.estimation import SimLayout, simulate_cs, simulate_extended
+from unobs_lab.model_core import CSParams
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -247,6 +249,46 @@ class TestSimulateAndFit:
         assert "unidentified" in err
 
 
+def inside_a_n(lambda2, nu2, n, points=5):
+    """Alphas strictly inside A_n, the alphas whose (b, eps) law exists at size n."""
+    nu, s, m = math.sqrt(nu2), math.sqrt(lambda2 + nu2), nu2 + n * lambda2
+    lo, hi = ((-(n - 1) * nu + sign * math.sqrt(m)) / (n * s) for sign in (-1, 1))
+    return [lo + (hi - lo) * k / (points + 1) for k in range(1, points + 1)]
+
+
+class TestClaimOneInBytes:
+    """Claim (1): the data carry no information about alpha, so simulate writes
+    the same data bytes for every alpha in A_n, those of the CS model."""
+
+    @pytest.mark.parametrize("lambda2, nu2, n", [(1.0, 1.0, 1), (1.0, 1.0, 2), (1.0, 1.0, 3),
+                                                 (-0.2, 1.0, 3)])
+    def test_extended_data_are_the_cs_data(self, tmp_path, capsys, lambda2, nu2, n):
+        layout = ["--n-clusters", "40", "--cluster-size", str(n), "--seed", "17", "--xi", "0.5"]
+        cs = tmp_path / "cs.csv"
+        assert run(capsys, "simulate", "--model", "cs", f"--lambda={lambda2!r}",
+                   "--phi", repr(nu2), *layout, "--out", str(cs))[0] == 0
+        cs_fit = run(capsys, "fit", "--data", str(cs))  # at n = 1 both refuse, alike
+        assert cs_fit[0] == (0 if n > 1 else 1)
+        latents = set()
+        for k, alpha in enumerate(inside_a_n(lambda2, nu2, n)):
+            out, latent = tmp_path / f"ext{k}.csv", tmp_path / f"lat{k}.csv"
+            assert run(capsys, "simulate", "--model", "extended", f"--lambda2={lambda2!r}",
+                       "--nu2", repr(nu2), f"--alpha={alpha!r}", *layout, "--out", str(out),
+                       "--latent", str(latent))[0] == 0
+            assert out.read_bytes() == cs.read_bytes()
+            assert run(capsys, "fit", "--data", str(out)) == cs_fit
+            latents.add(latent.read_bytes())
+        assert len(latents) == 5  # only the latents move with alpha
+
+    def test_unbalanced_layout(self):
+        sizes = [1, 3, 2, 3, 1, 2, 2, 3]
+        layout = SimLayout(len(sizes), sizes)
+        want = simulate_cs(CSParams([0.5], 1.5, 1.0), layout, seed=8).y
+        for alpha in inside_a_n(1.5, 1.0, max(sizes)):  # A_3 lies in A_2 and A_1
+            data, _ = simulate_extended(ExtendedSpec(1.5, 1.0, alpha), [0.5], layout, seed=8)
+            assert np.array_equal(data.y, want)
+
+
 class TestHeavytailCommand:
     def test_moments_all_infinite_at_rho_one(self, capsys):
         rc, out, _ = run(
@@ -441,6 +483,14 @@ class TestContract:
         assert err.splitlines()[-1].endswith(
             f"error: argument {flag}: {text} has an empty item "
             "(a doubled, leading or trailing comma)")
+
+    def test_negative_number_may_be_a_separate_value(self, capsys):
+        eb = ["eb", "--lambda2", "1", "--nu2", "1"]
+        spaced = run(capsys, *eb, "--alpha", "-0.5")
+        assert spaced[0] == 0 and spaced == run(capsys, *eb, "--alpha=-0.5")
+        grid = ["equivalence", "--lambda2", "1", "--nu2", "1", "--alpha-grid"]
+        assert run(capsys, *grid, "-1,0")[0] == 2  # not a number: it needs the = form
+        assert run(capsys, *grid[:-1], "--alpha-grid=-1,0")[0] == 0
 
     def test_json_floats_have_17_digit_format(self, capsys):
         rc, out, _ = run(

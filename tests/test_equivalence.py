@@ -10,10 +10,10 @@ from unobs_lab.equivalence import (
     ExtendedSpec,
     SpecA,
     SpecB,
-    conditional_error_dist,
     decomposition_table,
     derive_d_tau,
     eb_shrinkage,
+    intercept_given_y,
     joint_cov,
     map_a_to_b,
     marginal_cov_extended,
@@ -212,60 +212,6 @@ class TestJointCov:
         assert min_eig < -1e-3
 
 
-class TestConditionalErrorDist:
-    def test_alpha_zero(self):
-        dist = conditional_error_dist(ExtendedSpec(2, 1, 0), b=1.0, n=2)
-        assert dist.mean == pytest.approx([-0.25, -0.25])
-        assert np.allclose(dist.cov.array, [[0.75, -0.25], [-0.25, 0.75]])
-
-    def test_tau_zero_decouples(self):
-        dist = conditional_error_dist(ExtendedSpec(3, 1, -0.5), b=5.0, n=2)
-        assert dist.mean == pytest.approx([0.0, 0.0], abs=1e-15)
-        assert np.allclose(dist.cov.array, np.eye(2), atol=1e-12)
-
-    def test_boundary_singular_for_single_error(self):
-        # at |alpha| = 1 the pairwise slack vanishes: the n = 1 conditional
-        # variance is exactly zero
-        dist = conditional_error_dist(ExtendedSpec(2, 1, 1.0), b=0.0, n=1)
-        assert dist.mean == pytest.approx([0.0])
-        assert dist.cov.array[0, 0] == pytest.approx(0.0, abs=1e-12)
-
-    def test_boundary_breaks_down_for_n2(self):
-        # det = sigma2*(sigma2 - 2*tau^2/d) turns negative at |alpha| = 1:
-        # the construction yields no valid conditional law for n >= 2 there
-        spec = ExtendedSpec(2, 1, 1.0)
-        d, tau = derive_d_tau(2, 1, 1.0)
-        dist = conditional_error_dist(spec, b=0.0, n=2)
-        det = np.linalg.det(dist.cov.array)
-        assert det == pytest.approx(1.0 * (1.0 - 2 * tau * tau / d), abs=1e-10)
-        assert det < 0
-
-    def test_degenerate_conditioning(self):
-        with pytest.raises(DomainError):
-            conditional_error_dist(ExtendedSpec(0, 1, -1), b=0.0, n=2)
-
-    def test_reconstruction_law_of_total_covariance(self):
-        # Var(eps) = E Var(eps|b) + Var(E(eps|b)) and Cov(b, eps) = tau
-        rng = np.random.default_rng(23)
-        for _ in range(30):
-            nu2 = float(rng.uniform(0.2, 2.0))
-            lam2 = float(rng.uniform(-nu2 + 1e-3, 2.0))
-            alpha = float(rng.uniform(-0.99, 0.99))
-            n = int(rng.integers(1, 5))
-            spec = ExtendedSpec(lam2, nu2, alpha)
-            d, tau = derive_d_tau(lam2, nu2, alpha)
-            if d < 1e-8:
-                continue
-            dist = conditional_error_dist(spec, b=1.0, n=n)
-            slope = np.asarray(dist.mean)  # mean at b = 1, i.e. (tau/d) 1_n
-            var_eps = dist.cov.array + d * np.outer(slope, slope)
-            joint = np.zeros((n + 1, n + 1))
-            joint[0, 0] = d
-            joint[0, 1:] = joint[1:, 0] = d * slope  # Cov(b, eps) = d * tau/d
-            joint[1:, 1:] = var_eps
-            assert np.allclose(joint, joint_cov(spec, n), atol=1e-10)
-
-
 # ---------------------------------------------------------------------------
 # Marginal invariance and EB sensitivity
 # ---------------------------------------------------------------------------
@@ -346,6 +292,63 @@ class TestEbShrinkage:
     def test_pd_violation(self):
         with pytest.raises(DomainError):
             eb_shrinkage(ExtendedSpec(-0.4, 1, 0), 3)
+
+
+def brute_force_law(spec, n, ridge=0.0):
+    """(c, v) of b given Y from the dense joint of (b, eps) plus ridge*I."""
+    joint = joint_cov(spec, n) + ridge * np.eye(n + 1)
+    to_b_y = np.vstack([np.eye(1, n + 1), np.hstack([np.ones((n, 1)), np.eye(n)])])
+    cov = to_b_y @ joint @ to_b_y.T  # of (b, Y_1, ..., Y_n)
+    w = np.linalg.solve(cov[1:, 1:], cov[1:, 0])  # E(b|Y) = w'(Y - mu)
+    assert np.allclose(w, w[0])
+    return float(n * w[0]), float(cov[0, 0] - cov[1:, 0] @ w)
+
+
+class TestInterceptGivenY:
+    def test_brute_force_conditioning(self):
+        rng = np.random.default_rng(37)
+        for _ in range(50):
+            nu2 = float(rng.uniform(0.2, 2.0))
+            n = int(rng.integers(1, 7))
+            lam2 = float(rng.uniform(-nu2 / n + 1e-3, 2.0))
+            spec = ExtendedSpec(lam2, nu2, float(rng.uniform(-1, 1)))
+            ridge = float(rng.choice([0.0, 0.3]))
+            c, v = intercept_given_y(spec, n, ridge)
+            want_c, want_v = brute_force_law(spec, n, ridge)
+            assert c == pytest.approx(want_c, abs=1e-10)
+            assert v == pytest.approx(want_v, abs=1e-10)
+
+    def test_shrinkage_keeps_its_bits(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            nu2 = float(rng.uniform(0.2, 2.0))
+            n = int(rng.integers(1, 9))
+            spec = ExtendedSpec(float(rng.uniform(-nu2 / n + 1e-3, 2.0)), nu2,
+                                float(rng.uniform(-1, 1)))
+            d, tau = spec.d, spec.tau
+            assert eb_shrinkage(spec, n) == n * (d + tau) / (nu2 + n * (d + 2.0 * tau))
+            assert intercept_given_y(spec, n)[0] == eb_shrinkage(spec, n)
+
+    def test_variance_is_the_psd_condition(self):
+        # v has the sign of d*sigma2 - n*tau^2; at n = 1, |alpha| = 1 b is a function of y
+        for alpha in (-1.0, -0.4, 0.2, 1.0):
+            spec = ExtendedSpec(2.0, 1.0, alpha)
+            for n in (1, 2, 3):
+                excess = spec.d * spec.nu2 - n * spec.tau**2
+                v = intercept_given_y(spec, n)[1]
+                assert v == pytest.approx(excess / (1.0 + 2.0 * n), abs=1e-12)
+        assert intercept_given_y(ExtendedSpec(2.0, 1.0, 1.0), 1)[1] == pytest.approx(0.0, abs=1e-15)
+
+    def test_tau_zero_is_the_textbook_law(self):
+        c, v = intercept_given_y(ExtendedSpec(3, 1, -0.5), 2)  # d = 3, tau = 0
+        assert c == pytest.approx(6 / 7) and v == pytest.approx(3 / 7)
+
+    def test_constant_cluster_mean_has_the_marginal_law(self):
+        # lambda2 = -nu2/n: ybar is a constant, so b given y is b, with no division by 0
+        spec = ExtendedSpec(-0.5, 1.0, -math.sqrt(0.5))
+        assert spec.nu2 + 2 * (spec.d + 2 * spec.tau) == 0.0
+        assert intercept_given_y(spec, 2) == (0.0, spec.d)
+        assert spec.d == pytest.approx(0.5)
 
 
 class TestPsdSlack:

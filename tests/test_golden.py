@@ -4,12 +4,13 @@ The digests were recorded with the per-row Python `%` writer, before rows
 were formatted column by column in numpy, so they pin the bytes each output
 must keep. Every call writes through --out (and --latent) into a file.
 
-Five digests were re-recorded when both simulators moved from a Cholesky or
-eigh factor to closed forms (cs at lam < 0 through the CS square root,
-extended as eps, then b given the sum of eps), which changes the draws:
-simulate-cs-lam-0.2 (out), simulate-extended-latent (out and latent) and
-simulate-extended-latent-size3 (out and latent). The other fourteen
-entries, simulate-cs-lam0.7 among them, and the fit report kept theirs.
+simulate-cs-lam-0.2 (out) was re-recorded when simulate_cs at lam < 0 moved
+from a Cholesky factor to the closed-form CS square root. The extended
+simulator draws y first, as simulate_cs does, and b given y, so the --out of
+simulate-extended-latent and simulate-extended-latent-size3 is not a digest:
+it is the argv of the simulate --model cs call whose bytes it must equal,
+claim (1) byte for byte. Their --latent digests were re-recorded for that
+draw. The other entries and the fit report kept their digests.
 """
 
 import hashlib
@@ -20,7 +21,7 @@ from unobs_lab.cli import main
 
 HT = ["--phi", "1.3", "--delta", "0.7"]
 
-# name -> (argv, sha256 of --out, sha256 of --latent or None)
+# name -> (argv, sha256 of --out or the argv of the cs call it equals, sha256 of --latent or None)
 GOLDEN = {
     "simulate-cs-lam0.7": (
         ["simulate", "--model", "cs", "--lambda", "0.7", "--phi", "1.1", "--xi", "1.5",
@@ -37,14 +38,16 @@ GOLDEN = {
     "simulate-extended-latent": (
         ["simulate", "--model", "extended", "--lambda2", "1", "--nu2", "1", "--alpha", "0.2",
          "--n-clusters", "30", "--cluster-size", "2", "--seed", "13"],
-        "e3ce2205c7db1c3150d6db1283a9a6a991d3fffc70cda521c13ea2f31f18e651",
-        "6bacbdec801fe5185359ebcc65b93c16ea4b7b3d477528ee12d6d516edc08c87",
+        ["simulate", "--model", "cs", "--lambda", "1", "--phi", "1",
+         "--n-clusters", "30", "--cluster-size", "2", "--seed", "13"],
+        "a8b4c091989982afb3a054e9e6080bf55a4955978f983f4f6656045dc963402c",
     ),
     "simulate-extended-latent-size3": (
         ["simulate", "--model", "extended", "--lambda2", "3", "--nu2", "1", "--alpha=-0.5",
          "--xi", "1e6", "--n-clusters", "25", "--cluster-size", "3", "--seed", "14"],
-        "dec70ae22561fb7273965f554a61cb7e0df620444c00c72f36c4d406d63548f4",
-        "d26012f64489a7ec933dceff0ea3a91f20d0b495b1d20f0b47496c82855ef1fb",
+        ["simulate", "--model", "cs", "--lambda", "3", "--phi", "1", "--xi", "1e6",
+         "--n-clusters", "25", "--cluster-size", "3", "--seed", "14"],
+        "9e29ce7e57acb01fdf5aa4f4e812a3e6ac1b312a449f73e2b01daa4932099267",
     ),
     "sample-rho0.3": (
         ["heavytail", "sample", *HT, "--rho", "0.3", "--n", "3000", "--seed", "21"],
@@ -123,6 +126,10 @@ def test_output_bytes_are_pinned(name, tmp_path):
     out, latent = tmp_path / "out", tmp_path / "latent"
     extra = ["--out", str(out)] + (["--latent", str(latent)] if want_latent else [])
     assert main(argv + extra) == 0
+    if isinstance(want_out, list):  # extended data: the bytes of its cs twin
+        twin = tmp_path / "twin"
+        assert main(want_out + ["--out", str(twin)]) == 0
+        want_out = _sha(twin)
     assert _sha(out) == want_out
     if want_latent:
         assert _sha(latent) == want_latent

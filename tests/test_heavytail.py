@@ -502,6 +502,30 @@ class TestWgSample:
         stat = kstest(draws**2.0, "expon").statistic
         assert stat < 1.95 / math.sqrt(n)
 
+    @staticmethod
+    def two_components(mode):
+        alpha_g, beta_g = ([0.3, 3.0], [1 / 0.3, 1 / 3.0]) if mode == "frailty" else (
+            [1.0, 1.0], [0.5, 2.0])
+        return WeibullGammaSpec(lam=0.7, rho=1.7, xi=[0.4, -1.1], x=[[1.5, 0.2], [-0.8, 0.9]],
+                                alpha_g=alpha_g, beta_g=beta_g, constraint_mode=mode)
+
+    @pytest.mark.parametrize("mode", ["frailty", "bayarri"])
+    def test_blocks_give_the_whole_array_bytes(self, mode):
+        spec, n = self.two_components(mode), 2 * BLOCK + 7
+        for j, draws in enumerate(wg_sample(spec, n, seed=19)):
+            rng = substream(19, j)  # every frailty, then every uniform, in one call each
+            theta = rng.gamma(shape=spec.alpha_g[j], scale=spec.beta_g[j], size=n)
+            u = np.clip(rng.random(n), 1e-300, 1.0 - 1e-16)
+            rate = spec.lam * theta * math.exp(float(spec.x[j] @ spec.xi))
+            assert np.array_equal(draws, (-np.log(u) / rate) ** (1.0 / spec.rho))
+
+    @pytest.mark.parametrize("mode", ["frailty", "bayarri"])
+    def test_peak_memory_is_the_outputs(self, mode):
+        spec, n = self.two_components(mode), 500_000
+        wg_sample(spec, 10, seed=1)  # the rng loaded before tracing
+        peak = traced_peak(lambda: wg_sample(spec, n, seed=1))
+        assert peak < 1.2 * 8 * n * spec.n_components  # and a frailty and a uniform block
+
     def test_constraint_validation(self):
         want = f"frailty mode requires |alpha_g * beta_g - 1| <= {FRAILTY_TOL!r}"
         with pytest.raises(DomainError, match=re.escape(want)):

@@ -17,7 +17,6 @@ import pytest
 from unobs_lab.cli import main
 from unobs_lab.cs import CSMatrix, DomainError
 from unobs_lab.equivalence import (
-    ConditionalErrorDist,
     DecompRow,
     ExtendedSpec,
     SpecA,
@@ -35,7 +34,6 @@ VALID = [
     (SpecB, dict(lambda1sq=1.0, lambda2sq=-0.5, nusq=1.0)),
     (ExtendedSpec, dict(lambda2=1.0, nu2=1.0, alpha=0.25)),
     (DecompRow, dict(quantity="variance", sigma2_part=1.0, d_part=2.0, two_tau_part=-1.0)),
-    (ConditionalErrorDist, dict(mean=[0.5, 0.5], cov=CSMatrix(2, -0.25, 1.0))),
     (WeibullGammaSpec, dict(lam=1.0, rho=2.0, xi=[0.5], x=[[1.0]], alpha_g=[2.0],
                             beta_g=[0.5], constraint_mode="frailty")),
     (WeibullExpSpec, dict(phi=1.0, rho=2.0, delta=1.0)),
@@ -168,10 +166,6 @@ def test_moment_result_field_order_is_the_moments_json_order(capsys):
 
 
 def test_array_fields_are_held_read_only():
-    mean = np.array([1.0, 2.0])
-    dist = ConditionalErrorDist(mean, CSMatrix(2, 0.0, 1.0))
-    mean[0] = 5.0
-    assert dist.mean.tolist() == [1.0, 2.0] and not dist.mean.flags.writeable
     given = [np.array([0.5]), np.array([[1.0]]), np.array([2.0]), np.array([0.5])]
     spec = WeibullGammaSpec(1.0, 2.0, *given)
     assert all(g.flags.writeable for g in given)
