@@ -126,8 +126,6 @@ def _equivalence_record(lambda2: float, nu2: float, alpha: float, n: int) -> dic
     from unobs_lab import equivalence as eq
 
     spec = eq.ExtendedSpec(lambda2=lambda2, nu2=nu2, alpha=alpha)
-    var_row, cov_row = eq.decomposition_table(lambda2, nu2, alpha)
-    marg = eq.marginal_cov_extended(spec, n)
     return {
         "lambda2": lambda2,
         "nu2": nu2,
@@ -136,20 +134,12 @@ def _equivalence_record(lambda2: float, nu2: float, alpha: float, n: int) -> dic
         "tau": spec.tau,
         "slack": eq.psd_slack(spec),
         "shrinkage": eq.eb_shrinkage(spec, n),
-        "marginal_cov": marg.flat(),
-        "decomposition": {
-            "variance": {
-                "sigma2": var_row.sigma2_part,
-                "d": var_row.d_part,
-                "two_tau": var_row.two_tau_part,
-                "total": var_row.total,
-            },
-            "covariance": {
-                "sigma2": cov_row.sigma2_part,
-                "d": cov_row.d_part,
-                "two_tau": cov_row.two_tau_part,
-                "total": cov_row.total,
-            },
+        "admissible": eq.admissible(spec, n),
+        "marginal_cov": eq.marginal_cov_extended(spec, n).flat(),
+        "decomposition": {  # "variance", then "covariance"
+            row.quantity: {"sigma2": row.sigma2_part, "d": row.d_part,
+                           "two_tau": row.two_tau_part, "total": row.total}
+            for row in eq.decomposition_table(lambda2, nu2, alpha)
         },
     }
 
@@ -185,6 +175,7 @@ def _cmd_eb(args) -> int:
         "d": spec.d,
         "tau": spec.tau,
         "shrinkage": eq.eb_shrinkage(spec, args.n),
+        "admissible": eq.admissible(spec, args.n),
     }
     write_rows(_dest(args.out), _json(record) + "\n")
     return 0

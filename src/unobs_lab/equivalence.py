@@ -12,7 +12,8 @@ Three pieces:
   so that d + 2*tau = lam2 for every alpha in [-1, 1] and all members imply
   the identical marginal covariance lam2*J + nu2*I;
 * the empirical-Bayes shrinkage coefficient c(alpha), which does depend on
-  alpha and so exposes the sensitivity hidden by marginal invariance.
+  alpha and so exposes the sensitivity hidden by marginal invariance, and
+  admissible(spec, n): a hierarchy for clusters of n, d*sigma2 >= n*tau^2.
 
 The scalars are plain Python; numpy is imported only by the functions that
 return arrays, so eb and equivalence never load it.
@@ -44,7 +45,9 @@ __all__ = [
     "marginal_cov_extended",
     "eb_shrinkage",
     "psd_slack",
+    "admissible",
 ]
+EPS = 2.0**-52  # the spacing of floats at 1
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +165,6 @@ class ExtendedSpec(namedtuple("ExtendedSpec", "lambda2 nu2 alpha d tau")):
     def __getnewargs__(self):
         return self[:3]
 
-    @property
-    def s(self) -> float:
-        return math.sqrt(self.lambda2 + self.nu2)
-
 
 class DecompRow(namedtuple("DecompRow", "quantity sigma2_part d_part two_tau_part")):
     """One row, quantity "variance" or "covariance", of its split into sigma2, d, 2*tau."""
@@ -204,22 +203,19 @@ def marginal_cov_extended(spec: ExtendedSpec, n: int) -> CSMatrix:
     return CSMatrix(n, spec.d + 2.0 * spec.tau, spec.nu2)
 
 
-def intercept_given_y(spec: ExtendedSpec, n: int, ridge: float = 0.0) -> tuple[float, float]:
+def intercept_given_y(spec: ExtendedSpec, n: int) -> tuple[float, float]:
     """Law of a cluster's intercept given its n values: b | y ~ N(c*(ybar - mu), v).
 
-    Gaussian conditioning of b on y gives c = n*(d+tau) / (sigma2 + n*(d+2*tau))
-    and v = (d*sigma2 - n*tau^2) / (sigma2 + n*(d+2*tau)): marginal invariance
-    makes the denominator alpha-free, so c is linear in alpha, and v >= 0 is
-    the PSD condition of the joint of (b, eps). ridge adds ridge*I to that
-    joint, as simulate_extended does inside its rounding band. Where the
-    denominator is not positive ybar is a constant, so b given y has its
-    marginal law: c = 0 and v = d + ridge.
+    Gaussian conditioning of b on y gives c = n*(d+tau)/m and v = psd_slack(spec, n)/m,
+    m = sigma2 + n*(d+2*tau): marginal invariance makes m alpha-free, so c is linear in
+    alpha, and v >= 0 is the PSD condition of the joint of (b, eps). Where m is not
+    positive ybar is a constant, so b given y has its marginal law: c = 0 and v = d.
     """
-    d, tau, nu2 = spec.d + ridge, spec.tau, spec.nu2 + ridge
-    m = nu2 + n * (d + 2.0 * tau)
+    d, tau = spec.d, spec.tau
+    m = spec.nu2 + n * (d + 2.0 * tau)
     if not m > 0:
         return 0.0, d
-    return n * (d + tau) / m, (d * nu2 - n * tau * tau) / m
+    return n * (d + tau) / m, psd_slack(spec, n) / m
 
 
 def eb_shrinkage(spec: ExtendedSpec, n: int) -> float:
@@ -231,6 +227,29 @@ def eb_shrinkage(spec: ExtendedSpec, n: int) -> float:
     return intercept_given_y(spec, n)[0]
 
 
-def psd_slack(spec: ExtendedSpec) -> float:
-    """Slack d*sigma2 - tau^2 of the pairwise PSD condition; zero at |alpha| = 1."""
-    return spec.d * spec.nu2 - spec.tau * spec.tau
+def psd_slack(spec: ExtendedSpec, n: int = 1) -> float:
+    """d*sigma2 - n*tau^2, with the sign of the least eigenvalue of joint_cov(spec, n).
+
+    Its n = 1 part, d*sigma2 - tau^2, is written so that it does not cancel: it is 0
+    at |alpha| = 1.
+    """
+    lambda2, nu2, alpha, _, tau = spec
+    return nu2 * (lambda2 + nu2) * ((1.0 - alpha) * (1.0 + alpha)) - (n - 1) * tau * tau
+
+
+def admissible(spec: ExtendedSpec, n: int) -> bool:
+    """Whether (b, eps_1..eps_n) has a law: psd_slack(spec, n) >= 0 up to its rounding.
+
+    The forward error of psd_slack to first order in u = EPS/2, with lambda2, nu2 and
+    alpha exact (Higham 2002, ch. 3): its first term takes 6 roundings, so is off by at
+    most 6u*a, a = nu2*(lambda2 + nu2); tau takes 6 (nu 1, s 2, two products, one sum),
+    so is off by at most 6u*t, t = nu2 + nu*|alpha|*s >= |tau|, and (n - 1)*tau*tau by at
+    most 14u*(n - 1)*(|tau| + t)*t; the subtraction adds u*M, M = a + (n - 1)*(|tau| + t)*t.
+    That is 7.5*EPS*M; 16*EPS*M covers the higher orders and M's own rounding, so no
+    alpha that exact arithmetic admits is refused. The bound cannot be 0: tau carries
+    rounding where it is 0 exactly, 1.7e-18 at the point mass ExtendedSpec(0, 0.01, -1).
+    """
+    lambda2, nu2, alpha, _, tau = spec
+    t = nu2 + math.sqrt(nu2) * abs(alpha) * math.sqrt(lambda2 + nu2)
+    bound = 16.0 * EPS * (nu2 * (lambda2 + nu2) + (n - 1) * (abs(tau) + t) * t)
+    return psd_slack(spec, n) >= -bound

@@ -7,12 +7,12 @@ left, r = lam/(lam+phi), over its open interval, which is exactly the PD
 region. A closed-form one-way ANOVA estimator serves as the oracle on
 balanced intercept-only data.
 
-Simulation is intercept-only. Cluster i draws a fixed number of normals,
-set by its size, from counter-based stream (seed, i); the clusters of one
-size are drawn in a single vectorised call (rng.normals) and mapped in
-closed form, with no factorization and row sums in a fixed order, so
-replicates are deterministic and cluster i's values do not depend on how
-many clusters are simulated.
+Simulation is intercept-only. Cluster i of size n draws n normals (n + 1
+for the extended family) from counter-based stream (seed, i); the clusters
+of one size are drawn in a single vectorised call (rng.normals) and mapped
+one way, through the closed-form CS square root, with no factorization and
+row sums in a fixed order, so replicates are deterministic and cluster i's
+values do not depend on how many clusters are simulated.
 """
 
 from __future__ import annotations
@@ -231,29 +231,25 @@ class Latents(namedtuple("Latents", "b eps")):
 def _simulate(sizes, seed: int, mu: float, lam: float, phi: float, laws=None):
     """y ~ N(mu, lam*J + phi*I) per cluster; given laws, also b given y and eps.
 
-    z holds cluster i's n normals from stream i, after z0 at lam >= 0, where
-    y = (mu + sqrt(lam)*z0) + sqrt(phi)*z; at lam < 0, y = mu + (c*z + a*s),
-    (a, c) the CS root of lam*J + phi*I (checked for every size before any
-    draw) and s the sum of z. laws maps a size to intercept_given_y's (c, v):
-    one more normal z' makes b = c*(ybar - mu) + sqrt(v)*z', eps = y - (mu + b).
-    Sums go column by column, as BLAS would pick the order by row count.
+    With z cluster i's n normals from stream i and s their sum, y = mu + (c*z + a*s),
+    a*J + c*I the CS root of lam*J + phi*I (checked for every size before any draw).
+    laws maps a size to intercept_given_y's (c, v): one more normal z' makes
+    b = c*(ybar - mu) + sqrt(v)*z', eps = y - (mu + b). Sums go column by column,
+    as BLAS would pick the order by row count.
     """
     from unobs_lab.rng import normals
 
     roots = {n: CSMatrix(n, lam, phi).sqrt() for n in sorted(set(sizes.tolist()))}  # not np.unique: numpy.ma
     starts, y, b = np.cumsum(sizes) - sizes, np.empty(int(sizes.sum())), np.empty(len(sizes))
     for n, root in roots.items():
-        idx, k = np.flatnonzero(sizes == n), int(lam >= 0)
-        z = normals(seed, idx, n + k + (laws is not None))
-        if k:
-            yn = (mu + math.sqrt(lam) * z[:, 0])[:, None] + math.sqrt(phi) * z[:, 1 : n + 1]
-        else:
-            s = sum(z[:, j] for j in range(n))
-            yn = mu + (root.phi * z[:, :n] + root.lam * s[:, None])
+        idx = np.flatnonzero(sizes == n)
+        z = normals(seed, idx, n + (laws is not None))
+        s = sum(z[:, j] for j in range(n))
+        yn = mu + (root.phi * z[:, :n] + root.lam * s[:, None])
         y[starts[idx, None] + np.arange(n)] = yn
         if laws is not None:
             c, v = laws[n]
-            b[idx] = c * (sum(yn[:, j] - mu for j in range(n)) / n) + math.sqrt(max(v, 0.0)) * z[:, -1]
+            b[idx] = c * (sum(yn[:, j] - mu for j in range(n)) / n) + math.sqrt(max(v, 0.0)) * z[:, n]
     data = Dataset(y, np.ones((len(y), 1)), sizes)
     return data if laws is None else (data, Latents(b, y - (mu + np.repeat(b, sizes))))
 
@@ -261,10 +257,8 @@ def _simulate(sizes, seed: int, mu: float, lam: float, phi: float, laws=None):
 def simulate_cs(params: CSParams, layout: SimLayout, seed: int) -> Dataset:
     """Simulate y = xi + cluster effect + noise from the intercept-only CS model.
 
-    For lam >= 0 a real random intercept b ~ N(0, lam) is drawn and the
-    noise is N(0, phi*I); for lam < 0 no hierarchy exists, so each cluster
-    is drawn directly from N(xi, lam*J + phi*I) through its CS square root.
-    Both branches share the marginal law, and the output is bit-reproducible.
+    Every cluster is drawn one way, at every lam, from N(xi, lam*J + phi*I)
+    through its CS square root; the output is bit-reproducible.
     """
     sizes = np.array(layout.sizes())
     validate_cs(set(sizes.tolist()), params.lam, params.phi)
@@ -279,24 +273,19 @@ def simulate_extended(
     Marginal first: y is simulate_cs(CSParams(xi, lambda2, nu2))'s, bytes
     included, so the data do not depend on alpha; b is drawn from its law
     given y (intercept_given_y) with one more normal of the cluster's
-    stream, and eps = y - (xi + b). (b, eps) is a law only where d*sigma2 >=
-    n*tau^2 for every cluster size n: on all of [-1, 1] at n = 1; at n >= 2
-    not near |alpha| = 1 unless tau = 0, and a DomainError names the size
-    and the least eigenvalue of the covariance of (b, eps) (ROADMAP item 1).
+    stream, and eps = y - (xi + b). (b, eps) is a law only where admissible
+    holds for every cluster size n (at n = 1 for all alpha); elsewhere a
+    DomainError names the size and the least eigenvalue of its covariance.
     """
-    from unobs_lab.equivalence import intercept_given_y
+    from unobs_lab.equivalence import admissible, intercept_given_y, psd_slack
 
     mu, sizes, d, tau, nu2 = _intercept(xi), np.array(layout.sizes()), spec.d, spec.tau, spec.nu2
     size_set = sorted(set(sizes.tolist()))
-    slack = nu2 * (spec.lambda2 + nu2) * ((1.0 - spec.alpha) * (1.0 + spec.alpha))  # d*nu2 - tau^2
-    x = 0.0  # rounding: a ridge x*I lifts the least eigenvalue to 0, moving nothing more
-    for n in size_set:  # (b, eps) has eigenvalues nu2, n - 1 times, and those of
-        # [[d, tau*sqrt(n)], [tau*sqrt(n), nu2]]: top, and low without cancellation
-        top = (d + nu2) / 2 + math.hypot((d - nu2) / 2, tau * math.sqrt(n))
-        low = (slack - (n - 1) * tau * tau) / top
-        if low < -1e-9 * max(1.0, top):
+    for n in size_set:  # (b, eps) has eigenvalues nu2 (n - 1 times), top and psd_slack/top
+        if not admissible(spec, n):
+            top = (d + nu2) / 2 + math.hypot((d - nu2) / 2, tau * math.sqrt(n))
+            low = psd_slack(spec, n) / top
             raise DomainError(f"joint covariance for n = {n} is not PSD: eigenvalue {low}")
-        x = max(x, -low)
     validate_cs(size_set, spec.lambda2, nu2)  # y is drawn as simulate_cs draws it
-    laws = {n: intercept_given_y(spec, n, x) for n in size_set}
-    return _simulate(sizes, seed, mu, spec.lambda2 + x, nu2 + x, laws)
+    laws = {n: intercept_given_y(spec, n) for n in size_set}
+    return _simulate(sizes, seed, mu, spec.lambda2, nu2, laws)

@@ -103,6 +103,21 @@ class TestEquivalenceCommand:
         assert dec["variance"]["total"] == dec["variance"]["sigma2"] + dec["variance"]["d"] + dec["variance"]["two_tau"]
         assert rec["d"] + 2 * rec["tau"] == pytest.approx(rec["lambda2"], abs=1e-12)
 
+    @pytest.mark.parametrize("lambda2", ["1", "0", "-0.2"])
+    def test_admissible_is_where_simulate_extended_accepts(self, capsys, lambda2):
+        grid = [round(-1.0 + 0.1 * k, 10) for k in range(21)]
+        argv = ["--lambda2", lambda2, "--nu2", "1", "--n-clusters", "3", "--seed", "1"]
+        for n in (1, 2, 3, 4):
+            rc, out, _ = run(capsys, "equivalence", "--lambda2", lambda2, "--nu2", "1",
+                             "--alpha-grid=" + ",".join(map(repr, grid)), "--n", str(n))
+            assert rc == 0
+            records = json.loads(out)
+            assert all(list(r)[6:8] == ["shrinkage", "admissible"] for r in records)
+            for rec, alpha in zip(records, grid):
+                rc, _, err = run(capsys, "simulate", "--model", "extended", *argv,
+                                 f"--alpha={alpha!r}", "--cluster-size", str(n))
+                assert (rc == 0) is rec["admissible"], (n, alpha, err)
+
     def test_report_size_limit(self, capsys):
         argv = ["equivalence", "--lambda2", "2", "--nu2", "1", "--alpha-grid=-1,0,1"]
         rc, out, _ = run(capsys, *argv, "--n", "64")
@@ -123,6 +138,15 @@ class TestEbCommand:
         rec = json.loads(out)
         assert rec["shrinkage"] == pytest.approx(6 / 7)
         assert rec["tau"] == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("alpha, want", [("0.2", False), ("-0.5", True)])
+    def test_reports_admissibility_without_refusing(self, capsys, alpha, want):
+        # A_4 = [-0.926, -0.135] at (1, 1): alpha = 0.2 has no hierarchy at n = 4
+        rc, out, _ = run(capsys, "eb", "--lambda2", "1", "--nu2", "1", f"--alpha={alpha}", "--n", "4")
+        assert rc == 0
+        rec = json.loads(out)
+        assert rec["admissible"] is want
+        assert list(rec)[-2:] == ["shrinkage", "admissible"]
 
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_cluster_size_below_one(self, capsys, n):

@@ -10,6 +10,7 @@ from unobs_lab.equivalence import (
     ExtendedSpec,
     SpecA,
     SpecB,
+    admissible,
     decomposition_table,
     derive_d_tau,
     eb_shrinkage,
@@ -294,9 +295,9 @@ class TestEbShrinkage:
             eb_shrinkage(ExtendedSpec(-0.4, 1, 0), 3)
 
 
-def brute_force_law(spec, n, ridge=0.0):
-    """(c, v) of b given Y from the dense joint of (b, eps) plus ridge*I."""
-    joint = joint_cov(spec, n) + ridge * np.eye(n + 1)
+def brute_force_law(spec, n):
+    """(c, v) of b given Y from the dense joint of (b, eps)."""
+    joint = joint_cov(spec, n)
     to_b_y = np.vstack([np.eye(1, n + 1), np.hstack([np.ones((n, 1)), np.eye(n)])])
     cov = to_b_y @ joint @ to_b_y.T  # of (b, Y_1, ..., Y_n)
     w = np.linalg.solve(cov[1:, 1:], cov[1:, 0])  # E(b|Y) = w'(Y - mu)
@@ -312,9 +313,8 @@ class TestInterceptGivenY:
             n = int(rng.integers(1, 7))
             lam2 = float(rng.uniform(-nu2 / n + 1e-3, 2.0))
             spec = ExtendedSpec(lam2, nu2, float(rng.uniform(-1, 1)))
-            ridge = float(rng.choice([0.0, 0.3]))
-            c, v = intercept_given_y(spec, n, ridge)
-            want_c, want_v = brute_force_law(spec, n, ridge)
+            c, v = intercept_given_y(spec, n)
+            want_c, want_v = brute_force_law(spec, n)
             assert c == pytest.approx(want_c, abs=1e-10)
             assert v == pytest.approx(want_v, abs=1e-10)
 
@@ -360,3 +360,54 @@ class TestPsdSlack:
         assert psd_slack(ExtendedSpec(lam2, nu2, alpha)) == pytest.approx(
             expect, abs=1e-12
         )
+
+    @pytest.mark.parametrize("lam2", [0.3, 1.5, 2.0, -0.2])
+    @pytest.mark.parametrize("alpha", [-1.0, 1.0])
+    def test_exactly_zero_at_the_ends_of_the_box(self, lam2, alpha):
+        # d*nu2 - tau^2 cancels: 3.3e-16 at (2, 1, -1)
+        assert psd_slack(ExtendedSpec(lam2, 1.0, alpha)) == 0.0
+
+    def test_is_d_sigma2_minus_n_tau_sq(self):
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            nu2 = float(rng.uniform(0.2, 2.0))
+            spec = ExtendedSpec(float(rng.uniform(-nu2 + 1e-3, 2.0)), nu2,
+                                float(rng.uniform(-1, 1)))
+            n = int(rng.integers(1, 9))
+            want = spec.d * nu2 - n * spec.tau**2
+            assert psd_slack(spec, n) == pytest.approx(want, abs=1e-13 * (1 + spec.d + n))
+
+
+class TestAdmissible:
+    """admissible(spec, n) is the sign of d*sigma2 - n*tau^2 up to psd_slack's rounding."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("lam2, nu2", [(1.0, 1.0), (0.0, 0.3), (2.0, 0.5), (-0.1, 1.0)])
+    def test_matches_the_least_eigenvalue(self, lam2, nu2, n):
+        # A_n in closed form: u = nu2 + nu*alpha*s in [(nu2 - R)/n, (nu2 + R)/n]
+        nu, s, r = math.sqrt(nu2), math.sqrt(lam2 + nu2), math.sqrt(nu2 * (nu2 + n * lam2))
+        lo, hi = (max(-1.0, min(1.0, ((nu2 + sign * r) / n - nu2) / (nu * s))) for sign in (-1, 1))
+        for alpha in np.linspace(-1, 1, 41).tolist():
+            spec = ExtendedSpec(lam2, nu2, alpha)
+            low = np.linalg.eigvalsh(joint_cov(spec, n))[0]
+            if lo + 1e-9 < alpha < hi - 1e-9:
+                assert admissible(spec, n) and low > -1e-12
+            elif alpha < lo - 1e-9 or alpha > hi + 1e-9:
+                assert not admissible(spec, n) and low < 0
+
+    def test_every_alpha_at_one_error(self):
+        for alpha in np.linspace(-1, 1, 201).tolist():
+            assert admissible(ExtendedSpec(1.5, 1.0, alpha), 1)
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_point_mass_carries_rounding_in_tau(self, n):
+        # exactly tau = 0, but nu*nu != nu2 in floats: a bound of 0 would refuse it
+        spec = ExtendedSpec(0.0, 0.01, -1.0)
+        assert spec.tau != 0.0 and psd_slack(spec, n) < 0.0
+        assert admissible(spec, n)
+
+    def test_bound_is_relative(self):
+        # the same alpha at every scale where the squares neither under- nor overflow
+        for scale in (1e-100, 1e-8, 1.0, 1e8, 1e100):
+            assert admissible(ExtendedSpec(scale, scale, -0.5), 4)
+            assert not admissible(ExtendedSpec(scale, scale, 0.2), 4)

@@ -1,3 +1,4 @@
+import decimal
 import hashlib
 import io
 import math
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from unobs_lab.cs import CSMatrix, DomainError
 from unobs_lab.equivalence import (
+    EPS,
     ExtendedSpec,
     eb_shrinkage,
     joint_cov,
@@ -367,14 +369,10 @@ class TestSimulateCs:
         sizes, phi = [3, 1, 3, 2, 1, 3], 1.3
         data = simulate_cs(CSParams([0.5], lam, phi), SimLayout(6, sizes), seed=41)
         for i, y in enumerate(np.split(data.y, data.offsets[1:-1])):
-            n = sizes[i]
-            if lam >= 0:  # the intercept's normal comes first
-                z = normals(41, [i], n + 1)[0]
-                assert np.array_equal(y, (0.5 + math.sqrt(lam) * z[0]) + math.sqrt(phi) * z[1:])
-            else:  # the symmetric root, built by eigh: last bits may differ
-                w, u = np.linalg.eigh(CSMatrix(n, lam, phi).array)
-                want = 0.5 + (u * np.sqrt(w)) @ u.T @ normals(41, [i], n)[0]
-                np.testing.assert_allclose(y, want, rtol=1e-14, atol=1e-14)
+            n = sizes[i]  # the symmetric root, built by eigh: last bits may differ
+            w, u = np.linalg.eigh(CSMatrix(n, lam, phi).array)
+            want = 0.5 + (u * np.sqrt(w)) @ u.T @ normals(41, [i], n)[0]
+            np.testing.assert_allclose(y, want, rtol=1e-14, atol=1e-14)
 
     @pytest.mark.parametrize("lam", [0.7, -0.2])  # random intercept; no hierarchy
     def test_numpy_integer_size_gives_the_same_bytes(self, lam):
@@ -469,6 +467,20 @@ def test_simulators_factor_no_matrix(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def exact_slack(spec, n):
+    """d*sigma2 - n*tau^2 at 50 digits, from the floats lambda2, nu2, alpha taken as exact."""
+    with decimal.localcontext(decimal.Context(prec=50)):
+        lam2, nu2, alpha = map(decimal.Decimal, spec[:3])
+        tau = -(nu2 + nu2.sqrt() * alpha * (lam2 + nu2).sqrt())
+        return nu2 * (lam2 + nu2) * (1 - alpha * alpha) - (n - 1) * tau * tau
+
+
+def slack_bound(spec, n):
+    """The rounding bound of equivalence.admissible: accepted slacks lie above -bound."""
+    t = spec.nu2 + math.sqrt(spec.nu2) * abs(spec.alpha) * math.sqrt(spec.lambda2 + spec.nu2)
+    return 16 * EPS * (spec.nu2 * (spec.lambda2 + spec.nu2) + (n - 1) * (abs(spec.tau) + t) * t)
+
+
 def assert_marginal_first(spec, xi, layout, seed):
     """The identities of the marginal-first draw: y is simulate_cs's, bytes included,
     and eps is y - (xi + b) exactly; y = (xi + b) + eps then holds to rounding only."""
@@ -504,17 +516,18 @@ class TestSimulateExtended:
             )
 
     def test_accepts_and_refuses_exactly_where_n_tau_sq_meets_d_sigma2(self):
-        # the joint of (b, eps) is PSD iff n*tau^2 <= d*sigma2 (as in test_equivalence)
+        # the joint of (b, eps) is PSD iff n*tau^2 <= d*sigma2 (as in test_equivalence),
+        # decided here at 50 digits; between 0 and -bound, rounding may go either way
         rng = np.random.default_rng(3)
         for _ in range(200):
             nu2 = float(rng.uniform(0.2, 2.0))
             lam2 = float(rng.uniform(-nu2 + 1e-3, 2.0))
             spec = ExtendedSpec(lam2, nu2, float(rng.uniform(-1, 1)))
             n = int(rng.integers(1, 7))
-            excess = n * spec.tau**2 - spec.d * nu2
-            if excess <= -1e-9:
+            slack, bound = exact_slack(spec, n), slack_bound(spec, n)
+            if slack >= 0:
                 simulate_extended(spec, [0.0], SimLayout(2, n), seed=1)
-            elif excess >= 1e-9:
+            elif slack < -bound:
                 with pytest.raises(DomainError, match=f"n = {n} is not PSD: eigenvalue"):
                     simulate_extended(spec, [0.0], SimLayout(2, n), seed=1)
 
@@ -538,22 +551,37 @@ class TestSimulateExtended:
         assert np.max(np.abs(eps.T @ eps / N - np.eye(n)) / se) < 4.5
 
     # d*sigma2 - n*tau^2 is -3e-12 with d ~ 1e-12, and -1e-12 with sigma2 = 1e-12:
-    # not PSD, but within the rounding band, so the draw may move the law by that much only
+    # not PSD, and far beyond psd_slack's rounding bound (5e-14 and 1e-26)
     @pytest.mark.parametrize("spec, n", [(ExtendedSpec(2e-6, 1.0, -1.0), 4),
                                          (ExtendedSpec(1.0, 1e-12, 1.0), 2)])
-    def test_band_moves_the_law_by_its_least_eigenvalue_only(self, spec, n):
+    def test_tiny_negative_eigenvalue_is_refused(self, spec, n):
         low = np.linalg.eigvalsh(joint_cov(spec, n))[0]
         assert -1e-11 < low < 0
-        N = 20_000
-        data, latents = simulate_extended(spec, [0.0], SimLayout(N, n), seed=606)
-        lat = np.column_stack([latents.b, latents.eps.reshape(N, n)])
-        want = joint_cov(spec, n) - low * np.eye(n + 1)  # the PSD matrix nearest in norm 2
-        se = np.sqrt((np.outer(np.diag(want), np.diag(want)) + want**2) / N)
-        assert np.max(np.abs(lat.T @ lat / N - want) / se) < 4.5
-        y = data.y.reshape(N, n)
-        want = CSMatrix(n, spec.lambda2, spec.nu2).array  # the marginal law of a cluster
-        se = np.sqrt((np.outer(np.diag(want), np.diag(want)) + want**2) / N)
-        assert np.max(np.abs(y.T @ y / N - want) / se) < 4.5
+        assert exact_slack(spec, n) < -10 * slack_bound(spec, n)
+        with pytest.raises(DomainError, match=f"n = {n} is not PSD: eigenvalue -"):
+            simulate_extended(spec, [0.0], SimLayout(10, n), seed=606)
+
+    @pytest.mark.parametrize("nu2", [0.01, 0.3, 7.0])
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_exact_ends_of_a_n_are_accepted(self, nu2, n):
+        # at lambda2 = 0, d*sigma2 - n*tau^2 = nu2^2*(1 + alpha)*(2 - n*(1 + alpha)),
+        # so A_n = [-1, 2/n - 1]; psd_slack may round below 0 at both ends
+        layout = SimLayout(30, n)
+        want = simulate_cs(CSParams([0.5], 0.0, nu2), layout, seed=19).y
+        for alpha in (-1.0, 2.0 / n - 1.0):
+            data, _ = simulate_extended(ExtendedSpec(0.0, nu2, alpha), [0.5], layout, seed=19)
+            assert np.array_equal(data.y, want)
+        with pytest.raises(DomainError, match=f"n = {n} is not PSD"):
+            simulate_extended(ExtendedSpec(0.0, nu2, 2.0 / n - 1.0 + 1e-6), [0.5], layout, seed=19)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 7: b given y is ill-conditioned "
+                       "within a few ulp of the singular marginal nu2 + n*lambda2 = 0")
+    def test_latent_scale_next_to_a_singular_marginal(self):
+        # lambda2 one ulp above -nu2/n, which validate_cs accepts
+        spec, n, N = ExtendedSpec(-1.4285714285714282e-07, 1e-06, -0.9258200997725513), 7, 20_000
+        _, latents = simulate_extended(spec, [0.0], SimLayout(N, n), seed=7)
+        sd, want = float(np.std(latents.b)), math.sqrt(spec.d)
+        assert abs(sd - want) < 4.5 * want / math.sqrt(2 * N)
 
     def test_roundtrip_fit_recovers_marginal(self):
         for alpha in (-0.6, 0.0, 0.3):

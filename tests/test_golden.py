@@ -5,12 +5,16 @@ were formatted column by column in numpy, so they pin the bytes each output
 must keep. Every call writes through --out (and --latent) into a file.
 
 simulate-cs-lam-0.2 (out) was re-recorded when simulate_cs at lam < 0 moved
-from a Cholesky factor to the closed-form CS square root. The extended
-simulator draws y first, as simulate_cs does, and b given y, so the --out of
+from a Cholesky factor to the closed-form CS square root; simulate-cs-lam0.7
+(out) and the fit report, whose data are lam = 0.7 draws, when lam >= 0 moved
+to that root too, one draw for every lam. The extended simulator draws y
+first, as simulate_cs does, and b given y, so the --out of
 simulate-extended-latent and simulate-extended-latent-size3 is not a digest:
 it is the argv of the simulate --model cs call whose bytes it must equal,
-claim (1) byte for byte. Their --latent digests were re-recorded for that
-draw. The other entries and the fit report kept their digests.
+claim (1) byte for byte. Their --latent digests were re-recorded with that
+draw and again with the one draw. eb and equivalence were re-recorded when
+each record gained admissible and the slack lost its cancellation. The
+heavy-tail entries and moments kept their digests.
 """
 
 import hashlib
@@ -26,7 +30,7 @@ GOLDEN = {
     "simulate-cs-lam0.7": (
         ["simulate", "--model", "cs", "--lambda", "0.7", "--phi", "1.1", "--xi", "1.5",
          "--n-clusters", "40", "--cluster-size", "3", "--seed", "11"],
-        "54e32a54bf82be7e9cebe86d726865d4542e7fba1d6dd389802e8407630d2535",
+        "fbde3528b63f19a5588bf39e4e4635a3e43400218b10290de794e6e48f9ffa92",
         None,
     ),
     "simulate-cs-lam-0.2": (
@@ -40,14 +44,14 @@ GOLDEN = {
          "--n-clusters", "30", "--cluster-size", "2", "--seed", "13"],
         ["simulate", "--model", "cs", "--lambda", "1", "--phi", "1",
          "--n-clusters", "30", "--cluster-size", "2", "--seed", "13"],
-        "a8b4c091989982afb3a054e9e6080bf55a4955978f983f4f6656045dc963402c",
+        "081f880734f3fa0909bb73e7724bbb1dd0d2c74c722c0230f07bd7b6db65f635",
     ),
     "simulate-extended-latent-size3": (
         ["simulate", "--model", "extended", "--lambda2", "3", "--nu2", "1", "--alpha=-0.5",
          "--xi", "1e6", "--n-clusters", "25", "--cluster-size", "3", "--seed", "14"],
         ["simulate", "--model", "cs", "--lambda", "3", "--phi", "1", "--xi", "1e6",
          "--n-clusters", "25", "--cluster-size", "3", "--seed", "14"],
-        "9e29ce7e57acb01fdf5aa4f4e812a3e6ac1b312a449f73e2b01daa4932099267",
+        "0083dd307c1f532dc9953d885de816a6cae0be0eb4d5fc1a14cf2081226ac6b6",
     ),
     "sample-rho0.3": (
         ["heavytail", "sample", *HT, "--rho", "0.3", "--n", "3000", "--seed", "21"],
@@ -99,13 +103,13 @@ GOLDEN = {
     ),
     "eb": (
         ["eb", "--lambda2", "3", "--nu2", "1", "--alpha=-0.5", "--n", "7"],
-        "9cd4014e8e9d968f08f66e52aa35c18d5a6d2b1c324246703f11ef95b2422629",
+        "90737c8164bb9c8dc22a73d3eddbdcc99d54e043b0d380f61fd46ace7b50d8c7",
         None,
     ),
     "equivalence": (
         ["equivalence", "--lambda2", "2", "--nu2", "1", "--alpha-grid=-1,-0.3,0,0.7,1",
          "--n", "5"],
-        "f05ac2e4c477773fff71004a16f7944e3e9c22ad51a905dd363b4ef3bd898e37",
+        "2622b5303152dd3666b06f8055ba27ab8c9dba7fe195206eed0e2b52ed91aaf7",
         None,
     ),
     "moments": (
@@ -145,4 +149,4 @@ def test_fit_report_is_pinned(tmp_path):
     assert _sha(report) == FIT_REPORT_SHA
 
 
-FIT_REPORT_SHA = "8bcbad02963344916eb296f1b19f3e573f3aede0641e24a8dc530938ef87e175"
+FIT_REPORT_SHA = "9084e1d8995b9ac6af7a33b411a48594fdbe440dedb450bb5bb3690743a061cd"
