@@ -208,6 +208,7 @@ def _cmd_simulate(args) -> int:
 
     from unobs_lab import estimation as est
     from unobs_lab.model_core import CSParams, write_dataset_csv
+    from unobs_lab.rows import Runs
 
     layout = est.SimLayout(n_clusters=args.n_clusters, cluster_size=args.cluster_size)
     if args.model == "cs":
@@ -223,7 +224,7 @@ def _cmd_simulate(args) -> int:
         n = args.cluster_size
         head = "cluster,b," + ",".join(f"eps{j + 1}" for j in range(n)) + "\n"
         eps = latents.eps.reshape(-1, n).T
-        write_rows(_dest(args.latent), head, data.cluster_ids, latents.b, *eps)
+        write_rows(_dest(args.latent), head, Runs(data.id_cells, 1), latents.b, *eps)
     return 0
 
 

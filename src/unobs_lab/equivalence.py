@@ -210,12 +210,14 @@ def intercept_given_y(spec: ExtendedSpec, n: int) -> tuple[float, float]:
     m = sigma2 + n*(d+2*tau): marginal invariance makes m alpha-free, so c is linear in
     alpha, and v >= 0 is the PSD condition of the joint of (b, eps). Where m is not
     positive ybar is a constant, so b given y has its marginal law: c = 0 and v = d.
+    Both are computed at the unit scale (_unit), so v neither under- nor overflows.
     """
-    d, tau = spec.d, spec.tau
-    m = spec.nu2 + n * (d + 2.0 * tau)
+    unit, k = _unit(spec)
+    d, tau = unit.d, unit.tau
+    m = unit.nu2 + n * (d + 2.0 * tau)
     if not m > 0:
-        return 0.0, d
-    return n * (d + tau) / m, psd_slack(spec, n) / m
+        return 0.0, spec.d
+    return n * (d + tau) / m, _ldexp(_slack(unit, n) / m, -2 * k)
 
 
 def eb_shrinkage(spec: ExtendedSpec, n: int) -> float:
@@ -231,10 +233,11 @@ def psd_slack(spec: ExtendedSpec, n: int = 1) -> float:
     """d*sigma2 - n*tau^2, with the sign of the least eigenvalue of joint_cov(spec, n).
 
     Its n = 1 part, d*sigma2 - tau^2, is written so that it does not cancel: it is 0
-    at |alpha| = 1.
+    at |alpha| = 1. It is computed at the unit scale (_unit) and scaled back, so a slack
+    too small or too large for a float is a zero or an infinity of the right sign.
     """
-    lambda2, nu2, alpha, _, tau = spec
-    return nu2 * (lambda2 + nu2) * ((1.0 - alpha) * (1.0 + alpha)) - (n - 1) * tau * tau
+    unit, k = _unit(spec)
+    return _ldexp(_slack(unit, n), -4 * k)
 
 
 def admissible(spec: ExtendedSpec, n: int) -> bool:
@@ -248,8 +251,39 @@ def admissible(spec: ExtendedSpec, n: int) -> bool:
     That is 7.5*EPS*M; 16*EPS*M covers the higher orders and M's own rounding, so no
     alpha that exact arithmetic admits is refused. The bound cannot be 0: tau carries
     rounding where it is 0 exactly, 1.7e-18 at the point mass ExtendedSpec(0, 0.01, -1).
+    Slack and bound are both tested at the unit scale (_unit), where neither under- nor
+    overflows, so the decision does not depend on the scale of (lambda2, nu2).
     """
-    lambda2, nu2, alpha, _, tau = spec
+    unit, _ = _unit(spec)
+    lambda2, nu2, alpha, _, tau = unit
     t = nu2 + math.sqrt(nu2) * abs(alpha) * math.sqrt(lambda2 + nu2)
     bound = 16.0 * EPS * (nu2 * (lambda2 + nu2) + (n - 1) * (abs(tau) + t) * t)
-    return psd_slack(spec, n) >= -bound
+    return _slack(unit, n) >= -bound
+
+
+def _slack(spec: ExtendedSpec, n: int) -> float:
+    """psd_slack's formula, evaluated at spec's own scale."""
+    lambda2, nu2, alpha, _, tau = spec
+    return nu2 * (lambda2 + nu2) * ((1.0 - alpha) * (1.0 + alpha)) - (n - 1) * tau * tau
+
+
+def _unit(spec: ExtendedSpec) -> tuple[ExtendedSpec, int]:
+    """spec with (lambda2, nu2) times 4^k, the larger of |lambda2| and nu2 put in [0.5, 2); k.
+
+    The slack and its rounding bound are homogeneous of degree 2 in (lambda2, nu2), and
+    d, tau and v of degree 1. Scaling by 4^k moves nu and s, and so every intermediate,
+    by an exact power of two; so where none of them is subnormal or infinite at spec's
+    own scale (every ordinary scale), the results keep their bits.
+    """
+    k = -(math.frexp(max(abs(spec.lambda2), spec.nu2))[1] // 2)
+    if k == 0:
+        return spec, 0
+    return ExtendedSpec(math.ldexp(spec.lambda2, 2 * k), math.ldexp(spec.nu2, 2 * k), spec.alpha), k
+
+
+def _ldexp(x: float, e: int) -> float:
+    """x * 2^e, rounded once; an overflow is an infinity of x's sign."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)

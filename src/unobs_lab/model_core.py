@@ -39,7 +39,8 @@ class Dataset:
 
     y (n_obs,) and X (n_obs, p) hold the rows cluster by cluster; cluster k
     is cluster_ids[k] and owns rows offsets[k]:offsets[k+1]. Ids default to
-    c1, c2, ... and covariate names to x1, x2, ...
+    c1, c2, ... and covariate names to x1, x2, ...; id_cells holds the ids
+    encoded once for every CSV that writes them.
     """
 
     def __init__(self, y, X, sizes, cluster_ids=None, covariate_names=None):
@@ -50,8 +51,9 @@ class Dataset:
             raise ValueError("X must have one row per observation of y")
         if len(self.sizes) == 0 or self.sizes.min() < 1 or self.offsets[-1] != len(self.y):
             raise ValueError("need one or more clusters of size >= 1 covering every row")
-        if cluster_ids is None:
-            cluster_ids = [f"c{k + 1}" for k in range(len(self.sizes))]
+        if cluster_ids is None:  # one % for all of them, not an f-string each
+            k = len(self.sizes)
+            cluster_ids = ("c%d " * k % tuple(range(1, k + 1))).split()
         if covariate_names is None:
             covariate_names = [f"x{j + 1}" for j in range(self.X.shape[1])]
         self.cluster_ids, self.covariate_names = tuple(cluster_ids), tuple(covariate_names)
@@ -71,6 +73,13 @@ class Dataset:
     @cached_property
     def stats(self) -> "SuffStats":
         return SuffStats(self)
+
+    @cached_property
+    def id_cells(self) -> np.ndarray:
+        """The %s cells of cluster_ids, one row per cluster (rows.cells)."""
+        from unobs_lab.rows import cells
+
+        return cells(self.cluster_ids)
 
 
 class SuffStats:
@@ -254,9 +263,15 @@ def _refuse_first_bad_row(body, dtype, lines):
 def write_dataset_csv(data: Dataset, dest) -> None:
     """Emit the long format consumed by read_dataset_csv (17 sig. digits).
 
-    dest is a path or an open text handle.
+    dest is a path or an open text handle. Each cluster's id is encoded once
+    (data.id_cells) and repeated for its rows, chunk by chunk; so a write holds
+    rows.CHUNK rows of cells, one id cell row per cluster and the units, 8 bytes
+    a row as y.
     """
-    ids = np.repeat(np.array(data.cluster_ids, dtype=object), data.sizes)
-    units = np.arange(len(data.y)) - np.repeat(data.offsets[:-1], data.sizes) + 1
+    from unobs_lab.rows import Runs
+
+    units = np.ones(len(data.y), dtype=np.int64)  # 1, 2, ... within each cluster
+    units[data.offsets[1:-1]] = 1 - data.sizes[:-1]
+    np.cumsum(units, out=units)
     head = "cluster,unit,y," + ",".join(data.covariate_names) + "\n"
-    write_rows(dest, head, ids, units, data.y, *data.X.T)
+    write_rows(dest, head, Runs(data.id_cells, data.sizes), units, data.y, *data.X.T)

@@ -9,6 +9,14 @@ a uint8 matrix with one line per row and DROP in the cells it leaves out.
 DROP is 0xFF, a byte no UTF-8 text holds, so the matrices' bytes, read row by
 row with every DROP deleted (bytes.translate), are the lines.
 
+A column is written as runs of equal cells, each formatted once and
+repeated (np.repeat) over its rows. An integer or float column finds its
+runs within each chunk by comparing bit patterns, so 0.0 and -0.0 differ, as
+do NaNs of other payloads; a str or object column has runs of one row, since
+1 == 1.0 == True are three texts; a Runs column brings ready-made cells (from
+cells()) and their counts, such as a dataset's cluster ids and sizes. A write
+holds CHUNK rows of cells plus a Runs column's own cells.
+
 %.17g writes |x| as D * 10^(X-16), with D the 17-digit integer in [1e16,
 1e17) rounded half to even. With X = floor(log10|x|) and s = 16 - X,
 x * 10^s = p + r: p = x*hi and its exact rounding error come from Dekker's
@@ -34,11 +42,12 @@ value's UTF-8 bytes.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from typing import Iterator
 
 import numpy as np
 
-__all__ = ["lines", "CHUNK"]
+__all__ = ["lines", "cells", "Runs", "CHUNK"]
 
 CHUNK = 1 << 13  # rows formatted at once: bounds the memory of any write
 SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
@@ -46,6 +55,7 @@ EXP_MIN, EXP_MAX = -280, 280  # decimal exponents formatted in numpy
 TIE_TOL = 1e-9  # rounding within this of a half is decided exactly
 WIDTH = 24  # the longest %.17g: "-d.dddddddddddddddde-XXX"
 DROP = 0xFF  # a matrix cell that is not written; never a byte of UTF-8
+HEAP_BLOCK = 1 << 21  # bytes: more than a chunk's largest temporary (see _chunks)
 # 4-digit groups in ascii, one uint32 each; the styles drop some zeros
 FULL, RSTRIP, LSTRIP, LSTRIP0 = 0, 10_000, 20_000, 30_000
 
@@ -54,15 +64,17 @@ FULL, RSTRIP, LSTRIP, LSTRIP0 = 0, 10_000, 20_000, 30_000
 def _powers() -> tuple[np.ndarray, ...]:
     """hi, lo, hi's high and low halves; entry EXP_MAX + 1 - X is 10^(16 - X)."""
     hi, lo = [], []
-    for s in range(16 - EXP_MAX - 1, 16 - EXP_MIN + 2):
-        if s >= 0:
-            hi.append(float(10**s))
-            lo.append(float(10**s - int(hi[-1])))
-        else:  # 1/q - a/b, correctly rounded by int true division
-            q = 10**-s
-            hi.append(1 / q)
-            a, b = hi[-1].as_integer_ratio()
-            lo.append((b - a * q) / (b * q))
+    q = 10 ** (EXP_MAX + 1 - 16)
+    while q > 1:  # 10^s = 1/q for s < 0: lo = 1/q - a/b, b a power of two
+        hi.append(1 / q)
+        a, b = hi[-1].as_integer_ratio()
+        lo.append((b - a * q) / q / b)  # correctly rounded, then scaled exactly
+        q //= 10
+    p = 1
+    for _ in range(16 - EXP_MIN + 2):  # 10^s = p for s >= 0
+        hi.append(float(p))
+        lo.append(float(p - int(hi[-1])))
+        p *= 10
     hi = np.array(hi)
     c = hi * SPLIT
     high = c - (c - hi)
@@ -75,16 +87,17 @@ def _quads() -> np.ndarray:
 
     FULL keeps every digit; RSTRIP drops trailing zeros; LSTRIP drops
     leading ones (all four of 0000); LSTRIP0 too, but keeps the last digit.
+    An entry is the quad's four bytes read as one little-endian uint32, so
+    OR-ing 0xFF into a byte drops that digit.
     """
-    d = np.arange(10_000)
-    digits = np.stack([d // 1000, d // 100 % 10, d // 10 % 10, d % 10], axis=1)
-    nonzero = digits != 0
-    upto_last = np.logical_or.accumulate(nonzero[:, ::-1], axis=1)[:, ::-1]
-    from_first = np.logical_or.accumulate(nonzero, axis=1)
-    from_first0 = from_first | (np.arange(4) == 3)
-    text = digits + ord("0")
-    styles = [text] + [np.where(k, text, DROP) for k in (upto_last, from_first, from_first0)]
-    return _read_only(np.concatenate(styles).astype(np.uint8).view(np.uint32).ravel())
+    k = np.arange(10_000, dtype=np.uint32)
+    text = (k // 1000 | k // 100 % 10 << 8 | k // 10 % 10 << 16 | k % 10 << 24) + 0x30303030
+    lead = np.array([0, 0xFF, 0xFFFF, 0xFFFFFF, 0xFFFFFFFF], dtype=np.uint32)  # DROP the first j
+    trail = lead[::-1] ^ 0xFFFFFFFF  # DROP the last j
+    zeros = (k < 1000).view(np.uint8) + (k < 100) + (k < 10)  # leading, but the last digit
+    tens = (k % 10 == 0).view(np.uint8) + (k % 100 == 0) + (k % 1000 == 0) + (k == 0)
+    styles = [text, text | trail[tens], text | lead[zeros + (k == 0)], text | lead[zeros]]
+    return _read_only(np.concatenate(styles).astype("<u4").view(np.uint32))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -210,29 +223,89 @@ def _format_s(v: list):
     return np.where(np.arange(cells.shape[1]) < lengths[:, None], cells, DROP)
 
 
+class Runs(namedtuple("Runs", "cells counts")):
+    """A column of ready-made cells: row k of cells (from rows.cells) written counts[k] times.
+
+    counts is one int for every row, or one per row; a Runs column is
+    sum(counts) rows long. A dataset's id column is Runs(id cells, sizes):
+    each cluster's id is encoded once, whatever its size.
+    """
+
+    __slots__ = ()
+
+
+def cells(column) -> np.ndarray:
+    """The uint8 cells of a whole column, one row per value, for a Runs.
+
+    Made CHUNK rows at a time, so the temporaries stay those of one chunk.
+    """
+    n, part = _column(column)
+    parts = [part(start, min(start + CHUNK, n)) for start in range(0, n, CHUNK)]
+    out = np.full((n, max((p.shape[1] for p in parts), default=0)), DROP, dtype=np.uint8)
+    for start, p in zip(range(0, n, CHUNK), parts):
+        out[start : start + len(p), : p.shape[1]] = p
+    return out
+
+
 def _column(col):
-    """A column's formatter and values; refuses what it cannot write."""
-    if isinstance(col, (list, tuple)) and col and isinstance(col[0], str):
-        col = np.array(col, dtype=object)  # not n * (longest * 4) bytes of fixed-width str
+    """A column's length and part(start, stop), the cells of its rows start:stop.
+
+    Refuses what it cannot write.
+    """
+    if isinstance(col, Runs):
+        counts = np.broadcast_to(np.asarray(col.counts, dtype=np.int64), len(col.cells))
+        if col.cells.dtype != np.uint8 or col.cells.ndim != 2 or (counts < 0).any():
+            raise ValueError("a Runs column needs 2-D uint8 cells and counts >= 0")
+        ends = np.cumsum(counts)
+        return int(ends[-1]) if len(ends) else 0, functools.partial(_expand, col.cells, ends)
+    if isinstance(col, (list, tuple)) and col and isinstance(col[0], str):  # not fixed-width U
+        return len(col), lambda start, stop: _format_s(col[start:stop])
     v = np.asarray(col)
     if v.ndim != 1:
         raise ValueError(f"a column must be one-dimensional, not of shape {v.shape}")
     if v.dtype.kind in "biu":
-        return _format_d, v.astype(np.int64, casting="safe", copy=False)
-    if v.dtype.kind == "f":
-        return _format_g17, v.astype(np.float64, copy=False)
-    if v.dtype.kind in "UO":  # str() of each value as given: a list keeps its NULs
-        return _format_s, col.tolist() if isinstance(col, np.ndarray) else list(col)
-    raise TypeError(f"a column of dtype {v.dtype} is not written: only int, bool, float and str")
+        fmt, v = _format_d, v.astype(np.int64, casting="safe", copy=False)
+    elif v.dtype.kind == "f":
+        fmt, v = _format_g17, v.astype(np.float64, copy=False)
+    elif v.dtype.kind in "UO":  # str() of each value as given: a list keeps its NULs
+        values = col.tolist() if isinstance(col, np.ndarray) else list(col)
+        return len(values), lambda start, stop: _format_s(values[start:stop])
+    else:
+        raise TypeError(f"a column of dtype {v.dtype} is not written: only int, bool, float and str")
+    return len(v), lambda start, stop: _by_runs(fmt, v[start:stop])
 
 
-def _chunks(columns, n: int) -> Iterator[bytes]:
+def _by_runs(fmt, v: np.ndarray):
+    """fmt's cells of v, each run of equal bit patterns formatted once."""
+    bits = v.view(np.int64)
+    same = bits[1:] == bits[:-1]
+    if not same.any():
+        return fmt(v)
+    heads = np.flatnonzero(np.concatenate(([True], ~same)))
+    cells = fmt(v[heads])
+    width = np.flatnonzero((cells != DROP).any(axis=0))[-1] + 1  # fmt's widest layout may go unused
+    return np.repeat(cells[:, :width], np.diff(heads, append=len(v)), axis=0)
+
+
+def _expand(cells, ends, start: int, stop: int):
+    """Rows start:stop of a Runs column: row k of cells fills rows ends[k-1]:ends[k]."""
+    first, last = np.searchsorted(ends, [start, stop - 1], side="right")
+    counts = np.diff(np.clip(ends[first : last + 1], start, stop), prepend=start)
+    return np.repeat(cells[first : last + 1], counts, axis=0)
+
+
+def _chunks(parts, n: int) -> Iterator[bytes]:
+    # glibc's malloc maps each block above its mmap threshold (128 KiB at start) afresh
+    # and unmaps it on free, so a chunk's temporaries would fault in new pages on every
+    # chunk (36,000 faults in a 1e6-line trace). Freeing a mapped block raises the
+    # threshold to its size (mallopt(3)), so after this one they are reused from the heap.
+    np.empty(HEAP_BLOCK, dtype=np.uint8)
     for start in range(0, n, CHUNK):
         stop = min(start + CHUNK, n)
         comma = np.full((stop - start, 1), ord(","), dtype=np.uint8)
         cells = []
-        for fmt, col in columns:
-            cells += [fmt(col[start:stop]), comma]
+        for part in parts:
+            cells += [part(start, stop), comma]
         cells[-1] = np.full_like(comma, ord("\n"))
         M = np.concatenate(cells, axis=1)
         yield M.tobytes().translate(None, bytes([DROP]))
@@ -242,12 +315,12 @@ def lines(columns) -> Iterator[bytes]:
     """Each row's cells joined by "," and ended by "\n", CHUNK lines at a time.
 
     Integer and bool columns are written as %d, float columns as %.17g, str
-    and object columns as %s; any other dtype is a TypeError. The columns
-    must be one-dimensional and equally long. All of this is checked before
-    the first line is made.
+    and object columns as %s; any other dtype is a TypeError. A Runs column
+    repeats ready-made cells. The columns must be one-dimensional and equally
+    long. All of this is checked before the first line is made.
     """
     cols = [_column(col) for col in columns]
-    lengths = {len(col) for _, col in cols}
+    lengths = {n for n, _ in cols}
     if len(lengths) > 1:
         raise ValueError(f"columns differ in length: {sorted(lengths)}")
-    return _chunks(cols, lengths.pop() if lengths else 0)
+    return _chunks([part for _, part in cols], lengths.pop() if lengths else 0)

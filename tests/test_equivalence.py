@@ -411,3 +411,35 @@ class TestAdmissible:
         for scale in (1e-100, 1e-8, 1.0, 1e8, 1e100):
             assert admissible(ExtendedSpec(scale, scale, -0.5), 4)
             assert not admissible(ExtendedSpec(scale, scale, 0.2), 4)
+
+    def test_scales_where_the_slack_under_or_overflows(self):
+        """A slack of size 1e-400 or 1e400 keeps its sign: a signed zero or infinity."""
+        for scale in (1e-200, 1e200, 5e-324, 1e300):
+            assert admissible(ExtendedSpec(scale, scale, -0.5), 4)
+            assert not admissible(ExtendedSpec(scale, scale, 0.2), 4)
+        assert math.copysign(1.0, psd_slack(ExtendedSpec(1e-200, 1e-200, 0.2), 4)) == -1.0
+        assert psd_slack(ExtendedSpec(1e200, 1e200, -0.5), 4) == math.inf
+        assert psd_slack(ExtendedSpec(1e200, 1e200, 0.2), 4) == -math.inf
+
+    def test_law_given_y_at_extreme_scales(self):
+        """v is of degree 1 in (lambda2, nu2): 4^k times v at scale 1, and c the same."""
+        c, v = intercept_given_y(ExtendedSpec(1.0, 1.0, -0.5), 4)
+        for k in (-300, 300):  # slack 16^k: beyond floats
+            big = ExtendedSpec(4.0**k, 4.0**k, -0.5)
+            assert intercept_given_y(big, 4) == (c, v * 4.0**k)
+
+    @given(
+        nu2=st.floats(1e-3, 1e3),
+        ratio=st.one_of(st.just(0.0), st.floats(-1.0, 10.0, exclude_min=True)),
+        alpha=st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0)),
+        n=st.integers(1, 50),
+        k=st.integers(-120, 120),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_decision_is_scale_free(self, nu2, ratio, alpha, n, k):
+        """admissible(spec, n) is unchanged when (lambda2, nu2) is scaled by 4^k."""
+        lambda2 = nu2 * ratio
+        if not lambda2 + nu2 > 0 or math.ldexp(math.ldexp(lambda2, 2 * k), -2 * k) != lambda2:
+            return  # no such spec, or 4^k does not scale lambda2 exactly
+        scaled = ExtendedSpec(math.ldexp(lambda2, 2 * k), math.ldexp(nu2, 2 * k), alpha)
+        assert admissible(scaled, n) is admissible(ExtendedSpec(lambda2, nu2, alpha), n)

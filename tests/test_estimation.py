@@ -561,6 +561,15 @@ class TestSimulateExtended:
         with pytest.raises(DomainError, match=f"n = {n} is not PSD: eigenvalue -"):
             simulate_extended(spec, [0.0], SimLayout(10, n), seed=606)
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_a_n_does_not_move_with_the_scale(self, scale):
+        """A_4 at lambda2 = nu2 holds -0.5 and not 0.2 where the slack is 1e-400 or 1e400."""
+        spec = ExtendedSpec(scale, scale, -0.5)
+        data, latents = assert_marginal_first(spec, [0.0], SimLayout(4000, 4), seed=4)
+        assert np.std(latents.b) == pytest.approx(math.sqrt(spec.d), rel=0.05)
+        with pytest.raises(DomainError, match="n = 4 is not PSD: eigenvalue -"):
+            simulate_extended(ExtendedSpec(scale, scale, 0.2), [0.0], SimLayout(10, 4), seed=4)
+
     @pytest.mark.parametrize("nu2", [0.01, 0.3, 7.0])
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_exact_ends_of_a_n_are_accepted(self, nu2, n):

@@ -465,6 +465,30 @@ class TestCsv:
         with pytest.raises(CsvFormatError, match="line 3: cluster 'a' repeats unit 1 of line 2"):
             read_dataset_csv(path)
 
+    @pytest.mark.parametrize("ids", [
+        ("a", "ü", "日本語", "\U0001F600"),  # custom and non-ASCII
+        ("c1", "c11", "c1_1", "1", "1.0", "True", "c01", "C1"),  # alike, or like numbers
+        None,  # the default c1, c2, ...
+    ])
+    def test_ids_round_trip(self, tmp_path, ids):
+        """Each id is encoded once and repeated over its cluster's rows, units 1..size."""
+        k = 8 if ids is None else len(ids)
+        sizes = np.arange(k) % 3 + 1
+        rng = np.random.default_rng(k)
+        data = Dataset(rng.standard_normal(sizes.sum()), rng.standard_normal((sizes.sum(), 2)),
+                       sizes, ids)
+        path = tmp_path / "data.csv"
+        write_dataset_csv(data, path)
+        text = path.read_text(encoding="utf-8")
+        assert text == "cluster,unit,y,x1,x2\n" + "".join(
+            "%s,%d,%.17g,%.17g,%.17g\n" % (cid, u + 1, y, *x)
+            for cid, lo, n in zip(data.cluster_ids, data.offsets, data.sizes)
+            for u, y, x in zip(range(n), data.y[lo:].tolist(), data.X[lo:].tolist()))
+        back = read_dataset_csv(path)
+        assert back.cluster_ids == data.cluster_ids
+        assert np.array_equal(back.sizes, sizes) and np.array_equal(back.y, data.y)
+        assert np.array_equal(back.X, data.X)
+
     def test_clusters_by_first_appearance(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("cluster,unit,y,x1\nz,2,2,1\na,1,5,1\nz,1,1,1\n")

@@ -2,6 +2,7 @@
 
 import io
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from unobs_lab import rows
 from unobs_lab.cs import write_rows
-from unobs_lab.rows import CHUNK
+from unobs_lab.model_core import Dataset, write_dataset_csv
+from unobs_lab.rows import CHUNK, Runs, cells
 
 
 def expected(row, *columns) -> str:
@@ -189,3 +192,127 @@ class TestTemplate:
     def test_columns_must_be_equally_long(self):
         with pytest.raises(ValueError, match="differ in length"):
             write_rows(io.StringIO(), "", [1, 2], [1.0])
+
+
+class TestTables:
+    """The formatter's cached tables, against the plain constructions they replace."""
+
+    def test_quads(self):
+        d = np.arange(10_000)
+        digits = np.stack([d // 1000, d // 100 % 10, d // 10 % 10, d % 10], axis=1)
+        nonzero = digits != 0
+        upto_last = np.logical_or.accumulate(nonzero[:, ::-1], axis=1)[:, ::-1]
+        from_first = np.logical_or.accumulate(nonzero, axis=1)
+        text = digits + ord("0")
+        keeps = (upto_last, from_first, from_first | (np.arange(4) == 3))
+        styles = [text] + [np.where(k, text, rows.DROP) for k in keeps]
+        want = np.concatenate(styles).astype(np.uint8)
+        got = rows._quads()
+        assert got.dtype == np.uint32 and not got.flags.writeable
+        assert np.array_equal(got.view(np.uint8).reshape(-1, 4), want)
+
+    def test_powers(self):
+        hi, lo = [], []
+        for s in range(16 - rows.EXP_MAX - 1, 16 - rows.EXP_MIN + 2):
+            if s >= 0:
+                hi.append(float(10**s))
+                lo.append(float(10**s - int(hi[-1])))
+            else:  # 1/q - a/b, correctly rounded by int true division
+                q = 10**-s
+                hi.append(1 / q)
+                a, b = hi[-1].as_integer_ratio()
+                lo.append((b - a * q) / (b * q))
+        hi = np.array(hi)
+        c = hi * rows.SPLIT
+        high = c - (c - hi)
+        for got, want in zip(rows._powers(), (hi, np.array(lo), high, hi - high), strict=True):
+            assert got.tobytes() == want.tobytes() and not got.flags.writeable
+
+
+def bits(*patterns):
+    return np.array(patterns, dtype=np.uint64).view(np.float64)
+
+
+# run lengths around the chunk boundaries, and short ones
+run_lengths = st.sampled_from([1, 2, 3, CHUNK - 1, CHUNK, CHUNK + 1])
+FLOATS = [0.0, -0.0, 1.0, 0.1, -2.5e-300, 1e300, np.inf,
+          *bits(0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000)]
+OBJECTS = [1, 1.0, True, 0, 0.0, False, "1", "ab", "".join(["a", "b"])]
+
+
+@st.composite
+def run_columns(draw, values, n):
+    """A column of n rows made of runs of draws from values."""
+    out = []
+    while len(out) < n:
+        out += [draw(st.sampled_from(values))] * draw(run_lengths)
+    return out[:n]
+
+
+class TestRuns:
+    """Runs of equal cells are formatted once and repeated: the bytes stay %'s."""
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_long_runs_against_per_row_reference(self, tmp_path_factory, data):
+        ids = data.draw(st.lists(st.text(min_size=0, max_size=4), min_size=1, max_size=4))
+        counts = data.draw(st.lists(run_lengths, min_size=len(ids), max_size=len(ids)))
+        n = sum(counts)
+        x = np.array(data.draw(run_columns(FLOATS, n)))
+        k = np.array(data.draw(run_columns([0, -1, 10**12, -(2**63)], n)))
+        objects = np.array(data.draw(run_columns(OBJECTS, n)) + [None], dtype=object)[:-1]
+        expanded = [i for i, c in zip(ids, counts) for _ in range(c)]
+        got = written(tmp_path_factory.mktemp("runs"), Runs(cells(ids), counts), x, k, objects)
+        assert got == expected("%s,%.17g,%d,%s\n", expanded, x, k, objects)
+
+    def test_zero_and_its_negative_stay_apart(self, tmp_path):
+        x = np.repeat([0.0, -0.0, 0.0, -0.0], [CHUNK, 3, 1, CHUNK])
+        assert written(tmp_path, x) == expected("%.17g\n", x)
+
+    def test_nans_of_other_payloads_are_other_runs(self):
+        x = bits(*[0x7FF8000000000000] * 3, 0x7FF8000000000001, 0xFFF8000000000000)
+        assert b"".join(rows.lines([x, x.view(np.int64)])).split(b"\n")[2:5] == [
+            b"nan,9221120237041090560", b"nan,9221120237041090561",
+            b"nan,-2251799813685248"]
+
+    def test_objects_equal_by_eq_keep_their_own_text(self, tmp_path):
+        v = np.array([1, 1.0, True, 1, 1.0, True] * 3, dtype=object)
+        assert written(tmp_path, v) == "1\n1.0\nTrue\n" * 6
+
+    def test_runs_column_counts(self, tmp_path):
+        """counts may be one int or one per row, zeros included; the length is their sum."""
+        ids = ["a", "ü", "", "x,y"]
+        assert written(tmp_path, Runs(cells(ids), 2)) == "a\na\nü\nü\n\n\nx,y\nx,y\n"
+        assert written(tmp_path, Runs(cells(ids), [0, 1, 3, 0]), [1, 2, 3, 4]) == (
+            "ü,1\n,2\n,3\n,4\n")
+        assert written(tmp_path, Runs(cells([]), 3)) == ""
+        with pytest.raises(ValueError, match="differ in length"):
+            write_rows(io.StringIO(), "", Runs(cells(ids), 2), [1.0])
+
+    @pytest.mark.parametrize("bad", [Runs(np.zeros((2, 2)), 1), Runs(cells(["a"]), -1),
+                                     Runs(np.zeros(2, dtype=np.uint8), 1)])
+    def test_runs_column_is_checked(self, bad):
+        with pytest.raises(ValueError, match="Runs column"):
+            write_rows(io.StringIO(), "", bad)
+
+    def test_cells_of_a_column(self):
+        """One row per value, padded with DROP to the longest; CHUNK rows at a time."""
+        ids = [f"ü{i}" for i in range(CHUNK + 5)] + ["long" * 9]
+        got = cells(ids)
+        assert got.shape == (len(ids), 36) and got.dtype == np.uint8
+        assert [r.tobytes().replace(b"\xff", b"").decode() for r in got] == ids
+
+    def test_write_holds_a_chunk_and_the_id_cells(self, tmp_path):
+        """At 1e5 clusters the peak is the units, the id cells and a chunk, not ids per row."""
+        K, size = 100_000, 4
+        ids = [f"cluster-{k:012d}" for k in range(K)]  # 20 bytes: 8 MB over every row
+        data = Dataset(np.linspace(-1, 1, K * size), np.ones((K * size, 1)), np.full(K, size), ids)
+        tracemalloc.start()
+        try:
+            write_dataset_csv(data, tmp_path / "data.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        units, id_cells = 8 * K * size, data.id_cells.nbytes
+        assert id_cells == 20 * K
+        assert peak < units + 2 * id_cells + 512 * CHUNK  # 512 bytes a row of a chunk
