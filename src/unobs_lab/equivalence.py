@@ -45,6 +45,7 @@ __all__ = [
     "marginal_cov_extended",
     "eb_shrinkage",
     "psd_slack",
+    "least_eigenvalue",
     "admissible",
 ]
 EPS = 2.0**-52  # the spacing of floats at 1
@@ -238,6 +239,19 @@ def psd_slack(spec: ExtendedSpec, n: int = 1) -> float:
     """
     unit, k = _unit(spec)
     return _ldexp(_slack(unit, n), -4 * k)
+
+
+def least_eigenvalue(spec: ExtendedSpec, n: int) -> float:
+    """The least eigenvalue of joint_cov(spec, n), in closed form at the unit scale (_unit).
+
+    joint_cov has the eigenvalues nu2 (n - 1 times) and the two of
+    [[d, tau*sqrt(n)], [tau*sqrt(n), nu2]]: top and psd_slack(spec, n)/top.
+    """
+    unit, k = _unit(spec)
+    d, tau, nu2 = unit.d, unit.tau, unit.nu2
+    top = (d + nu2) / 2 + math.hypot((d - nu2) / 2, tau * math.sqrt(n))
+    low = _slack(unit, n) / top
+    return _ldexp(min(low, nu2) if n > 1 else low, -2 * k)
 
 
 def admissible(spec: ExtendedSpec, n: int) -> bool:

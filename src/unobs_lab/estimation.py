@@ -277,14 +277,13 @@ def simulate_extended(
     holds for every cluster size n (at n = 1 for all alpha); elsewhere a
     DomainError names the size and the least eigenvalue of its covariance.
     """
-    from unobs_lab.equivalence import admissible, intercept_given_y, psd_slack
+    from unobs_lab.equivalence import admissible, intercept_given_y, least_eigenvalue
 
-    mu, sizes, d, tau, nu2 = _intercept(xi), np.array(layout.sizes()), spec.d, spec.tau, spec.nu2
+    mu, sizes, nu2 = _intercept(xi), np.array(layout.sizes()), spec.nu2
     size_set = sorted(set(sizes.tolist()))
-    for n in size_set:  # (b, eps) has eigenvalues nu2 (n - 1 times), top and psd_slack/top
+    for n in size_set:
         if not admissible(spec, n):
-            top = (d + nu2) / 2 + math.hypot((d - nu2) / 2, tau * math.sqrt(n))
-            low = psd_slack(spec, n) / top
+            low = least_eigenvalue(spec, n)
             raise DomainError(f"joint covariance for n = {n} is not PSD: eigenvalue {low}")
     validate_cs(size_set, spec.lambda2, nu2)  # y is drawn as simulate_cs draws it
     laws = {n: intercept_given_y(spec, n) for n in size_set}

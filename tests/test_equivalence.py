@@ -16,6 +16,7 @@ from unobs_lab.equivalence import (
     eb_shrinkage,
     intercept_given_y,
     joint_cov,
+    least_eigenvalue,
     map_a_to_b,
     marginal_cov_extended,
     psd_slack,
@@ -420,6 +421,18 @@ class TestAdmissible:
         assert math.copysign(1.0, psd_slack(ExtendedSpec(1e-200, 1e-200, 0.2), 4)) == -1.0
         assert psd_slack(ExtendedSpec(1e200, 1e200, -0.5), 4) == math.inf
         assert psd_slack(ExtendedSpec(1e200, 1e200, 0.2), 4) == -math.inf
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 9])
+    def test_least_eigenvalue_is_joint_covs(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            nu2 = float(rng.uniform(0.1, 3.0))
+            spec = ExtendedSpec(float(rng.uniform(-nu2 / n, 3.0)), nu2, float(rng.uniform(-1, 1)))
+            want = np.linalg.eigvalsh(joint_cov(spec, n))[0]
+            assert least_eigenvalue(spec, n) == pytest.approx(want, rel=1e-9, abs=1e-12)
+        low = least_eigenvalue(ExtendedSpec(1.0, 1.0, 0.2), 4)
+        for k in (-300, 300):  # 4^k times the value at scale 1, where psd_slack is 0 or inf
+            assert least_eigenvalue(ExtendedSpec(4.0**k, 4.0**k, 0.2), 4) == low * 4.0**k < 0
 
     def test_law_given_y_at_extreme_scales(self):
         """v is of degree 1 in (lambda2, nu2): 4^k times v at scale 1, and c the same."""

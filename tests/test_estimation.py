@@ -2,6 +2,7 @@ import decimal
 import hashlib
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from unobs_lab.equivalence import (
     ExtendedSpec,
     eb_shrinkage,
     joint_cov,
+    least_eigenvalue,
     marginal_cov_extended,
 )
 from unobs_lab.estimation import (
@@ -567,8 +569,11 @@ class TestSimulateExtended:
         spec = ExtendedSpec(scale, scale, -0.5)
         data, latents = assert_marginal_first(spec, [0.0], SimLayout(4000, 4), seed=4)
         assert np.std(latents.b) == pytest.approx(math.sqrt(spec.d), rel=0.05)
-        with pytest.raises(DomainError, match="n = 4 is not PSD: eigenvalue -"):
-            simulate_extended(ExtendedSpec(scale, scale, 0.2), [0.0], SimLayout(10, 4), seed=4)
+        bad = ExtendedSpec(scale, scale, 0.2)
+        low = least_eigenvalue(bad, 4)  # about -0.59 * scale
+        assert -0.6 * scale < low < -0.5 * scale
+        with pytest.raises(DomainError, match=re.escape(f"n = 4 is not PSD: eigenvalue {low}")):
+            simulate_extended(bad, [0.0], SimLayout(10, 4), seed=4)
 
     @pytest.mark.parametrize("nu2", [0.01, 0.3, 7.0])
     @pytest.mark.parametrize("n", [2, 4, 8])
