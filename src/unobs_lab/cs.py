@@ -118,10 +118,10 @@ def write_rows(dest, head: str, *columns) -> None:
     dest is a path or an open text handle; a path is written as UTF-8 with
     "\n" line ends. Line i holds c1[i], c2[i], ... joined by "," and ended by
     "\n", each cell with the bytes of Python's %: %d for an integer or bool
-    column, %.17g for a float column, %s for a str or object column. The
-    lines are made in numpy by unobs_lab.rows, which is loaded only when there
-    are columns, so a JSON report, written as head alone, loads neither it
-    nor numpy.
+    column, %.17g for a float column, %s for a str or object column, or a
+    rows.Runs column's ready-made cells. The lines are made in numpy by
+    unobs_lab.rows, which is loaded only when there are columns, so a JSON
+    report, written as head alone, loads neither it nor numpy.
     """
     lines = ()
     if columns:
