@@ -45,16 +45,13 @@ __all__ = [
 
 GRID = 63  # interior points of the r interval scanned before refining
 XTOL = math.sqrt(np.finfo(float).eps)  # a maximum located from values alone
-INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class UnsupportedLayoutError(ValueError):
     """Closed-form estimation requested on a layout it does not cover."""
 
 
-class FitResult(
-    namedtuple("FitResult", "params loglik converged iterations constraint_active")
-):
+class FitResult(namedtuple("FitResult", "params loglik converged iterations constraint_active")):
     """An ML fit: the CSParams at the maximum, its log-likelihood and how it was found."""
 
     __slots__ = ()
@@ -96,7 +93,7 @@ def loglik_cs(data: Dataset, params: CSParams) -> float:
     """
     lam, phi = params.lam, params.phi
     validate_cs(data.stats.n, lam, phi)
-    return data.stats.loglik(params.xi, lam, phi)
+    return data.stats.loglik(params.xi, lam / phi, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -107,71 +104,44 @@ def loglik_cs(data: Dataset, params: CSParams) -> float:
 def fit_ml(data: Dataset) -> FitResult:
     """Maximize loglik_cs over {phi > 0, phi + n_i*lam > 0 for all i}.
 
-    xi and phi are profiled out in closed form, leaving r = lam/(lam+phi),
-    whose open interval (-1/(n_max-1), 1) is exactly the PD region. The best
-    of GRID evenly spaced interior points is bracketed by its neighbours
-    (guarding against several maxima), the bracket is closed by golden
-    section and the best point evaluated is returned. iterations counts
-    profile evaluations. constraint_active means the bracket closed against
-    an interval end or an unevaluable point: the likelihood still rose
-    towards the PD boundary, where it may be unbounded (e.g. when at most p
-    clusters have the largest size, or y is constant within every cluster).
+    xi and phi are profiled out in closed form (SuffStats.profile), leaving
+    r = lam/(lam+phi), whose open interval (-1/(n_max-1), 1) is exactly the PD
+    region. GRID evenly spaced interior points are evaluated in one batch; the
+    same grid is then laid across the best point's bracket (its neighbours,
+    against several maxima) until the bracket is XTOL wide relative to its
+    distance from the nearer end (absolute if it holds one) or GRID + 1 float
+    spacings wide, so it always closes (converged). The best point is returned,
+    its loglik recomputed; iterations counts the points evaluated.
+    constraint_active means the bracket closed against an interval end or an
+    unevaluable point: the likelihood still rose towards the PD boundary, where
+    it may be unbounded (e.g. when at most p clusters have the largest size,
+    or y is constant within every cluster).
     """
     if data.n_clusters < 2:
         raise DomainError("fitting requires at least two clusters")
     st = data.stats
     n_max = int(st.n[-1])
     if n_max == 1:
-        raise DomainError(
-            "lam is unidentified: every cluster has a single observation"
-        )
-    evals = []
-
-    def profile(r: float) -> float:  # record (loglik, xi, lam, phi) at r; return loglik
-        g = r / (1.0 - r)  # lam/phi; at (g, 1), xi is GLS and phi = Q/N_obs, Q = v'Mv
-        try:
-            xi = st.gls(g, 1.0)
-            v = np.append(-xi, 1.0)
-            phi = float(v @ st._bordered(g, 1.0) @ v) / st.n_obs
-            lam = g * phi
-            ok = phi > 0 and phi + n_max * lam > 0  # rounding can reach the boundary
-        except RankDeficiencyError:
-            ok = False
-        entry = (st.loglik(xi, lam, phi), xi, lam, phi) if ok else (-math.inf, None, 0, 0)
-        evals.append(entry)
-        return entry[0]
-
-    def closed() -> bool:  # relative to the distance from the nearer end, absolute at one
-        return b - a <= XTOL * (min(a - edges[0], edges[-1] - b) or 1.0)
-
-    # V is singular at both interval ends: they count as unevaluable
-    edges = np.linspace(-1.0 / (n_max - 1), 1.0, GRID + 2).tolist()
-    f = [-math.inf] + [profile(r) for r in edges[1:-1]] + [-math.inf]
-    k = 1 + int(np.argmax(f[1:-1]))
-    a, b, fa, fb = edges[k - 1], edges[k + 1], f[k - 1], f[k + 1]
-    c, d = b - INV_GOLDEN * (b - a), a + INV_GOLDEN * (b - a)
-    fc, fd = profile(c), profile(d)
-    while not closed() and a < c < d < b:  # else floats cannot split the bracket
-        if fc > fd:
-            b, fb, d, fd = d, fd, c, fc
-            c = b - INV_GOLDEN * (b - a)
-            fc = profile(c)
-        else:
-            a, fa, c, fc = c, fc, d, fd
-            d = a + INV_GOLDEN * (b - a)
-            fd = profile(d)
-    loglik, xi, lam, phi = max(evals, key=lambda e: e[0])
-    if xi is None:
+        raise DomainError("lam is unidentified: every cluster has a single observation")
+    lo = -1.0 / (n_max - 1)
+    a, b, fa, fb = lo, 1.0, -math.inf, -math.inf  # V is singular at both ends
+    best, iterations = (-math.inf,), 0
+    while b - a > max(XTOL * (min(a - lo, 1.0 - b) or 1.0), (GRID + 1) * np.spacing(max(-a, b))):
+        r = np.linspace(a, b, GRID + 2)
+        g = r[1:-1] / (1.0 - r[1:-1])
+        f, xi, phi = st.profile(g)
+        iterations, k = iterations + GRID, int(np.argmax(f))
+        best = max(best, (f[k], xi[k], g[k] * phi[k], phi[k]), key=lambda e: e[0])
+        f = np.concatenate(([fa], f, [fb]))
+        a, b, fa, fb = r[k], r[k + 2], f[k], f[k + 2]
+    if best[0] == -math.inf:
         raise RankDeficiencyError(
             "no PD point has a finite likelihood: X is rank deficient or fits y exactly"
         )
-    return FitResult(
-        params=CSParams(xi=xi, lam=lam, phi=phi),
-        loglik=loglik,
-        converged=closed(),
-        iterations=len(evals),
-        constraint_active=min(fa, fb) == -math.inf,
-    )
+    _, xi, lam, phi = best
+    return FitResult(params=CSParams(xi=xi, lam=lam, phi=phi), loglik=st.loglik(xi, lam / phi, phi),
+                     converged=True, iterations=iterations,
+                     constraint_active=min(fa, fb) == -math.inf)
 
 
 def fit_balanced_closed_form(data: Dataset) -> FitResult:
@@ -200,13 +170,8 @@ def fit_balanced_closed_form(data: Dataset) -> FitResult:
     if phi + n * lam <= 0:
         raise DomainError("zero between-cluster variation: lam sits on the boundary")
     params = CSParams(xi=np.array([mu]), lam=lam, phi=phi)
-    return FitResult(
-        params=params,
-        loglik=loglik_cs(data, params),
-        converged=True,
-        iterations=0,
-        constraint_active=False,
-    )
+    return FitResult(params=params, loglik=loglik_cs(data, params), converged=True,
+                     iterations=0, constraint_active=False)
 
 
 # ---------------------------------------------------------------------------

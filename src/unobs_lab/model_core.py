@@ -13,6 +13,7 @@ lives in unobs_lab.cs.
 from __future__ import annotations
 
 import math
+import warnings
 from collections import namedtuple
 from functools import cached_property
 
@@ -88,12 +89,14 @@ class SuffStats:
     With z = (x, y) a row and w = (xs, ys) a cluster's column sums, the kernel
     holds zz_within = sum (z - w/n)(z - w/n)' over rows and, for each distinct
     size n[s], count[s] clusters and ww[s] = sum w w' (xs xs', xs ys, ys^2).
-    Since V_n^-1 = (I - J/n)/phi + (J/n)/(phi + n*lam), each likelihood or GLS
-    evaluation costs O(#sizes * p^2), whatever the number of clusters.
+    Since phi * V_n^-1 = (I - J/n) + (J/n)/(1 + n*g) with g = lam/phi, each
+    likelihood or GLS evaluation costs O(#sizes * p^2), whatever the number of
+    clusters. The kernel takes g as an array of any shape and sums in one fixed
+    order, so a point of a batch has the bits of the same point alone.
     Digits do cancel: ww holds raw cluster sums, so when the data sit far
     from zero the between-cluster quadratic form is a small difference of
-    large terms. Adding 1e6 to y moves the fitted lam by 2.5e-3, relative, and
-    adding 1e7 by 5.8e-3 (simulate_cs seed 5, 1000 clusters of 4, lam = phi =
+    large terms. Adding 1e6 to y moves the fitted lam by 4.2e-3, relative, and
+    adding 1e7 by 8.2e-2 (simulate_cs seed 5, 1000 clusters of 4, lam = phi =
     1, against fit_balanced_closed_form), so the fit is not yet
     translation-equivariant (ROADMAP item 3).
     """
@@ -110,29 +113,54 @@ class SuffStats:
         first = np.cumsum(self.count) - self.count
         self.ww = np.add.reduceat((W[:, :, None] * W[:, None, :])[order], first)
 
-    def _bordered(self, lam: float, phi: float) -> np.ndarray:
-        """sum_k Z_k' V_k^-1 Z_k: the GLS normal equations bordered by y."""
-        w = 1.0 / (self.n * (phi + self.n * lam))
-        return self.zz_within / phi + np.tensordot(w, self.ww, axes=1)
+    def _bordered(self, g) -> np.ndarray:
+        """sum_k Z_k' (phi V_k^-1) Z_k at lam/phi = g: the GLS system bordered by y."""
+        w = 1.0 / (self.n * (1.0 + self.n * g[..., None]))
+        return self.zz_within + (w[..., None, None] * self.ww).sum(axis=-3)
 
-    def loglik(self, xi: np.ndarray, lam: float, phi: float) -> float:
-        """CS Gaussian log-likelihood at (xi, lam, phi); no PD check."""
-        v = np.append(-np.asarray(xi, dtype=float), 1.0)
-        quad = v @ self._bordered(lam, phi) @ v
-        logdet = self.count @ ((self.n - 1) * math.log(phi) + np.log(phi + self.n * lam))
-        return float(-0.5 * (self.n_obs * math.log(2.0 * math.pi) + logdet + quad))
+    def _solve(self, M) -> np.ndarray:
+        """xi of each stacked system; nan where cond(A) > 1e12 or M is not finite."""
+        A, b = M[:, : self.p, : self.p], M[:, : self.p, self.p]
+        ok = np.isfinite(M).all(axis=(1, 2))
+        ok[ok] = np.linalg.cond(A[ok]) <= 1e12  # solve only these, so none can raise
+        xi = np.full(b.shape, np.nan)
+        xi[ok] = np.linalg.solve(A[ok], b[ok][..., None])[..., 0]
+        return xi
 
-    def gls(self, lam: float, phi: float) -> np.ndarray:
-        """GLS estimate of xi at (lam, phi); no PD check."""
-        M = self._bordered(lam, phi)
-        A = M[: self.p, : self.p]
-        try:
-            xi = np.linalg.solve(A, M[: self.p, self.p])
-        except np.linalg.LinAlgError as exc:
-            raise RankDeficiencyError(f"singular GLS normal equations: {exc}") from exc
-        if not np.all(np.isfinite(xi)) or np.linalg.cond(A) > 1e12:
+    def _loglik(self, M, xi, g, phi=None):
+        """(loglik at (xi, g*phi, phi), phi) from M = _bordered(g); phi = v'Mv/N if None."""
+        v = np.concatenate([-xi, np.ones(xi.shape[:-1] + (1,))], axis=-1)
+        quad = ((M * v[..., None, :]).sum(axis=-1) * v).sum(axis=-1)  # v'Mv
+        phi = quad / self.n_obs if phi is None else phi
+        logdet = (self.count * np.log1p(self.n * g[..., None])).sum(axis=-1)  # + N log phi
+        ll = -0.5 * (self.n_obs * (math.log(2 * math.pi) + np.log(phi)) + logdet + quad / phi)
+        return ll, phi
+
+    def loglik(self, xi: np.ndarray, g: float, phi: float) -> float:
+        """CS Gaussian log-likelihood at (xi, lam = g*phi, phi); no PD check."""
+        g = np.asarray(g, dtype=float)
+        return float(self._loglik(self._bordered(g), np.asarray(xi, dtype=float), g, phi)[0])
+
+    def gls(self, g: float) -> np.ndarray:
+        """GLS estimate of xi at lam/phi = g; no PD check."""
+        xi = self._solve(self._bordered(np.asarray(g, dtype=float))[None])[0]
+        if not np.isfinite(xi).all():
             raise RankDeficiencyError("GLS normal equations are rank deficient")
         return xi
+
+    def profile(self, g):
+        """(loglik, xi, phi) at each lam/phi = g, with xi (GLS) and phi = v'Mv/N profiled out,
+        so loglik = -[N(log 2 pi + 1 + log phi) + sum_s count[s] log(1 + n[s] g)]/2. A point
+        whose xi is unsolvable, whose loglik is not finite or whose (g*phi, phi) is not PD
+        gets -inf; none raises.
+        """
+        g = np.asarray(g, dtype=float)
+        with np.errstate(all="ignore"):  # unevaluable points are masked below
+            M = self._bordered(g)
+            xi = self._solve(M)
+            ll, phi = self._loglik(M, xi, g)
+            ok = np.isfinite(ll) & (phi > 0) & (phi + self.n[-1] * (g * phi) > 0)
+        return np.where(ok, ll, -np.inf), xi, phi
 
 
 class CSParams(namedtuple("CSParams", "xi lam phi")):
@@ -161,7 +189,7 @@ class CSParams(namedtuple("CSParams", "xi lam phi")):
 def gls_mean(data: Dataset, lam: float, phi: float) -> np.ndarray:
     """GLS estimate of xi at fixed (lam, phi), from the sufficient statistics."""
     validate_cs(data.stats.n, lam, phi)
-    return data.stats.gls(lam, phi)
+    return data.stats.gls(lam / phi)
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +200,8 @@ def gls_mean(data: Dataset, lam: float, phi: float) -> np.ndarray:
 def read_dataset_csv(path) -> Dataset:
     """Parse a long-format dataset CSV (header ``cluster,unit,y,x1,...,xp``).
 
-    The non-empty lines after the header are parsed in one ``np.loadtxt``
-    call into a cluster id (an object field, so no id is truncated), an
+    After the header, the path goes to one ``np.loadtxt`` call that parses
+    each line into a cluster id (an object field, so no id is truncated), an
     integer unit and p + 1 floats. Rows are coded by runs of equal ids and
     each run's stripped id is looked up once, so clusters keep the order of
     their first appearance whatever the file's order, interleaved or not.
@@ -181,39 +209,42 @@ def read_dataset_csv(path) -> Dataset:
     are plain comma-separated values (no quoting); LF, CRLF and a lone CR
     end lines, and empty lines are skipped. Raises CsvFormatError with the
     offending line number on malformed input, a non-finite number, or a
-    repeated (cluster, unit) pair; a malformed line is found by bisecting
-    the lines, in O(log n) parses.
+    repeated (cluster, unit) pair; only then are the lines split in Python,
+    and a malformed one is found by bisecting them, in O(log n) parses.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    if lines == [""]:
+    with open(path, "r", encoding="utf-8") as fh:  # universal newlines, as loadtxt reads
+        head = fh.readline()
+    if not head:
         raise CsvFormatError("line 1: empty file")
-    header = [h.strip() for h in lines[0].split(",")]
+    header = [h.strip() for h in head.split(",")]
     if header[:3] != ["cluster", "unit", "y"]:
         raise CsvFormatError("line 1: header must start with 'cluster,unit,y'")
     if len(header) == 3:
         raise CsvFormatError("line 1: no covariate columns x1..xp after 'cluster,unit,y'")
-    body = list(filter(None, lines[1:]))
-    if not body:
-        raise CsvFormatError("line 2: no data rows")
     dtype = np.dtype([("c", object), ("unit", np.int64), ("v", float, (len(header) - 2,))])
-    rec = _parse_rows(body, dtype)
-    if rec is None:
-        _refuse_first_bad_row(body, dtype, lines)
+    try:
+        with warnings.catch_warnings():  # a file without rows is refused below
+            warnings.simplefilter("ignore", UserWarning)
+            rec = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, skiprows=1,
+                             encoding="utf-8", ndmin=1)
+    except ValueError:
+        _refuse_first_bad_row(_numbered(path), dtype)
+    if not len(rec):
+        raise CsvFormatError("line 2: no data rows")
     c, unit, vals = rec["c"], rec["unit"], rec["v"]
     bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
     if len(bad):
-        raise CsvFormatError(f"line {_linenos(lines)[bad[0]]}: non-finite value")
+        raise CsvFormatError(f"line {list(_numbered(path))[bad[0]]}: non-finite value")
     heads = np.flatnonzero(np.concatenate([[True], c[1:] != c[:-1]]))
-    codes: dict[str, int] = {}  # cluster -> index, in order of first appearance
-    run_code = [codes.setdefault(cid.strip(), len(codes)) for cid in c[heads]]
-    code = np.repeat(run_code, np.diff(np.append(heads, len(c))))
+    run_ids = list(map(str.strip, c[heads]))
+    codes = dict(zip(dict.fromkeys(run_ids), range(len(run_ids))))  # by first appearance
+    code = np.repeat(list(map(codes.__getitem__, run_ids)), np.diff(np.append(heads, len(c))))
     perm = np.lexsort((unit, code))
     code, unit, vals = code[perm], unit[perm], vals[perm]
     dup = np.flatnonzero((np.diff(code) == 0) & (np.diff(unit) == 0))
     if len(dup):
         j = dup[np.argmin(perm[dup + 1])]  # the pair whose later line comes first
-        linenos = _linenos(lines)
+        linenos = list(_numbered(path))
         raise CsvFormatError(
             f"line {linenos[perm[j + 1]]}: cluster {list(codes)[code[j]]!r} repeats unit "
             f"{unit[j]} of line {linenos[perm[j]]}"
@@ -221,35 +252,29 @@ def read_dataset_csv(path) -> Dataset:
     return Dataset(vals[:, 0], vals[:, 1:], np.bincount(code), list(codes), header[3:])
 
 
-def _linenos(lines) -> list[int]:
-    """The 1-based line number of each non-empty line after the header."""
-    return [i for i, line in enumerate(lines[1:], start=2) if line]
+def _numbered(path) -> dict[int, str]:
+    """The non-empty lines after the header by 1-based number, split as loadtxt splits them."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return {i: line for i, line in enumerate(fh.read().split("\n")[1:], start=2) if line}
 
 
-def _parse_rows(body, dtype):
-    """The records of body's lines, or None if numpy refuses any of them."""
-    try:
-        rec = np.loadtxt(body, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-    except ValueError:
-        return None
-    return rec if len(rec) == len(body) else None
-
-
-def _refuse_first_bad_row(body, dtype, lines):
-    """Raise CsvFormatError naming the first line of body that numpy refuses.
+def _refuse_first_bad_row(numbered, dtype):
+    """Raise CsvFormatError naming the first of the numbered lines that numpy refuses.
 
     Every line before body[lo] parses and body[lo:hi] holds a refused one, so
     each step parses only the lines between and halves them: O(log n) calls
     and O(n) lines parsed in all.
     """
+    body = list(numbered.values())
     lo, hi = 0, len(body)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _parse_rows(body[lo:mid], dtype) is None:
-            hi = mid
-        else:
-            lo = mid
-    lineno, line = _linenos(lines)[lo], body[lo]
+        try:
+            got = len(np.loadtxt(body[lo:mid], dtype=dtype, delimiter=",", comments=None, ndmin=1))
+        except ValueError:
+            got = -1  # numpy refused one of them
+        lo, hi = (mid, hi) if got == mid - lo else (lo, mid)
+    lineno, line = list(numbered)[lo], body[lo]
     n_cols, want = line.count(",") + 1, 2 + dtype["v"].shape[0]
     if n_cols != want:
         raise CsvFormatError(f"line {lineno}: expected {want} columns, got {n_cols}")

@@ -335,6 +335,13 @@ class TestHeavytailCommand:
         assert rc == 0
         assert json.loads(out)[0]["value"] == pytest.approx(1.570796, abs=1e-6)
 
+    @pytest.mark.parametrize("phi,delta,want", [("1e300", "1e-300", 1e-300), ("1e-300", "1e300", 1e300)])
+    def test_moments_value_at_extreme_scales(self, capsys, phi, delta, want):
+        rc, out, _ = run(capsys, "heavytail", "moments", f"--phi={phi}", "--rho=2",
+                         f"--delta={delta}", "--k", "1")
+        assert rc == 0
+        assert json.loads(out)[0]["value"] == pytest.approx(want * math.pi / 2, rel=1e-14)
+
     def test_trace_row_count(self, tmp_path, capsys):
         path = tmp_path / "trace.csv"
         rc, _, _ = run(

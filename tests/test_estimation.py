@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unobs_lab.cs import CSMatrix, DomainError
+from unobs_lab.cs import CSMatrix, DomainError, RankDeficiencyError
 from unobs_lab.equivalence import (
     EPS,
     ExtendedSpec,
@@ -144,6 +144,55 @@ class TestKernelOracle:
         assert abs(got - want) <= 1e-10 * abs(want)
 
 
+class TestBatchedProfile:
+    """SuffStats.profile at a batch of g = lam/phi against its one-point kernel."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_clusters=st.integers(3, 40),
+        p=st.integers(1, 3),
+        inner=st.lists(st.floats(1e-9, 1.0 - 1e-9), max_size=8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_one_point(self, seed, n_clusters, p, inner):
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 9, n_clusters)
+        sizes[0] = max(sizes[0], 2)
+        X = np.column_stack([np.ones(sizes.sum()), rng.normal(size=(sizes.sum(), p - 1))])
+        data = Dataset(rng.normal(1.0, 2.0, size=sizes.sum()), X, sizes)
+        lo = -1.0 / (int(sizes.max()) - 1)
+        ends = [lo + 1e-9, lo + 1e-6, 1.0 - 1e-6, 1.0 - 1e-9]  # within 1e-9 of both ends
+        r = np.array(ends + [lo + (1.0 - lo) * t for t in inner])
+        g = r / (1.0 - r)
+        stats = data.stats
+        ll, xi, phi = stats.profile(g)
+        n_max = stats.n[-1]
+        for k in range(len(g)):
+            try:
+                want_xi = stats.gls(g[k])
+            except RankDeficiencyError:
+                assert ll[k] == -math.inf and np.isnan(xi[k]).all()
+                continue
+            assert np.max(np.abs(xi[k] - want_xi)) <= 1e-12 * np.max(np.abs(want_xi))
+            if not (phi[k] > 0 and phi[k] + n_max * (g[k] * phi[k]) > 0):
+                assert ll[k] == -math.inf
+                continue
+            want = stats.loglik(xi[k], g[k], phi[k])
+            assert abs(ll[k] - want) <= 1e-12 * abs(want)
+            assert stats.loglik(xi[k], g[k], phi[k] * 1.001) < ll[k]  # phi is profiled out
+            assert stats.loglik(xi[k], g[k], phi[k] / 1.001) < ll[k]
+
+    def test_rank_deficient_point_is_minus_inf_in_a_finite_batch(self):
+        # the within part of x2 is 5, its between part singular at w = -2.5, i.e. g = -0.6
+        X = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 0.0], [1.0, 3.0]])
+        stats = Dataset([0.0, 1.0, 3.0, 2.0], X, [2, 2]).stats
+        with pytest.raises(RankDeficiencyError):
+            stats.gls(-0.6)
+        ll, xi, phi = stats.profile([0.0, -0.6, 1.0, -0.4999])
+        assert ll[1] == -math.inf and np.isnan(xi[1]).all()
+        assert np.isfinite(np.delete(ll, 1)).all() and np.isfinite(np.delete(xi, 1, axis=0)).all()
+
+
 # ---------------------------------------------------------------------------
 # fit_balanced_closed_form
 # ---------------------------------------------------------------------------
@@ -255,7 +304,7 @@ class TestFitMl:
         assert not base.constraint_active and not got.constraint_active
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: SuffStats holds raw cluster "
-                       "sums, so shifting y cancels digits (lam 2.5e-3 off at 1e6)")
+                       "sums, so shifting y cancels digits (lam 4.2e-3 off at 1e6)")
     def test_translation_equivariance(self):
         data = simulate_cs(CSParams([0.0], 1.0, 1.0), SimLayout(1000, 4), seed=5)
         shifted = Dataset(data.y + 1e6, data.X, data.sizes)

@@ -149,4 +149,4 @@ def test_fit_report_is_pinned(tmp_path):
     assert _sha(report) == FIT_REPORT_SHA
 
 
-FIT_REPORT_SHA = "9084e1d8995b9ac6af7a33b411a48594fdbe440dedb450bb5bb3690743a061cd"
+FIT_REPORT_SHA = "22a3ab1b9d0fade0d324f3d14075660314c09408887c2988780d87236e291fbf"

@@ -1,3 +1,4 @@
+import decimal
 import math
 import os
 import re
@@ -21,6 +22,7 @@ from unobs_lab.heavytail import (
     QuadratureError,
     WeibullExpSpec,
     WeibullGammaSpec,
+    _ratio_pow,
     pit_sample,
     running_mean_trace,
     truncated_moment,
@@ -155,6 +157,25 @@ class TestMoments:
         assert m.value == pytest.approx(2 * math.pi / (3 * math.sqrt(3)), abs=1e-12)
         want = 2 * math.pi / (3 * math.sqrt(3))
         assert abs(m.value - want) <= math.ulp(want)
+
+    @pytest.mark.parametrize("phi,delta,want", [
+        (1e300, 1e-300, 1e-300 * math.pi / 2),  # delta/phi underflows to 0
+        (1e-300, 1e300, 1e300 * math.pi / 2),  # delta/phi overflows to inf
+        (1e10, 1e-300, 1e-155 * math.pi / 2),  # delta/phi is subnormal
+    ])
+    def test_value_where_delta_over_phi_leaves_the_floats(self, phi, delta, want):
+        m = we_moment(WeibullExpSpec(phi, 2, delta), 1)
+        assert m.value == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("num,den", [(1e-300, 1e300), (1e300, 1e-300), (1e-300, 1e10),
+                                         (5e-324, 1.0), (1.7e308, 0.5), (3.0, 7.0)])
+    @pytest.mark.parametrize("r", [0.1, 0.5, 0.9, 1.0 / 3.0])
+    def test_ratio_power_against_decimal(self, num, den, r):
+        """we_moment and truncated_moment form (delta/phi)^r by _ratio_pow."""
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            want = float((decimal.Decimal(num) / decimal.Decimal(den)) ** decimal.Decimal(r))
+        assert _ratio_pow(num, den, r) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_formula_defined_but_divergent(self):
         m = we_moment(WeibullExpSpec(1, 2.5, 1), 3)

@@ -6,6 +6,7 @@ import os
 import pkgutil
 import re
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -397,6 +398,42 @@ class TestCsv:
         data = read_dataset_csv(path)
         assert data.y.tolist() == [1.5, 2.5]
 
+    def test_line_ends_and_blank_lines_give_equal_datasets(self, tmp_path):
+        data = intercept_dataset({"a": [1.25, -2.5], "b": [0.0, 3.0, 1e-300]})
+        path = tmp_path / "lf.csv"
+        write_dataset_csv(data, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        variants = {
+            "crlf": "\r\n".join(lines) + "\r\n",
+            "cr": "\r".join(lines) + "\r",
+            "blank": "\n\n".join(lines) + "\n\n\n",
+            "blank-crlf-no-end": "\r\n\r\n".join(lines),
+        }
+        for name, text in variants.items():
+            other = tmp_path / f"{name}.csv"
+            other.write_bytes(text.encode("utf-8"))
+            back = read_dataset_csv(other)
+            assert back.cluster_ids == data.cluster_ids and back.covariate_names == ("x1",)
+            assert np.array_equal(back.sizes, data.sizes)
+            assert np.array_equal(back.y, data.y) and np.array_equal(back.X, data.X)
+
+    @pytest.mark.parametrize("text,message", [
+        ("cluster,unit,y,x1", "line 2: no data rows"),
+        ("cluster,unit,y,x1\r\n\r\n\r\n", "line 2: no data rows"),
+        ("cluster,unit,y,x1\r\r", "line 2: no data rows"),
+        ("cluster,unit,y,x1\n \t \n", "line 2: expected 4 columns, got 1"),
+        ("   \n\n", "line 1: header must start with 'cluster,unit,y'"),
+        ("\n", "line 1: header must start with 'cluster,unit,y'"),
+    ])
+    def test_files_without_rows_keep_their_messages_as_errors(self, tmp_path, text, message):
+        """loadtxt warns on input without data; the reader names the line instead."""
+        path = tmp_path / "rowless.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CsvFormatError, match=f"^{re.escape(message)}$"):
+                read_dataset_csv(path)
+
     def test_empty_file_names_line_1(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -573,7 +610,11 @@ class TestCsvAgainstReference:
         loadtxt = np.loadtxt
 
         def counting(*args, **kwargs):
-            calls.append(len(args[0]))
+            rows = args[0]
+            if isinstance(rows, (str, os.PathLike)):  # a path: its file's non-empty lines
+                with open(rows, encoding="utf-8") as fh:
+                    rows = list(filter(None, fh.read().split("\n")))
+            calls.append(len(rows))
             return loadtxt(*args, **kwargs)
 
         monkeypatch.setattr(np, "loadtxt", counting)
