@@ -60,6 +60,7 @@ __all__ = [
 
 POLE_TOL = 1e-9
 BLOCK = 1 << 15  # draws per block of every sampler
+NORMAL_BITS, INF_BITS = 0x0010000000000000, 0x7FF0000000000000  # of 2.2e-308 and inf
 FRAILTY_TOL = 4 * 2.0**-52  # a few ulps of 1: 49 * (1/49) is 1 - 2**-53
 
 CONSTRAINT_MODES = ("frailty", "bayarri", "free")
@@ -231,8 +232,13 @@ def we_quantile(spec: WeibullExpSpec, u):
 def _quantile(spec: WeibullExpSpec, u: np.ndarray, out: np.ndarray):
     """we_quantile of u written to out; u is kept.
 
-    Where the quantile overflows the result is inf, without a warning; the
-    samplers refuse it by name (_non_finite).
+    The direct form leaves the floats where delta/phi or an intermediate
+    product does, as at phi = 1e300, delta = 1e-300, where it gives 0 for a
+    median of 1e-12 at rho = 50. So the entries it gives as 0, subnormal or
+    inf (one pass finds them) are recomputed as (delta/phi)^(1/rho) *
+    (u/(1-u))^(1/rho), the first factor by _ratio_pow; every other entry keeps
+    its bits. Where the quantile still overflows the result is inf, without a
+    warning; the samplers refuse it by name (_non_finite).
     """
     import numpy as np
 
@@ -240,6 +246,18 @@ def _quantile(spec: WeibullExpSpec, u: np.ndarray, out: np.ndarray):
         np.multiply(u, spec.delta, out=out)
         out /= (1.0 - u) * spec.phi
         out **= 1.0 / spec.rho
+        # a positive double's bits less the smallest normal's wrap round (unsigned)
+        # below it, so only 0, subnormals, inf and nan reach inf's bits less the same
+        span = out.view(np.uint64) - np.uint64(NORMAL_BITS)
+        if span.max(initial=0) >= INF_BITS - NORMAL_BITS:
+            try:
+                scale = _ratio_pow(spec.delta, spec.phi, 1.0 / spec.rho)
+            except OverflowError:  # q**r of a normal q = delta/phi
+                scale = math.inf
+            if 0.0 < scale < math.inf:  # else scale * 0 could give nan: keep the direct form
+                bad = span >= INF_BITS - NORMAL_BITS
+                ub = u[bad]
+                out[bad] = scale * (ub / (1.0 - ub)) ** (1.0 / spec.rho)
     return out
 
 

@@ -52,14 +52,12 @@ class Dataset:
             raise ValueError("X must have one row per observation of y")
         if len(self.sizes) == 0 or self.sizes.min() < 1 or self.offsets[-1] != len(self.y):
             raise ValueError("need one or more clusters of size >= 1 covering every row")
-        if cluster_ids is None:  # one % for all of them, not an f-string each
-            k = len(self.sizes)
-            cluster_ids = ("c%d " * k % tuple(range(1, k + 1))).split()
+        self._ids = None if cluster_ids is None else tuple(cluster_ids)
+        if self._ids is not None and len(self._ids) != len(self.sizes):
+            raise ValueError("need one cluster id per cluster")
         if covariate_names is None:
             covariate_names = [f"x{j + 1}" for j in range(self.X.shape[1])]
-        self.cluster_ids, self.covariate_names = tuple(cluster_ids), tuple(covariate_names)
-        if len(self.cluster_ids) != len(self.sizes):
-            raise ValueError("need one cluster id per cluster")
+        self.covariate_names = tuple(covariate_names)
         if len(self.covariate_names) != self.X.shape[1]:
             raise ValueError("covariate_names length must match design columns")
 
@@ -76,11 +74,26 @@ class Dataset:
         return SuffStats(self)
 
     @cached_property
+    def cluster_ids(self) -> tuple[str, ...]:
+        """Each cluster's id: as given, else c1, c2, ..., made when first read."""
+        if self._ids is not None:
+            return self._ids
+        k = self.n_clusters  # one % for all of them, not an f-string each
+        return tuple(("c%d " * k % tuple(range(1, k + 1))).split())
+
+    @cached_property
     def id_cells(self) -> np.ndarray:
-        """The %s cells of cluster_ids, one row per cluster (rows.cells)."""
+        """The %s cells of cluster_ids, one row per cluster (rows.cells).
+
+        The default ids are made whole in numpy: a "c" column, then the %d
+        cells of 1, 2, ..., k, so they are never built as strings to write.
+        """
         from unobs_lab.rows import cells
 
-        return cells(self.cluster_ids)
+        if self._ids is not None:
+            return cells(self._ids)
+        c = np.full((self.n_clusters, 1), ord("c"), dtype=np.uint8)
+        return np.concatenate([c, cells(np.arange(1, self.n_clusters + 1))], axis=1)
 
 
 class SuffStats:

@@ -27,16 +27,25 @@ is an odd integer. For s >= 0 that holds iff y = x * 2^(s+1) is an integer
 (2 * x * 10^s = y * 5^s is then an integer within 2 * TIE_TOL of an odd
 one). For s < 0 it never holds: with x = M * 2^E, M odd, it needs
 E = -s - 1, so x < 2^53 * 2^(-s-1) < 10^(16-s) <= x. Exact ties come with
-floats of few binary digits, such as 1e15 + 0.25. Rows are then grouped by
-(X, sign); each group has one layout, written with slices: "ddd.ddd",
-"0.000ddd" or "d.ddde+XX", trailing zeros and a bare "." dropped.
+floats of few binary digits, such as 1e15 + 0.25.
+
+D's digits are five groups, its first digit and then four of four digits,
+one (n, 5) index into a table of every 4-digit group in ascii (_quads): G,
+the 17 digits, is the FULL style of each group; Gm, the same with DROP after
+the last nonzero digit, copies G's words and looks up the RSTRIP style of the
+last group only, so the groups before it are redone only in the rows whose
+last group is 0. Each (X, sign) has one layout, written with slices:
+"ddd.ddd", "0.000ddd" or "d.ddde+XX", trailing zeros and a bare "."
+dropped. A chunk whose cells share one layout, as the slowly moving means of
+a trace mostly do, is written as it stands; any other chunk is sorted by
+(X, sign), written a group at a time and put back in order.
 
 Python formats the few values this does not settle: non-finite ones, |x|
 outside [1e-280, 1e280] (the table's products stay normal inside), a near
 tie that is not exact, and D out of range where log10 put X one off.
 
-%d writes the same 4-digit ascii groups, leading zeros dropped, and %s each
-value's UTF-8 bytes.
+%d writes a sign byte, then the same 4-digit ascii groups, leading zeros
+dropped; %s writes each value's UTF-8 bytes.
 """
 
 from __future__ import annotations
@@ -58,6 +67,7 @@ DROP = 0xFF  # a matrix cell that is not written; never a byte of UTF-8
 HEAP_BLOCK = 1 << 21  # bytes: more than a chunk's largest temporary (see _chunks)
 # 4-digit groups in ascii, one uint32 each; the styles drop some zeros
 FULL, RSTRIP, LSTRIP, LSTRIP0 = 0, 10_000, 20_000, 30_000
+MINUS = np.uint32(0xFFFFFF | ord("-") << 24)  # a quad's word of "-" after three DROPs
 
 
 @functools.cache
@@ -106,15 +116,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _ascii(groups) -> np.ndarray:
-    """(n, 4 * len(groups)) bytes of the quads at these indices into _quads()."""
-    return np.take(_quads(), np.stack(groups, axis=1)).view(np.uint8)
-
-
 def _digits17(a: np.ndarray):
     """a > 0 -> (D, X, settled): a = D * 10^(X-16) rounded half to even where settled."""
     X = np.floor(np.log10(a))
-    hi, lo, high, low = (np.take(t, (EXP_MAX + 1 - X).astype(np.intp)) for t in _powers())
+    at = (EXP_MAX + 1 - X).astype(np.intp)
+    hi, lo, high, low = (np.take(t, at) for t in _powers())
     c = a * SPLIT
     ah = c - (c - a)
     al = a - ah
@@ -144,17 +150,30 @@ def _format_g17(x: np.ndarray):
     D[~inside | hard] = 0
     key = ((X - EXP_MIN + 1) * 2 + np.signbit(x)).astype(np.int16)
     key[hard] = -1
-    order = np.argsort(key, kind="stable")
-    key, D = key[order], D[order]
-    top = D // 10**16
-    upper, lower = np.divmod(D - top * 10**16, 10**8)
-    g = [top, upper // 10**4, upper % 10**4, lower // 10**4, lower % 10**4]
-    G = _ascii(g)[:, 3:]  # the 17 digits
-    style, later = [g[0], 0, 0, 0, g[4] + RSTRIP], g[4] != 0
+    one = n and key[0] >= 0 and (key == key[0]).all()  # one layout: no sort
+    if not one:
+        order = np.argsort(key, kind="stable")
+        key, D = key[order], D[order]
+    g = np.empty((n, 5), dtype=np.intp)  # D's groups: its first digit, then four of four
+    upper, lower = np.empty_like(D), np.empty_like(D)
+    np.divmod(D, 10**16, out=(g[:, 0], lower))
+    np.divmod(lower, 10**8, out=(upper, lower))
+    np.divmod(upper, 10**4, out=(g[:, 1], g[:, 2]))
+    np.divmod(lower, 10**4, out=(g[:, 3], g[:, 4]))
+    quads = _quads()
+    full = np.take(quads, g)
+    G = full.view(np.uint8)[:, 3:]  # the 17 digits
+    # Gm, the same with DROP after the last nonzero digit: its groups are FULL before
+    # the last nonzero one, which is RSTRIP, as are the zero groups after it (all DROP)
+    stripped = full.copy()
+    stripped[:, 4] = np.take(quads, g[:, 4] + RSTRIP)
+    ends_in_zeros = np.flatnonzero(g[:, 4] == 0)
+    later = np.zeros(len(ends_in_zeros), dtype=bool)
     for j in (3, 2, 1):  # a group keeps its trailing zeros if a later one is nonzero
-        style[j] = g[j] + np.where(later, FULL, RSTRIP)
-        later |= g[j] != 0
-    Gm = _ascii(style)[:, 3:]  # the same, DROP after the last nonzero digit
+        gj = g[ends_in_zeros, j]
+        stripped[ends_in_zeros, j] = np.take(quads, gj + np.where(later, FULL, RSTRIP))
+        later |= gj != 0
+    Gm = stripped.view(np.uint8)[:, 3:]
     cells = np.full((n, WIDTH), DROP, dtype=np.uint8)
     starts = np.flatnonzero(key[1:] != key[:-1]) + 1
     width = 1
@@ -168,6 +187,8 @@ def _format_g17(x: np.ndarray):
             text = ("%.17g" % x[order[i]]).encode()
             cells[i, : len(text)] = np.frombuffer(text, np.uint8)
         width = WIDTH
+    if one:
+        return cells[:, :width]
     inverse = np.empty_like(order)
     inverse[order] = np.arange(n)
     return np.take(cells, inverse, axis=0)[:, :width]
@@ -198,20 +219,23 @@ def _layout(out, G, Gm, X: int, negative: int) -> int:
 
 
 def _format_d(v: np.ndarray):
-    """Cells of "%d" % v[i] (int64 v)."""
+    """Cells of "%d" % v[i] (int64 v): a sign byte, then 4-digit groups."""
     negative = v < 0
     m = v.astype(np.uint64)
     np.negative(m, out=m, where=negative)  # |v|, also of -2**63
-    g = [m]
-    while int(g[0].max(initial=0)) >= 10**4:
-        g[:1] = np.divmod(g[0], np.uint64(10**4))
-    style, seen = [], np.zeros(len(v), dtype=bool)
-    for j, gj in enumerate(g):  # leading zeros are dropped, but 0 writes "0"
-        strip = LSTRIP0 if j == len(g) - 1 else LSTRIP
-        style.append(gj.astype(np.intp) + np.where(seen, FULL, strip))
-        seen |= gj != 0
-    sign = np.where(negative, ord("-"), DROP).astype(np.uint8)
-    return np.concatenate([sign[:, None], _ascii(style)], axis=1)
+    k = (len(str(int(m.max(initial=0)))) + 3) // 4  # groups
+    index = np.empty((k + 1, len(v)), dtype=np.intp)  # into _quads(), a column per cell
+    index[0] = LSTRIP  # 0000 with every digit dropped: the sign's word
+    rest = m
+    for j in range(1, k + 1):
+        p = np.uint64(10 ** (4 * (k - j)))
+        group = rest // p
+        # leading zeros are dropped up to the first nonzero group, but 0 writes "0"
+        index[j] = group + (rest == m) * np.uint64(LSTRIP if j < k else LSTRIP0)
+        rest = rest - group * p
+    words = np.take(_quads(), index.T)
+    words[negative, 0] = MINUS
+    return words.view(np.uint8)[:, 3:]
 
 
 def _format_s(v: list):

@@ -393,6 +393,22 @@ class TestHeavytailCommand:
         assert (rc, out) == (1, "")
         assert re.fullmatch(r"error: quantile returned a non-finite value at u = [0-9.e-]+\n", err)
 
+    @pytest.mark.parametrize(
+        "argv", [["heavytail", "sample"], ["heavytail", "trace", "--stride", "1"], ["pit"]])
+    def test_extreme_scale_draws_are_written(self, capsys, argv):
+        """delta/phi = 1e-600 leaves the floats, yet the law's median is 1e-12."""
+        rc, out, err = run(capsys, *argv, "--phi=1e300", "--rho=50", "--delta=1e-300",
+                           "--n", "50", "--seed", "4")
+        assert (rc, err) == (0, "")
+        values = [float(line.rsplit(",", 1)[-1]) for line in out.splitlines()[-50:]]
+        assert all(5e-13 < v < 2e-12 for v in values), values
+
+    def test_extreme_scale_pit_is_written(self, capsys):
+        rc, out, err = run(capsys, "pit", "--phi=1e-300", "--rho=50", "--delta=1e300",
+                           "--n", "5", "--seed", "1")
+        assert (rc, err) == (0, "")
+        assert float(out.split()[1]) == pytest.approx(1.0251953336609e12, rel=1e-12)
+
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
     @pytest.mark.parametrize(
         "argv",

@@ -49,6 +49,23 @@ GRID = [
 ]
 
 
+# scales where (delta*u / (phi*(1-u)))^(1/rho) leaves the floats, as a whole or on the way
+EXTREME = [
+    WeibullExpSpec(phi=1e300, rho=50.0, delta=1e-300),  # delta/phi underflows: median 1e-12
+    WeibullExpSpec(phi=1e-300, rho=50.0, delta=1e300),  # delta/phi overflows: median 1e12
+    WeibullExpSpec(phi=1e-30, rho=1.0, delta=1e-30),  # u * delta underflows
+]
+
+
+def quantile_by_decimal(spec, u: float) -> float:
+    """The quantile at u in 50-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        D = decimal.Decimal
+        t = D(spec.delta) * D(u) / (D(spec.phi) * (1 - D(u)))
+        return float((t.ln() / D(spec.rho)).exp())
+
+
 def ks_critical(n, level=0.001):
     """Asymptotic one-sample Kolmogorov-Smirnov critical value."""
     return math.sqrt(-0.5 * math.log(level / 2.0)) / math.sqrt(n)
@@ -115,6 +132,27 @@ class TestCdfQuantile:
         for bad in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(DomainError):
                 we_quantile(UNIT, bad)
+
+    @pytest.mark.parametrize("spec", EXTREME)
+    def test_quantile_where_the_direct_form_leaves_the_floats(self, spec):
+        u = np.array([1e-300, 1e-20, 0.1, 0.5, 0.8462040482315447, 0.9, 1 - 1e-16])
+        want = [quantile_by_decimal(spec, v) for v in u.tolist()]
+        assert we_quantile(spec, u) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_entries_the_direct_form_settles_keep_their_bits(self):
+        spec = EXTREME[2]  # u * delta underflows for u below ~1e-294
+        u = np.geomspace(1e-300, 0.5, 200)
+        direct = (u * spec.delta / ((1 - u) * spec.phi)) ** (1 / spec.rho)
+        got = we_quantile(spec, u)
+        kept = direct >= sys.float_info.min
+        assert 0 < kept.sum() < len(u)
+        assert got[kept].tobytes() == direct[kept].tobytes()
+        want = [quantile_by_decimal(spec, v) for v in u[~kept].tolist()]
+        assert got[~kept] == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_scale_outside_the_floats_keeps_the_direct_form(self):
+        """(delta/phi)^(1/rho) = inf times (u/(1-u))^(1/rho) = 0 would be nan: the 0 stands."""
+        assert we_quantile(WeibullExpSpec(phi=1.0, rho=0.01, delta=1e10), 1e-300) == 0.0
 
     @given(
         phi=st.floats(0.1, 10, **finite),
@@ -339,6 +377,22 @@ class TestWeSample:
         n = 1_000_000
         peak = traced_peak(lambda: we_sample(UNIT, n, seed=1))
         assert peak < 1.1 * 8 * n + 2 * 8 * BLOCK  # the draws, u and one temporary block
+
+    @pytest.mark.parametrize("spec", EXTREME)
+    def test_draws_at_extreme_scales(self, spec):
+        """Every sampler's draws are the quantiles of its u, within 1e-14 of decimal."""
+        n = 3 * BLOCK // 2
+        u = np.clip(substream(2, 0).random(n), 1e-300, 1.0 - 1e-16)
+        pick = np.arange(0, n, 97)
+        want = np.array([quantile_by_decimal(spec, v) for v in u[pick].tolist()])
+        draws = we_sample(spec, n, seed=2)
+        assert draws[pick] == pytest.approx(want, rel=1e-14, abs=0.0)
+        _, mean = running_mean_trace(spec, n, 1, seed=2)
+        assert mean.tobytes() == (np.cumsum(draws) / np.arange(1, n + 1)).tobytes()
+        v = np.clip(ndtr(substream(2, 0).standard_normal(n)), 1e-300, 1.0 - 1e-16)
+        pit = pit_sample(lambda w: we_quantile(spec, w), n, seed=2)
+        want = np.array([quantile_by_decimal(spec, w) for w in v[pick].tolist()])
+        assert pit[pick] == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_overflow_names_the_first_u(self):
         spec = WeibullExpSpec(phi=1e-300, rho=0.01, delta=1.0)

@@ -354,6 +354,16 @@ class TestDataModel:
         assert (plain.cluster_ids, plain.covariate_names) == (("c1", "c2"), ("x1", "x2"))
         assert gls_mean(plain, 0.4, 1.1) == pytest.approx(dense_gls(plain, 0.4, 1.1), abs=1e-14)
 
+    @pytest.mark.parametrize("k", [1, 9, 10, 9999, 10_000, 10_001])
+    def test_default_id_cells_are_the_ids(self, k):
+        """The default ids' cells are made in numpy; they write the ids' own bytes."""
+        data = Dataset(np.zeros(k), np.ones((k, 1)), np.ones(k, dtype=np.int64))
+        assert "cluster_ids" not in vars(data)  # made when first read, not before
+        got = [row.tobytes().replace(b"\xff", b"") for row in data.id_cells]
+        assert "cluster_ids" not in vars(data)
+        assert got == [f"c{i}".encode() for i in range(1, k + 1)]
+        assert data.cluster_ids == tuple(f"c{i}" for i in range(1, k + 1))
+
     def test_sizes_must_cover_rows(self):
         with pytest.raises(ValueError):
             Dataset([1.0, 2.0], np.ones((2, 1)), [1, 2], ["a", "b"], ["x1"])

@@ -97,6 +97,42 @@ class TestG17:
         x = [5.0**k * 2.0**j * m for k in range(23) for j in range(-90, 90) for m in (1, 3, -7)]
         assert_g17(tmp_path, x)
 
+    # 17 digits as five groups, 1 + 4 * 4: the last four, three, two or one groups are
+    # zero, a middle one is, or none is
+    ZERO_GROUPS = [1.5, 0.5, 100.0, 1.2345, 1.23456789, 1.234567890123, 1e15 + 0.25,
+                   1.0000000012345, 1.0000123400000001, 1.2345678901234567]
+
+    def test_one_layout_per_chunk(self, tmp_path):
+        """A chunk of one exponent and sign is not sorted; a cell Python writes makes it mixed."""
+        x = 1 + np.arange(CHUNK) * 2.0**-40  # all of X = 0, positive, no two equal
+        ones = [v for v in self.ZERO_GROUPS if 1 <= v < 2]
+        x[: len(ones)] = ones
+        assert_g17(tmp_path, x)
+        assert_g17(tmp_path, -x)
+        near_tie = 1 + ((2**35 + 1) * pow(5**16, -1, 2**36) % 2**36) / 2**52
+        for odd in (np.inf, near_tie):
+            assert_g17(tmp_path, np.concatenate([x[:100], [odd], x[100 : CHUNK - 1]]))
+
+    def test_trailing_zero_groups(self, tmp_path):
+        """Gm strips the last nonzero group only; the groups after it are all DROP."""
+        x = np.array(self.ZERO_GROUPS)
+        for scale in (1.0, 1e-3, 1e10, 1e-10, 1e20):  # ddd.ddd, 0.000ddd, d.ddde+XX
+            assert_g17(tmp_path, x * scale)  # one layout where the exponents agree
+            assert_g17(tmp_path, np.concatenate([x * scale, -x, x * 1e-7]))  # mixed
+
+    def test_empty_float_column(self, tmp_path):
+        assert written(tmp_path, np.array([], dtype=np.float64)) == ""
+        assert cells(np.array([], dtype=np.float64)).shape == (0, 0)
+
+    def test_chunk_boundary_between_paths(self, tmp_path):
+        """CHUNK + 1 rows: a one-layout chunk, then a mixed one, and the other way round."""
+        x = 10 + np.arange(CHUNK + 1) * 2.0**-30
+        y = x.copy()
+        y[-1] = -1e-300  # below 1e-280: written by Python
+        z = np.concatenate([[np.nan], x[1:]])
+        for v in (y, z):
+            assert_g17(tmp_path, v)
+
     def test_integer_column(self, tmp_path):
         """An integer column is %d, so it keeps digits %.17g would round away."""
         v = np.array([0, 1, -1, 2**53 + 1, -(2**62), 123456789012345678])
