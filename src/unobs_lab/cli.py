@@ -14,7 +14,7 @@ One grammar table, COMMANDS, gives every subcommand and flag. Plain argv is
 read from it directly; help, abbreviations and usage errors go to the
 argparse parser built from the same table, so argparse is imported only for
 them. Each subcommand imports the modules it uses in its own body, so eb,
-equivalence and heavytail moments run without numpy or scipy.
+equivalence and heavytail moments run without numpy.
 """
 
 from __future__ import annotations

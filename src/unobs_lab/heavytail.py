@@ -13,9 +13,9 @@ rho = 1 (exponential-exponential) no moment is finite: a Cauchy-type family.
 MomentResult keeps the two facts separate instead of collapsing them.
 
 Moments and pole checks are plain Python; numpy and the rng are imported
-only by the functions that take arrays or draw samples, and scipy only by
-truncated_moment, so heavytail moments never loads them. pit_sample takes
-ndtr from unobs_lab.special, bit-equal to scipy.special.ndtr.
+only by the functions that take arrays, integrate or draw samples, so
+heavytail moments never loads them. pit_sample takes ndtr from
+unobs_lab.special, bit-equal to scipy.special.ndtr.
 
 we_sample, running_mean_trace and pit_sample share one block loop: BLOCK
 probabilities at a time (uniforms, or ndtr of normals for pit_sample) drawn
@@ -62,12 +62,14 @@ POLE_TOL = 1e-9
 BLOCK = 1 << 15  # draws per block of every sampler
 NORMAL_BITS, INF_BITS = 0x0010000000000000, 0x7FF0000000000000  # of 2.2e-308 and inf
 FRAILTY_TOL = 4 * 2.0**-52  # a few ulps of 1: 49 * (1/49) is 1 - 2**-53
+QUAD_RTOL = 1e-12  # truncated_moment's refusal bound on its error estimate
+MAX_PANELS = 1 << 17  # and its bound on the panel count, which keeps it within about 120 MB
 
 CONSTRAINT_MODES = ("frailty", "bayarri", "free")
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """Quadrature failed to reach the requested tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +252,7 @@ def _quantile(spec: WeibullExpSpec, u: np.ndarray, out: np.ndarray):
         # below it, so only 0, subnormals, inf and nan reach inf's bits less the same
         span = out.view(np.uint64) - np.uint64(NORMAL_BITS)
         if span.max(initial=0) >= INF_BITS - NORMAL_BITS:
-            try:
-                scale = _ratio_pow(spec.delta, spec.phi, 1.0 / spec.rho)
-            except OverflowError:  # q**r of a normal q = delta/phi
-                scale = math.inf
+            scale = _ratio_pow(spec.delta, spec.phi, 1.0 / spec.rho)
             if 0.0 < scale < math.inf:  # else scale * 0 could give nan: keep the direct form
                 bad = span >= INF_BITS - NORMAL_BITS
                 ub = u[bad]
@@ -320,13 +319,13 @@ def we_sample(spec: WeibullExpSpec, n_draws: int, seed: int) -> np.ndarray:
 
 
 def _ratio_pow(num: float, den: float, r: float) -> float:
-    """(num/den)**r for positive num, den; split by frexp where num/den is 0, subnormal or inf."""
+    """(num/den)**r of positive floats, inf on overflow; by frexp where num/den is not normal."""
     q = num / den
-    if sys.float_info.min <= q < math.inf:
-        return q**r
-    (m, e), (m_den, e_den) = math.frexp(num), math.frexp(den)
-    t = r * (e - e_den)
     try:
+        if sys.float_info.min <= q < math.inf:
+            return q**r
+        (m, e), (m_den, e_den) = math.frexp(num), math.frexp(den)
+        t = r * (e - e_den)
         return math.ldexp((m / m_den) ** r * 2.0 ** (t - math.floor(t)), math.floor(t))
     except OverflowError:  # the power itself leaves the floats
         return math.inf
@@ -349,6 +348,10 @@ def we_moment(spec: WeibullExpSpec, k: int) -> MomentResult:
     value = None
     if integral_finite:
         value = r * _ratio_pow(delta, phi, r) * math.pi / math.sin(math.pi * r)
+        if not 0.0 < value < math.inf:  # its decimal exponent from logs, which stay in range
+            e10 = math.log10(r * math.pi / math.sin(math.pi * r)) + r * (
+                math.log10(delta) - math.log10(phi))
+            raise ArithmeticError(f"moment k={k} is about 1e{math.floor(e10)}, past the floats")
     return MomentResult(
         k=k,
         formula_defined=formula_defined,
@@ -358,41 +361,41 @@ def we_moment(spec: WeibullExpSpec, k: int) -> MomentResult:
 
 
 def truncated_moment(spec: WeibullExpSpec, k: int, T: float) -> float:
-    """Quadrature of the truncated moment integral over [0, T], abs tol 1e-10.
+    """E(Y^k; Y <= T) to relative error QUAD_RTOL, else QuadratureError.
 
-    Substituting u = phi*y^rho/delta turns y^k f(y) dy into
-    (delta*u/phi)^(k/rho) (1+u)^-2 du, which removes the y = 0 singularity
-    for rho < 1. The range is split into geometric panels so huge T (slowly
-    decaying integrands) stays accurate.
+    u = phi*y^rho/delta gives c*u^r (1+u)^-2 du on [0, U], U = phi*T^rho/delta, c = (delta/phi)^r,
+    r = k/rho: on [0, a], a = min(U, 1/2), the series sum_j (-1)^j (j+1) a^(r+j+1)/(r+j+1); above,
+    20-point Gauss-Legendre panels in log u of width <= 1/max(1, r), at most MAX_PANELS, each
+    checked by its 10-point rule. In logs of phi, delta and T: a moment past the floats is inf or 0.
     """
-    if not T > 0:
-        raise DomainError("T must be strictly positive")
+    if not 0 < T < math.inf:
+        raise DomainError("T must be strictly positive and finite")
     if k < 1:
         raise DomainError("moment order k must be a positive integer")
-    from scipy.integrate import quad
+    import numpy as np
+    from numpy.polynomial.legendre import leggauss
 
-    phi, rho, delta = spec.phi, spec.rho, spec.delta
-    r = k / rho
-    c = _ratio_pow(delta, phi, r)
-
-    def g(u: float) -> float:
-        return c * u**r / (1.0 + u) ** 2
-
-    upper = phi * T**rho / delta
-    cuts, edge = [0.0], 1.0
-    while edge < upper:
-        cuts.append(edge)
-        edge *= 10.0
-    cuts.append(upper)
-
-    total, err = 0.0, 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        val, abserr = quad(g, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)
-        total += val
-        err += abserr
-    if err > 1e-10:
-        raise QuadratureError(f"quadrature reached absolute tolerance {err:.3e} > 1e-10")
-    return total
+    ld, log_t, rho = math.log(spec.delta) - math.log(spec.phi), math.log(T), spec.rho
+    log_u = rho * log_t - ld
+    log_a, r, j = min(log_u, -math.log(2.0)), k / rho, np.arange(64)
+    n = math.ceil((log_u - log_a) * max(1.0, r))
+    if n > MAX_PANELS:
+        raise QuadratureError(f"{n} panels needed, more than MAX_PANELS = {MAX_PANELS}")
+    # logs of c*a^(r+1), and of c*u^(r-1) at s0, the panels' end nearer the integrand's peak
+    head = (k + rho) * log_t - ld if log_a == log_u else r * ld - (r + 1.0) * math.log(2.0)
+    s0, base = (log_u, ld + (k - rho) * log_t) if r > 1 else (log_a, r * ld + (r - 1.0) * log_a)
+    parts = [(head + j * log_a, (-1.0) ** j * (j + 1) / (r + 1.0 + j))]
+    edges = np.linspace(log_a - s0, log_u - s0, n + 1)
+    mid, half = (edges[1:] + edges[:-1])[:, None] / 2, np.diff(edges)[:, None] / 2
+    for x, w in (leggauss(20), leggauss(10)):
+        d = mid + half * x
+        parts.append((base + (r - 1.0) * d - 2.0 * np.log1p(np.exp(-s0 - d)), half * w))
+    shift = max(g.max(initial=-math.inf) for g, _ in parts)  # every exp below is <= 1
+    series, q20, q10 = (float(np.sum(w * np.exp(g - shift))) for g, w in parts)
+    if not abs(q20 - q10) <= QUAD_RTOL * (series + q20):
+        raise QuadratureError(f"relative error {abs(q20 - q10) / (series + q20):.3e} > {QUAD_RTOL}")
+    with np.errstate(over="ignore"):
+        return float(np.exp(shift + np.log(series + q20)))
 
 
 def running_mean_trace(

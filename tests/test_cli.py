@@ -342,6 +342,15 @@ class TestHeavytailCommand:
         assert rc == 0
         assert json.loads(out)[0]["value"] == pytest.approx(want * math.pi / 2, rel=1e-14)
 
+    @pytest.mark.parametrize("phi,delta,exponent", [("1e300", "1e-300", -545),
+                                                    ("1e-300", "1e300", 546)])
+    def test_moment_past_the_floats_is_refused_by_name(self, capsys, phi, delta, exponent):
+        """Neither MomentResult's invariant nor the JSON writer's non-finite refusal."""
+        rc, out, err = run(capsys, "heavytail", "moments", f"--phi={phi}", "--rho=1.1",
+                           f"--delta={delta}", "--k", "1")
+        assert (rc, out) == (1, "")
+        assert err == f"error: moment k=1 is about 1e{exponent}, past the floats\n"
+
     def test_trace_row_count(self, tmp_path, capsys):
         path = tmp_path / "trace.csv"
         rc, _, _ = run(
@@ -939,6 +948,13 @@ class TestLazyScipy:
         modules = ("unobs_lab.estimation", "unobs_lab.equivalence")
         rc, loaded = cold_main(argv, modules)
         assert rc == 0 and not any(loaded.values()), loaded
+
+    def test_every_subcommand_runs_without_scipy(self):
+        """tests/without_scipy.py, which CI's installed-script step also runs."""
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, os.path.join(ROOT, "tests", "without_scipy.py")],
+                              capture_output=True, env=env, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
 
     def test_pit_loads_no_scipy(self):
         """ndtr is unobs_lab.special's, so a cold pit call never imports scipy."""

@@ -1,10 +1,12 @@
 import decimal
+import itertools
 import math
 import os
 import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from unobs_lab.cs import DomainError
 from unobs_lab.heavytail import (
     BLOCK,
     FRAILTY_TOL,
+    MAX_PANELS,
     MomentResult,
     QuadratureError,
     WeibullExpSpec,
@@ -209,11 +212,32 @@ class TestMoments:
                                          (5e-324, 1.0), (1.7e308, 0.5), (3.0, 7.0)])
     @pytest.mark.parametrize("r", [0.1, 0.5, 0.9, 1.0 / 3.0])
     def test_ratio_power_against_decimal(self, num, den, r):
-        """we_moment and truncated_moment form (delta/phi)^r by _ratio_pow."""
+        """we_moment and the quantile form (delta/phi)^r by _ratio_pow."""
         with decimal.localcontext() as ctx:
             ctx.prec = 40
             want = float((decimal.Decimal(num) / decimal.Decimal(den)) ** decimal.Decimal(r))
         assert _ratio_pow(num, den, r) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("num,den,r", [(1e300, 1.0, 2.0), (1e300, 1e-300, 2.0),
+                                           (1e200, 1e-200, 1.0)])
+    def test_ratio_power_overflows_to_inf_in_both_branches(self, num, den, r):
+        """num/den normal with q**r past the floats, and num/den itself inf, alike."""
+        assert _ratio_pow(num, den, r) == math.inf
+
+    @pytest.mark.parametrize("phi,delta", [(1e300, 1e-300), (1e-300, 1e300)])
+    def test_moment_outside_the_floats_is_refused_by_its_exponent(self, phi, delta):
+        """About 1e-545 and 1e546: the message names k and the decimal exponent."""
+        with pytest.raises(ArithmeticError, match=r"^moment k=1 is about 1e(-?\d+), ") as info:
+            we_moment(WeibullExpSpec(phi, 1.1, delta), 1)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            D = decimal.Decimal
+            r = D(1) / D(1.1)
+            pi = D("3.1415926535897932384626433832795028841971693993751")
+            sin = math.sin(math.pi * float(r))  # pi*r is far from a multiple of pi
+            log10 = (r * (D(delta) / D(phi)).ln() + (r * pi / D(sin)).ln()) / D(10).ln()
+        assert int(re.search(r"1e(-?\d+)", str(info.value)).group(1)) == math.floor(log10)
+        assert math.floor(log10) == (-545 if phi > 1 else 546)
 
     def test_formula_defined_but_divergent(self):
         m = we_moment(WeibullExpSpec(1, 2.5, 1), 3)
@@ -273,6 +297,29 @@ def closed_form_trunc(spec, T):
     return (spec.delta / spec.phi) * (math.log(1 + z) + 1 / (1 + z) - 1)
 
 
+# phi, rho, delta, k, T: the 450 cases of ROADMAP item 4, half of them k >= rho and T >= 1e3
+TRUNCATED_GRID = [
+    (phi, rho, delta, k, T)
+    for phi in (0.3, 1.0, 7.0) for rho in (0.2, 0.7, 1.0, 2.5, 6.0) for delta in (0.5, 2.0)
+    for k in (1, 2, 4) for T in (1e-3, 0.5, 3.0, 1e3, 1e8)
+]
+
+
+def truncated_by_quad(phi, rho, delta, k, T):
+    """c * integral of u^r (1+u)^-2 over [0, U] by quad in s = log u, relative error only."""
+    r = k / rho
+
+    def h(s):  # u^(r+1) (1+u)^-2, written so that no exp overflows
+        if s <= 0:
+            return math.exp((r + 1) * s) / (1 + math.exp(s)) ** 2
+        return math.exp((r - 1) * s) / (1 + math.exp(-s)) ** 2
+
+    log_u = math.log(phi * T**rho / delta)
+    pieces = [(-np.inf, min(log_u, 0.0))] + ([(0.0, log_u)] if log_u > 0 else [])
+    total = sum(quad(h, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0] for lo, hi in pieces)
+    return (delta / phi) ** r * total
+
+
 class TestTruncatedMoment:
     def test_hand_value(self):
         got = truncated_moment(UNIT, 1, math.e - 1)
@@ -292,6 +339,78 @@ class TestTruncatedMoment:
                 assert truncated_moment(spec, 1, T) == pytest.approx(
                     closed_form_trunc(spec, T), abs=1e-9
                 )
+
+    def test_grid_against_quad(self):
+        """Every case of the grid, none refused, within 1e-12 of quad at epsabs=0."""
+        for phi, rho, delta, k, T in TRUNCATED_GRID:
+            got = truncated_moment(WeibullExpSpec(phi, rho, delta), k, T)
+            want = truncated_by_quad(phi, rho, delta, k, T)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), (phi, rho, delta, k, T)
+
+    @pytest.mark.parametrize("rho", [1.0, 2.0, 4.0])
+    def test_k_equal_rho_against_log_closed_form(self, rho):
+        """At k = rho: c * (log(1+U) - U/(1+U)) in decimal, growing as log T."""
+        for phi in (0.3, 1.0, 7.0, 1e-200):
+            for delta in (0.5, 2.0, 1e200):
+                for T in (1e-3, 0.5, 3.0, 1e3, 1e8, 1e300):
+                    with decimal.localcontext() as ctx:
+                        D = decimal.Decimal
+                        ctx.prec = 60
+                        u = D(phi) * D(T) ** int(rho) / D(delta)
+                        ctx.prec -= 2 * min(u.adjusted(), 0)  # log(1+u) - u/(1+u) is u^2/2
+                        want = float(D(delta) / D(phi) * ((1 + u).ln() - u / (1 + u)))
+                    got = truncated_moment(WeibullExpSpec(phi, rho, delta), int(rho), T)
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0), (phi, delta, T)
+
+    def test_converging_moments_reach_we_moment(self):
+        """With k < rho the tail past T = 1e300 is below 1e-100 of the moment."""
+        for phi, rho, delta, k in sorted({case[:4] for case in TRUNCATED_GRID}):
+            spec = WeibullExpSpec(phi, rho, delta)
+            if k < rho:
+                got = truncated_moment(spec, k, 1e300)
+                assert got == pytest.approx(we_moment(spec, k).value, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("spec,k,T,want", [
+        (WeibullExpSpec(1e-300, 0.5, 1.0), 2, 1.0, 2e-301),  # (1e300)^4 * (1e-300)^5 / 5
+        (WeibullExpSpec(1e10, 2.0, 1e-300), 1, 0.1, math.pi / 2 * 1e-155),  # U = 1e308
+        (WeibullExpSpec(1e10, 2.0, 1e-300), 1, 1e-80, math.pi / 2 * 1e-155),
+    ])
+    def test_extreme_scales(self, spec, k, T, want):
+        """c = (delta/phi)^r and U never formed alone: no OverflowError, no lost digits."""
+        assert truncated_moment(spec, k, T) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_no_overflow_error_up_to_t_1e300(self):
+        """Every result is a float; a moment past the floats is inf or 0, without a warning."""
+        scales = (1e-300, 1.0, 1e300)
+        cases = itertools.product(scales, (0.2, 1.0, 6.0), scales, (1, 4),
+                                  (1e-300, 1.0, 1e10, 1e100, 1e300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for phi, rho, delta, k, T in cases:
+                got = truncated_moment(WeibullExpSpec(phi, rho, delta), k, T)
+                assert isinstance(got, float) and got >= 0.0, (phi, rho, delta, k, T)
+        assert truncated_moment(WeibullExpSpec(1e-300, 0.2, 1e300), 4, 1e300) == math.inf
+        assert truncated_moment(WeibullExpSpec(1e300, 0.2, 1e-300), 4, 1e-300) == 0.0
+
+    def test_panel_count_is_bounded(self):
+        """r = 50 over log U = 700 takes 35,034 panels, within 1e-12; past MAX_PANELS, refused.
+
+        u^r (1+u)^-2 = u^(r-2) (1 - 2/u + ...), so with U = 1e304 the moment is
+        c*U^(r-1)/(r-1) = (delta/phi) T^(k-rho)/(r-1) to 1e-300 relative.
+        """
+        got = truncated_moment(WeibullExpSpec(1e304, 0.2, 1.0), 10, 1.0)
+        assert got == pytest.approx(1.0 / 1e304 / 49.0, rel=1e-12, abs=0.0)
+        assert math.ceil((math.log(1e304) + math.log(2)) * 200) > MAX_PANELS
+        with pytest.raises(QuadratureError, match="panels needed, more than MAX_PANELS"):
+            truncated_moment(WeibullExpSpec(1e304, 0.2, 1.0), 40, 1.0)  # r = 200
+        # 6.9e8 of width 1: wider ones would step over the moment's mass near u = 1
+        with pytest.raises(QuadratureError, match="panels needed, more than MAX_PANELS"):
+            truncated_moment(WeibullExpSpec(1.0, 1e6, 1.0), 1, 1e300)
+
+    def test_refusal_names_the_relative_estimate(self, monkeypatch):
+        monkeypatch.setattr("unobs_lab.heavytail.QUAD_RTOL", -1.0)  # a bound no estimate meets
+        with pytest.raises(QuadratureError, match=r"^relative error \S+ > -1.0$"):
+            truncated_moment(UNIT, 1, 1e3)
 
     def test_truncation_plus_tail_bound_brackets_moment(self):
         # T* at the 1 - 1e-10 quantile; tail bounded by the integrand with
@@ -315,9 +434,12 @@ class TestTruncatedMoment:
     def test_domain(self):
         with pytest.raises(DomainError):
             truncated_moment(UNIT, 1, 0.0)
+        with pytest.raises(DomainError, match="finite"):
+            truncated_moment(UNIT, 1, math.inf)
 
-    @pytest.mark.parametrize("k,T", [(1, 0.0), (0, 1.0), (1, float("nan"))])
+    @pytest.mark.parametrize("k,T", [(1, 0.0), (0, 1.0), (1, float("nan")), (1, float("inf"))])
     def test_arguments_are_refused_before_scipy_is_imported(self, k, T):
+        """scipy is never imported; numpy, which the quadrature needs, not before the checks."""
         code = (
             "import sys\n"
             "from unobs_lab.heavytail import WeibullExpSpec, truncated_moment\n"
@@ -325,12 +447,12 @@ class TestTruncatedMoment:
             "try:\n"
             f"    truncated_moment(WeibullExpSpec(1.0, 1.0, 1.0), {k}, float({str(T)!r}))\n"
             "except DomainError:\n"
-            "    print('scipy' in sys.modules)\n"
+            "    print('scipy' in sys.modules, 'numpy' in sys.modules)\n"
         )
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, text=True)
-        assert proc.stdout == "False\n", proc.stderr
+        assert proc.stdout == "False False\n", proc.stderr
 
 
 # ---------------------------------------------------------------------------
