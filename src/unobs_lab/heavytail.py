@@ -176,7 +176,8 @@ class MomentResult(namedtuple("MomentResult", "k formula_defined integral_finite
 
 
 def _near_nonpositive_integer(x: float, tol: float = POLE_TOL) -> bool:
-    return x < 0.5 and abs(x - round(x)) <= tol
+    """-inf counts as an integer, as every float below -2**53 is one."""
+    return x < 0.5 and (x == -math.inf or abs(x - round(x)) <= tol)
 
 
 def wg_moment_defined(alpha_g: float, rho: float, k: int) -> bool:

@@ -1,7 +1,9 @@
 import ast
 import contextlib
+import gc
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -499,10 +501,69 @@ class TestLineFormats:
         )
 
 
+WE = ["--phi", "1", "--rho", "2", "--delta", "1"]
+MOMENTS = ["heavytail", "moments", *WE, "--k", "1..3"]
+SAMPLE = ["heavytail", "sample", *WE, "--n", "5", "--seed", "1"]
+TRACE = ["heavytail", "trace", *WE, "--n", "5", "--seed", "1"]
+LAYOUT = ["--n-clusters", "3", "--cluster-size", "2", "--seed", "1"]
+SIMULATE_CS = ["simulate", "--model", "cs", "--lambda", "1", "--phi", "1", *LAYOUT]
+SIMULATE_EXTENDED = ["simulate", "--model", "extended", "--lambda2", "1", "--nu2", "1",
+                     "--alpha", "0", *LAYOUT]
+
+# ROADMAP item 12's extremes: each float flag at 10^k, at 0.5, 1 and 3, and the
+# variance components also at -0.2 and -1e-300.
+EXTREMES = [f"1e{k}" for k in (-320, -300, -150, -8, 8, 150, 300)] + ["0.5", "1", "3"]
+SIGNED = EXTREMES + ["-0.2", "-1e-300"]
+WE_EXTREMES = dict.fromkeys(["--phi", "--rho", "--delta"], EXTREMES)
+EXTREMES_GRID = {  # name -> (fixed argv, {float flag: values}); every combination is run
+    "eb": (["eb"], {"--lambda2": SIGNED, "--nu2": SIGNED, "--alpha": EXTREMES}),
+    "equivalence": (["equivalence"],
+                    {"--lambda2": SIGNED, "--nu2": SIGNED, "--alpha-grid": EXTREMES}),
+    "heavytail moments": (["heavytail", "moments", "--k", "1..3"], WE_EXTREMES),
+    "heavytail sample": (["heavytail", "sample", "--n", "3", "--seed", "1"], WE_EXTREMES),
+    "heavytail trace": (["heavytail", "trace", "--n", "3", "--seed", "1"], WE_EXTREMES),
+    "pit": (["pit", "--n", "3", "--seed", "1"], WE_EXTREMES),
+    "simulate --model cs": (["simulate", "--model", "cs", *LAYOUT],
+                            {"--lambda": SIGNED, "--phi": SIGNED, "--xi": EXTREMES}),
+}
+
+
 class TestContract:
     def test_usage_error_is_exit_2(self, capsys):
         assert run(capsys, "nonsense")[0] == 2
         assert run(capsys, "equivalence")[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv,mode,flag",
+        [
+            ([*MOMENTS, "--seed", "3"], "heavytail moments", "--seed"),
+            ([*MOMENTS, "--n", "5"], "heavytail moments", "--n"),
+            ([*MOMENTS, "--stride", "2"], "heavytail moments", "--stride"),
+            ([*SAMPLE, "--k", "2"], "heavytail sample", "--k"),
+            ([*SAMPLE, "--stride", "2"], "heavytail sample", "--stride"),
+            ([*TRACE, "--k", "1..3"], "heavytail trace", "--k"),
+            ([*SIMULATE_CS, "--lambda2", "1"], "simulate --model cs", "--lambda2"),
+            ([*SIMULATE_CS, "--nu2", "1"], "simulate --model cs", "--nu2"),
+            ([*SIMULATE_CS, "--alpha", "0"], "simulate --model cs", "--alpha"),
+            ([*SIMULATE_EXTENDED, "--lambda", "5"], "simulate --model extended", "--lambda"),
+            ([*SIMULATE_EXTENDED, "--phi", "9"], "simulate --model extended", "--phi"),
+        ],
+    )
+    def test_unread_flags_are_usage_errors_naming_the_flag(self, capsys, argv, mode, flag):
+        """A flag that the action or model never reads is refused, not dropped."""
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err.splitlines()[-1] == f"unobs-lab: error: {mode} takes no {flag}"
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [(MOMENTS, ["--stride", "1"]), (SAMPLE, ["--k", "1"]), (SAMPLE, ["--stride", "1"]),
+         (TRACE, ["--k", "1"])],
+    )
+    def test_unread_flags_at_their_default_are_accepted(self, capsys, argv, flag):
+        rc, out, err = run(capsys, *argv, *flag)
+        assert (rc, err) == (0, "")
+        assert out == run(capsys, *argv)[1]
 
     @pytest.mark.parametrize(
         "argv,flag,text",
@@ -581,17 +642,66 @@ class TestContract:
          (["eb", "--lambda2", "1", "--nu2", "1", "--alpha", "2"], 1),
          (["eb"], 2)],
     )
-    def test_console_entry_exits_with_the_code_of_main(self, argv, rc):
-        """entry() is the installed unobs-lab script; stdout is main's."""
+    def test_console_entry_exits_with_the_code_of_main(self, capsys, argv, rc):
+        """entry() is the installed unobs-lab script; stdout is main's, and the objects
+        alive when main returns are frozen out of the collection at finalization."""
         proc = fresh(
-            "import sys\n"
+            "import atexit, gc, sys\n"
+            "atexit.register(lambda: sys.stderr.write(f'\\nfrozen {gc.get_freeze_count()}\\n'))\n"
             f"sys.argv = ['unobs-lab', *{argv!r}]\n"
             "from unobs_lab.cli import entry\n"
             "entry()\n"
         )
         assert proc.returncode == rc, proc.stderr
+        assert proc.stdout == run(capsys, *argv)[1]
         if rc == 0:
             assert json.loads(proc.stdout)["shrinkage"] == pytest.approx(4.0 / 3.0)
+        frozen = proc.stderr.splitlines()[-1]
+        assert frozen.startswith("frozen ") and int(frozen.split()[1]) > 0, proc.stderr
+
+    def test_no_output_is_left_for_the_collector_to_close(self, tmp_path, capsys, monkeypatch):
+        """entry() freezes what main() leaves alive, so main() must close every file it
+        opens: a file closed by a finalizer would warn here."""
+        data, bad = str(tmp_path / "d.csv"), tmp_path / "bad.csv"
+        bad.write_text("cluster,unit,y,x1\nc1,1,oops,1\n")
+        out = ["--out", str(tmp_path / "out")]
+        calls = [
+            ([*SIMULATE_CS, "--out", data], 0),
+            ([*SIMULATE_EXTENDED, *out, "--latent", str(tmp_path / "latent")], 0),
+            (["fit", "--data", data, *out], 0),
+            (["fit", "--data", str(bad), *out], 1),
+            (["eb", "--lambda2", "1", "--nu2", "1", "--alpha", "0", *out], 0),
+            (["equivalence", "--lambda2", "1", "--nu2", "1", "--alpha-grid=0,0.5", *out], 0),
+            ([*MOMENTS, *out], 0),
+            ([*SAMPLE, *out], 0),
+            ([*TRACE, *out], 0),
+            (["pit", *WE, "--n", "5", "--seed", "1", *out], 0),
+        ]
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        for argv, rc in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", ResourceWarning)
+                assert main(argv) == rc, capsys.readouterr().err
+                gc.collect()
+            assert not unraisable, (argv, [str(u.exc_value) for u in unraisable])
+
+    @pytest.mark.parametrize("name", list(EXTREMES_GRID))
+    def test_extremes_grid(self, capsys, name):
+        """Every float flag at ROADMAP item 12's extremes, in every combination: exit 0
+        with finite numbers only, or exit 1 with one error line, and no warning."""
+        argv, flags = EXTREMES_GRID[name]
+        bad = []
+        for values in itertools.product(*flags.values()):
+            call = [*argv, *(f"{flag}={value}" for flag, value in zip(flags, values))]
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                rc, out, err = run(capsys, *call)
+            ok = (rc == 0 and err == "" and not re.search(r"(?i)\b(inf|infinity|nan)\b", out)
+                  or rc == 1 and out == "" and re.fullmatch(r"error: [^\n]*\n", err))
+            if not ok or seen:
+                bad.append((call, rc, err, [str(w.message) for w in seen]))
+        assert not bad, (len(bad), bad[:5])
 
     def test_float_array_with_nan_is_refused(self):
         with pytest.raises(ValueError, match="non-finite value nan"):

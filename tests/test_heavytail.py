@@ -193,6 +193,14 @@ class TestMoments:
         assert not m.integral_finite
         assert m.value is None
 
+    @pytest.mark.parametrize("rho", [1e-300, 1e-320, 5e-324])
+    def test_pole_at_a_subnormal_rho(self, rho):
+        """k/rho = 1e300 is an integer, and k/rho = inf (a subnormal rho) is one too,
+        not an OverflowError from round(-inf)."""
+        m = we_moment(WeibullExpSpec(1, rho, 1), 1)
+        assert (m.formula_defined, m.integral_finite, m.value) == (False, False, None)
+        assert not wg_moment_defined(1.0, rho, 1)
+
     def test_reflection_formula_value(self):
         m = we_moment(WeibullExpSpec(1, 3, 1), 1)
         assert m.value == pytest.approx(2 * math.pi / (3 * math.sqrt(3)), abs=1e-12)
