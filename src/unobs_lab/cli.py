@@ -444,12 +444,16 @@ def main(argv=None) -> int:
 def entry() -> None:
     """The unobs-lab script and ``python -m unobs_lab.cli``: exit with main()'s code.
 
-    gc.freeze() first, so the full collection at interpreter finalization skips
-    what numpy's import and site made (about 20 ms of a cold numpy call, 8 ms of
-    eb). Not in main(), whose in-process callers keep collecting. Safe because
-    main() closes every file it opens before it returns; stdout and stderr are
-    flushed by finalization, as before.
+    The cyclic collector is off for the call: in a cold numpy call its 30-odd
+    collections walk what numpy's import made, 4-12 ms of CPU, and main() makes
+    no cycle that grows with the data (tests/test_cli.py checks that at two
+    sizes). gc.freeze() after, so the full collection at interpreter
+    finalization skips what numpy's import and site made (about 20 ms of a cold
+    numpy call, 8 ms of eb). Neither is in main(), whose in-process callers keep
+    collecting. Safe because main() closes every file it opens before it
+    returns; stdout and stderr are flushed by finalization, as before.
     """
+    gc.disable()
     code = main()
     gc.freeze()
     sys.exit(code)

@@ -288,8 +288,16 @@ def _unit(spec: ExtendedSpec) -> tuple[ExtendedSpec, int]:
     d, tau and v of degree 1. Scaling by 4^k moves nu and s, and so every intermediate,
     by an exact power of two; so where none of them is subnormal or infinite at spec's
     own scale (every ordinary scale), the results keep their bits.
+    Where that k would take nu2 below the normal floats (lambda2 over 2^1020 times nu2),
+    nu2 would lose bits, and its root is the factor of s in tau. So k puts nu2 near 2^-1000
+    instead, with lambda2 kept at most 2^512, but never below nu2's own exact scale: the
+    slack, about nu2*lambda2, then fits at any such ratio.
     """
     k = -(math.frexp(max(abs(spec.lambda2), spec.nu2))[1] // 2)
+    e = math.frexp(spec.nu2)[1]
+    if e + 2 * k < -1021:
+        k_max = (512 - math.frexp(spec.lambda2)[1]) // 2
+        k = max(min(-((e + 1000) // 2), k_max), min(0, -((e + 1021) // 2)))
     if k == 0:
         return spec, 0
     return ExtendedSpec(math.ldexp(spec.lambda2, 2 * k), math.ldexp(spec.nu2, 2 * k), spec.alpha), k

@@ -64,6 +64,7 @@ NORMAL_BITS, INF_BITS = 0x0010000000000000, 0x7FF0000000000000  # of 2.2e-308 an
 FRAILTY_TOL = 4 * 2.0**-52  # a few ulps of 1: 49 * (1/49) is 1 - 2**-53
 QUAD_RTOL = 1e-12  # truncated_moment's refusal bound on its error estimate
 MAX_PANELS = 1 << 17  # and its bound on the panel count, which keeps it within about 120 MB
+TAIL_LOG_U = 40.0  # past log u = 40, (1+u)^-2 is u^-2 to 2e^-40 = 8.5e-18, relative
 
 CONSTRAINT_MODES = ("frailty", "bayarri", "free")
 
@@ -365,9 +366,11 @@ def truncated_moment(spec: WeibullExpSpec, k: int, T: float) -> float:
     """E(Y^k; Y <= T) to relative error QUAD_RTOL, else QuadratureError.
 
     u = phi*y^rho/delta gives c*u^r (1+u)^-2 du on [0, U], U = phi*T^rho/delta, c = (delta/phi)^r,
-    r = k/rho: on [0, a], a = min(U, 1/2), the series sum_j (-1)^j (j+1) a^(r+j+1)/(r+j+1); above,
-    20-point Gauss-Legendre panels in log u of width <= 1/max(1, r), at most MAX_PANELS, each
-    checked by its 10-point rule. In logs of phi, delta and T: a moment past the floats is inf or 0.
+    r = k/rho: on [0, a], a = min(U, 1/2), the series sum_j (-1)^j (j+1) a^(r+j+1)/(r+j+1); up
+    to b = min(U, e^TAIL_LOG_U), 20-point Gauss-Legendre panels in log u of width <= 1/max(1, r),
+    at most MAX_PANELS, each checked by its 10-point rule; above, c*u^(r-2) in closed form,
+    c*(U^(r-1) - b^(r-1))/(r-1), or c*log(U/b) at r = 1. So the panels number at most
+    41*max(1, r), whatever T. In logs of phi, delta and T: a moment past the floats is inf or 0.
     """
     if not 0 < T < math.inf:
         raise DomainError("T must be strictly positive and finite")
@@ -379,24 +382,35 @@ def truncated_moment(spec: WeibullExpSpec, k: int, T: float) -> float:
     ld, log_t, rho = math.log(spec.delta) - math.log(spec.phi), math.log(T), spec.rho
     log_u = rho * log_t - ld
     log_a, r, j = min(log_u, -math.log(2.0)), k / rho, np.arange(64)
-    n = math.ceil((log_u - log_a) * max(1.0, r))
+    log_b = min(log_u, TAIL_LOG_U)
+    n = math.ceil((log_b - log_a) * max(1.0, r))
     if n > MAX_PANELS:
         raise QuadratureError(f"{n} panels needed, more than MAX_PANELS = {MAX_PANELS}")
-    # logs of c*a^(r+1), and of c*u^(r-1) at s0, the panels' end nearer the integrand's peak
+    # logs of c*a^(r+1), of c*u^(r-1) at s0, the panels' end nearer the integrand's peak, and
+    # of the tail: c*u^(r-1) at the end of [b, U] nearer the peak, times (1 - e^-y)/|r - 1|,
+    # y = |r - 1|*h, h = log(U/b); that factor is h at r = 1
     head = (k + rho) * log_t - ld if log_a == log_u else r * ld - (r + 1.0) * math.log(2.0)
-    s0, base = (log_u, ld + (k - rho) * log_t) if r > 1 else (log_a, r * ld + (r - 1.0) * log_a)
+    h = log_u - log_b
+    if r > 1:
+        top = ld + (k - rho) * log_t  # at U
+        s0, base, tail = log_b, top - (r - 1.0) * h, top
+    else:
+        s0, base, tail = log_a, r * ld + (r - 1.0) * log_a, r * ld + (r - 1.0) * log_b
+    y = abs(r - 1.0) * h
+    tail = tail + math.log(-math.expm1(-y) / abs(r - 1.0) if y else h) if h else -math.inf
     parts = [(head + j * log_a, (-1.0) ** j * (j + 1) / (r + 1.0 + j))]
-    edges = np.linspace(log_a - s0, log_u - s0, n + 1)
+    edges = np.linspace(log_a - s0, log_b - s0, n + 1)
     mid, half = (edges[1:] + edges[:-1])[:, None] / 2, np.diff(edges)[:, None] / 2
     for x, w in (leggauss(20), leggauss(10)):
         d = mid + half * x
         parts.append((base + (r - 1.0) * d - 2.0 * np.log1p(np.exp(-s0 - d)), half * w))
-    shift = max(g.max(initial=-math.inf) for g, _ in parts)  # every exp below is <= 1
+    shift = max(tail, *(g.max(initial=-math.inf) for g, _ in parts))  # every exp below is <= 1
     series, q20, q10 = (float(np.sum(w * np.exp(g - shift))) for g, w in parts)
-    if not abs(q20 - q10) <= QUAD_RTOL * (series + q20):
-        raise QuadratureError(f"relative error {abs(q20 - q10) / (series + q20):.3e} > {QUAD_RTOL}")
+    total = series + math.exp(tail - shift) + q20
+    if not abs(q20 - q10) <= QUAD_RTOL * total:
+        raise QuadratureError(f"relative error {abs(q20 - q10) / total:.3e} > {QUAD_RTOL}")
     with np.errstate(over="ignore"):
-        return float(np.exp(shift + np.log(series + q20)))
+        return float(np.exp(shift + np.log(total)))
 
 
 def running_mean_trace(

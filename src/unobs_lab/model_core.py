@@ -220,12 +220,13 @@ def read_dataset_csv(path) -> Dataset:
     their first appearance whatever the file's order, interleaved or not.
     Rows within a cluster are sorted by the integer ``unit`` column. Cells
     are plain comma-separated values (no quoting); LF, CRLF and a lone CR
-    end lines, and empty lines are skipped. Raises CsvFormatError with the
-    offending line number on malformed input, a non-finite number, or a
-    repeated (cluster, unit) pair; only then are the lines split in Python,
-    and a malformed one is found by bisecting them, in O(log n) parses.
+    end lines, and empty lines and a UTF-8 byte-order mark are skipped.
+    Raises CsvFormatError with the offending line number on malformed
+    input, a non-finite number, or a repeated (cluster, unit) pair; only
+    then are the lines split in Python, and a malformed one is found by
+    bisecting them, in O(log n) parses.
     """
-    with open(path, "r", encoding="utf-8") as fh:  # universal newlines, as loadtxt reads
+    with open(path, "r", encoding="utf-8-sig") as fh:  # universal newlines, as loadtxt reads
         head = fh.readline()
     if not head:
         raise CsvFormatError("line 1: empty file")
@@ -245,13 +246,14 @@ def read_dataset_csv(path) -> Dataset:
     if not len(rec):
         raise CsvFormatError("line 2: no data rows")
     c, unit, vals = rec["c"], rec["unit"], rec["v"]
-    bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
-    if len(bad):
+    if not np.isfinite(vals).all():
+        bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
         raise CsvFormatError(f"line {list(_numbered(path))[bad[0]]}: non-finite value")
     heads = np.flatnonzero(np.concatenate([[True], c[1:] != c[:-1]]))
-    run_ids = list(map(str.strip, c[heads]))
-    codes = dict(zip(dict.fromkeys(run_ids), range(len(run_ids))))  # by first appearance
-    code = np.repeat(list(map(codes.__getitem__, run_ids)), np.diff(np.append(heads, len(c))))
+    codes = {}  # stripped id -> code, by first appearance
+    run_codes = (codes.setdefault(s.strip(), len(codes)) for s in c[heads])
+    code = np.repeat(np.fromiter(run_codes, np.int64, count=len(heads)),
+                     np.diff(heads, append=len(c)))
     perm = np.lexsort((unit, code))
     code, unit, vals = code[perm], unit[perm], vals[perm]
     dup = np.flatnonzero((np.diff(code) == 0) & (np.diff(unit) == 0))

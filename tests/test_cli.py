@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import decimal
 import gc
 import hashlib
 import io
@@ -59,6 +60,26 @@ def cold_main(argv, modules):
         f"sys.stderr.write('\\n' + repr((rc, [m in sys.modules for m in {modules!r}])))\n"
     )
     return rc, dict(zip(modules, loaded))
+
+
+def eb_by_decimal(lambda2: float, nu2: float, alpha: float, n: int):
+    """eb's d, tau and shrinkage, and the slack d*nu2 - n*tau^2, at 50 digits from the floats."""
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        lambda2, nu2, alpha = D(lambda2), D(nu2), D(alpha)
+        nu_alpha_s = nu2.sqrt() * alpha * (lambda2 + nu2).sqrt()
+        d, tau = lambda2 + 2 * nu2 + 2 * nu_alpha_s, -(nu2 + nu_alpha_s)
+        return d, tau, n * (d + tau) / (nu2 + n * lambda2), d * nu2 - n * tau * tau
+
+
+def eb_refusal_is_due(lambda2: float, nu2: float, alpha: float, n: int) -> bool:
+    """Whether eb may exit 1: a domain violation, or d, tau or shrinkage past the floats."""
+    D = decimal.Decimal
+    if not (nu2 > 0 and -1 <= alpha <= 1 and D(lambda2) + D(nu2) > 0
+            and D(nu2) + n * D(lambda2) > 0):
+        return True
+    return any(abs(v) > D(sys.float_info.max) for v in eb_by_decimal(lambda2, nu2, alpha, n)[:3])
 
 
 class TestEquivalenceCommand:
@@ -149,6 +170,27 @@ class TestEbCommand:
         rec = json.loads(out)
         assert rec["admissible"] is want
         assert list(rec)[-2:] == ["shrinkage", "admissible"]
+
+    @pytest.mark.parametrize("n", [2, 5])
+    @pytest.mark.parametrize("nu2", ["1e-320", "1e-300"])
+    def test_nu2_far_below_lambda2(self, capsys, nu2, n):
+        """nu2 more than 2^1020 times below lambda2 is not flushed to a refused 0.
+
+        At lambda2 = 1e300, nu2 = 1e-320 the slack is 5e-21 at n = 2 and -2.5e-21 at n = 5,
+        both within the floats, as is every answer of the record.
+        """
+        rc, out, err = run(capsys, "eb", "--lambda2=1e300", f"--nu2={nu2}", "--alpha=0.5",
+                           f"--n={n}")
+        assert (rc, err) == (0, "")
+        rec = json.loads(out)
+        d, tau, shrinkage, slack = eb_by_decimal(1e300, float(nu2), 0.5, n)
+        for key, want in (("d", d), ("tau", tau), ("shrinkage", shrinkage)):
+            assert rec[key] == pytest.approx(float(want), rel=1e-12, abs=0.0), key
+        assert rec["admissible"] is (slack >= 0) is (n == 2)
+        rc, out, err = run(capsys, "equivalence", "--lambda2=1e300", f"--nu2={nu2}",
+                           "--alpha-grid=0.5", f"--n={n}")
+        assert (rc, err) == (0, "")
+        assert json.loads(out)[0]["admissible"] is rec["admissible"]
 
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_cluster_size_below_one(self, capsys, n):
@@ -305,6 +347,31 @@ class TestClaimOneInBytes:
             assert run(capsys, "fit", "--data", str(out)) == cs_fit
             latents.add(latent.read_bytes())
         assert len(latents) == 5  # only the latents move with alpha
+
+    def test_nu2_far_below_lambda2(self, tmp_path, capsys):
+        """lambda2 = 1e300, nu2 = 1e-320: the CS data at n = 2, where the slack is 5e-21 > 0;
+        at n = 5 the slack is -2.5e-21, and the refusal names n and the least eigenvalue."""
+        spec = ["--lambda2=1e300", "--nu2=1e-320", "--alpha=0.5"]
+        layout = ["--n-clusters", "3", "--seed", "4"]
+        cs, ext = tmp_path / "cs.csv", tmp_path / "ext.csv"
+        assert run(capsys, "simulate", "--model", "cs", "--lambda=1e300", "--phi=1e-320",
+                   *layout, "--cluster-size", "2", "--out", str(cs))[0] == 0
+        rc, out, err = run(capsys, "simulate", "--model", "extended", *spec, *layout,
+                           "--cluster-size", "2", "--out", str(ext), "--latent", "-")
+        assert (rc, err) == (0, "") and out.startswith("cluster,b,eps1,eps2\n")
+        assert ext.read_bytes() == cs.read_bytes()
+        rc, out, err = run(capsys, "simulate", "--model", "extended", *spec, *layout,
+                           "--cluster-size", "5")
+        assert (rc, out) == (1, "")
+        low = re.fullmatch(r"error: joint covariance for n = 5 is not PSD: eigenvalue (\S+)\n", err)
+        assert low, err
+        d, tau, _, slack = eb_by_decimal(1e300, 1e-320, 0.5, 5)
+        with decimal.localcontext() as ctx:  # slack/top, top the larger eigenvalue, about d
+            ctx.prec = 50
+            nu2 = decimal.Decimal(1e-320)
+            top = (d + nu2) / 2 + (((d - nu2) / 2) ** 2 + 5 * tau * tau).sqrt()
+        # a subnormal eigenvalue: 2.5e-321 holds 506 steps of 2^-1074
+        assert float(low[1]) == pytest.approx(float(slack / top), rel=2e-3, abs=0.0)
 
     def test_unbalanced_layout(self):
         sizes = [1, 3, 2, 3, 1, 2, 2, 3]
@@ -528,6 +595,30 @@ EXTREMES_GRID = {  # name -> (fixed argv, {float flag: values}); every combinati
 }
 
 
+def every_command(tmp_path, m: int) -> list:
+    """(argv, exit code) of every subcommand with its outputs in tmp_path, at m clusters or
+    draws (m // 100 alphas or moments), then fit of a refused file and a usage error."""
+    bad = tmp_path / "bad.csv"
+    bad.write_text("cluster,unit,y,x1\nc1,1,1,1\nc1,2,oops,1\n")
+    data, out = str(tmp_path / f"d{m}.csv"), ["--out", str(tmp_path / "out")]
+    layout = ["--n-clusters", str(m), "--cluster-size", "2", "--seed", "1"]
+    return [
+        (["simulate", "--model", "cs", "--lambda", "1", "--phi", "1", *layout, "--out", data], 0),
+        (["simulate", "--model", "extended", "--lambda2", "1", "--nu2", "1", "--alpha", "0",
+          *layout, *out, "--latent", str(tmp_path / "latent")], 0),
+        (["fit", "--data", data, *out], 0),
+        (["eb", "--lambda2", "1", "--nu2", "1", "--alpha", "0", "--n", str(m), *out], 0),
+        (["equivalence", "--lambda2", "1", "--nu2", "1",
+          "--alpha-grid=" + ",".join(["0.5"] * (m // 100)), *out], 0),
+        (["heavytail", "moments", *WE, "--k", f"1..{m // 100}", *out], 0),
+        (["heavytail", "sample", *WE, "--n", str(m), "--seed", "1", *out], 0),
+        (["heavytail", "trace", *WE, "--n", str(m), "--seed", "1", *out], 0),
+        (["pit", *WE, "--n", str(m), "--seed", "1", *out], 0),
+        (["fit", "--data", str(bad), *out], 1),
+        (["simulate", "--model", "cs", *layout, "--bogus"], 2),
+    ]
+
+
 class TestContract:
     def test_usage_error_is_exit_2(self, capsys):
         assert run(capsys, "nonsense")[0] == 2
@@ -643,11 +734,13 @@ class TestContract:
          (["eb"], 2)],
     )
     def test_console_entry_exits_with_the_code_of_main(self, capsys, argv, rc):
-        """entry() is the installed unobs-lab script; stdout is main's, and the objects
-        alive when main returns are frozen out of the collection at finalization."""
+        """entry() is the installed unobs-lab script; stdout is main's, the collector is
+        off, and the objects alive when main returns are frozen out of the collection at
+        finalization."""
         proc = fresh(
             "import atexit, gc, sys\n"
-            "atexit.register(lambda: sys.stderr.write(f'\\nfrozen {gc.get_freeze_count()}\\n'))\n"
+            "atexit.register(lambda: sys.stderr.write(\n"
+            "    f'\\nfrozen {gc.get_freeze_count()} {gc.isenabled()}\\n'))\n"
             f"sys.argv = ['unobs-lab', *{argv!r}]\n"
             "from unobs_lab.cli import entry\n"
             "entry()\n"
@@ -656,30 +749,36 @@ class TestContract:
         assert proc.stdout == run(capsys, *argv)[1]
         if rc == 0:
             assert json.loads(proc.stdout)["shrinkage"] == pytest.approx(4.0 / 3.0)
-        frozen = proc.stderr.splitlines()[-1]
-        assert frozen.startswith("frozen ") and int(frozen.split()[1]) > 0, proc.stderr
+        word, frozen, enabled = proc.stderr.splitlines()[-1].split()
+        assert (word, enabled) == ("frozen", "False") and int(frozen) > 0, proc.stderr
+
+    def test_calls_leave_no_garbage_that_grows_with_the_data(self, tmp_path, capsys):
+        """entry() runs main() without the cyclic collector, so a call must not leave
+        cycles for it: none at all after a command, and after a usage error only
+        argparse's, as many at 100 as at 10,000 clusters or draws."""
+        garbage, usage = {}, {}
+        gc.collect()
+        gc.disable()
+        try:
+            for m in (100, 100, 10_000):  # the first round warms every import and cache
+                for i, (argv, rc) in enumerate(every_command(tmp_path, m)):
+                    assert main(argv) == rc, capsys.readouterr().err
+                    capsys.readouterr()
+                    if rc == 2:
+                        usage[m] = gc.collect()
+                    else:
+                        garbage[i, m] = gc.collect()
+        finally:
+            gc.enable()
+        assert usage[100] == usage[10_000] > 0, usage
+        assert set(garbage.values()) == {0}, garbage
 
     def test_no_output_is_left_for_the_collector_to_close(self, tmp_path, capsys, monkeypatch):
         """entry() freezes what main() leaves alive, so main() must close every file it
         opens: a file closed by a finalizer would warn here."""
-        data, bad = str(tmp_path / "d.csv"), tmp_path / "bad.csv"
-        bad.write_text("cluster,unit,y,x1\nc1,1,oops,1\n")
-        out = ["--out", str(tmp_path / "out")]
-        calls = [
-            ([*SIMULATE_CS, "--out", data], 0),
-            ([*SIMULATE_EXTENDED, *out, "--latent", str(tmp_path / "latent")], 0),
-            (["fit", "--data", data, *out], 0),
-            (["fit", "--data", str(bad), *out], 1),
-            (["eb", "--lambda2", "1", "--nu2", "1", "--alpha", "0", *out], 0),
-            (["equivalence", "--lambda2", "1", "--nu2", "1", "--alpha-grid=0,0.5", *out], 0),
-            ([*MOMENTS, *out], 0),
-            ([*SAMPLE, *out], 0),
-            ([*TRACE, *out], 0),
-            (["pit", *WE, "--n", "5", "--seed", "1", *out], 0),
-        ]
         unraisable = []
         monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
-        for argv, rc in calls:
+        for argv, rc in every_command(tmp_path, 100):
             with warnings.catch_warnings():
                 warnings.simplefilter("error", ResourceWarning)
                 assert main(argv) == rc, capsys.readouterr().err
@@ -689,7 +788,8 @@ class TestContract:
     @pytest.mark.parametrize("name", list(EXTREMES_GRID))
     def test_extremes_grid(self, capsys, name):
         """Every float flag at ROADMAP item 12's extremes, in every combination: exit 0
-        with finite numbers only, or exit 1 with one error line, and no warning."""
+        with finite numbers only, or exit 1 with one error line, and no warning. eb exits 1
+        only where its input is outside the domain or an answer is past the floats."""
         argv, flags = EXTREMES_GRID[name]
         bad = []
         for values in itertools.product(*flags.values()):
@@ -699,6 +799,8 @@ class TestContract:
                 rc, out, err = run(capsys, *call)
             ok = (rc == 0 and err == "" and not re.search(r"(?i)\b(inf|infinity|nan)\b", out)
                   or rc == 1 and out == "" and re.fullmatch(r"error: [^\n]*\n", err))
+            if name == "eb" and rc == 1:
+                ok = ok and eb_refusal_is_due(*map(float, values), n=2)
             if not ok or seen:
                 bad.append((call, rc, err, [str(w.message) for w in seen]))
         assert not bad, (len(bad), bad[:5])

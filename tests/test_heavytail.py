@@ -21,6 +21,7 @@ from unobs_lab.heavytail import (
     BLOCK,
     FRAILTY_TOL,
     MAX_PANELS,
+    TAIL_LOG_U,
     MomentResult,
     QuadratureError,
     WeibullExpSpec,
@@ -401,19 +402,28 @@ class TestTruncatedMoment:
         assert truncated_moment(WeibullExpSpec(1e300, 0.2, 1e-300), 4, 1e-300) == 0.0
 
     def test_panel_count_is_bounded(self):
-        """r = 50 over log U = 700 takes 35,034 panels, within 1e-12; past MAX_PANELS, refused.
+        """Panels stop at log u = TAIL_LOG_U, the rest is closed form: 41*max(1, r) of them
+        at most, whatever T, within 1e-12; past MAX_PANELS, refused.
 
         u^r (1+u)^-2 = u^(r-2) (1 - 2/u + ...), so with U = 1e304 the moment is
         c*U^(r-1)/(r-1) = (delta/phi) T^(k-rho)/(r-1) to 1e-300 relative.
         """
-        got = truncated_moment(WeibullExpSpec(1e304, 0.2, 1.0), 10, 1.0)
-        assert got == pytest.approx(1.0 / 1e304 / 49.0, rel=1e-12, abs=0.0)
-        assert math.ceil((math.log(1e304) + math.log(2)) * 200) > MAX_PANELS
+        for k in (10, 40):  # r = 50 and 200: 2,035 and 8,139 panels
+            got = truncated_moment(WeibullExpSpec(1e304, 0.2, 1.0), k, 1.0)
+            assert got == pytest.approx(1.0 / 1e304 / (5 * k - 1), rel=1e-12, abs=0.0)
+        assert math.ceil((TAIL_LOG_U + math.log(2)) * 4000) > MAX_PANELS
         with pytest.raises(QuadratureError, match="panels needed, more than MAX_PANELS"):
-            truncated_moment(WeibullExpSpec(1e304, 0.2, 1.0), 40, 1.0)  # r = 200
-        # 6.9e8 of width 1: wider ones would step over the moment's mass near u = 1
-        with pytest.raises(QuadratureError, match="panels needed, more than MAX_PANELS"):
-            truncated_moment(WeibullExpSpec(1.0, 1e6, 1.0), 1, 1e300)
+            truncated_moment(WeibullExpSpec(1e304, 0.01, 1.0), 40, 1.0)  # r = 4000
+
+    @pytest.mark.parametrize("rho", [50.0, 1e6])
+    def test_tail_past_tail_log_u_in_closed_form(self, monkeypatch, rho):
+        """T = 1e300 puts log U at 3.5e4 (rho = 50: 34,540 panels) or 6.9e8 (rho = 1e6:
+        refused); past log u = 40, 41 panels and the closed-form tail reach we_moment, the
+        T -> inf limit at k < rho."""
+        monkeypatch.setattr("unobs_lab.heavytail.MAX_PANELS", 41)
+        spec = WeibullExpSpec(1.0, rho, 1.0)
+        got = truncated_moment(spec, 1, 1e300)
+        assert got == pytest.approx(we_moment(spec, 1).value, rel=1e-12, abs=0.0)
 
     def test_refusal_names_the_relative_estimate(self, monkeypatch):
         monkeypatch.setattr("unobs_lab.heavytail.QUAD_RTOL", -1.0)  # a bound no estimate meets

@@ -427,6 +427,35 @@ class TestCsv:
             assert np.array_equal(back.sizes, data.sizes)
             assert np.array_equal(back.y, data.y) and np.array_equal(back.X, data.X)
 
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path):
+        """A file saved as Excel's "CSV UTF-8" starts with EF BB BF: the same Dataset."""
+        data = intercept_dataset({"a": [1.25, -2.5], "b": [0.0, 3.0, 1e-300]})
+        path, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        write_dataset_csv(data, path)
+        bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        back = read_dataset_csv(bom)
+        assert back.cluster_ids == data.cluster_ids and back.covariate_names == ("x1",)
+        assert np.array_equal(back.sizes, data.sizes)
+        assert np.array_equal(back.y, data.y) and np.array_equal(back.X, data.X)
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "line 1: empty file"),
+        ("cluster,y,unit,x1\na,1,1,1\n", "line 1: header must start with 'cluster,unit,y'"),
+        ("cluster,unit,y\na,1,1\n", "line 1: no covariate columns x1..xp after 'cluster,unit,y'"),
+        ("cluster,unit,y,x1\n\n", "line 2: no data rows"),
+        ("cluster,unit,y,x1\na,1,1,1\na,2,1\n", "line 3: expected 4 columns, got 3"),
+        ("cluster,unit,y,x1\na,1,1,1\n\na,2,inf,1\n", "line 4: non-finite value"),
+        ("cluster,unit,y,x1\na,1,1,1\nb,1,2,1\na,1,3,1\n",
+         "line 4: cluster 'a' repeats unit 1 of line 2"),
+    ])
+    def test_byte_order_mark_keeps_line_numbers(self, tmp_path, text, message):
+        """With or without the mark, a refusal names the same line."""
+        for name, head in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(head + text.encode("utf-8"))
+            with pytest.raises(CsvFormatError, match=f"^{re.escape(message)}$"):
+                read_dataset_csv(path)
+
     @pytest.mark.parametrize("text,message", [
         ("cluster,unit,y,x1", "line 2: no data rows"),
         ("cluster,unit,y,x1\r\n\r\n\r\n", "line 2: no data rows"),
