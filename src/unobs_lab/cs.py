@@ -65,14 +65,16 @@ class CSMatrix(namedtuple("CSMatrix", "n lam phi")):
 
         That lam part does not cancel when |lam| << phi, as
         (sqrt(phi + n*lam) - sqrt(phi))/n would. A DomainError names n and the
-        eigenvalue where phi < 0 or phi + n*lam < 0 (phi even at n = 1).
+        eigenvalue where phi < 0 or phi + n*lam < 0 (phi even at n = 1). Where phi + n*lam
+        passes the floats but lam does not, its root is taken as sqrt(n)*sqrt(phi/n + lam).
         """
         n, lam, phi = self
         e1 = phi + n * lam  # the eigenvalue of the all-ones vector
         if not (phi >= 0 and e1 >= 0):
             raise DomainError(f"CS matrix for n = {n} is not PSD: eigenvalue {min(phi, e1)}")
         root = math.sqrt(phi)
-        return CSMatrix(n, lam / (math.sqrt(e1) + root) if lam else 0.0, root)
+        top = math.sqrt(e1) if e1 < math.inf else math.sqrt(n) * math.sqrt(phi / n + lam)
+        return CSMatrix(n, lam / (top + root) if lam else 0.0, root)
 
     def flat(self) -> list[float]:
         """The n*n entries of .array, row by row, with its bits, without numpy.

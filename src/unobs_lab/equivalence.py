@@ -211,13 +211,18 @@ def intercept_given_y(spec: ExtendedSpec, n: int) -> tuple[float, float]:
     m = sigma2 + n*(d+2*tau): marginal invariance makes m alpha-free, so c is linear in
     alpha, and v >= 0 is the PSD condition of the joint of (b, eps). Where m is not
     positive ybar is a constant, so b given y has its marginal law: c = 0 and v = d.
-    Both are computed at the unit scale (_unit), so v neither under- nor overflows.
+    Both are computed at the unit scale (_unit), so v neither under- nor overflows. Where
+    _unit keeps a subnormal nu2 at its own scale, n*lambda2 may pass the floats; m is then
+    divided through by n, so c is still about 1 and v a subnormal or 0.
     """
     unit, k = _unit(spec)
     d, tau = unit.d, unit.tau
     m = unit.nu2 + n * (d + 2.0 * tau)
     if not m > 0:
         return 0.0, spec.d
+    if m == math.inf:
+        m = unit.nu2 / n + (d + 2.0 * tau)
+        return (d + tau) / m, _ldexp(_slack(unit, n) / n / m, -2 * k)
     return n * (d + tau) / m, _ldexp(_slack(unit, n) / m, -2 * k)
 
 
@@ -290,8 +295,9 @@ def _unit(spec: ExtendedSpec) -> tuple[ExtendedSpec, int]:
     own scale (every ordinary scale), the results keep their bits.
     Where that k would take nu2 below the normal floats (lambda2 over 2^1020 times nu2),
     nu2 would lose bits, and its root is the factor of s in tau. So k puts nu2 near 2^-1000
-    instead, with lambda2 kept at most 2^512, but never below nu2's own exact scale: the
-    slack, about nu2*lambda2, then fits at any such ratio.
+    instead, or lowers it so that lambda2 is at most 2^512, but never puts nu2 below its own
+    exact scale: the slack, about nu2*lambda2, then fits at any such ratio. A subnormal nu2
+    thus keeps spec's own scale (k = 0) whatever lambda2, up to the float maximum.
     """
     k = -(math.frexp(max(abs(spec.lambda2), spec.nu2))[1] // 2)
     e = math.frexp(spec.nu2)[1]

@@ -172,22 +172,25 @@ class TestEbCommand:
         assert list(rec)[-2:] == ["shrinkage", "admissible"]
 
     @pytest.mark.parametrize("n", [2, 5])
-    @pytest.mark.parametrize("nu2", ["1e-320", "1e-300"])
-    def test_nu2_far_below_lambda2(self, capsys, nu2, n):
+    @pytest.mark.parametrize(
+        "lambda2, nu2", [("1e300", "1e-320"), ("1e300", "1e-300"), ("1.7e308", "1e-320")]
+    )
+    def test_nu2_far_below_lambda2(self, capsys, lambda2, nu2, n):
         """nu2 more than 2^1020 times below lambda2 is not flushed to a refused 0.
 
         At lambda2 = 1e300, nu2 = 1e-320 the slack is 5e-21 at n = 2 and -2.5e-21 at n = 5,
-        both within the floats, as is every answer of the record.
+        both within the floats, as is every answer of the record. At lambda2 = 1.7e308,
+        nu2 + n*lambda2 passes the floats, but the shrinkage (about 1) does not.
         """
-        rc, out, err = run(capsys, "eb", "--lambda2=1e300", f"--nu2={nu2}", "--alpha=0.5",
+        rc, out, err = run(capsys, "eb", f"--lambda2={lambda2}", f"--nu2={nu2}", "--alpha=0.5",
                            f"--n={n}")
         assert (rc, err) == (0, "")
         rec = json.loads(out)
-        d, tau, shrinkage, slack = eb_by_decimal(1e300, float(nu2), 0.5, n)
+        d, tau, shrinkage, slack = eb_by_decimal(float(lambda2), float(nu2), 0.5, n)
         for key, want in (("d", d), ("tau", tau), ("shrinkage", shrinkage)):
             assert rec[key] == pytest.approx(float(want), rel=1e-12, abs=0.0), key
         assert rec["admissible"] is (slack >= 0) is (n == 2)
-        rc, out, err = run(capsys, "equivalence", "--lambda2=1e300", f"--nu2={nu2}",
+        rc, out, err = run(capsys, "equivalence", f"--lambda2={lambda2}", f"--nu2={nu2}",
                            "--alpha-grid=0.5", f"--n={n}")
         assert (rc, err) == (0, "")
         assert json.loads(out)[0]["admissible"] is rec["admissible"]
@@ -348,24 +351,31 @@ class TestClaimOneInBytes:
             latents.add(latent.read_bytes())
         assert len(latents) == 5  # only the latents move with alpha
 
-    def test_nu2_far_below_lambda2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("lambda2", [1e300, 1.7e308])
+    def test_nu2_far_below_lambda2(self, tmp_path, capsys, lambda2):
         """lambda2 = 1e300, nu2 = 1e-320: the CS data at n = 2, where the slack is 5e-21 > 0;
-        at n = 5 the slack is -2.5e-21, and the refusal names n and the least eigenvalue."""
-        spec = ["--lambda2=1e300", "--nu2=1e-320", "--alpha=0.5"]
+        at n = 5 the slack is -2.5e-21, and the refusal names n and the least eigenvalue.
+        At lambda2 = 1.7e308, nu2 + 2*lambda2 passes the floats; y, b and eps do not."""
+        spec = [f"--lambda2={lambda2!r}", "--nu2=1e-320", "--alpha=0.5"]
         layout = ["--n-clusters", "3", "--seed", "4"]
         cs, ext = tmp_path / "cs.csv", tmp_path / "ext.csv"
-        assert run(capsys, "simulate", "--model", "cs", "--lambda=1e300", "--phi=1e-320",
+        assert run(capsys, "simulate", "--model", "cs", f"--lambda={lambda2!r}", "--phi=1e-320",
                    *layout, "--cluster-size", "2", "--out", str(cs))[0] == 0
         rc, out, err = run(capsys, "simulate", "--model", "extended", *spec, *layout,
                            "--cluster-size", "2", "--out", str(ext), "--latent", "-")
         assert (rc, err) == (0, "") and out.startswith("cluster,b,eps1,eps2\n")
         assert ext.read_bytes() == cs.read_bytes()
+        y = [float(line.split(",")[2]) for line in cs.read_text().splitlines()[1:]]
+        latents = [float(v) for line in out.splitlines()[1:] for v in line.split(",")[1:]]
+        assert all(map(math.isfinite, y + latents))
+        # y = sqrt(lambda2)*(z1 + z2)/sqrt(2) + ..., and no draw of 3 clusters is below 1e-3
+        assert 1e-3 * math.sqrt(lambda2) < max(map(abs, y)) < 10 * math.sqrt(lambda2)
         rc, out, err = run(capsys, "simulate", "--model", "extended", *spec, *layout,
                            "--cluster-size", "5")
         assert (rc, out) == (1, "")
         low = re.fullmatch(r"error: joint covariance for n = 5 is not PSD: eigenvalue (\S+)\n", err)
         assert low, err
-        d, tau, _, slack = eb_by_decimal(1e300, 1e-320, 0.5, 5)
+        d, tau, _, slack = eb_by_decimal(lambda2, 1e-320, 0.5, 5)
         with decimal.localcontext() as ctx:  # slack/top, top the larger eigenvalue, about d
             ctx.prec = 50
             nu2 = decimal.Decimal(1e-320)
@@ -754,9 +764,10 @@ class TestContract:
 
     def test_calls_leave_no_garbage_that_grows_with_the_data(self, tmp_path, capsys):
         """entry() runs main() without the cyclic collector, so a call must not leave
-        cycles for it: none at all after a command, and after a usage error only
-        argparse's, as many at 100 as at 10,000 clusters or draws."""
-        garbage, usage = {}, {}
+        cycles for it that grow with the data: as many at 100 as at 10,000 clusters or
+        draws, and few (on CPython 3.11, none after a command and a few hundred of
+        argparse's after a usage error)."""
+        garbage = {}
         gc.collect()
         gc.disable()
         try:
@@ -764,14 +775,11 @@ class TestContract:
                 for i, (argv, rc) in enumerate(every_command(tmp_path, m)):
                     assert main(argv) == rc, capsys.readouterr().err
                     capsys.readouterr()
-                    if rc == 2:
-                        usage[m] = gc.collect()
-                    else:
-                        garbage[i, m] = gc.collect()
+                    garbage[i, m] = gc.collect()
         finally:
             gc.enable()
-        assert usage[100] == usage[10_000] > 0, usage
-        assert set(garbage.values()) == {0}, garbage
+        for (i, m), count in garbage.items():
+            assert count == garbage[i, 100] < 1000, garbage
 
     def test_no_output_is_left_for_the_collector_to_close(self, tmp_path, capsys, monkeypatch):
         """entry() freezes what main() leaves alive, so main() must close every file it

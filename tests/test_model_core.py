@@ -123,6 +123,17 @@ class TestCSMatrixSqrt:
         got = CSMatrix(n, lam, phi).sqrt().lam
         assert abs(got - want) <= 4 * np.finfo(float).eps * abs(want)
 
+    @pytest.mark.parametrize(
+        "n, lam, phi", [(2, 1.7e308, 1e-320), (3, 1e308, 1.0), (64, 1.7e308, 1.7e308)]
+    )
+    def test_big_eigenvalue_past_the_floats(self, n, lam, phi):
+        """phi + n*lam overflows, its root does not: the root is still the matrix's."""
+        with decimal.localcontext(decimal.Context(prec=50)):
+            dphi = decimal.Decimal(phi)
+            want = float(((dphi + n * decimal.Decimal(lam)).sqrt() - dphi.sqrt()) / n)
+        got = CSMatrix(n, lam, phi).sqrt().lam
+        assert abs(got - want) <= 4 * np.finfo(float).eps * want
+
     def test_singular_and_zero_matrices(self):
         assert CSMatrix(4, -0.25, 1.0).sqrt() == (4, -0.25, 1.0)  # least eigenvalue 0
         assert CSMatrix(3, 0.0, 0.0).sqrt() == (3, 0.0, 0.0)
