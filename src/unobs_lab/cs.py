@@ -16,7 +16,7 @@ __all__ = [
     "CsvFormatError",
     "CSMatrix",
     "validate_cs",
-    "icc",
+    "require_finite",
     "write_rows",
     "format_float",
 ]
@@ -92,8 +92,8 @@ def validate_cs(n_set, lam: float, phi: float) -> None:
     """Exact positive-definiteness check of lam*J_n + phi*I_n over cluster sizes.
 
     V is PD iff phi > 0 and phi + n*lam > 0 (its two distinct eigenvalues),
-    with strict inequalities; boundary points are rejected, and so is a
-    cluster size below 1. Raises DomainError naming the first failure.
+    with strict inequalities; boundary points are rejected, as are a cluster
+    size below 1 and an infinite lam or phi. Raises DomainError naming the first failure.
     """
     sizes = sorted(set(int(n) for n in n_set))
     if not sizes:
@@ -105,13 +105,14 @@ def validate_cs(n_set, lam: float, phi: float) -> None:
     for n in sizes:
         if not phi + n * lam > 0:
             raise DomainError(f"phi + n*lam = {phi + n * lam} <= 0 for cluster size n = {n}")
+    require_finite(lam=lam, phi=phi)
 
 
-def icc(lam: float, phi: float) -> float:
-    """Within-cluster correlation lam / (lam + phi) of the marginal model."""
-    if not lam + phi > 0:
-        raise DomainError(f"lam + phi = {lam + phi} must be strictly positive")
-    return lam / (lam + phi)
+def require_finite(**values: float) -> None:
+    """Raise DomainError naming the first of values that is an infinity or a nan."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} = {value} is non-finite")
 
 
 def write_rows(dest, head: str, *columns) -> None:

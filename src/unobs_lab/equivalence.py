@@ -22,9 +22,10 @@ return arrays, so eb and equivalence never load it.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
-from unobs_lab.cs import CSMatrix, DomainError, validate_cs
+from unobs_lab.cs import CSMatrix, DomainError, require_finite, validate_cs
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
@@ -134,10 +135,15 @@ def derive_d_tau(lambda2: float, nu2: float, alpha: float) -> tuple[float, float
         raise DomainError(f"lambda2 + nu2 = {lambda2 + nu2} must be positive")
     if not -1.0 <= alpha <= 1.0:
         raise DomainError(f"alpha = {alpha} outside the admissible box [-1, 1]")
-    nu = math.sqrt(nu2)
-    s = math.sqrt(lambda2 + nu2)
-    d = lambda2 + 2.0 * nu2 + 2.0 * nu * alpha * s
-    tau = -(nu2 + nu * alpha * s)
+    require_finite(lambda2=lambda2, nu2=nu2)
+    nu, s = math.sqrt(nu2), math.sqrt(lambda2 + nu2)
+    if alpha and abs(nu * alpha) < sys.float_info.min:  # nu*alpha underflows: scale alpha out
+        m, e = math.frexp(alpha)
+        nas = math.ldexp(nu * m * s, e)
+        d, tau = lambda2 + 2.0 * nu2 + 2.0 * nas, -(nu2 + nas)
+    else:
+        d = lambda2 + 2.0 * nu2 + 2.0 * nu * alpha * s
+        tau = -(nu2 + nu * alpha * s)
     # d = (s + nu*alpha)^2 + nu2*(1 - alpha^2); clamp roundoff at alpha = -1
     return max(d, 0.0), tau
 

@@ -22,7 +22,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from unobs_lab.cs import CSMatrix, DomainError, RankDeficiencyError, validate_cs
+from unobs_lab.cs import CSMatrix, DomainError, RankDeficiencyError, require_finite, validate_cs
 from unobs_lab.model_core import CSParams, Dataset
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
@@ -184,6 +184,7 @@ def _intercept(xi) -> float:
     xi = np.ravel(np.asarray(xi, dtype=float))
     if len(xi) != 1:
         raise DomainError(f"xi has {len(xi)} entries; simulation is intercept-only and needs 1")
+    require_finite(xi=float(xi[0]))
     return float(xi[0])
 
 

@@ -1,4 +1,4 @@
-"""Weibull-gamma hierarchy and its exponential-constraint reductions.
+"""The Weibull-exponential law, a Weibull outcome's marginal over an exponential frailty.
 
 Integrating a Weibull outcome (rate scale phi = lam*exp(mu), shape rho) over
 an exponential frailty with rate delta gives the Weibull-exponential family
@@ -33,7 +33,7 @@ import math
 import sys
 from collections import namedtuple
 
-from unobs_lab.cs import DomainError
+from unobs_lab.cs import DomainError, require_finite
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
@@ -42,13 +42,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "WeibullGammaSpec",
     "WeibullExpSpec",
     "MomentResult",
     "QuadratureError",
-    "wg_sample",
     "wg_moment_defined",
-    "we_pdf",
     "we_cdf",
     "we_quantile",
     "we_sample",
@@ -61,12 +58,9 @@ __all__ = [
 POLE_TOL = 1e-9
 BLOCK = 1 << 15  # draws per block of every sampler
 NORMAL_BITS, INF_BITS = 0x0010000000000000, 0x7FF0000000000000  # of 2.2e-308 and inf
-FRAILTY_TOL = 4 * 2.0**-52  # a few ulps of 1: 49 * (1/49) is 1 - 2**-53
 QUAD_RTOL = 1e-12  # truncated_moment's refusal bound on its error estimate
 MAX_PANELS = 1 << 17  # and its bound on the panel count, which keeps it within about 120 MB
 TAIL_LOG_U = 40.0  # past log u = 40, (1+u)^-2 is u^-2 to 2e^-40 = 8.5e-18, relative
-
-CONSTRAINT_MODES = ("frailty", "bayarri", "free")
 
 
 class QuadratureError(RuntimeError):
@@ -78,67 +72,6 @@ class QuadratureError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-class WeibullGammaSpec(
-    namedtuple("WeibullGammaSpec", "lam rho xi x alpha_g beta_g constraint_mode")
-):
-    """Weibull outcomes with independent gamma frailties per component.
-
-    Component j has frailty theta_j ~ Gamma(shape alpha_g[j], scale beta_g[j])
-    and conditional survival exp(-lam * y^rho * theta_j * exp(x_j' xi)).
-
-    constraint_mode:
-      * "frailty": alpha_g[j] * beta_g[j] = 1 (unit-mean frailty), up to
-        FRAILTY_TOL for the rounding of a product such as 49 * (1/49),
-      * "bayarri": alpha_g[j] = 1, beta_g[j] = 1/delta_j (exponential frailty),
-      * "free": both parameters unconstrained. In free mode alpha_g and
-        beta_g are not jointly identifiable with an intercept in xi; this is
-        surfaced via aliasing_warning, not rejected.
-
-    x holds one covariate row per component, shape (m, p). xi, x, alpha_g and
-    beta_g are held as read-only float copies.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, lam: float, rho: float, xi, x, alpha_g, beta_g,
-                constraint_mode: str = "frailty"):
-        import numpy as np
-
-        if not (lam > 0 and rho > 0):
-            raise DomainError("lam and rho must be strictly positive")
-        xi = np.array(xi, dtype=float, ndmin=1)  # copies: the caller's arrays stay writable
-        x = np.array(x, dtype=float, ndmin=2)
-        a = np.array(alpha_g, dtype=float, ndmin=1)
-        b = np.array(beta_g, dtype=float, ndmin=1)
-        if x.shape[1] != len(xi):
-            raise ValueError("covariate rows must match the length of xi")
-        m = x.shape[0]
-        if len(a) != m or len(b) != m:
-            raise ValueError("alpha_g and beta_g must have one entry per component")
-        if not (np.all(a > 0) and np.all(b > 0)):
-            raise DomainError("gamma parameters must be strictly positive")
-        if constraint_mode not in CONSTRAINT_MODES:
-            raise ValueError(f"constraint_mode must be one of {CONSTRAINT_MODES}")
-        if constraint_mode == "frailty" and not np.all(abs(a * b - 1.0) <= FRAILTY_TOL):
-            raise DomainError(
-                f"frailty mode requires |alpha_g * beta_g - 1| <= {FRAILTY_TOL!r}"
-            )
-        if constraint_mode == "bayarri" and not np.all(a == 1.0):
-            raise DomainError("bayarri mode requires alpha_g = 1")
-        for val in (xi, x, a, b):
-            val.flags.writeable = False
-        return super().__new__(cls, lam, rho, xi, x, a, b, constraint_mode)
-
-    @property
-    def n_components(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def aliasing_warning(self) -> bool:
-        """True when alpha_g/beta_g can trade off against an intercept in xi."""
-        return self.constraint_mode == "free" and len(self.xi) > 0
-
-
 class WeibullExpSpec(namedtuple("WeibullExpSpec", "phi rho delta")):
     """Single-outcome Weibull-exponential parameters (phi, rho, delta)."""
 
@@ -147,6 +80,7 @@ class WeibullExpSpec(namedtuple("WeibullExpSpec", "phi rho delta")):
     def __new__(cls, phi: float, rho: float, delta: float):
         if not (phi > 0 and rho > 0 and delta > 0):
             raise DomainError("phi, rho, delta must all be strictly positive")
+        require_finite(phi=phi, rho=rho, delta=delta)
         return super().__new__(cls, phi, rho, delta)
 
 
@@ -176,9 +110,9 @@ class MomentResult(namedtuple("MomentResult", "k formula_defined integral_finite
 # ---------------------------------------------------------------------------
 
 
-def _near_nonpositive_integer(x: float, tol: float = POLE_TOL) -> bool:
+def _near_nonpositive_integer(x: float) -> bool:
     """-inf counts as an integer, as every float below -2**53 is one."""
-    return x < 0.5 and (x == -math.inf or abs(x - round(x)) <= tol)
+    return x < 0.5 and (x == -math.inf or abs(x - round(x)) <= POLE_TOL)
 
 
 def wg_moment_defined(alpha_g: float, rho: float, k: int) -> bool:
@@ -191,23 +125,6 @@ def wg_moment_defined(alpha_g: float, rho: float, k: int) -> bool:
 # ---------------------------------------------------------------------------
 # Weibull-exponential distribution
 # ---------------------------------------------------------------------------
-
-
-def we_pdf(spec: WeibullExpSpec, y):
-    """Density phi*rho*y^(rho-1)*delta / (delta + phi*y^rho)^2 for y >= 0.
-
-    At y = 0 with rho < 1 the density diverges; +inf is returned as a
-    documented sentinel.
-    """
-    import numpy as np
-
-    phi, rho, delta = spec.phi, spec.rho, spec.delta
-    y = np.asarray(y, dtype=float)
-    if np.any(y < 0):
-        raise DomainError("support is y >= 0")
-    with np.errstate(divide="ignore"):
-        out = phi * rho * y ** (rho - 1.0) * delta / (delta + phi * y**rho) ** 2
-    return float(out) if out.ndim == 0 else out
 
 
 def we_cdf(spec: WeibullExpSpec, y):
@@ -445,38 +362,8 @@ def running_mean_trace(
 
 
 # ---------------------------------------------------------------------------
-# Samplers for the hierarchy and the probability integral transform
+# The probability integral transform
 # ---------------------------------------------------------------------------
-
-
-def wg_sample(spec: WeibullGammaSpec, n_draws: int, seed: int) -> list[np.ndarray]:
-    """Sample each component of the Weibull-gamma model; one array per component.
-
-    Per draw: theta_j ~ Gamma(alpha_j, beta_j), then Y_j from the conditional
-    survival S(y) = exp(-lam * y^rho * theta_j * e^(x_j' xi)) by inverse
-    survival: y = (-log u / (lam * theta_j * e^(x_j' xi)))^(1/rho). Component j
-    draws all its frailties, then all its uniforms, from substream (seed, j),
-    BLOCK at a time: the frailties into its output, scaled there to rates,
-    which each block of uniforms maps to draws, so the peak is the outputs
-    plus a few blocks.
-    """
-    import numpy as np
-
-    from unobs_lab.rng import substream
-
-    out = []
-    for j in range(spec.n_components):
-        rng, y = substream(seed, j), np.empty(n_draws)
-        blocks = [slice(start, start + BLOCK) for start in range(0, n_draws, BLOCK)]
-        for b in blocks:
-            y[b] = rng.gamma(shape=spec.alpha_g[j], scale=spec.beta_g[j], size=len(y[b]))
-        y *= spec.lam  # the rates lam * theta * e^(x_j' xi), in place
-        y *= math.exp(float(spec.x[j] @ spec.xi))
-        for b in blocks:
-            u = np.clip(rng.random(len(y[b])), 1e-300, 1.0 - 1e-16)
-            y[b] = (-np.log(u) / y[b]) ** (1.0 / spec.rho)
-        out.append(y)
-    return out
 
 
 def pit_sample(

@@ -6,8 +6,8 @@ All covariance work uses the rank-one structure of V = lam*J + phi*I:
 eigenvalues phi (multiplicity n-1) and phi + n*lam, and the closed-form
 inverse V^-1 = (1/phi) I - lam/(phi*(phi+n*lam)) J. A Dataset stores its
 clusters as columns; likelihood and GLS see it only through SuffStats.
-The numpy-free part (errors, CSMatrix, validate_cs, icc, write_rows)
-lives in unobs_lab.cs.
+The numpy-free part (errors, CSMatrix, validate_cs, write_rows) lives in
+unobs_lab.cs.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unobs_lab import heavytail as ht
-from unobs_lab.cli import COMMANDS, REQUIRED, _fast_parse, _json, build_parser, main
+from unobs_lab.cli import COMMANDS, REQUIRED, _fast_parse, _float_list, _json, build_parser, main
 from unobs_lab.equivalence import ExtendedSpec
 from unobs_lab.estimation import SimLayout, simulate_cs, simulate_extended
 from unobs_lab.model_core import CSParams
@@ -80,6 +80,17 @@ def eb_refusal_is_due(lambda2: float, nu2: float, alpha: float, n: int) -> bool:
             and D(nu2) + n * D(lambda2) > 0):
         return True
     return any(abs(v) > D(sys.float_info.max) for v in eb_by_decimal(lambda2, nu2, alpha, n)[:3])
+
+
+def eb_matches_decimal(out: str, lambda2: float, nu2: float, alpha: float, n: int) -> bool:
+    """Whether eb's record out has eb_by_decimal's d, tau and shrinkage: within 1e-12
+    relative, or within 4 subnormal steps where the decimal value is subnormal."""
+    D, rec = decimal.Decimal, json.loads(out)
+    for key, want in zip(("d", "tau", "shrinkage"), eb_by_decimal(lambda2, nu2, alpha, n)):
+        bound = 4 * D(2) ** -1074 if abs(want) < D(sys.float_info.min) else D("1e-12") * abs(want)
+        if not abs(D(rec[key]) - want) <= bound:
+            return False
+    return True
 
 
 class TestEquivalenceCommand:
@@ -594,6 +605,7 @@ SIGNED = EXTREMES + ["-0.2", "-1e-300"]
 WE_EXTREMES = dict.fromkeys(["--phi", "--rho", "--delta"], EXTREMES)
 EXTREMES_GRID = {  # name -> (fixed argv, {float flag: values}); every combination is run
     "eb": (["eb"], {"--lambda2": SIGNED, "--nu2": SIGNED, "--alpha": EXTREMES}),
+    "eb --n 5": (["eb", "--n=5"], {"--lambda2": SIGNED, "--nu2": SIGNED, "--alpha": EXTREMES}),
     "equivalence": (["equivalence"],
                     {"--lambda2": SIGNED, "--nu2": SIGNED, "--alpha-grid": EXTREMES}),
     "heavytail moments": (["heavytail", "moments", "--k", "1..3"], WE_EXTREMES),
@@ -603,6 +615,27 @@ EXTREMES_GRID = {  # name -> (fixed argv, {float flag: values}); every combinati
     "simulate --model cs": (["simulate", "--model", "cs", *LAYOUT],
                             {"--lambda": SIGNED, "--phi": SIGNED, "--xi": EXTREMES}),
 }
+
+
+# one ordinary call of each action and model; between them they give every float flag of
+# COMMANDS, which test_non_finite_flags_are_refused sets to inf, -inf and nan in turn
+ORDINARY = {
+    "equivalence": ["equivalence", "--lambda2", "1", "--nu2", "1", "--alpha-grid", "0.5"],
+    "eb": ["eb", "--lambda2", "1", "--nu2", "1", "--alpha", "0.5"],
+    "simulate --model cs": [*SIMULATE_CS, "--xi", "0"],
+    "simulate --model extended": [*SIMULATE_EXTENDED, "--xi", "0"],
+    "heavytail moments": MOMENTS,
+    "heavytail sample": SAMPLE,
+    "heavytail trace": TRACE,
+    "pit": ["pit", *WE, "--n", "5", "--seed", "1"],
+}
+
+
+def float_flags(name: str) -> dict:
+    """flag -> parameter name of the options of subcommand name that take floats."""
+    options = COMMANDS[name][3]
+    return {flag: dest.split("_")[0] for flag, dest, type_, _, _ in options
+            if type_ in (float, _float_list)}
 
 
 def every_command(tmp_path, m: int) -> list:
@@ -797,7 +830,8 @@ class TestContract:
     def test_extremes_grid(self, capsys, name):
         """Every float flag at ROADMAP item 12's extremes, in every combination: exit 0
         with finite numbers only, or exit 1 with one error line, and no warning. eb exits 1
-        only where its input is outside the domain or an answer is past the floats."""
+        only where its input is outside the domain or an answer is past the floats, and
+        its records match 50-digit decimal (eb_matches_decimal)."""
         argv, flags = EXTREMES_GRID[name]
         bad = []
         for values in itertools.product(*flags.values()):
@@ -807,11 +841,40 @@ class TestContract:
                 rc, out, err = run(capsys, *call)
             ok = (rc == 0 and err == "" and not re.search(r"(?i)\b(inf|infinity|nan)\b", out)
                   or rc == 1 and out == "" and re.fullmatch(r"error: [^\n]*\n", err))
-            if name == "eb" and rc == 1:
-                ok = ok and eb_refusal_is_due(*map(float, values), n=2)
+            if name.startswith("eb"):
+                floats, n = [float(v) for v in values], 5 if "--n=5" in argv else 2
+                due = eb_refusal_is_due(*floats, n=n) if rc else eb_matches_decimal(out, *floats, n)
+                ok = ok and due
             if not ok or seen:
                 bad.append((call, rc, err, [str(w.message) for w in seen]))
         assert not bad, (len(bad), bad[:5])
+
+    def test_ordinary_calls_give_every_float_flag(self):
+        given = {}
+        for argv in ORDINARY.values():
+            given.setdefault(argv[0], set()).update(w for w in argv if w in float_flags(argv[0]))
+        assert given == {name: set(float_flags(name)) for name in COMMANDS if float_flags(name)}
+
+    @pytest.mark.parametrize("mode", list(ORDINARY))
+    def test_non_finite_flags_are_refused(self, capsys, mode):
+        """Each float flag at inf, -inf and nan, the others ordinary: exit 1, no output,
+        one error line that names the parameter, and no warning (not a nan written, nor
+        an internal message such as round()'s)."""
+        argv, names = ORDINARY[mode], float_flags(ORDINARY[mode][0])
+        assert run(capsys, *argv)[0] == 0
+        bad = []
+        for i, flag in enumerate(argv):
+            if flag not in names:
+                continue
+            for value in ("inf", "-inf", "nan"):
+                call = [*argv[:i], f"{flag}={value}", *argv[i + 2:]]
+                with warnings.catch_warnings(record=True) as seen:
+                    warnings.simplefilter("always")
+                    rc, out, err = run(capsys, *call)
+                line = re.fullmatch(r"error: [^\n]*\n", err)
+                if not (rc == 1 and out == "" and line and names[flag] in err) or seen:
+                    bad.append((call, rc, out[:80], err, [str(w.message) for w in seen]))
+        assert not bad, bad
 
     def test_float_array_with_nan_is_refused(self):
         with pytest.raises(ValueError, match="non-finite value nan"):
@@ -1193,7 +1256,7 @@ class TestLazyScipy:
         """The CS names live in cs.py, the numpy-free scalar layer."""
         loaded = cold(
             "import sys\n"
-            "from unobs_lab.cs import CSMatrix, DomainError, icc, validate_cs\n"
+            "from unobs_lab.cs import CSMatrix, DomainError, validate_cs\n"
             "sys.stderr.write(repr(sorted(m for m in sys.modules\n"
             "                             if m == 'numpy' or m.startswith('unobs_lab'))))\n"
         )

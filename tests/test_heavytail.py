@@ -19,24 +19,20 @@ from scipy.stats import ks_2samp, kstest
 from unobs_lab.cs import DomainError
 from unobs_lab.heavytail import (
     BLOCK,
-    FRAILTY_TOL,
     MAX_PANELS,
     TAIL_LOG_U,
     MomentResult,
     QuadratureError,
     WeibullExpSpec,
-    WeibullGammaSpec,
     _ratio_pow,
     pit_sample,
     running_mean_trace,
     truncated_moment,
     we_cdf,
     we_moment,
-    we_pdf,
     we_quantile,
     we_sample,
     wg_moment_defined,
-    wg_sample,
 )
 from unobs_lab.rng import substream
 
@@ -85,38 +81,8 @@ def moment_by_quadrature(spec, k):
 
 
 # ---------------------------------------------------------------------------
-# Density, CDF, quantile
+# CDF, quantile
 # ---------------------------------------------------------------------------
-
-
-class TestPdf:
-    def test_values(self):
-        assert we_pdf(UNIT, 0.0) == 1.0
-        assert we_pdf(UNIT, 1.0) == 0.25
-        assert we_pdf(WeibullExpSpec(1, 2, 1), 1.0) == 0.5
-
-    def test_zero_with_rho_below_one_is_inf(self):
-        assert we_pdf(WeibullExpSpec(1, 0.5, 1), 0.0) == np.inf
-
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            we_pdf(UNIT, -0.1)
-
-    def test_integrates_to_one(self):
-        for spec in GRID:
-            hi = we_quantile(spec, 1 - 1e-8)
-            cuts = [0.0]
-            edge = 1.0
-            while edge < hi:
-                cuts.append(edge)
-                edge *= 10.0
-            cuts.append(hi)
-            total = sum(
-                quad(lambda y: we_pdf(spec, y), lo, up, limit=300)[0]
-                for lo, up in zip(cuts[:-1], cuts[1:])
-            )
-            tail = spec.delta / (spec.delta + spec.phi * hi**spec.rho)
-            assert total + tail == pytest.approx(1.0, abs=1e-8)
 
 
 class TestCdfQuantile:
@@ -666,111 +632,31 @@ class TestPitSample:
 
 
 # ---------------------------------------------------------------------------
-# Weibull-gamma hierarchy
+# The Weibull-exponential hierarchy
 # ---------------------------------------------------------------------------
 
 
-def make_wg(mode, alpha, beta, rho=1.0):
-    return WeibullGammaSpec(
-        lam=1.0,
-        rho=rho,
-        xi=[0.0],
-        x=[[0.0]],
-        alpha_g=[alpha],
-        beta_g=[beta],
-        constraint_mode=mode,
-    )
-
-
-class TestWgSample:
-    def test_bayarri_mode_matches_exp_exp_median(self):
-        spec = make_wg("bayarri", 1.0, 1.0)  # delta = 1, phi = 1, rho = 1
-        draws = wg_sample(spec, 100_000, seed=15)[0]
-        ecdf_at_1 = np.mean(draws <= 1.0)
-        assert ecdf_at_1 == pytest.approx(0.5, abs=0.01)
-
+class TestHierarchy:
     @pytest.mark.parametrize("rho", [0.5, 1.0, 2.5])
     @pytest.mark.parametrize("delta", [0.5, 2.0])
-    def test_bayarri_mode_is_weibull_exponential(self, rho, delta):
-        """Exponential frailties of rate delta give WE(phi = lam * e^(x'xi), rho, delta)."""
-        n, lam, xi, x = 20_000, 0.7, [0.4, -1.1], [[1.5, 0.2], [-0.8, 0.9]]
-        spec = WeibullGammaSpec(lam=lam, rho=rho, xi=xi, x=x, alpha_g=[1.0, 1.0],
-                                beta_g=[1.0 / delta, 1.0 / delta], constraint_mode="bayarri")
-        for j, draws in enumerate(wg_sample(spec, n, seed=18)):
-            phi = lam * math.exp(float(np.dot(x[j], xi)))
-            we = WeibullExpSpec(phi, rho, delta)
-            assert kstest(draws, lambda y: we_cdf(we, y)).statistic < ks_critical(n)
+    def test_exponential_frailty_gives_weibull_exponential(self, rho, delta):
+        """A Weibull outcome, survival exp(-phi*theta*y^rho), over a frailty theta of
+        rate delta is Weibull-exponential (phi, rho, delta): claim (2)'s marginal.
 
-    def test_degenerate_frailty_limit_is_weibull(self):
-        spec = make_wg("frailty", 1e4, 1e-4, rho=1.5)
-        draws = wg_sample(spec, 100_000, seed=16)[0]
-        grid = np.linspace(0.01, 4.0, 200)
-        weibull_cdf = 1 - np.exp(-(grid**1.5))
-        ecdf = np.searchsorted(np.sort(draws), grid) / len(draws)
-        assert np.max(np.abs(ecdf - weibull_cdf)) < 0.02
-
-    def test_conditional_law_is_exponential_in_y_rho(self):
-        # huge gamma shape pins theta ~= 1: Y^rho ~ Exponential(lam)
-        n = 100_000
-        spec = make_wg("frailty", 1e8, 1e-8, rho=2.0)
-        draws = wg_sample(spec, n, seed=17)[0]
-        stat = kstest(draws**2.0, "expon").statistic
-        assert stat < 1.95 / math.sqrt(n)
-
-    @staticmethod
-    def two_components(mode):
-        alpha_g, beta_g = ([0.3, 3.0], [1 / 0.3, 1 / 3.0]) if mode == "frailty" else (
-            [1.0, 1.0], [0.5, 2.0])
-        return WeibullGammaSpec(lam=0.7, rho=1.7, xi=[0.4, -1.1], x=[[1.5, 0.2], [-0.8, 0.9]],
-                                alpha_g=alpha_g, beta_g=beta_g, constraint_mode=mode)
-
-    @pytest.mark.parametrize("mode", ["frailty", "bayarri"])
-    def test_blocks_give_the_whole_array_bytes(self, mode):
-        spec, n = self.two_components(mode), 2 * BLOCK + 7
-        for j, draws in enumerate(wg_sample(spec, n, seed=19)):
-            rng = substream(19, j)  # every frailty, then every uniform, in one call each
-            theta = rng.gamma(shape=spec.alpha_g[j], scale=spec.beta_g[j], size=n)
-            u = np.clip(rng.random(n), 1e-300, 1.0 - 1e-16)
-            rate = spec.lam * theta * math.exp(float(spec.x[j] @ spec.xi))
-            assert np.array_equal(draws, (-np.log(u) / rate) ** (1.0 / spec.rho))
-
-    @pytest.mark.parametrize("mode", ["frailty", "bayarri"])
-    def test_peak_memory_is_the_outputs(self, mode):
-        spec, n = self.two_components(mode), 500_000
-        wg_sample(spec, 10, seed=1)  # the rng loaded before tracing
-        peak = traced_peak(lambda: wg_sample(spec, n, seed=1))
-        assert peak < 1.2 * 8 * n * spec.n_components  # and a frailty and a uniform block
-
-    def test_constraint_validation(self):
-        want = f"frailty mode requires |alpha_g * beta_g - 1| <= {FRAILTY_TOL!r}"
-        with pytest.raises(DomainError, match=re.escape(want)):
-            make_wg("frailty", 2.0, 1.0)
-        with pytest.raises(DomainError):
-            make_wg("bayarri", 2.0, 1.0)
-
-    @pytest.mark.parametrize("alpha", [49.0, 98.0, 103.0])
-    def test_frailty_mode_accepts_a_rounded_unit_mean(self, alpha):
-        assert alpha * (1.0 / alpha) == 1.0 - 2.0**-53
-        spec = make_wg("frailty", alpha, 1.0 / alpha)
-        assert spec.beta_g.tolist() == [1.0 / alpha]
-
-    def test_frailty_mode_tolerance_is_a_few_ulps(self):
-        make_wg("frailty", 1.0 + FRAILTY_TOL, 1.0)
-        with pytest.raises(DomainError):
-            make_wg("frailty", 1.0 + 2 * FRAILTY_TOL, 1.0)
-
-    def test_free_mode_aliasing_flag(self):
-        spec = make_wg("free", 2.0, 3.0)
-        assert spec.aliasing_warning
+        Y = (E/(phi*theta))^(1/rho), E ~ Exp(1), by inverse survival, drawn here with
+        numpy, so the step from hierarchy to marginal rests on we_cdf alone.
+        """
+        n, phi = 20_000, 0.7
+        rng = np.random.default_rng(18)
+        theta = rng.exponential(scale=1.0 / delta, size=n)
+        draws = (rng.exponential(size=n) / (phi * theta)) ** (1.0 / rho)
+        we = WeibullExpSpec(phi, rho, delta)
+        assert kstest(draws, lambda y: we_cdf(we, y)).statistic < ks_critical(n)
 
 
 # ---------------------------------------------------------------------------
 # rho = 1 specialization guard
 # ---------------------------------------------------------------------------
-
-
-def ee_pdf(phi, delta, y):
-    return phi * delta / (delta + phi * y) ** 2
 
 
 def ee_cdf(phi, delta, y):
@@ -789,7 +675,6 @@ class TestExpExpReduction:
     def test_pdf_cdf_quantile_match(self):
         spec = WeibullExpSpec(2.0, 1.0, 0.7)
         ys = np.linspace(0.0, 20.0, 101)
-        assert np.max(np.abs(we_pdf(spec, ys) - ee_pdf(2.0, 0.7, ys))) < 1e-12
         assert np.max(np.abs(we_cdf(spec, ys) - ee_cdf(2.0, 0.7, ys))) < 1e-12
         us = np.linspace(1e-4, 1 - 1e-4, 101)
         assert np.max(np.abs(we_quantile(spec, us) - ee_quantile(2.0, 0.7, us))) < 1e-12

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import unobs_lab
-from unobs_lab.cs import CSMatrix, CsvFormatError, DomainError, icc, validate_cs, write_rows
+from unobs_lab.cs import CSMatrix, CsvFormatError, DomainError, validate_cs, write_rows
 from unobs_lab.model_core import CSParams, Dataset, gls_mean, read_dataset_csv, write_dataset_csv
 
 
@@ -234,39 +234,6 @@ class TestValidateCs:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             validate_cs(set(), 0.0, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# icc
-# ---------------------------------------------------------------------------
-
-
-class TestIcc:
-    @pytest.mark.parametrize(
-        "lam,phi,expect",
-        [(0.0, 1.0, 0.0), (1.0, 1.0, 0.5), (-0.4, 1.0, -2.0 / 3.0)],
-    )
-    def test_values(self, lam, phi, expect):
-        assert icc(lam, phi) == pytest.approx(expect, abs=1e-15)
-
-    def test_degenerate_denominator(self):
-        with pytest.raises(DomainError):
-            icc(-1.0, 1.0)
-
-    def test_range_under_pd(self):
-        # icc in (-1/(n-1), 1) is the PD condition restated
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            n = int(rng.integers(2, 9))
-            phi = float(rng.uniform(0.1, 2.0))
-            lam = float(rng.uniform(-2.0, 2.0))
-            if phi + n * lam <= 0:
-                with pytest.raises(DomainError, match=f"n = {n}"):
-                    validate_cs({n}, lam, phi)
-                continue
-            validate_cs({n}, lam, phi)
-            rho = icc(lam, phi)
-            assert -1.0 / (n - 1) < rho < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from unobs_lab.equivalence import (
     derive_d_tau,
 )
 from unobs_lab.estimation import FitResult, Latents, SimLayout
-from unobs_lab.heavytail import MomentResult, WeibullExpSpec, WeibullGammaSpec
+from unobs_lab.heavytail import MomentResult, WeibullExpSpec
 from unobs_lab.model_core import CSParams
 
 # one valid instance of every value class, built from keyword arguments
@@ -34,8 +34,6 @@ VALID = [
     (SpecB, dict(lambda1sq=1.0, lambda2sq=-0.5, nusq=1.0)),
     (ExtendedSpec, dict(lambda2=1.0, nu2=1.0, alpha=0.25)),
     (DecompRow, dict(quantity="variance", sigma2_part=1.0, d_part=2.0, two_tau_part=-1.0)),
-    (WeibullGammaSpec, dict(lam=1.0, rho=2.0, xi=[0.5], x=[[1.0]], alpha_g=[2.0],
-                            beta_g=[0.5], constraint_mode="frailty")),
     (WeibullExpSpec, dict(phi=1.0, rho=2.0, delta=1.0)),
     (MomentResult, dict(k=1, formula_defined=True, integral_finite=True, value=1.5)),
     (CSParams, dict(xi=[0.5], lam=-0.2, phi=1.0)),
@@ -59,15 +57,6 @@ INVALID = [
      "alpha = 1.5 outside the admissible box [-1, 1]"),
     (ExtendedSpec, dict(lambda2=1.0, nu2=0.0, alpha=0.0), DomainError,
      "nu2 = 0.0 must be strictly positive"),
-    (WeibullGammaSpec, dict(lam=0.0, rho=2.0, xi=[0.5], x=[[1.0]], alpha_g=[1.0],
-                            beta_g=[1.0], constraint_mode="frailty"), DomainError,
-     "lam and rho must be strictly positive"),
-    (WeibullGammaSpec, dict(lam=1.0, rho=2.0, xi=[0.5], x=[[1.0]], alpha_g=[2.0],
-                            beta_g=[2.0], constraint_mode="bayarri"), DomainError,
-     "bayarri mode requires alpha_g = 1"),
-    (WeibullGammaSpec, dict(lam=1.0, rho=2.0, xi=[0.5], x=[[1.0]], alpha_g=[1.0],
-                            beta_g=[1.0], constraint_mode="nope"), ValueError,
-     "constraint_mode must be one of"),
     (WeibullExpSpec, dict(phi=1.0, rho=0.0, delta=1.0), DomainError,
      "phi, rho, delta must all be strictly positive"),
     (MomentResult, dict(k=1, formula_defined=False, integral_finite=True, value=1.0),
@@ -166,10 +155,7 @@ def test_moment_result_field_order_is_the_moments_json_order(capsys):
 
 
 def test_array_fields_are_held_read_only():
-    given = [np.array([0.5]), np.array([[1.0]]), np.array([2.0]), np.array([0.5])]
-    spec = WeibullGammaSpec(1.0, 2.0, *given)
-    assert all(g.flags.writeable for g in given)
-    assert not any(v.flags.writeable for v in (spec.xi, spec.x, spec.alpha_g, spec.beta_g))
-    params = CSParams([0.5, 1], 0, 1)
-    assert not params.xi.flags.writeable
+    given = np.array([0.5, 1.0])
+    params = CSParams(given, 0, 1)
+    assert given.flags.writeable and not params.xi.flags.writeable
     assert (type(params.lam), type(params.phi)) == (float, float)
