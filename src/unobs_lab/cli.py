@@ -1,20 +1,20 @@
 """Command-line front end: equivalence, simulate, fit, eb, heavytail, pit.
 
 Exit codes are a stable contract: 0 success, 1 domain/numeric error, 2 usage
-error. Every stochastic subcommand requires --seed; identical seeds and flags
-produce byte-identical output. All numbers are serialized with 17 significant
-digits so byte-level reproducibility is meaningful.
+error. Identical seeds and flags produce byte-identical output; all numbers are
+serialized with 17 significant digits so byte-level reproducibility is meaningful.
 
 Note: an option value that starts with '-' may be a separate word only when
 it is a negative number or a lone '-' (``--alpha -0.5``, ``--out -``); any
 other, such as a negative alpha grid, must use the '--flag=value' form, as
 in ``--alpha-grid=-1,0,1``.
 
-One grammar table, COMMANDS, gives every subcommand and flag. Plain argv is
-read from it directly; help, abbreviations and usage errors go to the
-argparse parser built from the same table, so argparse is imported only for
-them. Each subcommand imports the modules it uses in its own body, so eb,
-equivalence and heavytail moments run without numpy.
+One grammar table, COMMANDS, gives every subcommand and flag; MODES gives what
+each heavytail action and simulate model requires and never reads. Plain argv
+is read from COMMANDS directly; help, abbreviations and usage errors go to the
+argparse parser built from it, so argparse is imported only for them. Each
+subcommand imports the modules it uses in its own body, so eb, equivalence and
+heavytail moments run without numpy.
 """
 
 from __future__ import annotations
@@ -54,7 +54,10 @@ def _json(obj) -> str:
     if isinstance(obj, str):
         return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
     if isinstance(obj, dict):
-        return "{" + ", ".join(f"{_json(k)}: {_json(v)}" for k, v in obj.items()) + "}"
+        try:  # the walrus keeps the key being written, to name a field past the floats
+            return "{" + ", ".join(f"{_json(key := k)}: {_json(v)}" for k, v in obj.items()) + "}"
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(map(_json, obj)) + "]"
     if hasattr(obj, "tolist"):
@@ -386,41 +389,27 @@ def _fast_parse(argv):
     return SimpleNamespace(subcommand=argv[0], **values, func=func)
 
 
-# The flags that an action or model never reads: each is refused where it is
-# given a value other than its default, so it is not dropped in silence.
-_UNREAD = {
-    "heavytail moments": ("--seed", "--n", "--stride"),
-    "heavytail sample": ("--k", "--stride"),
-    "heavytail trace": ("--k",),
-    "simulate --model cs": ("--lambda2", "--nu2", "--alpha"),
-    "simulate --model extended": ("--lambda", "--phi"),
+# A mode is a subcommand with its positionals and options that have choices. A flag it
+# never reads is refused unless at its default; of several at fault, the first is named.
+MODES = {  # mode -> (flags it requires, flags it never reads)
+    "heavytail moments": ((), ("--seed", "--n", "--stride")),
+    "heavytail sample": (("--seed", "--n"), ("--k", "--stride")),
+    "heavytail trace": (("--seed", "--n"), ("--k",)),
+    "simulate --model cs": (("--lambda", "--phi"), ("--lambda2", "--nu2", "--alpha", "--latent")),
+    "simulate --model extended": (("--lambda2", "--nu2", "--alpha"), ("--lambda", "--phi")),
 }
 
 
 def _flag_error(args):
-    """The usage error of flags that argparse reads one by one, or None."""
-    if args.subcommand == "heavytail" and args.action in ("sample", "trace"):
-        if args.seed is None:
-            return "--seed is required for stochastic subcommands"
-        if args.n is None:
-            return "--n is required for sample/trace"
-    if args.subcommand == "simulate":
-        if args.model == "cs" and (args.lam is None or args.phi is None):
-            return "--model cs requires --lambda and --phi"
-        if args.model == "extended" and (
-            args.lambda2 is None or args.nu2 is None or args.alpha is None
-        ):
-            return "--model extended requires --lambda2, --nu2, --alpha"
-        if args.model == "cs" and args.latent is not None:
-            return "--latent requires --model extended"
-    if args.subcommand == "heavytail":
-        mode = f"heavytail {args.action}"
-    elif args.subcommand == "simulate":
-        mode = f"simulate --model {args.model}"
-    else:
-        return None
-    for flag, dest, _, default, _ in COMMANDS[args.subcommand][3]:
-        if flag in _UNREAD[mode] and getattr(args, dest) != default:
+    """The usage error of the first option, in COMMANDS order, at fault by MODES, or None."""
+    _, _, positionals, options = COMMANDS[args.subcommand]
+    mode = " ".join([args.subcommand, *(getattr(args, dest) for dest, _ in positionals),
+                     *(f"{f} {getattr(args, d)}" for f, d, _, _, choices in options if choices)])
+    required, unread = MODES.get(mode, ((), ()))
+    for flag, dest, _, default, _ in options:
+        if flag in required and getattr(args, dest) is None:
+            return f"{mode} requires {flag}"
+        if flag in unread and getattr(args, dest) != default:
             return f"{mode} takes no {flag}"
     return None
 

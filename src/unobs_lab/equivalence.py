@@ -127,7 +127,8 @@ def derive_d_tau(lambda2: float, nu2: float, alpha: float) -> tuple[float, float
     """Random-intercept variance d and intercept/error covariance tau at alpha.
 
     Guarantees d >= 0, d + 2*tau = lambda2, and tau**2 <= d*nu2 for every
-    alpha in [-1, 1].
+    alpha in [-1, 1]. Both are derived at the unit scale (_unit) and scaled back,
+    so each is finite wherever its value fits in a float.
     """
     if not nu2 > 0:
         raise DomainError(f"nu2 = {nu2} must be strictly positive")
@@ -136,16 +137,8 @@ def derive_d_tau(lambda2: float, nu2: float, alpha: float) -> tuple[float, float
     if not -1.0 <= alpha <= 1.0:
         raise DomainError(f"alpha = {alpha} outside the admissible box [-1, 1]")
     require_finite(lambda2=lambda2, nu2=nu2)
-    nu, s = math.sqrt(nu2), math.sqrt(lambda2 + nu2)
-    if alpha and abs(nu * alpha) < sys.float_info.min:  # nu*alpha underflows: scale alpha out
-        m, e = math.frexp(alpha)
-        nas = math.ldexp(nu * m * s, e)
-        d, tau = lambda2 + 2.0 * nu2 + 2.0 * nas, -(nu2 + nas)
-    else:
-        d = lambda2 + 2.0 * nu2 + 2.0 * nu * alpha * s
-        tau = -(nu2 + nu * alpha * s)
-    # d = (s + nu*alpha)^2 + nu2*(1 - alpha^2); clamp roundoff at alpha = -1
-    return max(d, 0.0), tau
+    (*_, d, tau), k = _unit(lambda2, nu2, alpha)
+    return _ldexp(d, -2 * k), _ldexp(tau, -2 * k)
 
 
 class ExtendedSpec(namedtuple("ExtendedSpec", "lambda2 nu2 alpha d tau")):
@@ -221,13 +214,13 @@ def intercept_given_y(spec: ExtendedSpec, n: int) -> tuple[float, float]:
     _unit keeps a subnormal nu2 at its own scale, n*lambda2 may pass the floats; m is then
     divided through by n, so c is still about 1 and v a subnormal or 0.
     """
-    unit, k = _unit(spec)
-    d, tau = unit.d, unit.tau
-    m = unit.nu2 + n * (d + 2.0 * tau)
+    unit, k = _unit(*spec[:3])
+    _, nu2, _, d, tau = unit
+    m = nu2 + n * (d + 2.0 * tau)
     if not m > 0:
         return 0.0, spec.d
     if m == math.inf:
-        m = unit.nu2 / n + (d + 2.0 * tau)
+        m = nu2 / n + (d + 2.0 * tau)
         return (d + tau) / m, _ldexp(_slack(unit, n) / n / m, -2 * k)
     return n * (d + tau) / m, _ldexp(_slack(unit, n) / m, -2 * k)
 
@@ -248,7 +241,7 @@ def psd_slack(spec: ExtendedSpec, n: int = 1) -> float:
     at |alpha| = 1. It is computed at the unit scale (_unit) and scaled back, so a slack
     too small or too large for a float is a zero or an infinity of the right sign.
     """
-    unit, k = _unit(spec)
+    unit, k = _unit(*spec[:3])
     return _ldexp(_slack(unit, n), -4 * k)
 
 
@@ -258,8 +251,8 @@ def least_eigenvalue(spec: ExtendedSpec, n: int) -> float:
     joint_cov has the eigenvalues nu2 (n - 1 times) and the two of
     [[d, tau*sqrt(n)], [tau*sqrt(n), nu2]]: top and psd_slack(spec, n)/top.
     """
-    unit, k = _unit(spec)
-    d, tau, nu2 = unit.d, unit.tau, unit.nu2
+    unit, k = _unit(*spec[:3])
+    _, nu2, _, d, tau = unit
     top = (d + nu2) / 2 + math.hypot((d - nu2) / 2, tau * math.sqrt(n))
     low = _slack(unit, n) / top
     return _ldexp(min(low, nu2) if n > 1 else low, -2 * k)
@@ -279,40 +272,50 @@ def admissible(spec: ExtendedSpec, n: int) -> bool:
     Slack and bound are both tested at the unit scale (_unit), where neither under- nor
     overflows, so the decision does not depend on the scale of (lambda2, nu2).
     """
-    unit, _ = _unit(spec)
+    unit, _ = _unit(*spec[:3])
     lambda2, nu2, alpha, _, tau = unit
     t = nu2 + math.sqrt(nu2) * abs(alpha) * math.sqrt(lambda2 + nu2)
     bound = 16.0 * EPS * (nu2 * (lambda2 + nu2) + (n - 1) * (abs(tau) + t) * t)
     return _slack(unit, n) >= -bound
 
 
-def _slack(spec: ExtendedSpec, n: int) -> float:
-    """psd_slack's formula, evaluated at spec's own scale."""
-    lambda2, nu2, alpha, _, tau = spec
+def _slack(unit: tuple, n: int) -> float:
+    """psd_slack's formula on _unit's (lambda2, nu2, alpha, d, tau), at their own scale."""
+    lambda2, nu2, alpha, _, tau = unit
     return nu2 * (lambda2 + nu2) * ((1.0 - alpha) * (1.0 + alpha)) - (n - 1) * tau * tau
 
 
-def _unit(spec: ExtendedSpec) -> tuple[ExtendedSpec, int]:
-    """spec with (lambda2, nu2) times 4^k, the larger of |lambda2| and nu2 put in [0.5, 2); k.
+def _unit(lambda2: float, nu2: float, alpha: float) -> tuple[tuple, int]:
+    """(lambda2, nu2, alpha, d, tau) with (lambda2, nu2) times 4^k, the larger of |lambda2|
+    and nu2 put in [0.5, 2), and d and tau derived at that scale; k.
 
     The slack and its rounding bound are homogeneous of degree 2 in (lambda2, nu2), and
     d, tau and v of degree 1. Scaling by 4^k moves nu and s, and so every intermediate,
-    by an exact power of two; so where none of them is subnormal or infinite at spec's
-    own scale (every ordinary scale), the results keep their bits.
+    by an exact power of two; so where none of them is subnormal or infinite at the input's
+    own scale (every ordinary scale), the results keep their bits, and d and tau are
+    derived where lambda2 + nu2 and the rest cannot overflow.
     Where that k would take nu2 below the normal floats (lambda2 over 2^1020 times nu2),
     nu2 would lose bits, and its root is the factor of s in tau. So k puts nu2 near 2^-1000
     instead, or lowers it so that lambda2 is at most 2^512, but never puts nu2 below its own
     exact scale: the slack, about nu2*lambda2, then fits at any such ratio. A subnormal nu2
-    thus keeps spec's own scale (k = 0) whatever lambda2, up to the float maximum.
+    thus keeps the input's own scale (k = 0) whatever lambda2, up to the float maximum.
     """
-    k = -(math.frexp(max(abs(spec.lambda2), spec.nu2))[1] // 2)
-    e = math.frexp(spec.nu2)[1]
+    k = -(math.frexp(max(abs(lambda2), nu2))[1] // 2)
+    e = math.frexp(nu2)[1]
     if e + 2 * k < -1021:
-        k_max = (512 - math.frexp(spec.lambda2)[1]) // 2
+        k_max = (512 - math.frexp(lambda2)[1]) // 2
         k = max(min(-((e + 1000) // 2), k_max), min(0, -((e + 1021) // 2)))
-    if k == 0:
-        return spec, 0
-    return ExtendedSpec(math.ldexp(spec.lambda2, 2 * k), math.ldexp(spec.nu2, 2 * k), spec.alpha), k
+    lambda2, nu2 = math.ldexp(lambda2, 2 * k), math.ldexp(nu2, 2 * k)
+    nu, s = math.sqrt(nu2), math.sqrt(lambda2 + nu2)
+    if alpha and abs(nu * alpha) < sys.float_info.min:  # nu*alpha underflows: scale alpha out
+        m, e = math.frexp(alpha)
+        nas = math.ldexp(nu * m * s, e)
+        d, tau = lambda2 + 2.0 * nu2 + 2.0 * nas, -(nu2 + nas)
+    else:
+        d = lambda2 + 2.0 * nu2 + 2.0 * nu * alpha * s
+        tau = -(nu2 + nu * alpha * s)
+    # d = (s + nu*alpha)^2 + nu2*(1 - alpha^2); clamp roundoff at alpha = -1
+    return (lambda2, nu2, alpha, max(d, 0.0), tau), k
 
 
 def _ldexp(x: float, e: int) -> float:

@@ -189,10 +189,6 @@ class CSParams(namedtuple("CSParams", "xi lam phi")):
             raise DomainError(f"phi must be strictly positive, got {phi}")
         return super().__new__(cls, xi, float(lam), float(phi))
 
-    @property
-    def p(self) -> int:
-        return len(self.xi)
-
 
 # ---------------------------------------------------------------------------
 # GLS at fixed (lam, phi)

@@ -82,14 +82,43 @@ def eb_refusal_is_due(lambda2: float, nu2: float, alpha: float, n: int) -> bool:
     return any(abs(v) > D(sys.float_info.max) for v in eb_by_decimal(lambda2, nu2, alpha, n)[:3])
 
 
-def eb_matches_decimal(out: str, lambda2: float, nu2: float, alpha: float, n: int) -> bool:
-    """Whether eb's record out has eb_by_decimal's d, tau and shrinkage: within 1e-12
-    relative, or within 4 subnormal steps where the decimal value is subnormal."""
-    D, rec = decimal.Decimal, json.loads(out)
-    for key, want in zip(("d", "tau", "shrinkage"), eb_by_decimal(lambda2, nu2, alpha, n)):
-        bound = 4 * D(2) ** -1074 if abs(want) < D(sys.float_info.min) else D("1e-12") * abs(want)
-        if not abs(D(rec[key]) - want) <= bound:
-            return False
+def equivalence_refusal_is_due(lambda2: float, nu2: float, alpha: float, n: int) -> bool:
+    """Whether equivalence may exit 1: where eb may, or where another of its fields is past
+    the floats: the n = 1 slack, 2*tau, or lambda2 + nu2 (marginal_cov, the variance total)."""
+    D = decimal.Decimal
+    if eb_refusal_is_due(lambda2, nu2, alpha, n):
+        return True
+    tau, slack = eb_by_decimal(lambda2, nu2, alpha, 1)[1::2]
+    return any(abs(v) > D(sys.float_info.max) for v in (slack, 2 * tau, D(lambda2) + D(nu2)))
+
+
+def near(got: float, want: decimal.Decimal) -> bool:
+    """Whether got is within 1e-12 relative of want, or within 4 subnormal steps where want
+    is subnormal."""
+    D = decimal.Decimal
+    bound = 4 * D(2) ** -1074 if abs(want) < D(sys.float_info.min) else D("1e-12") * abs(want)
+    return abs(D(got) - want) <= bound
+
+
+def eb_matches_decimal(rec: dict, lambda2: float, nu2: float, alpha: float, n: int) -> bool:
+    """Whether an eb or equivalence record has eb_by_decimal's d, tau and shrinkage (near)."""
+    return all(near(rec[key], want) for key, want
+               in zip(("d", "tau", "shrinkage"), eb_by_decimal(lambda2, nu2, alpha, n)))
+
+
+def moments_match_decimal(out: str, phi: float, rho: float, delta: float) -> bool:
+    """Whether each value of a heavytail moments report is r*pi/sin(pi*r)*(delta/phi)^r,
+    r = k/rho, within 1e-12 relative: the power at 50 digits, the factor in floats."""
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        for rec in json.loads(out):
+            if rec["value"] is None:
+                continue
+            r = rec["k"] / rho
+            want = D(r * math.pi / math.sin(math.pi * r)) * (D(delta) / D(phi)) ** D(r)
+            if not near(rec["value"], want):
+                return False
     return True
 
 
@@ -206,6 +235,16 @@ class TestEbCommand:
         assert (rc, err) == (0, "")
         assert json.loads(out)[0]["admissible"] is rec["admissible"]
 
+    def test_near_the_float_maximum(self, capsys):
+        """lambda2 + nu2 passes the floats, but d, tau and the shrinkage do not: they are
+        derived at the unit scale. 50-digit decimal gives d = 1.586e308, tau = -2.93e307."""
+        rc, out, err = run(capsys, "eb", "--lambda2=1e308", "--nu2=1e308", "--alpha=-0.5")
+        assert (rc, err) == (0, "")
+        rec = json.loads(out)
+        assert (rec["d"], rec["tau"], rec["shrinkage"]) == (
+            1.5857864376269049e+308, -2.9289321881345245e+307, 0.86192881254230169)
+        assert eb_matches_decimal(rec, 1e308, 1e308, -0.5, 2)
+
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_cluster_size_below_one(self, capsys, n):
         rc, out, err = run(
@@ -292,7 +331,7 @@ class TestSimulateAndFit:
         for argv in (cs, cs + ["--out", str(out)]):
             rc, stdout, err = run(capsys, *argv)
             assert (rc, stdout) == (2, "")
-            assert "--latent requires --model extended" in err
+            assert "simulate --model cs takes no --latent" in err
         assert not out.exists() and not latent.exists()
 
     @pytest.mark.parametrize(
@@ -599,15 +638,16 @@ SIMULATE_EXTENDED = ["simulate", "--model", "extended", "--lambda2", "1", "--nu2
                      "--alpha", "0", *LAYOUT]
 
 # ROADMAP item 12's extremes: each float flag at 10^k, at 0.5, 1 and 3, and the
-# variance components also at -0.2 and -1e-300.
+# variance components also at -0.2 and -1e-300; those of eb and equivalence also near
+# the float maximum, and their alpha also at -0.5.
 EXTREMES = [f"1e{k}" for k in (-320, -300, -150, -8, 8, 150, 300)] + ["0.5", "1", "3"]
 SIGNED = EXTREMES + ["-0.2", "-1e-300"]
+WIDE = {"--lambda2": SIGNED + ["1e308", "1.7e308"], "--nu2": SIGNED + ["1e308", "1.7e308"]}
 WE_EXTREMES = dict.fromkeys(["--phi", "--rho", "--delta"], EXTREMES)
 EXTREMES_GRID = {  # name -> (fixed argv, {float flag: values}); every combination is run
-    "eb": (["eb"], {"--lambda2": SIGNED, "--nu2": SIGNED, "--alpha": EXTREMES}),
-    "eb --n 5": (["eb", "--n=5"], {"--lambda2": SIGNED, "--nu2": SIGNED, "--alpha": EXTREMES}),
-    "equivalence": (["equivalence"],
-                    {"--lambda2": SIGNED, "--nu2": SIGNED, "--alpha-grid": EXTREMES}),
+    "eb": (["eb"], {**WIDE, "--alpha": EXTREMES + ["-0.5"]}),
+    "eb --n 5": (["eb", "--n=5"], {**WIDE, "--alpha": EXTREMES + ["-0.5"]}),
+    "equivalence": (["equivalence"], {**WIDE, "--alpha-grid": EXTREMES + ["-0.5"]}),
     "heavytail moments": (["heavytail", "moments", "--k", "1..3"], WE_EXTREMES),
     "heavytail sample": (["heavytail", "sample", "--n", "3", "--seed", "1"], WE_EXTREMES),
     "heavytail trace": (["heavytail", "trace", "--n", "3", "--seed", "1"], WE_EXTREMES),
@@ -681,6 +721,7 @@ class TestContract:
             ([*SIMULATE_CS, "--alpha", "0"], "simulate --model cs", "--alpha"),
             ([*SIMULATE_EXTENDED, "--lambda", "5"], "simulate --model extended", "--lambda"),
             ([*SIMULATE_EXTENDED, "--phi", "9"], "simulate --model extended", "--phi"),
+            ([*SIMULATE_CS, "--latent", "-"], "simulate --model cs", "--latent"),
         ],
     )
     def test_unread_flags_are_usage_errors_naming_the_flag(self, capsys, argv, mode, flag):
@@ -688,6 +729,26 @@ class TestContract:
         rc, out, err = run(capsys, *argv)
         assert (rc, out) == (2, "")
         assert err.splitlines()[-1] == f"unobs-lab: error: {mode} takes no {flag}"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ([*SAMPLE[:-2]], "heavytail sample requires --seed"),
+            ([*SAMPLE[:-4], "--seed", "1"], "heavytail sample requires --n"),
+            ([*TRACE[:-4]], "heavytail trace requires --n"),
+            ([*SIMULATE_CS[:5], *LAYOUT], "simulate --model cs requires --phi"),
+            ([*SIMULATE_CS[:3], *LAYOUT, "--lambda2", "1"], "simulate --model cs requires --lambda"),
+            ([*SIMULATE_EXTENDED[:7], *LAYOUT], "simulate --model extended requires --alpha"),
+            ([*SIMULATE_EXTENDED[:3], *LAYOUT, "--phi", "1"],
+             "simulate --model extended takes no --phi"),
+        ],
+    )
+    def test_required_flags_are_usage_errors_naming_the_mode(self, capsys, argv, message):
+        """A flag that the action or model requires is named where it is missing; where
+        several flags are at fault, the first in COMMANDS order."""
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err.splitlines()[-1] == f"unobs-lab: error: {message}"
 
     @pytest.mark.parametrize(
         "argv,flag",
@@ -829,9 +890,11 @@ class TestContract:
     @pytest.mark.parametrize("name", list(EXTREMES_GRID))
     def test_extremes_grid(self, capsys, name):
         """Every float flag at ROADMAP item 12's extremes, in every combination: exit 0
-        with finite numbers only, or exit 1 with one error line, and no warning. eb exits 1
-        only where its input is outside the domain or an answer is past the floats, and
-        its records match 50-digit decimal (eb_matches_decimal)."""
+        with finite numbers only, or exit 1 with one error line, and no warning. eb and
+        equivalence exit 1 only where the input is outside the domain or a field is past the
+        floats, and their records match 50-digit decimal (eb_matches_decimal); heavytail
+        moments exits 1 only for a moment past the floats, and its values match
+        moments_match_decimal."""
         argv, flags = EXTREMES_GRID[name]
         bad = []
         for values in itertools.product(*flags.values()):
@@ -841,10 +904,18 @@ class TestContract:
                 rc, out, err = run(capsys, *call)
             ok = (rc == 0 and err == "" and not re.search(r"(?i)\b(inf|infinity|nan)\b", out)
                   or rc == 1 and out == "" and re.fullmatch(r"error: [^\n]*\n", err))
+            floats = [float(v) for v in values]
             if name.startswith("eb"):
-                floats, n = [float(v) for v in values], 5 if "--n=5" in argv else 2
-                due = eb_refusal_is_due(*floats, n=n) if rc else eb_matches_decimal(out, *floats, n)
+                n = 5 if "--n=5" in argv else 2
+                due = eb_refusal_is_due(*floats, n) if rc else eb_matches_decimal(
+                    json.loads(out), *floats, n)
                 ok = ok and due
+            elif name == "equivalence":
+                due = equivalence_refusal_is_due(*floats, 2) if rc else eb_matches_decimal(
+                    json.loads(out)[0], *floats, 2)
+                ok = ok and due
+            elif name == "heavytail moments":
+                ok = ok and ("past the floats" in err if rc else moments_match_decimal(out, *floats))
             if not ok or seen:
                 bad.append((call, rc, err, [str(w.message) for w in seen]))
         assert not bad, (len(bad), bad[:5])
@@ -875,6 +946,20 @@ class TestContract:
                 if not (rc == 1 and out == "" and line and names[flag] in err) or seen:
                     bad.append((call, rc, out[:80], err, [str(w.message) for w in seen]))
         assert not bad, bad
+
+    @pytest.mark.parametrize(
+        "argv,field",
+        [
+            (["eb", "--lambda2=1.7e308", "--nu2=1.7e308", "--alpha=0"], "d"),
+            (["equivalence", "--lambda2", "1e200", "--nu2", "1e200", "--alpha-grid=-0.5",
+              "--n", "4"], "slack"),
+        ],
+    )
+    def test_field_past_the_floats_is_named(self, capsys, argv, field):
+        """d = 5.1e308; the n = 1 slack = 1.5e400: past the floats, so exit 1 naming it."""
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (1, "")
+        assert err == f"error: {field}: non-finite value inf cannot be written as JSON\n"
 
     def test_float_array_with_nan_is_refused(self):
         with pytest.raises(ValueError, match="non-finite value nan"):
@@ -1014,7 +1099,7 @@ class TestGrammar:
              "unobs-lab equivalence: error: argument --alpha-grid: expected one argument\n"),
             (["heavytail", "trace", "--phi", "1", "--rho", "1", "--delta", "1", "--n", "3"],
              "usage: unobs-lab [-h] {equivalence,eb,fit,simulate,heavytail,pit} ...\n"
-             "unobs-lab: error: --seed is required for stochastic subcommands\n"),
+             "unobs-lab: error: heavytail trace requires --seed\n"),
         ],
     )
     def test_usage_errors_are_byte_identical(self, argv, err, capsys, monkeypatch):

@@ -142,6 +142,22 @@ class TestDeriveDTau:
         )
         assert tau * tau <= d * nu2 + 1e-12
 
+    def test_scaled_by_powers_of_four(self):
+        """d and tau are of degree 1 in (lambda2, nu2), and derived at the unit scale: 4^k
+        times the values at scale 1, bit for bit, out to the float maximum."""
+        for lam2, nu2, alpha in ((3.0, 1.0, -0.5), (1.0, 1.0, 0.2), (0.25, 1.5, -0.9)):
+            d, tau = derive_d_tau(lam2, nu2, alpha)
+            for k in (-400, -100, 100, 400, 510):
+                assert derive_d_tau(lam2 * 4.0**k, nu2 * 4.0**k, alpha) == (
+                    d * 4.0**k, tau * 4.0**k)
+
+    def test_near_the_float_maximum(self):
+        # lambda2 + nu2 = 2e308 passes the floats; d and tau do not (50-digit decimal)
+        d, tau = derive_d_tau(1e308, 1e308, -0.5)
+        assert d == pytest.approx(1.5857864376269049e308, rel=1e-15)
+        assert tau == pytest.approx(-2.9289321881345245e307, rel=1e-15)
+        assert derive_d_tau(1.7e308, 1.7e308, 0.0) == (math.inf, -1.7e308)  # d = 5.1e308
+
     def test_all_tau_negative_for_negative_lambda2(self):
         for lam2 in np.linspace(-0.99, -0.01, 25):
             for alpha in np.linspace(-1, 1, 21):
