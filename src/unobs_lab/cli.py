@@ -3,6 +3,8 @@
 Exit codes are a stable contract: 0 success, 1 domain/numeric error, 2 usage
 error. Identical seeds and flags produce byte-identical output; all numbers are
 serialized with 17 significant digits so byte-level reproducibility is meaningful.
+The only value check here is REPORT_MAX_N; every other exit 1 is the library's
+refusal, which names the parameter (seed, n_draws, lambda2), not the flag.
 
 Note: an option value that starts with '-' may be a separate word only when
 it is a negative number or a lone '-' (``--alpha -0.5``, ``--out -``); any
@@ -68,20 +70,6 @@ def _json(obj) -> str:
 def _dest(path):
     """Where --out or --latent goes: stdout when it is absent or '-', else the path."""
     return sys.stdout if path in (None, "-") else path
-
-
-def _draw_count(n: int) -> int:
-    """--n of sample and pit, refused by name before anything is drawn."""
-    if n < 0:
-        raise DomainError(f"--n = {n}: the number of draws must be >= 0")
-    return n
-
-
-def _seed(seed: int) -> int:
-    """--seed of the stochastic subcommands, refused by name outside 64 bits."""
-    if not 0 <= seed <= 2**64 - 1:
-        raise DomainError(f"--seed = {seed}: the seed must be an integer in [0, 2**64 - 1]")
-    return seed
 
 
 def _bad_value(message: str) -> Exception:
@@ -159,11 +147,13 @@ REPORT_MAX_N = 64
 def _cmd_equivalence(args) -> int:
     if not 1 <= args.n <= REPORT_MAX_N:
         raise DomainError(f"dimension {args.n} outside [1, {REPORT_MAX_N}]")
-    records = [
-        _equivalence_record(args.lambda2, args.nu2, alpha, args.n)
-        for alpha in args.alpha_grid
-    ]
-    write_rows(_dest(args.out), _json(records) + "\n")
+    records = [_equivalence_record(args.lambda2, args.nu2, alpha, args.n)
+               for alpha in args.alpha_grid]
+    try:  # one record at a time, as _json(records) writes them, to name the alpha at fault
+        text = ", ".join(_json(record := r) for r in records)
+    except ValueError as exc:
+        raise ValueError(f"alpha = {record['alpha']}: {exc}") from None
+    write_rows(_dest(args.out), "[" + text + "]\n")
     return 0
 
 
@@ -217,12 +207,12 @@ def _cmd_simulate(args) -> int:
     layout = est.SimLayout(n_clusters=args.n_clusters, cluster_size=args.cluster_size)
     if args.model == "cs":
         params = CSParams(xi=np.array(args.xi), lam=args.lam, phi=args.phi)
-        data = est.simulate_cs(params, layout, seed=_seed(args.seed))
+        data = est.simulate_cs(params, layout, seed=args.seed)
     else:
         from unobs_lab.equivalence import ExtendedSpec
 
         spec = ExtendedSpec(lambda2=args.lambda2, nu2=args.nu2, alpha=args.alpha)
-        data, latents = est.simulate_extended(spec, args.xi, layout, seed=_seed(args.seed))
+        data, latents = est.simulate_extended(spec, args.xi, layout, seed=args.seed)
     write_dataset_csv(data, _dest(args.out))
     if args.latent is not None:  # one line per cluster: id, b, eps1..epsn
         n = args.cluster_size
@@ -240,11 +230,10 @@ def _cmd_heavytail(args) -> int:
         records = [ht.we_moment(spec, k)._asdict() for k in args.k]
         write_rows(_dest(args.out), _json(records) + "\n")
     elif args.action == "sample":
-        draws = ht.we_sample(spec, _draw_count(args.n), seed=_seed(args.seed))
+        draws = ht.we_sample(spec, args.n, seed=args.seed)
         write_rows(_dest(args.out), "", draws)
     else:  # trace
-        seed = _seed(args.seed)
-        n, mean = ht.running_mean_trace(spec, N=args.n, stride=args.stride, seed=seed)
+        n, mean = ht.running_mean_trace(spec, N=args.n, stride=args.stride, seed=args.seed)
         write_rows(_dest(args.out), "n,running_mean\n", n, mean)
     return 0
 
@@ -253,8 +242,7 @@ def _cmd_pit(args) -> int:
     from unobs_lab import heavytail as ht
 
     spec = ht.WeibullExpSpec(phi=args.phi, rho=args.rho, delta=args.delta)
-    n = _draw_count(args.n)
-    draws = ht.pit_sample(lambda u: ht.we_quantile(spec, u), n, seed=_seed(args.seed))
+    draws = ht.pit_sample(lambda u: ht.we_quantile(spec, u), args.n, seed=args.seed)
     write_rows(_dest(args.out), "", draws)
     return 0
 

@@ -141,29 +141,30 @@ def derive_d_tau(lambda2: float, nu2: float, alpha: float) -> tuple[float, float
     return _ldexp(d, -2 * k), _ldexp(tau, -2 * k)
 
 
-class ExtendedSpec(namedtuple("ExtendedSpec", "lambda2 nu2 alpha d tau")):
+class ExtendedSpec(namedtuple("ExtendedSpec", "lambda2 nu2 alpha")):
     """Correlated random-intercept model indexed by alpha in [-1, 1].
 
     (lambda2, nu2) are the marginal compound-symmetry parameters; d and tau
-    are derived at construction by derive_d_tau, which also validates all
-    three. _replace, _make, copy and pickle go through __new__ too, so d and
-    tau always match alpha: _replace refuses d and tau, _make takes three values.
+    are derived from the three fields on each read by derive_d_tau, which
+    __new__ runs to validate them. _replace, _make, copy and pickle go through
+    __new__ too, so no public path skips the checks.
     """
 
     __slots__ = ()
 
     def __new__(cls, lambda2: float, nu2: float, alpha: float):
-        return super().__new__(cls, lambda2, nu2, alpha, *derive_d_tau(lambda2, nu2, alpha))
+        derive_d_tau(lambda2, nu2, alpha)
+        return super().__new__(cls, lambda2, nu2, alpha)
 
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
 
     def _replace(self, **changes):
-        return type(self)(**dict(zip(self._fields[:3], self), **changes))
+        return type(self)(**dict(self._asdict(), **changes))
 
-    def __getnewargs__(self):
-        return self[:3]
+    d = property(lambda self: derive_d_tau(*self)[0])
+    tau = property(lambda self: derive_d_tau(*self)[1])
 
 
 class DecompRow(namedtuple("DecompRow", "quantity sigma2_part d_part two_tau_part")):
@@ -214,7 +215,7 @@ def intercept_given_y(spec: ExtendedSpec, n: int) -> tuple[float, float]:
     _unit keeps a subnormal nu2 at its own scale, n*lambda2 may pass the floats; m is then
     divided through by n, so c is still about 1 and v a subnormal or 0.
     """
-    unit, k = _unit(*spec[:3])
+    unit, k = _unit(*spec)
     _, nu2, _, d, tau = unit
     m = nu2 + n * (d + 2.0 * tau)
     if not m > 0:
@@ -241,7 +242,7 @@ def psd_slack(spec: ExtendedSpec, n: int = 1) -> float:
     at |alpha| = 1. It is computed at the unit scale (_unit) and scaled back, so a slack
     too small or too large for a float is a zero or an infinity of the right sign.
     """
-    unit, k = _unit(*spec[:3])
+    unit, k = _unit(*spec)
     return _ldexp(_slack(unit, n), -4 * k)
 
 
@@ -251,7 +252,7 @@ def least_eigenvalue(spec: ExtendedSpec, n: int) -> float:
     joint_cov has the eigenvalues nu2 (n - 1 times) and the two of
     [[d, tau*sqrt(n)], [tau*sqrt(n), nu2]]: top and psd_slack(spec, n)/top.
     """
-    unit, k = _unit(*spec[:3])
+    unit, k = _unit(*spec)
     _, nu2, _, d, tau = unit
     top = (d + nu2) / 2 + math.hypot((d - nu2) / 2, tau * math.sqrt(n))
     low = _slack(unit, n) / top
@@ -272,7 +273,7 @@ def admissible(spec: ExtendedSpec, n: int) -> bool:
     Slack and bound are both tested at the unit scale (_unit), where neither under- nor
     overflows, so the decision does not depend on the scale of (lambda2, nu2).
     """
-    unit, _ = _unit(*spec[:3])
+    unit, _ = _unit(*spec)
     lambda2, nu2, alpha, _, tau = unit
     t = nu2 + math.sqrt(nu2) * abs(alpha) * math.sqrt(lambda2 + nu2)
     bound = 16.0 * EPS * (nu2 * (lambda2 + nu2) + (n - 1) * (abs(tau) + t) * t)

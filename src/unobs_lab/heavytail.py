@@ -58,6 +58,7 @@ __all__ = [
 POLE_TOL = 1e-9
 BLOCK = 1 << 15  # draws per block of every sampler
 NORMAL_BITS, INF_BITS = 0x0010000000000000, 0x7FF0000000000000  # of 2.2e-308 and inf
+TINY = 2.0**-960  # from it up, u*delta and (1-u)*phi are normal where u, 1-u >= 2^-53
 QUAD_RTOL = 1e-12  # truncated_moment's refusal bound on its error estimate
 MAX_PANELS = 1 << 17  # and its bound on the panel count, which keeps it within about 120 MB
 TAIL_LOG_U = 40.0  # past log u = 40, (1+u)^-2 is u^-2 to 2e^-40 = 8.5e-18, relative
@@ -110,16 +111,13 @@ class MomentResult(namedtuple("MomentResult", "k formula_defined integral_finite
 # ---------------------------------------------------------------------------
 
 
-def _near_nonpositive_integer(x: float) -> bool:
-    """-inf counts as an integer, as every float below -2**53 is one."""
-    return x < 0.5 and (x == -math.inf or abs(x - round(x)) <= POLE_TOL)
-
-
 def wg_moment_defined(alpha_g: float, rho: float, k: int) -> bool:
-    """Whether Gamma(alpha_g - k/rho) in the general moment avoids a pole."""
+    """Whether Gamma(alpha_g - k/rho) in the general moment avoids a pole (-inf is one,
+    as every float below -2**53 is an integer)."""
     if not (alpha_g > 0 and rho > 0 and k > 0):
         raise DomainError("alpha_g, rho, k must be positive")
-    return not _near_nonpositive_integer(alpha_g - k / rho)
+    x = alpha_g - k / rho
+    return not (x < 0.5 and (x == -math.inf or abs(x - round(x)) <= POLE_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -153,27 +151,30 @@ def we_quantile(spec: WeibullExpSpec, u):
 def _quantile(spec: WeibullExpSpec, u: np.ndarray, out: np.ndarray):
     """we_quantile of u written to out; u is kept.
 
-    The direct form leaves the floats where delta/phi or an intermediate
-    product does, as at phi = 1e300, delta = 1e-300, where it gives 0 for a
-    median of 1e-12 at rho = 50. So the entries it gives as 0, subnormal or
-    inf (one pass finds them) are recomputed as (delta/phi)^(1/rho) *
-    (u/(1-u))^(1/rho), the first factor by _ratio_pow; every other entry keeps
-    its bits. Where the quantile still overflows the result is inf, without a
-    warning; the samplers refuse it by name (_non_finite).
+    The direct form t^(1/rho), t = delta*u / (phi*(1-u)), loses bits where t, u*delta or
+    (1-u)*phi leaves the normal floats, as at phi = 1e300, delta = 1e-300, where it gives
+    0 for a median of 1e-12 at rho = 50. Those entries (one pass finds t's; the products
+    are tested only where min(phi, delta) < TINY) are recomputed as (delta/phi)^(1/rho) *
+    (u/(1-u))^(1/rho), the first factor by _ratio_pow; every other entry keeps its bits.
+    Where the quantile still overflows the result is inf, without a warning; the samplers
+    refuse it by name (_non_finite).
     """
     import numpy as np
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         np.multiply(u, spec.delta, out=out)
         out /= (1.0 - u) * spec.phi
-        out **= 1.0 / spec.rho
         # a positive double's bits less the smallest normal's wrap round (unsigned)
         # below it, so only 0, subnormals, inf and nan reach inf's bits less the same
         span = out.view(np.uint64) - np.uint64(NORMAL_BITS)
-        if span.max(initial=0) >= INF_BITS - NORMAL_BITS:
+        out **= 1.0 / spec.rho
+        tiny = min(spec.phi, spec.delta) < TINY
+        if tiny or span.max(initial=0) >= INF_BITS - NORMAL_BITS:
             scale = _ratio_pow(spec.delta, spec.phi, 1.0 / spec.rho)
             if 0.0 < scale < math.inf:  # else scale * 0 could give nan: keep the direct form
                 bad = span >= INF_BITS - NORMAL_BITS
+                if tiny:  # and where u*delta or (1-u)*phi is subnormal
+                    bad |= np.minimum(u * spec.delta, (1.0 - u) * spec.phi) < sys.float_info.min
                 ub = u[bad]
                 out[bad] = scale * (ub / (1.0 - ub)) ** (1.0 / spec.rho)
     return out
@@ -220,6 +221,8 @@ def _fill(n_draws: int, seed: int, probabilities, quantile) -> np.ndarray:
     """All n_draws quantiles of _blocks, written block by block to one array."""
     import numpy as np
 
+    if n_draws < 0:  # refused by name before numpy allocates
+        raise DomainError(f"n_draws = {n_draws}: the number of draws must be >= 0")
     draws = np.empty(n_draws)
     for _ in _blocks(n_draws, seed, probabilities, quantile, out=draws):
         pass
@@ -262,7 +265,7 @@ def we_moment(spec: WeibullExpSpec, k: int) -> MomentResult:
         raise DomainError("moment order k must be a positive integer")
     phi, rho, delta = spec.phi, spec.rho, spec.delta
     r = k / rho
-    formula_defined = not _near_nonpositive_integer(1.0 - r)
+    formula_defined = wg_moment_defined(1.0, rho, k)
     integral_finite = k < rho and formula_defined
     value = None
     if integral_finite:

@@ -122,6 +122,30 @@ def moments_match_decimal(out: str, phi: float, rho: float, delta: float) -> boo
     return True
 
 
+def draws_match_decimal(name: str, out: str, phi: float, rho: float, delta: float,
+                        seed: int = 1) -> bool:
+    """Whether each value a heavytail sample, heavytail trace or pit report wrote is within
+    near() of its 50-digit quantile (of their running means, for trace). The probabilities
+    are Philox key (seed, 0)'s uniforms, or scipy's ndtr of its normals for pit, clipped
+    as the samplers clip them."""
+    got = [float(line.rsplit(",", 1)[-1]) for line in out.splitlines()[name.endswith("trace"):]]
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    if name == "pit":
+        from scipy.special import ndtr
+
+        u = ndtr(gen.standard_normal(len(got)))
+    else:
+        u = gen.random(len(got))
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.traps[decimal.Overflow] = 50, False
+        want = [(D(p) * D(delta) / ((1 - D(p)) * D(phi))) ** (1 / D(rho))
+                for p in np.clip(u, 1e-300, 1.0 - 1e-16)]
+        if name.endswith("trace"):
+            want = [sum(want[:i + 1]) / (i + 1) for i in range(len(want))]
+        return all(near(g, w) for g, w in zip(got, want))
+
+
 class TestEquivalenceCommand:
     def test_alpha_grid_report(self, capsys):
         rc, out, _ = run(
@@ -369,6 +393,13 @@ class TestSimulateAndFit:
         assert rc == 1
         assert "unidentified" in err
 
+    def test_rank_deficient_design_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "equal-columns.csv"
+        path.write_text("cluster,unit,y,x1,x2\na,1,1,1,1\na,2,2,2,2\nb,1,3,1,1\nb,2,5,3,3\n")
+        rc, out, err = run(capsys, "fit", "--data", str(path))
+        assert (rc, out) == (1, "")
+        assert "no PD point has a finite likelihood" in err
+
 
 def inside_a_n(lambda2, nu2, n, points=5):
     """Alphas strictly inside A_n, the alphas whose (b, eps) law exists at size n."""
@@ -480,6 +511,12 @@ class TestHeavytailCommand:
         assert (rc, out) == (1, "")
         assert err == f"error: moment k=1 is about 1e{exponent}, past the floats\n"
 
+    @pytest.mark.parametrize("k", ["0", "0..2"])
+    def test_moment_order_below_one_is_refused(self, capsys, k):
+        rc, out, err = run(capsys, "heavytail", "moments", *WE, "--k", k)
+        assert (rc, out) == (1, "")
+        assert err == "error: moment order k must be a positive integer\n"
+
     def test_trace_row_count(self, tmp_path, capsys):
         path = tmp_path / "trace.csv"
         rc, _, _ = run(
@@ -510,7 +547,7 @@ class TestHeavytailCommand:
             "--n", "-1", "--seed", "5",
         )
         assert (rc, out) == (1, "")
-        assert err == "error: --n = -1: the number of draws must be >= 0\n"
+        assert err == "error: n_draws = -1: the number of draws must be >= 0\n"
 
     def test_trace_needs_seed(self, capsys):
         rc, _, _ = run(
@@ -561,7 +598,7 @@ class TestHeavytailCommand:
         spec = (["--lambda", "1"] if argv[0] == "simulate" else ["--rho", "1", "--delta", "1"])
         rc, out, err = run(capsys, *argv, *spec, "--phi", "1", f"--seed={seed}")
         assert (rc, out) == (1, "")
-        assert err == f"error: --seed = {seed}: the seed must be an integer in [0, 2**64 - 1]\n"
+        assert err == f"error: seed = {seed}: not a 64-bit unsigned integer, [0, 2**64 - 1]\n"
 
 
 class TestPitCommand:
@@ -796,6 +833,19 @@ class TestContract:
             f"error: argument {flag}: {text} has an empty item "
             "(a doubled, leading or trailing comma)")
 
+    @pytest.mark.parametrize(
+        "argv,flag,message",
+        [
+            (["equivalence", "--lambda2", "1", "--nu2", "1", "--alpha-grid=a,b"],
+             "--alpha-grid", "not a comma-separated float list: 'a,b'"),
+            ([*MOMENTS[:-1], "1..x"], "--k", "not a k range: '1..x'"),
+        ],
+    )
+    def test_malformed_lists_are_usage_errors_naming_the_flag(self, capsys, argv, flag, message):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err.splitlines()[-1].endswith(f"error: argument {flag}: {message}")
+
     def test_negative_number_may_be_a_separate_value(self, capsys):
         eb = ["eb", "--lambda2", "1", "--nu2", "1"]
         spaced = run(capsys, *eb, "--alpha", "-0.5")
@@ -916,6 +966,8 @@ class TestContract:
                 ok = ok and due
             elif name == "heavytail moments":
                 ok = ok and ("past the floats" in err if rc else moments_match_decimal(out, *floats))
+            elif not rc and name != "simulate --model cs":
+                ok = ok and draws_match_decimal(name, out, *floats)
             if not ok or seen:
                 bad.append((call, rc, err, [str(w.message) for w in seen]))
         assert not bad, (len(bad), bad[:5])
@@ -951,15 +1003,21 @@ class TestContract:
         "argv,field",
         [
             (["eb", "--lambda2=1.7e308", "--nu2=1.7e308", "--alpha=0"], "d"),
-            (["equivalence", "--lambda2", "1e200", "--nu2", "1e200", "--alpha-grid=-0.5",
+            (["equivalence", "--lambda2", "1e200", "--nu2", "1e200", "--alpha-grid=-1,-0.5",
               "--n", "4"], "slack"),
         ],
     )
     def test_field_past_the_floats_is_named(self, capsys, argv, field):
-        """d = 5.1e308; the n = 1 slack = 1.5e400: past the floats, so exit 1 naming it."""
+        """d = 5.1e308; the n = 1 slack = 1.5e400 at alpha = -0.5 (0 at alpha = -1): past
+        the floats, so exit 1 naming it, and for equivalence the alpha of its record."""
         rc, out, err = run(capsys, *argv)
+        record = "alpha = -0.5: " if argv[0] == "equivalence" else ""
         assert (rc, out) == (1, "")
-        assert err == f"error: {field}: non-finite value inf cannot be written as JSON\n"
+        assert err == f"error: {record}{field}: non-finite value inf cannot be written as JSON\n"
+
+    def test_value_without_a_json_form_is_a_type_error(self):
+        with pytest.raises(TypeError, match=r"^cannot serialize <class 'object'>$"):
+            _json({"v": object()})
 
     def test_float_array_with_nan_is_refused(self):
         with pytest.raises(ValueError, match="non-finite value nan"):

@@ -205,6 +205,10 @@ class TestJointCov:
         got = joint_cov(ExtendedSpec(0, 1, -1), 2)
         assert np.allclose(got, np.diag([0.0, 1.0, 1.0]), atol=1e-15)
 
+    def test_needs_one_error_at_least(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            joint_cov(ExtendedSpec(2, 1, 0), 0)
+
     def test_tau_zero_is_diagonal(self):
         got = joint_cov(ExtendedSpec(3, 1, -0.5), 3)
         assert np.allclose(got, np.diag([3.0, 1.0, 1.0, 1.0]), atol=1e-15)

@@ -236,6 +236,16 @@ class TestClosedForm:
         with pytest.raises(UnsupportedLayoutError):
             fit_balanced_closed_form(Dataset([1.0, 2.0, 1.0, 2.0], X, [2, 2]))
 
+    def test_single_observation_clusters_rejected(self):
+        with pytest.raises(UnsupportedLayoutError, match="cluster size >= 2"):
+            fit_balanced_closed_form(intercept_dataset([[1.0], [2.0]]))
+
+    def test_zero_between_variation_boundary(self):
+        """Equal cluster means give phi + n*lam = SSB/N = 0."""
+        data = intercept_dataset([[0.0, 2.0], [2.0, 0.0]])
+        with pytest.raises(DomainError, match="zero between-cluster variation"):
+            fit_balanced_closed_form(data)
+
 
 # ---------------------------------------------------------------------------
 # fit_ml

@@ -54,6 +54,7 @@ EXTREME = [
     WeibullExpSpec(phi=1e300, rho=50.0, delta=1e-300),  # delta/phi underflows: median 1e-12
     WeibullExpSpec(phi=1e-300, rho=50.0, delta=1e300),  # delta/phi overflows: median 1e12
     WeibullExpSpec(phi=1e-30, rho=1.0, delta=1e-30),  # u * delta underflows
+    WeibullExpSpec(phi=1e-320, rho=0.5, delta=1e-320),  # u*delta and (1-u)*phi are subnormal
 ]
 
 
@@ -103,6 +104,10 @@ class TestCdfQuantile:
             with pytest.raises(DomainError):
                 we_quantile(UNIT, bad)
 
+    def test_cdf_domain(self):
+        with pytest.raises(DomainError, match="support is y >= 0"):
+            we_cdf(UNIT, [1.0, -0.5])
+
     @pytest.mark.parametrize("spec", EXTREME)
     def test_quantile_where_the_direct_form_leaves_the_floats(self, spec):
         u = np.array([1e-300, 1e-20, 0.1, 0.5, 0.8462040482315447, 0.9, 1 - 1e-16])
@@ -116,6 +121,19 @@ class TestCdfQuantile:
         got = we_quantile(spec, u)
         kept = direct >= sys.float_info.min
         assert 0 < kept.sum() < len(u)
+        assert got[kept].tobytes() == direct[kept].tobytes()
+        want = [quantile_by_decimal(spec, v) for v in u[~kept].tolist()]
+        assert got[~kept] == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_only_entries_with_a_subnormal_product_are_recomputed(self):
+        """delta < TINY: u*delta is subnormal below u = 2.2e-8, though t stays normal."""
+        spec = WeibullExpSpec(phi=1e-20, rho=1.0, delta=1e-300)
+        u = np.geomspace(1e-27, 0.5, 200)
+        direct = u * spec.delta / ((1 - u) * spec.phi)
+        got = we_quantile(spec, u)
+        kept = u * spec.delta >= sys.float_info.min
+        assert 0 < kept.sum() < len(u)
+        assert (u / (1 - u) * (spec.delta / spec.phi)).min() >= sys.float_info.min  # t
         assert got[kept].tobytes() == direct[kept].tobytes()
         want = [quantile_by_decimal(spec, v) for v in u[~kept].tolist()]
         assert got[~kept] == pytest.approx(want, rel=1e-14, abs=0.0)
@@ -249,6 +267,11 @@ class TestMoments:
         with pytest.raises(ValueError):
             MomentResult(k=1, formula_defined=True, integral_finite=True, value=None)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_order_below_one_is_refused(self, k):
+        with pytest.raises(DomainError, match="moment order k must be a positive integer"):
+            we_moment(UNIT, k)
+
 
 class TestWgMomentDefined:
     def test_examples(self):
@@ -259,6 +282,11 @@ class TestWgMomentDefined:
     def test_tolerance(self):
         assert not wg_moment_defined(1.0, 1.0 + 1e-12, 1)
         assert wg_moment_defined(1.0, 1.001, 1)
+
+    @pytest.mark.parametrize("alpha_g,rho,k", [(0.0, 1.0, 1), (1.0, -1.0, 1), (1.0, 1.0, 0)])
+    def test_domain(self, alpha_g, rho, k):
+        with pytest.raises(DomainError, match="alpha_g, rho, k must be positive"):
+            wg_moment_defined(alpha_g, rho, k)
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +448,8 @@ class TestTruncatedMoment:
             truncated_moment(UNIT, 1, 0.0)
         with pytest.raises(DomainError, match="finite"):
             truncated_moment(UNIT, 1, math.inf)
+        with pytest.raises(DomainError, match="moment order k must be a positive integer"):
+            truncated_moment(UNIT, 0, 1.0)
 
     @pytest.mark.parametrize("k,T", [(1, 0.0), (0, 1.0), (1, float("nan")), (1, float("inf"))])
     def test_arguments_are_refused_before_scipy_is_imported(self, k, T):
@@ -451,6 +481,17 @@ def traced_peak(call) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "sample", [lambda n: we_sample(UNIT, n, seed=1),
+               lambda n: pit_sample(lambda u: we_quantile(UNIT, u), n, seed=1)],
+    ids=["we_sample", "pit_sample"])
+def test_negative_draw_count_is_refused_by_name(sample):
+    """Not numpy's "negative dimensions are not allowed"."""
+    with pytest.raises(DomainError, match=r"^n_draws = -1: the number of draws must be >= 0$"):
+        sample(-1)
+    assert len(sample(0)) == 0
 
 
 class TestWeSample:

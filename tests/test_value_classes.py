@@ -2,9 +2,9 @@
 
 Construction by position or keyword runs the same checks, with the same
 messages; fields cannot be assigned; the repr is Name(field=value, ...).
-ExtendedSpec derives d and tau at construction, and no public path (the
-constructor, _replace, _make, copy or pickle) gives one whose d and tau do
-not match its alpha.
+ExtendedSpec holds (lambda2, nu2, alpha) only and derives d and tau on each
+read, and every public path (the constructor, _replace, _make, copy or
+pickle) runs its checks.
 """
 
 import copy
@@ -123,6 +123,14 @@ def test_checks_refuse_positional_and_keyword_construction_alike(cls, kwargs, ex
 
 
 class TestExtendedSpecStaysDerived:
+    def test_holds_three_fields_and_derives_d_and_tau_on_read(self):
+        spec = ExtendedSpec(1.0, 1.0, 0.25)
+        assert spec._fields == ("lambda2", "nu2", "alpha") and len(spec) == 3
+        assert (spec.d, spec.tau) == derive_d_tau(1.0, 1.0, 0.25)
+        assert "__getnewargs__" not in vars(ExtendedSpec)
+        with pytest.raises(AttributeError):
+            spec.d = 0.0
+
     def test_replace_derives_d_and_tau_again(self):
         spec = ExtendedSpec(1.0, 1.0, 0.25)
         moved = spec._replace(alpha=-0.5)
