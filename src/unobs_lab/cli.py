@@ -17,6 +17,11 @@ is read from COMMANDS directly; help, abbreviations and usage errors go to the
 argparse parser built from it, so argparse is imported only for them. Each
 subcommand imports the modules it uses in its own body, so eb, equivalence and
 heavytail moments run without numpy.
+
+heavytail sample, heavytail trace and pit pass their sampler's generator form
+to write_rows as fill: the draws are made in one worker thread while the rows
+already final are formatted, and nothing is written unless every draw is
+finite, so an exit 1 leaves stdout empty and an --out file untouched.
 """
 
 from __future__ import annotations
@@ -230,11 +235,11 @@ def _cmd_heavytail(args) -> int:
         records = [ht.we_moment(spec, k)._asdict() for k in args.k]
         write_rows(_dest(args.out), _json(records) + "\n")
     elif args.action == "sample":
-        draws = ht.we_sample(spec, args.n, seed=args.seed)
-        write_rows(_dest(args.out), "", draws)
+        draws, fill = ht.we_sample_fill(spec, args.n, seed=args.seed)
+        write_rows(_dest(args.out), "", draws, fill=fill)
     else:  # trace
-        n, mean = ht.running_mean_trace(spec, N=args.n, stride=args.stride, seed=args.seed)
-        write_rows(_dest(args.out), "n,running_mean\n", n, mean)
+        n, mean, fill = ht.running_mean_fill(spec, N=args.n, stride=args.stride, seed=args.seed)
+        write_rows(_dest(args.out), "n,running_mean\n", n, mean, fill=fill)
     return 0
 
 
@@ -242,8 +247,8 @@ def _cmd_pit(args) -> int:
     from unobs_lab import heavytail as ht
 
     spec = ht.WeibullExpSpec(phi=args.phi, rho=args.rho, delta=args.delta)
-    draws = ht.pit_sample(lambda u: ht.we_quantile(spec, u), args.n, seed=args.seed)
-    write_rows(_dest(args.out), "", draws)
+    draws, fill = ht.pit_sample_fill(lambda u: ht.we_quantile(spec, u), args.n, seed=args.seed)
+    write_rows(_dest(args.out), "", draws, fill=fill)
     return 0
 
 

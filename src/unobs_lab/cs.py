@@ -115,7 +115,7 @@ def require_finite(**values: float) -> None:
             raise DomainError(f"{name} = {value} is non-finite")
 
 
-def write_rows(dest, head: str, *columns) -> None:
+def write_rows(dest, head: str, *columns, fill=None) -> None:
     """Write head, then one line per row of the columns: every row output.
 
     dest is a path or an open text handle; a path is written as UTF-8 with
@@ -125,17 +125,24 @@ def write_rows(dest, head: str, *columns) -> None:
     rows.Runs column's ready-made cells. The lines are made in numpy by
     unobs_lab.rows, which is loaded only when there are columns, so a JSON
     report, written as head alone, loads neither it nor numpy.
-    """
-    lines = ()
-    if columns:
-        from unobs_lab.rows import lines as row_lines
 
-        lines = row_lines(columns)
+    fill, if given, is an iterator that fills the columns' arrays in row
+    order, each value it yields the number of leading rows that are final.
+    It runs in one worker thread while this one formats, CHUNK rows at a
+    time, the rows it has reported final. Nothing is written until fill has
+    ended without error: the lines are held (formatting waits for fill's end
+    once rows.HOLD bytes are held), and a path is opened, so truncated, by
+    the worker after fill's last value. An error of fill or of that open is
+    raised here, and an error here stops the worker at its next value;
+    either way it is joined before this returns. Without fill every row is
+    final from the start and no thread is started.
+    """
+    if columns:
+        from unobs_lab.rows import write
+
+        return write(dest, head, columns, fill)
     if hasattr(dest, "write"):
         dest.write(head)
-        for chunk in lines:
-            dest.write(chunk.decode())
         return
     with open(dest, "wb") as fh:
         fh.write(head.encode())
-        fh.writelines(lines)

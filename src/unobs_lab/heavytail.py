@@ -24,7 +24,13 @@ non-finite values. The quantile therefore sees one block at a time and must
 be elementwise. we_sample and pit_sample fill their output block by block, so
 they peak at the output plus a few blocks (1.07 and 1.19 outputs at 1e6
 draws). running_mean_trace carries the running sum from block to block and
-keeps every stride-th sum only: 0.30 x 8N bytes at N = 1e6, stride 10.
+keeps every stride-th mean only: 0.33 x 8N bytes at N = 1e6, stride 10; a
+sum past the float maximum is carried scaled (_trace), so each mean that
+fits in a float is written. Each has a generator form (we_sample_fill,
+running_mean_fill, pit_sample_fill): the output arrays, not yet filled, and
+the generator that fills them, yielding after each block how many leading
+rows are final, which the CLI hands to cs.write_rows as its fill; the plain
+functions drain it and start no thread.
 """
 
 from __future__ import annotations
@@ -49,10 +55,13 @@ __all__ = [
     "we_cdf",
     "we_quantile",
     "we_sample",
+    "we_sample_fill",
     "we_moment",
     "truncated_moment",
     "running_mean_trace",
+    "running_mean_fill",
     "pit_sample",
+    "pit_sample_fill",
 ]
 
 POLE_TOL = 1e-9
@@ -61,6 +70,7 @@ NORMAL_BITS, INF_BITS = 0x0010000000000000, 0x7FF0000000000000  # of 2.2e-308 an
 TINY = 2.0**-960  # from it up, u*delta and (1-u)*phi are normal where u, 1-u >= 2^-53
 QUAD_RTOL = 1e-12  # truncated_moment's refusal bound on its error estimate
 MAX_PANELS = 1 << 17  # and its bound on the panel count, which keeps it within about 120 MB
+SUM_SCALE = 2.0**-64  # a trace's running sum past the float maximum is carried times this
 TAIL_LOG_U = 40.0  # past log u = 40, (1+u)^-2 is u^-2 to 2e^-40 = 8.5e-18, relative
 
 
@@ -217,16 +227,30 @@ def _blocks(n_draws: int, seed: int, probabilities, quantile, out=None):
         yield start, q
 
 
-def _fill(n_draws: int, seed: int, probabilities, quantile) -> np.ndarray:
-    """All n_draws quantiles of _blocks, written block by block to one array."""
+def _filled(n_draws: int, seed: int, probabilities, quantile):
+    """An array for the n_draws quantiles of _blocks, and the generator that fills it block
+    by block, yielding after each block how many leading draws are final."""
     import numpy as np
 
     if n_draws < 0:  # refused by name before numpy allocates
         raise DomainError(f"n_draws = {n_draws}: the number of draws must be >= 0")
     draws = np.empty(n_draws)
-    for _ in _blocks(n_draws, seed, probabilities, quantile, out=draws):
+    blocks = _blocks(n_draws, seed, probabilities, quantile, out=draws)
+    return draws, (start + len(q) for start, q in blocks)
+
+
+def _drained(arrays_and_fill) -> list:
+    """The arrays of a *_fill function, once its generator has filled them."""
+    *arrays, fill = arrays_and_fill
+    for _ in fill:
         pass
-    return draws
+    return arrays
+
+
+def we_sample_fill(spec: WeibullExpSpec, n_draws: int, seed: int):
+    """we_sample's array before it is filled, and the generator that fills it (see _filled),
+    for cs.write_rows's fill."""
+    return _filled(n_draws, seed, _uniforms, lambda u, q: _quantile(spec, u, q))
 
 
 def we_sample(spec: WeibullExpSpec, n_draws: int, seed: int) -> np.ndarray:
@@ -237,7 +261,7 @@ def we_sample(spec: WeibullExpSpec, n_draws: int, seed: int) -> np.ndarray:
     quantile is not finite (e.g. phi = 1e-300 with rho = 0.01), as
     pit_sample does.
     """
-    return _fill(n_draws, seed, _uniforms, lambda u, q: _quantile(spec, u, q))
+    return _drained(we_sample_fill(spec, n_draws, seed))[0]
 
 
 def _ratio_pow(num: float, den: float, r: float) -> float:
@@ -333,6 +357,54 @@ def truncated_moment(spec: WeibullExpSpec, k: int, T: float) -> float:
         return float(np.exp(shift + np.log(total)))
 
 
+def running_mean_fill(spec: WeibullExpSpec, N: int, stride: int, seed: int):
+    """running_mean_trace's arrays (n, mean), mean before it is filled, and the generator
+    that fills it block by block, yielding how many leading means are final, for
+    cs.write_rows's fill."""
+    import numpy as np
+
+    if not 1 <= stride <= N:
+        raise DomainError("need N >= stride >= 1")
+    n = np.arange(stride, N + 1, stride)
+    mean = np.empty(len(n))
+    return n, mean, _trace(spec, N, stride, seed, n, mean)
+
+
+def _trace(spec: WeibullExpSpec, N: int, stride: int, seed: int, n, mean):
+    """Fill mean with the running means at n, yielding after each block how many are final.
+
+    The running sum is carried from block to block; the means it ends in a block are
+    divided as they come. Draws are >= 0, so the sums pass the float maximum, if ever, from
+    the first infinite entry of some block on: from there the sum is carried times
+    SUM_SCALE and the mean written as (T/n) / SUM_SCALE, while the entries before keep
+    their unscaled bits.
+    """
+    import numpy as np
+
+    carry, scale = 0.0, 1.0  # the running sum so far, carried times scale
+    sums = np.empty(min(BLOCK, N))
+    for start, q in _blocks(N, seed, _uniforms, lambda u, q: _quantile(spec, u, q)):
+        m, s = len(q), sums[: len(q)]
+        if scale != 1.0:
+            q *= scale
+        first, i = q[0], 0 if scale != 1.0 else m  # i: the first entry carried scaled
+        with np.errstate(over="ignore"):
+            q[0] += carry
+            np.cumsum(q, out=s)
+        if not s[-1] < math.inf:
+            i = int(np.argmax(s == math.inf))
+            q[0], scale = first, SUM_SCALE
+            np.multiply(q[i:], scale, out=s[i:])
+            s[i] += (s[i - 1] if i else carry) * scale
+            np.cumsum(s[i:], out=s[i:])
+        carry = s[-1]
+        # the sums at n = (k + 1) * stride, k0 <= k < k1, end in this block
+        k0, k1 = start // stride, (start + m) // stride
+        np.divide(s[(k0 + 1) * stride - 1 - start :: stride], n[k0:k1], out=mean[k0:k1])
+        mean[(start + i) // stride : k1] /= scale
+        yield k1
+
+
 def running_mean_trace(
     spec: WeibullExpSpec, N: int, stride: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -340,28 +412,15 @@ def running_mean_trace(
 
     The draws are we_sample's, summed block by block with the running sum
     carried across blocks; cumsum adds in order, so the sums have the bits
-    of one cumsum over all N draws. Only every stride-th sum is kept.
+    of one cumsum over all N draws, until one passes the float maximum (see
+    _trace). Only every stride-th sum is kept.
 
     No convergence is implied for rho <= 1: the trace exists to show the
     heavy-tail jumps of a mean that does not exist. Raises ArithmeticError
     where we_sample does.
     """
-    import numpy as np
-
-    if not 1 <= stride <= N:
-        raise DomainError("need N >= stride >= 1")
-    n = np.arange(stride, N + 1, stride)
-    sums = np.empty(len(n))
-    carry = 0.0
-    for start, q in _blocks(N, seed, _uniforms, lambda u, q: _quantile(spec, u, q)):
-        q[0] += carry
-        np.cumsum(q, out=q)
-        carry = q[-1]
-        # the sums at n = (k + 1) * stride, k0 <= k < k1, end in this block
-        k0, k1 = start // stride, (start + len(q)) // stride
-        sums[k0:k1] = q[(k0 + 1) * stride - 1 - start :: stride]
-    sums /= n
-    return n, sums
+    n, mean = _drained(running_mean_fill(spec, N, stride, seed))
+    return n, mean
 
 
 # ---------------------------------------------------------------------------
@@ -369,17 +428,9 @@ def running_mean_trace(
 # ---------------------------------------------------------------------------
 
 
-def pit_sample(
-    quantile: Callable[[np.ndarray], np.ndarray], n_draws: int, seed: int
-) -> np.ndarray:
-    """Probability-integral-transform sampler: F^-1(ndtr(a)), a standard normal.
-
-    The draws run through the samplers' one block loop (_blocks): BLOCK
-    normals at a time, mapped in place by ndtr (unobs_lab.special), clipped,
-    then through quantile into their slice of the output, so the peak is the
-    output plus a few blocks. quantile is elementwise: it maps an array of probabilities,
-    one block of them, to an array of the same shape.
-    """
+def pit_sample_fill(quantile: Callable[[np.ndarray], np.ndarray], n_draws: int, seed: int):
+    """pit_sample's array before it is filled, and the generator that fills it (see
+    _filled), for cs.write_rows's fill."""
     import numpy as np
 
     from unobs_lab.special import ndtr
@@ -395,4 +446,18 @@ def pit_sample(
             )
         q[...] = vals
 
-    return _fill(n_draws, seed, normal_cdf, into)
+    return _filled(n_draws, seed, normal_cdf, into)
+
+
+def pit_sample(
+    quantile: Callable[[np.ndarray], np.ndarray], n_draws: int, seed: int
+) -> np.ndarray:
+    """Probability-integral-transform sampler: F^-1(ndtr(a)), a standard normal.
+
+    The draws run through the samplers' one block loop (_blocks): BLOCK
+    normals at a time, mapped in place by ndtr (unobs_lab.special), clipped,
+    then through quantile into their slice of the output, so the peak is the
+    output plus a few blocks. quantile is elementwise: it maps an array of probabilities,
+    one block of them, to an array of the same shape.
+    """
+    return _drained(pit_sample_fill(quantile, n_draws, seed))[0]

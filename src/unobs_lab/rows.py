@@ -1,9 +1,12 @@
 """The lines of every row output (CSV, latent, trace, sample), made in numpy.
 
-lines(columns) gives, for each i, the cells c1[i], c2[i], ... joined by ","
-and ended by "\n", for cs.write_rows to write. A column's dtype
-picks its conversion, with the bytes of Python's % operator: %d for an
-integer or bool column, %.17g for a float column and %s for a str or object
+lines(columns, ready) gives, for each i, the cells c1[i], c2[i], ... joined by
+"," and ended by "\n"; the chunk of rows start:stop is made once ready(stop)
+has returned. write(dest, head, columns, fill) is cs.write_rows of columns:
+it formats each chunk once fill, run in one worker thread, has made its rows
+final, and holds the lines until fill has ended. A column's dtype picks its
+conversion, with the bytes of Python's % operator: %d for an integer or bool
+column, %.17g for a float column and %s for a str or object
 column. Columns are formatted whole, CHUNK rows at a time: each column fills
 a uint8 matrix with one line per row and DROP in the cells it leaves out.
 DROP is 0xFF, a byte no UTF-8 text holds, so the matrices' bytes, read row by
@@ -51,14 +54,16 @@ dropped; %s writes each value's UTF-8 bytes.
 from __future__ import annotations
 
 import functools
+import math
 from collections import namedtuple
 from typing import Iterator
 
 import numpy as np
 
-__all__ = ["lines", "cells", "Runs", "CHUNK"]
+__all__ = ["lines", "write", "cells", "Runs", "CHUNK", "HOLD"]
 
 CHUNK = 1 << 13  # rows formatted at once: bounds the memory of any write
+HOLD = 1 << 26  # bytes of lines write holds while a fill runs, before it waits for its end
 SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
 EXP_MIN, EXP_MAX = -280, 280  # decimal exponents formatted in numpy
 TIE_TOL = 1e-9  # rounding within this of a half is decided exactly
@@ -318,7 +323,7 @@ def _expand(cells, ends, start: int, stop: int):
     return np.repeat(cells[first : last + 1], counts, axis=0)
 
 
-def _chunks(parts, n: int) -> Iterator[bytes]:
+def _chunks(parts, n: int, ready) -> Iterator[bytes]:
     # glibc's malloc maps each block above its mmap threshold (128 KiB at start) afresh
     # and unmaps it on free, so a chunk's temporaries would fault in new pages on every
     # chunk (36,000 faults in a 1e6-line trace). Freeing a mapped block raises the
@@ -326,6 +331,7 @@ def _chunks(parts, n: int) -> Iterator[bytes]:
     np.empty(HEAP_BLOCK, dtype=np.uint8)
     for start in range(0, n, CHUNK):
         stop = min(start + CHUNK, n)
+        ready(stop)
         comma = np.full((stop - start, 1), ord(","), dtype=np.uint8)
         cells = []
         for part in parts:
@@ -335,8 +341,11 @@ def _chunks(parts, n: int) -> Iterator[bytes]:
         yield M.tobytes().translate(None, bytes([DROP]))
 
 
-def lines(columns) -> Iterator[bytes]:
+def lines(columns, ready=lambda rows: None) -> Iterator[bytes]:
     """Each row's cells joined by "," and ended by "\n", CHUNK lines at a time.
+
+    ready(stop) is called before the lines up to row stop are made, and
+    returns once those rows of the columns hold their final values.
 
     Integer and bool columns are written as %d, float columns as %.17g, str
     and object columns as %s; any other dtype is a TypeError. A Runs column
@@ -347,4 +356,99 @@ def lines(columns) -> Iterator[bytes]:
     lengths = {n for n, _ in cols}
     if len(lengths) > 1:
         raise ValueError(f"columns differ in length: {sorted(lengths)}")
-    return _chunks([part for _, part in cols], lengths.pop() if lengths else 0)
+    return _chunks([part for _, part in cols], lengths.pop() if lengths else 0, ready)
+
+
+def write(dest, head: str, columns, fill) -> None:
+    """cs.write_rows(dest, head, *columns, fill=fill) of one or more columns: see there."""
+    final = _Final(dest, fill)
+    chunks = lines(columns, final.wait)
+    text = hasattr(dest, "write")
+    held, size = [head if text else head.encode()], 0
+    try:
+        final.start()
+        for chunk in chunks:
+            held.append(chunk.decode() if text else chunk)
+            size += len(chunk)
+            if final.ended or size >= HOLD:
+                _drain(final.wait(), held)
+        _drain(final.wait(), held)
+    finally:
+        final.close()
+
+
+def _drain(out, held: list) -> None:
+    for part in held:
+        out.write(part)
+    held.clear()
+
+
+class _Final:
+    """How many leading rows of a write are final, and where they go once all are.
+
+    Without a fill every row is final from the start, and start() opens the
+    destination at once. With one, start() runs fill in one worker thread,
+    which sets rows to each value fill yields and then opens the destination;
+    ended is set after that, or after fill's or open's error.
+    """
+
+    def __init__(self, dest, fill):
+        self.dest, self.fill, self.rows, self.ended, self.stop = dest, fill, 0, False, False
+        self.error = self.out = self.opened = self.cond = self.thread = None
+
+    def start(self) -> None:
+        if self.fill is None:
+            self._open()
+            self.rows, self.ended = math.inf, True
+            return
+        import threading
+
+        self.cond = threading.Condition()
+        self.thread = threading.Thread(target=self._run, daemon=True)
+        self.thread.start()
+
+    def _open(self) -> None:
+        """out: the handle dest, or the file of the path dest, opened for writing."""
+        if hasattr(self.dest, "write"):
+            self.out = self.dest
+        else:
+            self.out = self.opened = open(self.dest, "wb")
+
+    def _run(self) -> None:
+        try:
+            for rows in self.fill:
+                with self.cond:
+                    if self.stop:
+                        return
+                    self.rows = rows
+                    self.cond.notify()
+            if not self.stop:
+                self._open()
+        except BaseException as exc:
+            self.error = exc
+        finally:
+            with self.cond:
+                self.ended = True
+                self.cond.notify()
+
+    def wait(self, rows=math.inf):
+        """Return the open destination once rows leading rows are final (all, and the
+        destination open, by default); raise fill's error if it ended in one."""
+        if not (self.rows >= rows or self.ended):
+            with self.cond:
+                self.cond.wait_for(lambda: self.rows >= rows or self.ended)
+        if self.error is not None:
+            error, self.error = self.error, None  # no cycle through the worker's frame
+            raise error
+        if self.rows < rows < math.inf:
+            raise RuntimeError(f"fill ended with {self.rows} rows final, not {rows}")
+        return self.out
+
+    def close(self) -> None:
+        """Stop the worker at fill's next value, join it, and close what it opened."""
+        if self.thread is not None:
+            with self.cond:
+                self.stop = True
+            self.thread.join()
+        if self.opened is not None:
+            self.opened.close()

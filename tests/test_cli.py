@@ -12,6 +12,7 @@ import re
 import shlex
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -21,9 +22,11 @@ from hypothesis import strategies as st
 
 from unobs_lab import heavytail as ht
 from unobs_lab.cli import COMMANDS, REQUIRED, _fast_parse, _float_list, _json, build_parser, main
+from unobs_lab.cs import write_rows
 from unobs_lab.equivalence import ExtendedSpec
 from unobs_lab.estimation import SimLayout, simulate_cs, simulate_extended
 from unobs_lab.model_core import CSParams
+from unobs_lab.rows import CHUNK
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -663,6 +666,89 @@ class TestLineFormats:
         assert latent.read_text() == "cluster,b,eps1,eps2,eps3\n" + "".join(
             f"c{i + 1},{g17(lat.b[i])},{','.join(map(g17, eps[i]))}\n" for i in range(6)
         )
+
+
+SIZES = [0, 1, ht.BLOCK - 1, ht.BLOCK, ht.BLOCK + 1, 3 * ht.BLOCK + CHUNK + 7]
+WORKER_CASES = [(name, N, None) for name in ("heavytail sample", "pit") for N in SIZES] + [
+    ("heavytail trace", N, stride) for N in SIZES[1:] for stride in (1, 7, 10, ht.BLOCK + 3)
+    if stride <= N]
+
+# the first non-finite draw comes in a later block: draw 176,456 (block 5 from 0) of
+# seed 1's uniforms, draw 145,403 (block 4) of seed 5's normals for pit
+LATE = ["--phi=1", "--rho=0.01", "--delta=0.012", "--n", "1000000"]
+LATE_FAILURES = {
+    "heavytail sample": (["heavytail", "sample", *LATE, "--seed", "1"], 0.9999910693628081),
+    "heavytail trace": (["heavytail", "trace", *LATE, "--seed", "1"], 0.9999910693628081),
+    "pit": (["pit", *LATE, "--seed", "5"], 0.999999401217019),
+}
+
+
+class TestRowOutputsThroughTheWorker:
+    """sample, trace and pit fill their rows in a worker thread while the rows already
+    final are formatted: the bytes are the plain writer's, and an exit 1 writes nothing."""
+
+    SPEC = ht.WeibullExpSpec(phi=1.3, rho=1.0, delta=0.7)
+    FLAGS = ["--phi", "1.3", "--rho", "1", "--delta", "0.7"]
+
+    def library_rows(self, name, N, stride) -> str:
+        """write_rows, without a fill, of the library's arrays."""
+        if name == "heavytail trace":
+            head, columns = "n,running_mean\n", ht.running_mean_trace(self.SPEC, N, stride, 3)
+        elif name == "pit":
+            head, columns = "", [ht.pit_sample(lambda u: ht.we_quantile(self.SPEC, u), N, 3)]
+        else:
+            head, columns = "", [ht.we_sample(self.SPEC, N, 3)]
+        buf = io.StringIO()
+        write_rows(buf, head, *columns)
+        return buf.getvalue()
+
+    @pytest.mark.parametrize("name,N,stride", WORKER_CASES)
+    def test_bytes_are_the_plain_writers(self, tmp_path, capsys, name, N, stride):
+        argv = [*name.split(), *self.FLAGS, "--n", str(N), "--seed", "3"]
+        argv += ["--stride", str(stride)] if stride else []
+        want = self.library_rows(name, N, stride)
+        threads = threading.active_count()
+        assert run(capsys, *argv) == (0, want, "")
+        path = tmp_path / "rows.txt"
+        assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+        assert path.read_bytes() == want.encode()
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("name", list(LATE_FAILURES))
+    def test_failure_in_a_later_block_writes_nothing(self, tmp_path, capsys, name):
+        argv, u = LATE_FAILURES[name]
+        err = f"error: quantile returned a non-finite value at u = {u!r}\n"
+        threads = threading.active_count()
+        keep, missing = tmp_path / "keep.txt", tmp_path / "missing.txt"
+        keep.write_bytes(b"kept\n")
+        assert run(capsys, *argv) == (1, "", err)
+        assert run(capsys, *argv, "--out", str(keep)) == (1, "", err)
+        assert run(capsys, *argv, "--out", str(missing)) == (1, "", err)
+        assert keep.read_bytes() == b"kept\n" and not missing.exists()
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("argv", [["heavytail", "sample"], ["heavytail", "trace"], ["pit"]])
+    def test_out_into_a_missing_directory(self, tmp_path, capsys, argv):
+        path = tmp_path / "missing" / "rows.txt"
+        threads = threading.active_count()
+        rc, out, err = run(capsys, *argv, *self.FLAGS, "--n", "1000", "--seed", "3",
+                           "--out", str(path))
+        assert (rc, out) == (1, "")
+        assert err == f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("delta,n", [("30342284.689919677", ["--n", "3"]),
+                                         ("6e5", ["--stride", "1", "--n", "50"])])
+    def test_trace_sums_past_the_float_maximum(self, capsys, delta, n):
+        """Each running mean fits in a float though the running sum does not (from n = 2 at
+        the first delta, n = 41 at the second), so the means are written."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run(capsys, "heavytail", "trace", "--phi=1e-300", "--rho=1",
+                               f"--delta={delta}", *n, "--seed", "1")
+        assert (rc, err) == (0, "")
+        assert "inf" not in out and len(out.splitlines()) == int(n[-1]) + 1
+        assert draws_match_decimal("heavytail trace", out, 1e-300, 1.0, float(delta))
 
 
 WE = ["--phi", "1", "--rho", "2", "--delta", "1"]

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -16,6 +17,7 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 from scipy.stats import ks_2samp, kstest
 
+from unobs_lab import heavytail
 from unobs_lab.cs import DomainError
 from unobs_lab.heavytail import (
     BLOCK,
@@ -608,10 +610,56 @@ class TestRunningMeanTrace:
         expected = np.cumsum(we_sample(spec, N, seed=8))[want - 1] / want
         assert mean.tobytes() == expected.tobytes()
 
+    @staticmethod
+    def scaled_reference(draws, n):
+        """cumsum(draws)/n where the sums stay finite; from the first infinite sum on, the
+        sums of the draws times 2^-64, divided by n and times 2^64."""
+        with np.errstate(over="ignore"):
+            plain = np.cumsum(draws)[n - 1] / n
+        scaled = np.cumsum(draws * 2.0**-64)[n - 1] / n * 2.0**64
+        return np.where(np.isinf(plain), scaled, plain)
+
+    @pytest.mark.parametrize("stride", [1, 7, BLOCK + 3])
+    def test_sums_past_the_float_maximum_are_carried_scaled(self, stride):
+        """Seed 2's running sum passes the float maximum at draw 121,850, in block 3; the
+        means before keep their bits, and every mean after is finite."""
+        spec, N = WeibullExpSpec(1e-300, 1.0, 100.0), 4 * BLOCK
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            n, mean = running_mean_trace(spec, N, stride, seed=2)
+        want = self.scaled_reference(we_sample(spec, N, seed=2), n)
+        assert np.isfinite(mean).all()
+        assert mean.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_sums_past_the_float_maximum_from_a_block_start(self, monkeypatch, block):
+        """At BLOCK = 1 the sum first passes the floats at the first entry of a block."""
+        spec = WeibullExpSpec(1e-300, 1.0, 6e5)  # seed 1's sum passes the floats at n = 41
+        draws = we_sample(spec, 50, seed=1)
+        with np.errstate(over="ignore"):
+            assert np.flatnonzero(np.isinf(np.cumsum(draws)))[0] == 40
+        monkeypatch.setattr(heavytail, "BLOCK", block)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, mean = running_mean_trace(spec, 50, 1, seed=1)
+        assert mean.tobytes() == self.scaled_reference(draws, np.arange(1, 51)).tobytes()
+
     def test_peak_memory_keeps_only_every_stride_th_sum(self):
         N = 1_000_000
         peak = traced_peak(lambda: running_mean_trace(UNIT, N, 10, seed=1))
         assert peak < 0.5 * 8 * N  # n, the means and three blocks
+
+
+def test_samplers_start_no_thread(monkeypatch):
+    """Only cs.write_rows runs a fill in a worker; the library samplers drain it here."""
+    def refuse(thread):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    N = 2 * BLOCK + 3
+    assert len(we_sample(UNIT, N, seed=1)) == N
+    assert len(running_mean_trace(UNIT, N, 7, seed=1)[1]) == N // 7
+    assert len(pit_sample(lambda u: we_quantile(UNIT, u), N, seed=1)) == N
 
 
 class TestPitSample:

@@ -2,6 +2,7 @@
 
 import io
 import re
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -352,3 +353,91 @@ class TestRuns:
         units, id_cells = 8 * K * size, data.id_cells.nbytes
         assert id_cells == 20 * K
         assert peak < units + 2 * id_cells + 512 * CHUNK  # 512 bytes a row of a chunk
+
+
+def filling(out, values, step, fail=None):
+    """A fill: values copied into out step rows at a time, each step's end yielded;
+    fail, if given, is raised once that many rows are final."""
+    for start in range(0, len(values), step):
+        stop = min(start + step, len(values))
+        out[start:stop] = values[start:stop]
+        if fail is not None and stop >= fail:
+            raise ArithmeticError(f"failed at row {stop}")
+        yield stop
+
+
+class TestFill:
+    """write_rows(..., fill=...) formats the rows fill has made final while fill runs in one
+    worker thread, and writes nothing until fill has ended without error."""
+
+    N = 3 * CHUNK + 7
+
+    def values(self):
+        rng = np.random.default_rng(3)
+        return np.arange(self.N), rng.standard_cauchy(self.N)
+
+    @pytest.mark.parametrize("step", [1000, CHUNK, 5 * CHUNK])
+    @pytest.mark.parametrize("hold", [rows.HOLD, 1])
+    def test_bytes_of_the_filled_columns(self, tmp_path, monkeypatch, step, hold):
+        """hold = 1: formatting waits for fill's end after the first chunk."""
+        monkeypatch.setattr(rows, "HOLD", hold)
+        k, x = self.values()
+        want = "head\n" + expected("%d,%.17g\n", k, x)
+        threads = threading.active_count()
+        out = np.empty(self.N)
+        buf = io.StringIO()
+        write_rows(buf, "head\n", k, out, fill=filling(out, x, step))
+        assert buf.getvalue() == want
+        out = np.empty(self.N)
+        write_rows(tmp_path / "rows.txt", "head\n", k, out, fill=filling(out, x, step))
+        assert (tmp_path / "rows.txt").read_bytes() == want.encode()
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("fail", [1, CHUNK + 1, 3 * CHUNK])
+    def test_error_of_fill_is_raised_and_nothing_written(self, tmp_path, fail):
+        k, x = self.values()
+        threads = threading.active_count()
+        keep, missing = tmp_path / "keep.txt", tmp_path / "missing.txt"
+        keep.write_bytes(b"kept\n")
+        for dest in (io.StringIO(), keep, missing):
+            out = np.empty(self.N)
+            with pytest.raises(ArithmeticError, match=r"^failed at row \d+$"):
+                write_rows(dest, "head\n", k, out, fill=filling(out, x, 1000, fail))
+            if isinstance(dest, io.StringIO):
+                assert dest.getvalue() == ""
+        assert keep.read_bytes() == b"kept\n" and not missing.exists()
+        assert threading.active_count() == threads
+
+    def test_error_here_stops_the_worker(self, tmp_path):
+        """A cell that cannot be formatted stops fill at its next value; the file the worker
+        has not opened yet is not made."""
+        class Bad:
+            def __str__(self):
+                raise ValueError("no text")
+
+        steps = []
+
+        def endless(n):
+            for i in range(10**7):
+                steps.append(i)
+                yield n
+
+        threads = threading.active_count()
+        path = tmp_path / "rows.txt"
+        with pytest.raises(ValueError, match="^no text$"):
+            write_rows(path, "", np.array([Bad()] * 5, dtype=object), fill=endless(5))
+        assert threading.active_count() == threads
+        assert len(steps) < 10**7 and not path.exists()
+
+    def test_fill_that_ends_short_is_refused(self):
+        out = np.zeros(self.N)
+        with pytest.raises(RuntimeError, match=f"^fill ended with 5 rows final, not {CHUNK}$"):
+            write_rows(io.StringIO(), "", out, fill=iter([2, 5]))
+
+    def test_no_fill_starts_no_thread(self, tmp_path, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        k, x = self.values()
+        assert written(tmp_path, k, x) == expected("%d,%.17g\n", k, x)
