@@ -21,7 +21,9 @@ heavytail moments run without numpy.
 heavytail sample, heavytail trace and pit pass their sampler's generator form
 to write_rows as fill: the draws are made in one worker thread while the rows
 already final are formatted, and nothing is written unless every draw is
-finite, so an exit 1 leaves stdout empty and an --out file untouched.
+finite, so a refused draw leaves stdout empty and an --out file untouched.
+The worker opens --out after the last draw; an error in the formatting after
+that (an interrupt: int and float cells raise none) may find it truncated.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import math
 import sys
 from types import SimpleNamespace
 
-from unobs_lab.cs import DomainError, format_float, write_rows
+from unobs_lab.cs import DomainError, write_rows
 
 __all__ = ["main", "entry"]
 
@@ -51,7 +53,7 @@ def _json(obj) -> str:
     if isinstance(obj, float):
         if not math.isfinite(obj):
             raise ValueError(f"non-finite value {obj} cannot be written as JSON")
-        return format_float(obj)
+        return format(float(obj), ".17g")
     if obj is None:
         return "null"
     if isinstance(obj, bool):

@@ -18,7 +18,6 @@ __all__ = [
     "validate_cs",
     "require_finite",
     "write_rows",
-    "format_float",
 ]
 
 
@@ -32,11 +31,6 @@ class RankDeficiencyError(ValueError):
 
 class CsvFormatError(ValueError):
     """A dataset CSV file violates the long-format contract."""
-
-
-def format_float(x: float) -> str:
-    """Render a float with 17 significant digits (reproducible output)."""
-    return format(float(x), ".17g")
 
 
 class CSMatrix(namedtuple("CSMatrix", "n lam phi")):
@@ -132,10 +126,13 @@ def write_rows(dest, head: str, *columns, fill=None) -> None:
     time, the rows it has reported final. Nothing is written until fill has
     ended without error: the lines are held (formatting waits for fill's end
     once rows.HOLD bytes are held), and a path is opened, so truncated, by
-    the worker after fill's last value. An error of fill or of that open is
-    raised here, and an error here stops the worker at its next value;
-    either way it is joined before this returns. Without fill every row is
-    final from the start and no thread is started.
+    the worker after fill's last value. An error of fill, or of that open, is
+    raised here and leaves the destination untouched; an error here stops the
+    worker at its next value, and one after fill's last value (a cell whose
+    str() raises, say) may find a path truncated. The worker is joined before
+    this returns. Without fill no thread is started, every row is final from
+    the start and a path is opened before the first line; either way a column
+    that cannot be written is refused before anything is opened.
     """
     if columns:
         from unobs_lab.rows import write

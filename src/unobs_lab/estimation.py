@@ -65,10 +65,10 @@ class SimLayout(namedtuple("SimLayout", "n_clusters cluster_size")):
     def __new__(cls, n_clusters: int, cluster_size: int | Sequence[int]):
         self = super().__new__(cls, n_clusters, cluster_size)
         if n_clusters < 1:
-            raise ValueError("n_clusters must be >= 1")
+            raise ValueError(f"n_clusters must be >= 1: n_clusters = {n_clusters}")
         for n in self.sizes():
             if n < 1:
-                raise ValueError("cluster sizes must be >= 1")
+                raise ValueError(f"cluster sizes must be >= 1: cluster_size = {n}")
         return self
 
     def sizes(self) -> list[int]:

@@ -89,8 +89,9 @@ class WeibullExpSpec(namedtuple("WeibullExpSpec", "phi rho delta")):
     __slots__ = ()
 
     def __new__(cls, phi: float, rho: float, delta: float):
-        if not (phi > 0 and rho > 0 and delta > 0):
-            raise DomainError("phi, rho, delta must all be strictly positive")
+        for name, value in (("phi", phi), ("rho", rho), ("delta", delta)):
+            if not value > 0:
+                raise DomainError(f"phi, rho, delta must all be strictly positive: {name} = {value}")
         require_finite(phi=phi, rho=rho, delta=delta)
         return super().__new__(cls, phi, rho, delta)
 
@@ -364,7 +365,7 @@ def running_mean_fill(spec: WeibullExpSpec, N: int, stride: int, seed: int):
     import numpy as np
 
     if not 1 <= stride <= N:
-        raise DomainError("need N >= stride >= 1")
+        raise DomainError(f"need N >= stride >= 1: N = {N}, stride = {stride}")
     n = np.arange(stride, N + 1, stride)
     mean = np.empty(len(n))
     return n, mean, _trace(spec, N, stride, seed, n, mean)

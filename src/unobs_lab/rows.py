@@ -4,7 +4,9 @@ lines(columns, ready) gives, for each i, the cells c1[i], c2[i], ... joined by
 "," and ended by "\n"; the chunk of rows start:stop is made once ready(stop)
 has returned. write(dest, head, columns, fill) is cs.write_rows of columns:
 it formats each chunk once fill, run in one worker thread, has made its rows
-final, and holds the lines until fill has ended. A column's dtype picks its
+final, and holds the lines until fill has ended. The worker opens a path
+after fill's last value, so an error of fill leaves it untouched, and one in
+the formatting after that may find it truncated. A column's dtype picks its
 conversion, with the bytes of Python's % operator: %d for an integer or bool
 column, %.17g for a float column and %s for a str or object
 column. Columns are formatted whole, CHUNK rows at a time: each column fills
@@ -25,12 +27,7 @@ holds CHUNK rows of cells plus a Runs column's own cells.
 x * 10^s = p + r: p = x*hi and its exact rounding error come from Dekker's
 two-product (Numer. Math. 18, 1971) against a table of 10^s = hi + lo, and r
 also adds x*lo. p + r is off by less than 1e-14, so D = p + round(r) unless
-r lies within TIE_TOL of a half. Such a near tie is exact iff 2 * x * 10^s
-is an odd integer. For s >= 0 that holds iff y = x * 2^(s+1) is an integer
-(2 * x * 10^s = y * 5^s is then an integer within 2 * TIE_TOL of an odd
-one). For s < 0 it never holds: with x = M * 2^E, M odd, it needs
-E = -s - 1, so x < 2^53 * 2^(-s-1) < 10^(16-s) <= x. Exact ties come with
-floats of few binary digits, such as 1e15 + 0.25.
+r lies within TIE_TOL of a half.
 
 D's digits are five groups, its first digit and then four of four digits,
 one (n, 5) index into a table of every 4-digit group in ascii (_quads): G,
@@ -44,8 +41,9 @@ a trace mostly do, is written as it stands; any other chunk is sorted by
 (X, sign), written a group at a time and put back in order.
 
 Python formats the few values this does not settle: non-finite ones, |x|
-outside [1e-280, 1e280] (the table's products stay normal inside), a near
-tie that is not exact, and D out of range where log10 put X one off.
+outside [1e-280, 1e280] (the table's products stay normal inside), near
+ties (exact ones too, such as 1e15 + 0.25) and D out of range where log10
+put X one off.
 
 %d writes a sign byte, then the same 4-digit ascii groups, leading zeros
 dropped; %s writes each value's UTF-8 bytes.
@@ -55,6 +53,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from collections import namedtuple
 from typing import Iterator
 
@@ -66,7 +65,7 @@ CHUNK = 1 << 13  # rows formatted at once: bounds the memory of any write
 HOLD = 1 << 26  # bytes of lines write holds while a fill runs, before it waits for its end
 SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
 EXP_MIN, EXP_MAX = -280, 280  # decimal exponents formatted in numpy
-TIE_TOL = 1e-9  # rounding within this of a half is decided exactly
+TIE_TOL = 1e-9  # rounding within this of a half is left to Python
 WIDTH = 24  # the longest %.17g: "-d.dddddddddddddddde-XXX"
 DROP = 0xFF  # a matrix cell that is not written; never a byte of UTF-8
 HEAP_BLOCK = 1 << 21  # bytes: more than a chunk's largest temporary (see _chunks)
@@ -135,13 +134,7 @@ def _digits17(a: np.ndarray):
     f = r - q
     d0 = p.astype(np.int64) + q.astype(np.int64)
     D = d0 + (f > 0.5)
-    settled = np.abs(f - 0.5) >= TIE_TOL
-    near = np.flatnonzero(~settled)
-    if len(near):  # exact ties: y = a * 2^(17 - X) is an integer (X <= 16)
-        y = np.ldexp(a[near], (17 - X[near]).astype(np.int64))
-        D[near] = d0[near] + (d0[near] & 1)
-        settled[near] = (X[near] <= 16) & (y == np.floor(y))
-    settled &= (d0 >= 10**16) & (D < 10**17)
+    settled = (np.abs(f - 0.5) >= TIE_TOL) & (d0 >= 10**16) & (D < 10**17)
     return D, X.astype(np.int64), settled
 
 
@@ -394,16 +387,14 @@ class _Final:
 
     def __init__(self, dest, fill):
         self.dest, self.fill, self.rows, self.ended, self.stop = dest, fill, 0, False, False
-        self.error = self.out = self.opened = self.cond = self.thread = None
+        self.error = self.out = self.opened = self.thread = None
+        self.cond = threading.Condition()
 
     def start(self) -> None:
         if self.fill is None:
             self._open()
             self.rows, self.ended = math.inf, True
             return
-        import threading
-
-        self.cond = threading.Condition()
         self.thread = threading.Thread(target=self._run, daemon=True)
         self.thread.start()
 
@@ -434,9 +425,8 @@ class _Final:
     def wait(self, rows=math.inf):
         """Return the open destination once rows leading rows are final (all, and the
         destination open, by default); raise fill's error if it ended in one."""
-        if not (self.rows >= rows or self.ended):
-            with self.cond:
-                self.cond.wait_for(lambda: self.rows >= rows or self.ended)
+        with self.cond:
+            self.cond.wait_for(lambda: self.rows >= rows or self.ended)
         if self.error is not None:
             error, self.error = self.error, None  # no cycle through the worker's frame
             raise error

@@ -825,6 +825,20 @@ def every_command(tmp_path, m: int) -> list:
     ]
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["heavytail", "sample", "--phi", "1", "--rho=-1", "--delta", "1", "--n", "5", "--seed", "1"],
+     "phi, rho, delta must all be strictly positive: rho = -1.0"),
+    ([*TRACE, "--stride", "10"], "need N >= stride >= 1: N = 5, stride = 10"),
+    (["simulate", "--lambda", "1", "--phi", "1", "--n-clusters", "0", "--cluster-size", "2",
+      "--seed", "1"], "n_clusters must be >= 1: n_clusters = 0"),
+    (["simulate", "--lambda", "1", "--phi", "1", "--n-clusters", "3", "--cluster-size", "0",
+      "--seed", "1"], "cluster sizes must be >= 1: cluster_size = 0"),
+])
+def test_refusal_names_the_value_at_fault(capsys, argv, message):
+    """A library refusal that a flag reaches ends with the parameter and value at fault."""
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 class TestContract:
     def test_usage_error_is_exit_2(self, capsys):
         assert run(capsys, "nonsense")[0] == 2

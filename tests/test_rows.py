@@ -87,7 +87,7 @@ class TestG17:
         assert_g17(tmp_path, np.concatenate([above_1e9, above_2p53, big]))
 
     def test_near_ties_that_are_not_exact(self, tmp_path):
-        """x in [1, 2) with x * 1e16 = k + 1/2 + t / 2^36: settled by Python unless t = 0."""
+        """x in [1, 2) with x * 1e16 = k + 1/2 + t / 2^36: settled by Python, t = 0 too."""
         inv = pow(5**16, -1, 2**36)
         x = [1 + ((2**35 + t) * inv % 2**36) / 2**52 for t in (-68, -1, 0, 1, 68)]
         for v, t in zip(x, (-68, -1, 0, 1, 68)):
@@ -113,6 +113,9 @@ class TestG17:
         near_tie = 1 + ((2**35 + 1) * pow(5**16, -1, 2**36) % 2**36) / 2**52
         for odd in (np.inf, near_tie):
             assert_g17(tmp_path, np.concatenate([x[:100], [odd], x[100 : CHUNK - 1]]))
+        ties = 1e15 + np.arange(CHUNK) * 0.125  # all of X = 15: x * 10 = 1e16 + 1.25k
+        assert not rows._digits17(ties)[2][2::4].any()  # exact ties, such as 1e15 + 0.25
+        assert_g17(tmp_path, ties)
 
     def test_trailing_zero_groups(self, tmp_path):
         """Gm strips the last nonzero group only; the groups after it are all DROP."""
