@@ -87,7 +87,7 @@ def validate_cs(n_set, lam: float, phi: float) -> None:
 
     V is PD iff phi > 0 and phi + n*lam > 0 (its two distinct eigenvalues),
     with strict inequalities; boundary points are rejected, as are a cluster
-    size below 1 and an infinite lam or phi. Raises DomainError naming the first failure.
+    size below 1 and a non-finite lam or phi. Raises DomainError naming the first failure.
     """
     sizes = sorted(set(int(n) for n in n_set))
     if not sizes:
@@ -96,10 +96,10 @@ def validate_cs(n_set, lam: float, phi: float) -> None:
         raise DomainError(f"cluster size n = {sizes[0]} is not >= 1")
     if not phi > 0:
         raise DomainError(f"phi = {phi} is not strictly positive")
+    require_finite(lam=lam, phi=phi)
     for n in sizes:
         if not phi + n * lam > 0:
             raise DomainError(f"phi + n*lam = {phi + n * lam} <= 0 for cluster size n = {n}")
-    require_finite(lam=lam, phi=phi)
 
 
 def require_finite(**values: float) -> None:

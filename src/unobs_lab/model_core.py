@@ -19,7 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from unobs_lab.cs import CsvFormatError, DomainError, RankDeficiencyError, validate_cs, write_rows
+from unobs_lab.cs import (CsvFormatError, DomainError, RankDeficiencyError, require_finite,
+                          validate_cs, write_rows)
 
 __all__ = ["Dataset", "SuffStats", "CSParams", "gls_mean", "read_dataset_csv", "write_dataset_csv"]
 
@@ -38,8 +39,9 @@ def _frozen_array(a, dtype=float) -> np.ndarray:
 class Dataset:
     """Clustered data stored as read-only columns.
 
-    y (n_obs,) and X (n_obs, p) hold the rows cluster by cluster; cluster k
-    is cluster_ids[k] and owns rows offsets[k]:offsets[k+1]. Ids default to
+    y (n_obs,) and X (n_obs, p) hold the rows cluster by cluster, and a
+    DomainError names their first non-finite entry; cluster k is
+    cluster_ids[k] and owns rows offsets[k]:offsets[k+1]. Ids default to
     c1, c2, ... and covariate names to x1, x2, ...; id_cells holds the ids
     encoded once for every CSV that writes them.
     """
@@ -50,6 +52,9 @@ class Dataset:
         self.offsets = _frozen_array(np.concatenate(([0], np.cumsum(self.sizes))), dtype=np.int64)
         if self.y.ndim != 1 or self.X.ndim != 2 or len(self.X) != len(self.y):
             raise ValueError("X must have one row per observation of y")
+        for name, a in (("y", self.y), ("X", self.X)):
+            for at in np.argwhere(~np.isfinite(a))[:1].tolist():  # the first non-finite entry
+                require_finite(**{f"{name}{at}": a[tuple(at)]})
         if len(self.sizes) == 0 or self.sizes.min() < 1 or self.offsets[-1] != len(self.y):
             raise ValueError("need one or more clusters of size >= 1 covering every row")
         self._ids = None if cluster_ids is None else tuple(cluster_ids)
@@ -177,7 +182,7 @@ class SuffStats:
 
 
 class CSParams(namedtuple("CSParams", "xi lam phi")):
-    """Marginal compound-symmetry parameters (xi, lam, phi); lam may be negative."""
+    """Marginal compound-symmetry parameters (xi, lam, phi), all finite; lam may be negative."""
 
     __slots__ = ()
 
@@ -187,6 +192,7 @@ class CSParams(namedtuple("CSParams", "xi lam phi")):
             raise ValueError("xi must be a vector")
         if not phi > 0:
             raise DomainError(f"phi must be strictly positive, got {phi}")
+        require_finite(**{f"xi[{j}]": v for j, v in enumerate(xi.tolist())}, lam=lam, phi=phi)
         return super().__new__(cls, xi, float(lam), float(phi))
 
 
@@ -299,15 +305,18 @@ def _refuse_first_bad_row(numbered, dtype):
 def write_dataset_csv(data: Dataset, dest) -> None:
     """Emit the long format consumed by read_dataset_csv (17 sig. digits).
 
-    dest is a path or an open text handle. Each cluster's id is encoded once
-    (data.id_cells) and repeated for its rows, chunk by chunk; so a write holds
-    rows.CHUNK rows of cells, one id cell row per cluster and the units, 8 bytes
-    a row as y.
+    dest is a path or an open text handle. Each cluster's id (data.id_cells),
+    and the one cell of a column whose cells share one bit pattern (an
+    intercept x1, or the units when every cluster has size 1), is encoded once
+    and passed as a rows.Runs; so a write holds rows.CHUNK rows of cells, one
+    id cell row per cluster and the units, 8 bytes a row as y.
     """
-    from unobs_lab.rows import Runs
+    from unobs_lab.rows import Runs, cells
 
     units = np.ones(len(data.y), dtype=np.int64)  # 1, 2, ... within each cluster
     units[data.offsets[1:-1]] = 1 - data.sizes[:-1]
     np.cumsum(units, out=units)
+    columns = [Runs(cells(c[:1]), len(c)) if (c.view(np.int64) == c[:1].view(np.int64)).all()
+               else c for c in (units, data.y, *data.X.T)]  # by bits: 0.0 and -0.0 differ
     head = "cluster,unit,y," + ",".join(data.covariate_names) + "\n"
-    write_rows(dest, head, Runs(data.id_cells, data.sizes), units, data.y, *data.X.T)
+    write_rows(dest, head, Runs(data.id_cells, data.sizes), *columns)

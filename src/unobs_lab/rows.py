@@ -14,12 +14,10 @@ a uint8 matrix with one line per row and DROP in the cells it leaves out.
 DROP is 0xFF, a byte no UTF-8 text holds, so the matrices' bytes, read row by
 row with every DROP deleted (bytes.translate), are the lines.
 
-A column is written as runs of equal cells, each formatted once and
-repeated (np.repeat) over its rows. An integer or float column finds its
-runs within each chunk by comparing bit patterns, so 0.0 and -0.0 differ, as
-do NaNs of other payloads; a str or object column has runs of one row, since
-1 == 1.0 == True are three texts; a Runs column brings ready-made cells (from
-cells()) and their counts, such as a dataset's cluster ids and sizes. A write
+An integer, float, str or object column is formatted cell by cell. A Runs
+column brings ready-made cells (from cells()) and their counts, each row of
+cells repeated (np.repeat) over its rows, such as a dataset's cluster ids
+and sizes: it is the one way a cell is formatted once for many rows. A write
 holds CHUNK rows of cells plus a Runs column's own cells.
 
 %.17g writes |x| as D * 10^(X-16), with D the 17-digit integer in [1e16,
@@ -250,7 +248,8 @@ class Runs(namedtuple("Runs", "cells counts")):
 
     counts is one int for every row, or one per row; a Runs column is
     sum(counts) rows long. A dataset's id column is Runs(id cells, sizes):
-    each cluster's id is encoded once, whatever its size.
+    each cluster's id is encoded once, whatever its size; a column of one
+    value is Runs(cells(col[:1]), len(col)).
     """
 
     __slots__ = ()
@@ -259,14 +258,15 @@ class Runs(namedtuple("Runs", "cells counts")):
 def cells(column) -> np.ndarray:
     """The uint8 cells of a whole column, one row per value, for a Runs.
 
-    Made CHUNK rows at a time, so the temporaries stay those of one chunk.
+    Made CHUNK rows at a time, so the temporaries stay those of one chunk, and
+    as wide as the longest cell: a float's layout width may go unused.
     """
     n, part = _column(column)
     parts = [part(start, min(start + CHUNK, n)) for start in range(0, n, CHUNK)]
     out = np.full((n, max((p.shape[1] for p in parts), default=0)), DROP, dtype=np.uint8)
     for start, p in zip(range(0, n, CHUNK), parts):
         out[start : start + len(p), : p.shape[1]] = p
-    return out
+    return out[:, : np.flatnonzero((out != DROP).any(axis=0)).max(initial=-1) + 1]
 
 
 def _column(col):
@@ -294,19 +294,7 @@ def _column(col):
         return len(values), lambda start, stop: _format_s(values[start:stop])
     else:
         raise TypeError(f"a column of dtype {v.dtype} is not written: only int, bool, float and str")
-    return len(v), lambda start, stop: _by_runs(fmt, v[start:stop])
-
-
-def _by_runs(fmt, v: np.ndarray):
-    """fmt's cells of v, each run of equal bit patterns formatted once."""
-    bits = v.view(np.int64)
-    same = bits[1:] == bits[:-1]
-    if not same.any():
-        return fmt(v)
-    heads = np.flatnonzero(np.concatenate(([True], ~same)))
-    cells = fmt(v[heads])
-    width = np.flatnonzero((cells != DROP).any(axis=0))[-1] + 1  # fmt's widest layout may go unused
-    return np.repeat(cells[:, :width], np.diff(heads, append=len(v)), axis=0)
+    return len(v), lambda start, stop: fmt(v[start:stop])
 
 
 def _expand(cells, ends, start: int, stop: int):

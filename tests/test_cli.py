@@ -833,6 +833,8 @@ def every_command(tmp_path, m: int) -> list:
       "--seed", "1"], "n_clusters must be >= 1: n_clusters = 0"),
     (["simulate", "--lambda", "1", "--phi", "1", "--n-clusters", "3", "--cluster-size", "0",
       "--seed", "1"], "cluster sizes must be >= 1: cluster_size = 0"),
+    (["simulate", "--lambda=nan", "--phi", "1", "--n-clusters", "3", "--cluster-size", "2",
+      "--seed", "1"], "lam = nan is non-finite"),
 ])
 def test_refusal_names_the_value_at_fault(capsys, argv, message):
     """A library refusal that a flag reaches ends with the parameter and value at fault."""

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -314,6 +315,22 @@ class TestEbShrinkage:
     def test_pd_violation(self):
         with pytest.raises(DomainError):
             eb_shrinkage(ExtendedSpec(-0.4, 1, 0), 3)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 14: near alpha = -1 with |lambda2| "
+                       "<< nu2, d, tau and d + tau are small differences of large terms")
+    def test_no_cancellation_near_alpha_minus_one(self):
+        """d, tau and the shrinkage within 1e-12 relative of 60-digit decimal: 6.42e-32,
+        -3.94e-15 and -1.63e-16, where the closed forms give 0, +2.84e-14 and +1.18e-15."""
+        lambda2, nu2, alpha, n = -7.874218644204262e-15, 241.36871758169488, -1.0, 10
+        got = (*derive_d_tau(lambda2, nu2, alpha), eb_shrinkage(ExtendedSpec(lambda2, nu2, alpha), n))
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            L, N, A = map(decimal.Decimal, (lambda2, nu2, alpha))
+            nu_alpha_s = N.sqrt() * A * (L + N).sqrt()
+            d, tau = L + 2 * N + 2 * nu_alpha_s, -(N + nu_alpha_s)
+            want = (d, tau, n * (d + tau) / (N + n * L))
+            off = [abs(decimal.Decimal(g) - w) / abs(w) for g, w in zip(got, want)]
+        assert max(off) <= decimal.Decimal("1e-12"), (got, [float(w) for w in want])
 
 
 def brute_force_law(spec, n):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import unobs_lab
 from unobs_lab.cs import CSMatrix, CsvFormatError, DomainError, validate_cs, write_rows
 from unobs_lab.model_core import CSParams, Dataset, gls_mean, read_dataset_csv, write_dataset_csv
+from unobs_lab.rows import CHUNK
 
 
 def intercept_dataset(clusters):
@@ -235,6 +236,16 @@ class TestValidateCs:
         with pytest.raises(ValueError):
             validate_cs(set(), 0.0, 1.0)
 
+    @pytest.mark.parametrize("lam,phi,message", [
+        (math.nan, 1.0, "lam = nan is non-finite"),  # not "phi + n*lam = nan <= 0"
+        (-math.inf, 1.0, "lam = -inf is non-finite"),
+        (1.0, math.inf, "phi = inf is non-finite"),
+        (1.0, math.nan, "phi = nan is not strictly positive"),
+    ])
+    def test_non_finite_lam_or_phi_is_named(self, lam, phi, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            validate_cs({2}, lam, phi)
+
 
 # ---------------------------------------------------------------------------
 # gls_mean
@@ -312,6 +323,31 @@ class TestDataModel:
     def test_csparams_phi_positive(self):
         with pytest.raises(DomainError):
             CSParams(xi=[0.0], lam=0.0, phi=0.0)
+
+    @pytest.mark.parametrize("xi,lam,phi,message", [
+        ([0.0, math.nan], 1.0, 1.0, "xi[1] = nan is non-finite"),
+        ([math.inf], 1.0, 1.0, "xi[0] = inf is non-finite"),
+        ([0.0], math.nan, 1.0, "lam = nan is non-finite"),
+        ([0.0], -math.inf, 1.0, "lam = -inf is non-finite"),
+        ([0.0], 1.0, math.inf, "phi = inf is non-finite"),
+        ([0.0], 1.0, math.nan, "phi must be strictly positive, got nan"),
+    ])
+    def test_csparams_refuses_non_finite_fields(self, xi, lam, phi, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            CSParams(xi, lam, phi)
+
+    @pytest.mark.parametrize("y,X,message", [
+        ([1, 2, math.nan, 0.5, 1.5, 2.5], np.ones((6, 1)), "y[2] = nan is non-finite"),
+        (np.zeros(6), np.insert(np.ones((5, 2)), 3, [1, -math.inf], axis=0),
+         "X[3, 1] = -inf is non-finite"),
+        # NaNs of two payloads: refused at the first, whatever its bits
+        (np.zeros(6), np.array([1, 1, 1, 1, 0x7FF8000000000001, 0xFFF8000000000000],
+                               dtype=np.uint64).view(np.float64)[:, None],
+         "X[4, 0] = nan is non-finite"),
+    ])
+    def test_dataset_refuses_non_finite_entries(self, y, X, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            Dataset(y, X, [2, 2, 2])
 
     def test_arrays_are_frozen(self):
         data = intercept_dataset({"a": [1.0, 2.0]})
@@ -558,6 +594,28 @@ class TestCsv:
         write_dataset_csv(data, buf)
         assert buf.getvalue() == path.read_text()
         assert buf.getvalue().splitlines()[1] == "a,1,0.10000000000000001,1"
+
+    @pytest.mark.parametrize("sizes,columns", [
+        ([3, 1, 4], {2: np.full(8, 2.5)}),  # p = 3, x2 constant
+        ([3, 1, 4], {1: np.tile([0.0, -0.0], 4)}),  # 0.0 and -0.0: two cells, not constant
+        ([3, 1, 4], {1: np.full(8, -0.0)}),  # all -0.0: one "-0" cell
+        ([1] * 5, {}),  # the units and x1 constant
+        ([1] * (CHUNK + 3), {0: np.full(CHUNK + 3, -3.0)}),  # x1 = -3.0, past one chunk
+    ])
+    def test_constant_columns_write_the_per_row_bytes(self, tmp_path, sizes, columns):
+        """Columns of one bit pattern are declared as one cell: the bytes stay %'s."""
+        rng = np.random.default_rng(len(sizes))
+        X = np.column_stack([np.ones(sum(sizes)), *rng.standard_normal((2, sum(sizes)))])
+        for j, col in columns.items():
+            X[:, j] = col
+        data = Dataset(rng.standard_normal(sum(sizes)), X, sizes)
+        path, buf = tmp_path / "data.csv", io.StringIO()
+        write_dataset_csv(data, path)
+        write_dataset_csv(data, buf)
+        assert path.read_text() == buf.getvalue() == "cluster,unit,y,x1,x2,x3\n" + "".join(
+            "%s,%d,%.17g,%.17g,%.17g,%.17g\n" % (cid, u + 1, y, *x)
+            for cid, lo, n in zip(data.cluster_ids, data.offsets, data.sizes)
+            for u, y, x in zip(range(n), data.y[lo:].tolist(), data.X[lo:].tolist()))
 
 
 def reference_read(text):

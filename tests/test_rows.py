@@ -329,6 +329,19 @@ class TestRuns:
         with pytest.raises(ValueError, match="differ in length"):
             write_rows(io.StringIO(), "", Runs(cells(ids), 2), [1.0])
 
+    @pytest.mark.parametrize("column", [
+        np.ones(CHUNK + 5),  # an intercept
+        np.full(3, -0.0),  # one "-0" cell
+        np.ones(2 * CHUNK, dtype=np.int64),  # the units of clusters of size 1
+        bits(*[0xFFF8000000000000] * 4),  # one NaN payload
+    ])
+    def test_declared_run_of_one_cell(self, tmp_path, column):
+        """Runs(cells(col[:1]), len(col)), as write_dataset_csv declares a constant column,
+        writes the column's own bytes."""
+        row = "%d\n" if column.dtype.kind == "i" else "%.17g\n"
+        assert written(tmp_path, Runs(cells(column[:1]), len(column))) == expected(row, column)
+        assert written(tmp_path, column) == expected(row, column)
+
     @pytest.mark.parametrize("bad", [Runs(np.zeros((2, 2)), 1), Runs(cells(["a"]), -1),
                                      Runs(np.zeros(2, dtype=np.uint8), 1)])
     def test_runs_column_is_checked(self, bad):
