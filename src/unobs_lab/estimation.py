@@ -22,7 +22,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from unobs_lab.cs import CSMatrix, DomainError, RankDeficiencyError, require_finite, validate_cs
+from unobs_lab.cs import CSMatrix, DomainError, RankDeficiencyError, validate_cs
 from unobs_lab.model_core import CSParams, Dataset
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
@@ -180,11 +180,9 @@ def fit_balanced_closed_form(data: Dataset) -> FitResult:
 
 
 def _intercept(xi) -> float:
-    """The simulators' mean: intercept-only, so xi must have one entry."""
-    xi = np.ravel(np.asarray(xi, dtype=float))
+    """The simulators' mean: intercept-only, so xi (CSParams', finite) must have one entry."""
     if len(xi) != 1:
         raise DomainError(f"xi has {len(xi)} entries; simulation is intercept-only and needs 1")
-    require_finite(xi=float(xi[0]))
     return float(xi[0])
 
 
@@ -245,7 +243,8 @@ def simulate_extended(
     """
     from unobs_lab.equivalence import admissible, intercept_given_y, least_eigenvalue
 
-    mu, sizes, nu2 = _intercept(xi), np.array(layout.sizes()), spec.nu2
+    mu = _intercept(CSParams(xi, spec.lambda2, spec.nu2).xi)  # names a non-finite entry of xi
+    sizes, nu2 = np.array(layout.sizes()), spec.nu2
     size_set = sorted(set(sizes.tolist()))
     for n in size_set:
         if not admissible(spec, n):

@@ -287,7 +287,7 @@ def we_moment(spec: WeibullExpSpec, k: int) -> MomentResult:
     pi/sin(pi*r).
     """
     if k < 1:
-        raise DomainError("moment order k must be a positive integer")
+        raise DomainError(f"moment order k must be a positive integer: k = {k}")
     phi, rho, delta = spec.phi, spec.rho, spec.delta
     r = k / rho
     formula_defined = wg_moment_defined(1.0, rho, k)
@@ -320,7 +320,7 @@ def truncated_moment(spec: WeibullExpSpec, k: int, T: float) -> float:
     if not 0 < T < math.inf:
         raise DomainError("T must be strictly positive and finite")
     if k < 1:
-        raise DomainError("moment order k must be a positive integer")
+        raise DomainError(f"moment order k must be a positive integer: k = {k}")
     import numpy as np
     from numpy.polynomial.legendre import leggauss
 

@@ -12,8 +12,9 @@ import sys
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import stats
 
+from exact import moment_by_quadrature
 import unobs_lab.equivalence as eq
 import unobs_lab.estimation as est
 import unobs_lab.heavytail as ht
@@ -151,18 +152,6 @@ def test_criterion_06_fit_vs_closed_form():
         assert n_negative >= 5
 
 
-def _moment_by_quadrature(spec, k):
-    """Independent oracle: integral of y^k f(y) dy via the u-substitution."""
-    r = k / spec.rho
-    scale = (spec.delta / spec.phi) ** r
-
-    def integrand(u):
-        return scale * u**r / (1.0 + u) ** 2
-
-    value, err = integrate.quad(integrand, 0.0, np.inf, epsabs=1e-12, limit=400)
-    return value
-
-
 def test_criterion_07_moment_formula_vs_quadrature():
     with criterion(7, "moment formula vs quadrature"):
         cases = [(2.0, 1, 1.0, 1.0), (3.0, 1, 1.0, 1.0), (3.0, 2, 1.0, 1.0), (2.5, 2, 2.0, 3.0)]
@@ -170,7 +159,7 @@ def test_criterion_07_moment_formula_vs_quadrature():
             spec = ht.WeibullExpSpec(phi=phi, rho=rho, delta=delta)
             analytic = ht.we_moment(spec, k)
             assert analytic.integral_finite
-            assert abs(analytic.value - _moment_by_quadrature(spec, k)) < 1e-5
+            assert abs(analytic.value - moment_by_quadrature(spec, k)) < 1e-5
         half_pi = ht.we_moment(ht.WeibullExpSpec(phi=1.0, rho=2.0, delta=1.0), 1)
         assert abs(half_pi.value - math.pi / 2.0) < 1e-6
 

@@ -1,6 +1,5 @@
 import ast
 import contextlib
-import decimal
 import gc
 import hashlib
 import io
@@ -20,6 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exact import (D, claim1, expected, expected_csv, least_eigenvalue, moment, quantile,
+                   running_means)
 from unobs_lab import heavytail as ht
 from unobs_lab.cli import COMMANDS, REQUIRED, _fast_parse, _float_list, _json, build_parser, main
 from unobs_lab.cs import write_rows
@@ -39,90 +40,68 @@ def run(capsys, *argv):
     return rc, out.out, out.err
 
 
-def fresh(code: str) -> subprocess.CompletedProcess:
-    """code run in a fresh interpreter that imports the package from src."""
+def fresh(code: str, *flags: str) -> subprocess.CompletedProcess:
+    """code run in a fresh interpreter, with flags, that imports the package from src."""
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, text=True)
+    return subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, env=env,
+                          text=True)
 
 
-def cold(code: str):
-    """The value of the last stderr line of code run in a fresh interpreter."""
-    proc = fresh(code)
+def cold(code: str, *flags: str):
+    """The value of the last stderr line of code run in a fresh interpreter, with flags."""
+    proc = fresh(code, *flags)
     lines = proc.stderr.splitlines()
     assert proc.returncode == 0 and lines, proc.stderr
     return ast.literal_eval(lines[-1])
 
 
-def cold_main(argv, modules):
-    """Exit code of main(argv) in a fresh interpreter, and which of modules it loaded."""
+def cold_main(argv, modules, *flags):
+    """Exit code of main(argv) in a fresh interpreter with flags, and which of modules it loaded."""
     rc, loaded = cold(
         "import sys\n"
         "from unobs_lab.cli import main\n"
         f"rc = main({argv!r})\n"
         "sys.stdout.flush()\n"
-        f"sys.stderr.write('\\n' + repr((rc, [m in sys.modules for m in {modules!r}])))\n"
+        f"sys.stderr.write('\\n' + repr((rc, [m in sys.modules for m in {modules!r}])))\n",
+        *flags,
     )
     return rc, dict(zip(modules, loaded))
 
 
-def eb_by_decimal(lambda2: float, nu2: float, alpha: float, n: int):
-    """eb's d, tau and shrinkage, and the slack d*nu2 - n*tau^2, at 50 digits from the floats."""
-    D = decimal.Decimal
-    with decimal.localcontext() as ctx:
-        ctx.prec = 50
-        lambda2, nu2, alpha = D(lambda2), D(nu2), D(alpha)
-        nu_alpha_s = nu2.sqrt() * alpha * (lambda2 + nu2).sqrt()
-        d, tau = lambda2 + 2 * nu2 + 2 * nu_alpha_s, -(nu2 + nu_alpha_s)
-        return d, tau, n * (d + tau) / (nu2 + n * lambda2), d * nu2 - n * tau * tau
-
-
 def eb_refusal_is_due(lambda2: float, nu2: float, alpha: float, n: int) -> bool:
     """Whether eb may exit 1: a domain violation, or d, tau or shrinkage past the floats."""
-    D = decimal.Decimal
     if not (nu2 > 0 and -1 <= alpha <= 1 and D(lambda2) + D(nu2) > 0
             and D(nu2) + n * D(lambda2) > 0):
         return True
-    return any(abs(v) > D(sys.float_info.max) for v in eb_by_decimal(lambda2, nu2, alpha, n)[:3])
+    return any(abs(v) > D(sys.float_info.max) for v in claim1(lambda2, nu2, alpha, n)[:3])
 
 
 def equivalence_refusal_is_due(lambda2: float, nu2: float, alpha: float, n: int) -> bool:
     """Whether equivalence may exit 1: where eb may, or where another of its fields is past
     the floats: the n = 1 slack, 2*tau, or lambda2 + nu2 (marginal_cov, the variance total)."""
-    D = decimal.Decimal
     if eb_refusal_is_due(lambda2, nu2, alpha, n):
         return True
-    tau, slack = eb_by_decimal(lambda2, nu2, alpha, 1)[1::2]
+    tau, slack = claim1(lambda2, nu2, alpha, 1)[1::2]
     return any(abs(v) > D(sys.float_info.max) for v in (slack, 2 * tau, D(lambda2) + D(nu2)))
 
 
-def near(got: float, want: decimal.Decimal) -> bool:
+def near(got: float, want: D) -> bool:
     """Whether got is within 1e-12 relative of want, or within 4 subnormal steps where want
     is subnormal."""
-    D = decimal.Decimal
     bound = 4 * D(2) ** -1074 if abs(want) < D(sys.float_info.min) else D("1e-12") * abs(want)
     return abs(D(got) - want) <= bound
 
 
 def eb_matches_decimal(rec: dict, lambda2: float, nu2: float, alpha: float, n: int) -> bool:
-    """Whether an eb or equivalence record has eb_by_decimal's d, tau and shrinkage (near)."""
+    """Whether an eb or equivalence record has claim1's d, tau and shrinkage (near)."""
     return all(near(rec[key], want) for key, want
-               in zip(("d", "tau", "shrinkage"), eb_by_decimal(lambda2, nu2, alpha, n)))
+               in zip(("d", "tau", "shrinkage"), claim1(lambda2, nu2, alpha, n)))
 
 
 def moments_match_decimal(out: str, phi: float, rho: float, delta: float) -> bool:
-    """Whether each value of a heavytail moments report is r*pi/sin(pi*r)*(delta/phi)^r,
-    r = k/rho, within 1e-12 relative: the power at 50 digits, the factor in floats."""
-    D = decimal.Decimal
-    with decimal.localcontext() as ctx:
-        ctx.prec = 50
-        for rec in json.loads(out):
-            if rec["value"] is None:
-                continue
-            r = rec["k"] / rho
-            want = D(r * math.pi / math.sin(math.pi * r)) * (D(delta) / D(phi)) ** D(r)
-            if not near(rec["value"], want):
-                return False
-    return True
+    """Whether each value of a heavytail moments report is within near() of exact.moment."""
+    return all(rec["value"] is None or near(rec["value"], moment(phi, rho, delta, rec["k"]))
+               for rec in json.loads(out))
 
 
 def draws_match_decimal(name: str, out: str, phi: float, rho: float, delta: float,
@@ -139,14 +118,10 @@ def draws_match_decimal(name: str, out: str, phi: float, rho: float, delta: floa
         u = ndtr(gen.standard_normal(len(got)))
     else:
         u = gen.random(len(got))
-    D = decimal.Decimal
-    with decimal.localcontext() as ctx:
-        ctx.prec, ctx.traps[decimal.Overflow] = 50, False
-        want = [(D(p) * D(delta) / ((1 - D(p)) * D(phi))) ** (1 / D(rho))
-                for p in np.clip(u, 1e-300, 1.0 - 1e-16)]
-        if name.endswith("trace"):
-            want = [sum(want[:i + 1]) / (i + 1) for i in range(len(want))]
-        return all(near(g, w) for g, w in zip(got, want))
+    u = np.clip(u, 1e-300, 1.0 - 1e-16).tolist()
+    want = (running_means(phi, rho, delta, u) if name.endswith("trace")
+            else [quantile(phi, rho, delta, p) for p in u])
+    return all(near(g, w) for g, w in zip(got, want))
 
 
 class TestEquivalenceCommand:
@@ -253,7 +228,7 @@ class TestEbCommand:
                            f"--n={n}")
         assert (rc, err) == (0, "")
         rec = json.loads(out)
-        d, tau, shrinkage, slack = eb_by_decimal(float(lambda2), float(nu2), 0.5, n)
+        d, tau, shrinkage, slack = claim1(float(lambda2), float(nu2), 0.5, n)
         for key, want in (("d", d), ("tau", tau), ("shrinkage", shrinkage)):
             assert rec[key] == pytest.approx(float(want), rel=1e-12, abs=0.0), key
         assert rec["admissible"] is (slack >= 0) is (n == 2)
@@ -459,13 +434,9 @@ class TestClaimOneInBytes:
         assert (rc, out) == (1, "")
         low = re.fullmatch(r"error: joint covariance for n = 5 is not PSD: eigenvalue (\S+)\n", err)
         assert low, err
-        d, tau, _, slack = eb_by_decimal(lambda2, 1e-320, 0.5, 5)
-        with decimal.localcontext() as ctx:  # slack/top, top the larger eigenvalue, about d
-            ctx.prec = 50
-            nu2 = decimal.Decimal(1e-320)
-            top = (d + nu2) / 2 + (((d - nu2) / 2) ** 2 + 5 * tau * tau).sqrt()
+        want = least_eigenvalue(lambda2, 1e-320, 0.5, 5)
         # a subnormal eigenvalue: 2.5e-321 holds 506 steps of 2^-1074
-        assert float(low[1]) == pytest.approx(float(slack / top), rel=2e-3, abs=0.0)
+        assert float(low[1]) == pytest.approx(float(want), rel=2e-3, abs=0.0)
 
     def test_unbalanced_layout(self):
         sizes = [1, 3, 2, 3, 1, 2, 2, 3]
@@ -518,7 +489,7 @@ class TestHeavytailCommand:
     def test_moment_order_below_one_is_refused(self, capsys, k):
         rc, out, err = run(capsys, "heavytail", "moments", *WE, "--k", k)
         assert (rc, out) == (1, "")
-        assert err == "error: moment order k must be a positive integer\n"
+        assert err == "error: moment order k must be a positive integer: k = 0\n"
 
     def test_trace_row_count(self, tmp_path, capsys):
         path = tmp_path / "trace.csv"
@@ -617,10 +588,6 @@ class TestPitCommand:
         assert np.all(vals > 0)
 
 
-def g17(x) -> str:
-    return format(float(x), ".17g")
-
-
 class TestLineFormats:
     """Row outputs, byte for byte, against lines built here from the library."""
 
@@ -630,24 +597,23 @@ class TestLineFormats:
     def test_sample(self, capsys):
         rc, out, _ = run(capsys, "heavytail", "sample", *self.FLAGS, "--n", "500", "--seed", "5")
         assert rc == 0
-        assert out == "".join(g17(v) + "\n" for v in ht.we_sample(self.SPEC, 500, seed=5))
+        assert out == expected("%.17g\n", ht.we_sample(self.SPEC, 500, seed=5))
 
     def test_pit(self, capsys):
         rc, out, _ = run(capsys, "pit", *self.FLAGS, "--n", "500", "--seed", "8")
         draws = ht.pit_sample(lambda u: ht.we_quantile(self.SPEC, u), 500, seed=8)
         assert rc == 0
-        assert out == "".join(g17(v) + "\n" for v in draws)
+        assert out == expected("%.17g\n", draws)
 
     def test_trace(self, capsys):
         rc, out, _ = run(
             capsys, "heavytail", "trace", *self.FLAGS,
             "--n", "1000", "--stride", "7", "--seed", "3",
         )
-        csum = np.cumsum(ht.we_sample(self.SPEC, 1000, seed=3))
+        n = np.arange(7, 1001, 7)
         assert rc == 0
-        assert out == "n,running_mean\n" + "".join(
-            f"{k},{g17(csum[k - 1] / k)}\n" for k in range(7, 1001, 7)
-        )
+        assert out == "n,running_mean\n" + expected(
+            "%d,%.17g\n", n, np.cumsum(ht.we_sample(self.SPEC, 1000, seed=3))[n - 1] / n)
 
     def test_simulate_extended_with_latent(self, tmp_path, capsys):
         latent = tmp_path / "latent.csv"
@@ -658,14 +624,10 @@ class TestLineFormats:
         )
         spec = ExtendedSpec(3.0, 1.0, -0.5)  # tau = 0: PSD for clusters of 3
         data, lat = simulate_extended(spec, [-0.5], SimLayout(6, 3), seed=11)
-        y, eps = data.y.reshape(6, 3), lat.eps.reshape(6, 3)
         assert rc == 0
-        assert out == "cluster,unit,y,x1\n" + "".join(
-            f"c{i + 1},{j + 1},{g17(y[i, j])},1\n" for i in range(6) for j in range(3)
-        )
-        assert latent.read_text() == "cluster,b,eps1,eps2,eps3\n" + "".join(
-            f"c{i + 1},{g17(lat.b[i])},{','.join(map(g17, eps[i]))}\n" for i in range(6)
-        )
+        assert out == expected_csv(data)
+        assert latent.read_text() == "cluster,b,eps1,eps2,eps3\n" + expected(
+            "c%d" + ",%.17g" * 4 + "\n", range(1, 7), lat.b, *lat.eps.reshape(6, 3).T)
 
 
 SIZES = [0, 1, ht.BLOCK - 1, ht.BLOCK, ht.BLOCK + 1, 3 * ht.BLOCK + CHUNK + 7]
@@ -835,6 +797,10 @@ def every_command(tmp_path, m: int) -> list:
       "--seed", "1"], "cluster sizes must be >= 1: cluster_size = 0"),
     (["simulate", "--lambda=nan", "--phi", "1", "--n-clusters", "3", "--cluster-size", "2",
       "--seed", "1"], "lam = nan is non-finite"),
+    ([*MOMENTS[:-1], "0"], "moment order k must be a positive integer: k = 0"),
+    ([*MOMENTS[:-2], "--k=-2..1"], "moment order k must be a positive integer: k = -2"),
+    ([*SIMULATE_CS, "--xi=nan"], "xi[0] = nan is non-finite"),
+    ([*SIMULATE_EXTENDED, "--xi=nan"], "xi[0] = nan is non-finite"),
 ])
 def test_refusal_names_the_value_at_fault(capsys, argv, message):
     """A library refusal that a flag reaches ends with the parameter and value at fault."""
@@ -1385,19 +1351,8 @@ class TestLazyScipy:
     )
     def test_closed_form_commands_without_site_load_no_typing(self, argv):
         """Under python -S no .pth file preloads typing, so its cost would show here."""
-        modules = ["numpy", "scipy", "dataclasses", "inspect", "typing", "argparse"]
-        code = (
-            "import sys\n"
-            "from unobs_lab.cli import main\n"
-            f"rc = main({argv!r})\n"
-            "sys.stdout.flush()\n"
-            f"sys.stderr.write('\\n' + repr((rc, [m for m in {modules!r} if m in sys.modules])))\n"
-        )
-        env = dict(os.environ, PYTHONPATH=SRC)
-        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
-                              env=env, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert ast.literal_eval(proc.stderr.splitlines()[-1]) == (0, [])
+        modules = ("numpy", "scipy", "dataclasses", "inspect", "typing", "argparse")
+        assert cold_main(argv, modules, "-S") == (0, dict.fromkeys(modules, False))
 
     @pytest.mark.parametrize(
         "argv",

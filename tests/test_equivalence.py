@@ -1,4 +1,3 @@
-import decimal
 import math
 
 import numpy as np
@@ -6,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exact import D, claim1
 from unobs_lab.cs import CSMatrix, DomainError
 from unobs_lab.equivalence import (
     ExtendedSpec,
@@ -275,15 +275,14 @@ class TestMarginalInvariance:
         assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, nu2 + abs(lam2))
 
 
-def brute_force_shrinkage(spec, n):
-    """Condition b on Y in the joint normal assembled from joint_cov."""
-    d, tau = derive_d_tau(spec.lambda2, spec.nu2, spec.alpha)
-    cov_by = np.full(n, d + tau)  # Cov(b, Y_j) = Cov(b, b + eps_j)
-    var_y = marginal_cov_extended(spec, n).array
-    w = np.linalg.solve(var_y, cov_by)  # E(b|Y) = w'(Y - mu)
-    # exchangeability makes w constant; c relates to the cluster mean
+def brute_force_law(spec, n):
+    """(c, v) of b given Y from the dense joint of (b, eps)."""
+    joint = joint_cov(spec, n)
+    to_b_y = np.vstack([np.eye(1, n + 1), np.hstack([np.ones((n, 1)), np.eye(n)])])
+    cov = to_b_y @ joint @ to_b_y.T  # of (b, Y_1, ..., Y_n)
+    w = np.linalg.solve(cov[1:, 1:], cov[1:, 0])  # E(b|Y) = w'(Y - mu)
     assert np.allclose(w, w[0])
-    return float(n * w[0])
+    return float(n * w[0]), float(cov[0, 0] - cov[1:, 0] @ w)
 
 
 class TestEbShrinkage:
@@ -293,7 +292,7 @@ class TestEbShrinkage:
     def test_point_mass_marginal(self):
         spec = ExtendedSpec(0, 1, 0)
         assert eb_shrinkage(spec, 5) == pytest.approx(5.0)
-        assert brute_force_shrinkage(spec, 5) == pytest.approx(5.0, abs=1e-10)
+        assert brute_force_law(spec, 5)[0] == pytest.approx(5.0, abs=1e-10)
 
     def test_collinear_in_alpha(self):
         vals = [eb_shrinkage(ExtendedSpec(2, 1, a), 2) for a in (-1.0, 0.0, 1.0)]
@@ -308,9 +307,7 @@ class TestEbShrinkage:
             lam2 = float(rng.uniform(-nu2 / n + 1e-3, 2.0))
             alpha = float(rng.uniform(-1, 1))
             spec = ExtendedSpec(lam2, nu2, alpha)
-            assert eb_shrinkage(spec, n) == pytest.approx(
-                brute_force_shrinkage(spec, n), abs=1e-10
-            )
+            assert eb_shrinkage(spec, n) == pytest.approx(brute_force_law(spec, n)[0], abs=1e-10)
 
     def test_pd_violation(self):
         with pytest.raises(DomainError):
@@ -323,24 +320,9 @@ class TestEbShrinkage:
         -3.94e-15 and -1.63e-16, where the closed forms give 0, +2.84e-14 and +1.18e-15."""
         lambda2, nu2, alpha, n = -7.874218644204262e-15, 241.36871758169488, -1.0, 10
         got = (*derive_d_tau(lambda2, nu2, alpha), eb_shrinkage(ExtendedSpec(lambda2, nu2, alpha), n))
-        with decimal.localcontext() as ctx:
-            ctx.prec = 60
-            L, N, A = map(decimal.Decimal, (lambda2, nu2, alpha))
-            nu_alpha_s = N.sqrt() * A * (L + N).sqrt()
-            d, tau = L + 2 * N + 2 * nu_alpha_s, -(N + nu_alpha_s)
-            want = (d, tau, n * (d + tau) / (N + n * L))
-            off = [abs(decimal.Decimal(g) - w) / abs(w) for g, w in zip(got, want)]
-        assert max(off) <= decimal.Decimal("1e-12"), (got, [float(w) for w in want])
-
-
-def brute_force_law(spec, n):
-    """(c, v) of b given Y from the dense joint of (b, eps)."""
-    joint = joint_cov(spec, n)
-    to_b_y = np.vstack([np.eye(1, n + 1), np.hstack([np.ones((n, 1)), np.eye(n)])])
-    cov = to_b_y @ joint @ to_b_y.T  # of (b, Y_1, ..., Y_n)
-    w = np.linalg.solve(cov[1:, 1:], cov[1:, 0])  # E(b|Y) = w'(Y - mu)
-    assert np.allclose(w, w[0])
-    return float(n * w[0]), float(cov[0, 0] - cov[1:, 0] @ w)
+        want = claim1(lambda2, nu2, alpha, n, prec=60)[:3]
+        off = [abs(D(g) - w) / abs(w) for g, w in zip(got, want)]
+        assert max(off) <= D("1e-12"), (got, [float(w) for w in want])
 
 
 class TestInterceptGivenY:

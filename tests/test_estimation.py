@@ -1,4 +1,3 @@
-import decimal
 import hashlib
 import io
 import math
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exact import claim1, cluster_blocks, dense_gls, intercept_dataset
 from unobs_lab.cs import CSMatrix, DomainError, RankDeficiencyError
 from unobs_lab.equivalence import (
     EPS,
@@ -37,17 +37,6 @@ from unobs_lab.rng import normals
 MC_SE_LAM_NEG = 0.036
 MC_SE_LAM_EXT = 0.16
 MC_SE_PHI_EXT = 0.07
-
-
-def intercept_dataset(rows):
-    y = np.concatenate([np.asarray(r, dtype=float) for r in rows])
-    return Dataset(y, np.ones((len(y), 1)), [len(r) for r in rows])
-
-
-def cluster_blocks(data):
-    """(y, X) of each cluster, for the dense-V oracles."""
-    cuts = data.offsets[1:-1]
-    return zip(np.split(data.y, cuts), np.split(data.X, cuts))
 
 
 def dense_loglik(data, params):
@@ -103,16 +92,6 @@ class TestLoglik:
 # ---------------------------------------------------------------------------
 # The sufficient-statistics kernel against a dense-V brute force
 # ---------------------------------------------------------------------------
-
-
-def dense_gls(data, lam, phi):
-    """GLS through an explicit per-cluster solve with V = lam*J + phi*I."""
-    A, b = np.zeros((data.p, data.p)), np.zeros(data.p)
-    for y, X in cluster_blocks(data):
-        v = np.full((len(y), len(y)), lam) + phi * np.eye(len(y))
-        A += X.T @ np.linalg.solve(v, X)
-        b += X.T @ np.linalg.solve(v, y)
-    return np.linalg.solve(A, b)
 
 
 class TestKernelOracle:
@@ -528,14 +507,6 @@ def test_simulators_factor_no_matrix(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def exact_slack(spec, n):
-    """d*sigma2 - n*tau^2 at 50 digits, from the floats lambda2, nu2, alpha taken as exact."""
-    with decimal.localcontext(decimal.Context(prec=50)):
-        lam2, nu2, alpha = map(decimal.Decimal, spec[:3])
-        tau = -(nu2 + nu2.sqrt() * alpha * (lam2 + nu2).sqrt())
-        return nu2 * (lam2 + nu2) * (1 - alpha * alpha) - (n - 1) * tau * tau
-
-
 def slack_bound(spec, n):
     """The rounding bound of equivalence.admissible: accepted slacks lie above -bound."""
     t = spec.nu2 + math.sqrt(spec.nu2) * abs(spec.alpha) * math.sqrt(spec.lambda2 + spec.nu2)
@@ -585,7 +556,7 @@ class TestSimulateExtended:
             lam2 = float(rng.uniform(-nu2 + 1e-3, 2.0))
             spec = ExtendedSpec(lam2, nu2, float(rng.uniform(-1, 1)))
             n = int(rng.integers(1, 7))
-            slack, bound = exact_slack(spec, n), slack_bound(spec, n)
+            slack, bound = claim1(*spec, n)[3], slack_bound(spec, n)
             if slack >= 0:
                 simulate_extended(spec, [0.0], SimLayout(2, n), seed=1)
             elif slack < -bound:
@@ -618,7 +589,7 @@ class TestSimulateExtended:
     def test_tiny_negative_eigenvalue_is_refused(self, spec, n):
         low = np.linalg.eigvalsh(joint_cov(spec, n))[0]
         assert -1e-11 < low < 0
-        assert exact_slack(spec, n) < -10 * slack_bound(spec, n)
+        assert claim1(*spec, n)[3] < -10 * slack_bound(spec, n)
         with pytest.raises(DomainError, match=f"n = {n} is not PSD: eigenvalue -"):
             simulate_extended(spec, [0.0], SimLayout(10, n), seed=606)
 

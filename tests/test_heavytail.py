@@ -1,4 +1,3 @@
-import decimal
 import itertools
 import math
 import os
@@ -17,6 +16,8 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 from scipy.stats import ks_2samp, kstest
 
+from exact import (moment_at_k_equal_rho, moment_by_quadrature, moment_log10, quantile,
+                   ratio_pow)
 from unobs_lab import heavytail
 from unobs_lab.cs import DomainError
 from unobs_lab.heavytail import (
@@ -60,27 +61,9 @@ EXTREME = [
 ]
 
 
-def quantile_by_decimal(spec, u: float) -> float:
-    """The quantile at u in 50-digit decimal arithmetic."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 50
-        D = decimal.Decimal
-        t = D(spec.delta) * D(u) / (D(spec.phi) * (1 - D(u)))
-        return float((t.ln() / D(spec.rho)).exp())
-
-
 def ks_critical(n, level=0.001):
     """Asymptotic one-sample Kolmogorov-Smirnov critical value."""
     return math.sqrt(-0.5 * math.log(level / 2.0)) / math.sqrt(n)
-
-
-def moment_by_quadrature(spec, k):
-    """Full-range quadrature oracle via u = phi*y^rho/delta substitution."""
-    r = k / spec.rho
-    c = (spec.delta / spec.phi) ** r
-    val, err = quad(lambda u: c * u**r / (1.0 + u) ** 2, 0.0, np.inf, limit=500)
-    assert err < 1e-8
-    return val
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +96,7 @@ class TestCdfQuantile:
     @pytest.mark.parametrize("spec", EXTREME)
     def test_quantile_where_the_direct_form_leaves_the_floats(self, spec):
         u = np.array([1e-300, 1e-20, 0.1, 0.5, 0.8462040482315447, 0.9, 1 - 1e-16])
-        want = [quantile_by_decimal(spec, v) for v in u.tolist()]
+        want = [float(quantile(*spec, v)) for v in u.tolist()]
         assert we_quantile(spec, u) == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_entries_the_direct_form_settles_keep_their_bits(self):
@@ -124,7 +107,7 @@ class TestCdfQuantile:
         kept = direct >= sys.float_info.min
         assert 0 < kept.sum() < len(u)
         assert got[kept].tobytes() == direct[kept].tobytes()
-        want = [quantile_by_decimal(spec, v) for v in u[~kept].tolist()]
+        want = [float(quantile(*spec, v)) for v in u[~kept].tolist()]
         assert got[~kept] == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_only_entries_with_a_subnormal_product_are_recomputed(self):
@@ -137,7 +120,7 @@ class TestCdfQuantile:
         assert 0 < kept.sum() < len(u)
         assert (u / (1 - u) * (spec.delta / spec.phi)).min() >= sys.float_info.min  # t
         assert got[kept].tobytes() == direct[kept].tobytes()
-        want = [quantile_by_decimal(spec, v) for v in u[~kept].tolist()]
+        want = [float(quantile(*spec, v)) for v in u[~kept].tolist()]
         assert got[~kept] == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_scale_outside_the_floats_keeps_the_direct_form(self):
@@ -170,9 +153,7 @@ class TestMoments:
         assert m.formula_defined and m.integral_finite
         assert m.value == pytest.approx(math.pi / 2, abs=1e-12)
         assert m.value == math.pi / 2  # no log-gamma round trip
-        assert m.value == pytest.approx(
-            moment_by_quadrature(WeibullExpSpec(1, 2, 1), 1), abs=1e-6
-        )
+        assert m.value == pytest.approx(moment_by_quadrature(WeibullExpSpec(1, 2, 1), 1), abs=1e-6)
 
     def test_cauchy_type_pole(self):
         m = we_moment(UNIT, 1)
@@ -208,9 +189,7 @@ class TestMoments:
     @pytest.mark.parametrize("r", [0.1, 0.5, 0.9, 1.0 / 3.0])
     def test_ratio_power_against_decimal(self, num, den, r):
         """we_moment and the quantile form (delta/phi)^r by _ratio_pow."""
-        with decimal.localcontext() as ctx:
-            ctx.prec = 40
-            want = float((decimal.Decimal(num) / decimal.Decimal(den)) ** decimal.Decimal(r))
+        want = float(ratio_pow(num, den, r, prec=40))
         assert _ratio_pow(num, den, r) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("num,den,r", [(1e300, 1.0, 2.0), (1e300, 1e-300, 2.0),
@@ -224,13 +203,7 @@ class TestMoments:
         """About 1e-545 and 1e546: the message names k and the decimal exponent."""
         with pytest.raises(ArithmeticError, match=r"^moment k=1 is about 1e(-?\d+), ") as info:
             we_moment(WeibullExpSpec(phi, 1.1, delta), 1)
-        with decimal.localcontext() as ctx:
-            ctx.prec = 50
-            D = decimal.Decimal
-            r = D(1) / D(1.1)
-            pi = D("3.1415926535897932384626433832795028841971693993751")
-            sin = math.sin(math.pi * float(r))  # pi*r is far from a multiple of pi
-            log10 = (r * (D(delta) / D(phi)).ln() + (r * pi / D(sin)).ln()) / D(10).ln()
+        log10 = moment_log10(phi, 1.1, delta, 1)  # pi/1.1 is far from a multiple of pi
         assert int(re.search(r"1e(-?\d+)", str(info.value)).group(1)) == math.floor(log10)
         assert math.floor(log10) == (-545 if phi > 1 else 546)
 
@@ -245,9 +218,7 @@ class TestMoments:
             for k in (1, 2, 3):
                 m = we_moment(spec, k)
                 if m.integral_finite:
-                    assert m.value == pytest.approx(
-                        moment_by_quadrature(spec, k), abs=1e-5
-                    )
+                    assert m.value == pytest.approx(moment_by_quadrature(spec, k), abs=1e-5)
 
     @given(rho=st.floats(0.2, 12, **finite), k=st.integers(1, 10))
     @settings(max_examples=300)
@@ -296,12 +267,6 @@ class TestWgMomentDefined:
 # ---------------------------------------------------------------------------
 
 
-def closed_form_trunc(spec, T):
-    # rho = 1, k = 1 only
-    z = spec.phi * T / spec.delta
-    return (spec.delta / spec.phi) * (math.log(1 + z) + 1 / (1 + z) - 1)
-
-
 # phi, rho, delta, k, T: the 450 cases of ROADMAP item 4, half of them k >= rho and T >= 1e3
 TRUNCATED_GRID = [
     (phi, rho, delta, k, T)
@@ -341,9 +306,8 @@ class TestTruncatedMoment:
     def test_matches_closed_form(self):
         for spec in (UNIT, WeibullExpSpec(2.0, 1.0, 0.5)):
             for T in (0.5, 10.0, 1e4):
-                assert truncated_moment(spec, 1, T) == pytest.approx(
-                    closed_form_trunc(spec, T), abs=1e-9
-                )
+                want = float(moment_at_k_equal_rho(*spec, T))
+                assert truncated_moment(spec, 1, T) == pytest.approx(want, abs=1e-9)
 
     def test_grid_against_quad(self):
         """Every case of the grid, none refused, within 1e-12 of quad at epsabs=0."""
@@ -358,12 +322,7 @@ class TestTruncatedMoment:
         for phi in (0.3, 1.0, 7.0, 1e-200):
             for delta in (0.5, 2.0, 1e200):
                 for T in (1e-3, 0.5, 3.0, 1e3, 1e8, 1e300):
-                    with decimal.localcontext() as ctx:
-                        D = decimal.Decimal
-                        ctx.prec = 60
-                        u = D(phi) * D(T) ** int(rho) / D(delta)
-                        ctx.prec -= 2 * min(u.adjusted(), 0)  # log(1+u) - u/(1+u) is u^2/2
-                        want = float(D(delta) / D(phi) * ((1 + u).ln() - u / (1 + u)))
+                    want = float(moment_at_k_equal_rho(phi, rho, delta, T))
                     got = truncated_moment(WeibullExpSpec(phi, rho, delta), int(rho), T)
                     assert got == pytest.approx(want, rel=1e-12, abs=0.0), (phi, delta, T)
 
@@ -533,14 +492,14 @@ class TestWeSample:
         n = 3 * BLOCK // 2
         u = np.clip(substream(2, 0).random(n), 1e-300, 1.0 - 1e-16)
         pick = np.arange(0, n, 97)
-        want = np.array([quantile_by_decimal(spec, v) for v in u[pick].tolist()])
+        want = np.array([float(quantile(*spec, v)) for v in u[pick].tolist()])
         draws = we_sample(spec, n, seed=2)
         assert draws[pick] == pytest.approx(want, rel=1e-14, abs=0.0)
         _, mean = running_mean_trace(spec, n, 1, seed=2)
         assert mean.tobytes() == (np.cumsum(draws) / np.arange(1, n + 1)).tobytes()
         v = np.clip(ndtr(substream(2, 0).standard_normal(n)), 1e-300, 1.0 - 1e-16)
         pit = pit_sample(lambda w: we_quantile(spec, w), n, seed=2)
-        want = np.array([quantile_by_decimal(spec, w) for w in v[pick].tolist()])
+        want = np.array([float(quantile(*spec, w)) for w in v[pick].tolist()])
         assert pit[pick] == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_overflow_names_the_first_u(self):

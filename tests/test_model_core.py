@@ -1,4 +1,3 @@
-import decimal
 import importlib
 import io
 import math
@@ -13,16 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exact import cs_root_lam, dense_gls, expected_csv, intercept_dataset
 import unobs_lab
 from unobs_lab.cs import CSMatrix, CsvFormatError, DomainError, validate_cs, write_rows
 from unobs_lab.model_core import CSParams, Dataset, gls_mean, read_dataset_csv, write_dataset_csv
 from unobs_lab.rows import CHUNK
-
-
-def intercept_dataset(clusters):
-    """Intercept-only Dataset from {cluster id: y values}."""
-    y = np.concatenate([np.asarray(v, dtype=float) for v in clusters.values()])
-    return Dataset(y, np.ones((len(y), 1)), [len(v) for v in clusters.values()], list(clusters))
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +112,7 @@ class TestCSMatrixSqrt:
     def test_off_diagonal_keeps_its_digits_when_lam_is_small(self, n, phi, k, sign):
         """(sqrt(phi + n*lam) - sqrt(phi))/n would cancel; the root keeps ~1 ulp."""
         lam = sign * phi * 10.0**k
-        with decimal.localcontext(decimal.Context(prec=800)):
-            dphi = decimal.Decimal(phi)
-            want = float(((dphi + n * decimal.Decimal(lam)).sqrt() - dphi.sqrt()) / n)
+        want = float(cs_root_lam(n, lam, phi, prec=800))
         got = CSMatrix(n, lam, phi).sqrt().lam
         assert abs(got - want) <= 4 * np.finfo(float).eps * abs(want)
 
@@ -129,9 +121,7 @@ class TestCSMatrixSqrt:
     )
     def test_big_eigenvalue_past_the_floats(self, n, lam, phi):
         """phi + n*lam overflows, its root does not: the root is still the matrix's."""
-        with decimal.localcontext(decimal.Context(prec=50)):
-            dphi = decimal.Decimal(phi)
-            want = float(((dphi + n * decimal.Decimal(lam)).sqrt() - dphi.sqrt()) / n)
+        want = float(cs_root_lam(n, lam, phi))
         got = CSMatrix(n, lam, phi).sqrt().lam
         assert abs(got - want) <= 4 * np.finfo(float).eps * want
 
@@ -250,18 +240,6 @@ class TestValidateCs:
 # ---------------------------------------------------------------------------
 # gls_mean
 # ---------------------------------------------------------------------------
-
-
-def dense_gls(data, lam, phi):
-    p = data.p
-    A = np.zeros((p, p))
-    b = np.zeros(p)
-    cuts = data.offsets[1:-1]
-    for y, X in zip(np.split(data.y, cuts), np.split(data.X, cuts)):
-        vinv = np.linalg.inv(np.full((len(y), len(y)), lam) + phi * np.eye(len(y)))
-        A += X.T @ vinv @ X
-        b += X.T @ vinv @ y
-    return np.linalg.solve(A, b)
 
 
 class TestGlsMean:
@@ -569,11 +547,7 @@ class TestCsv:
                        sizes, ids)
         path = tmp_path / "data.csv"
         write_dataset_csv(data, path)
-        text = path.read_text(encoding="utf-8")
-        assert text == "cluster,unit,y,x1,x2\n" + "".join(
-            "%s,%d,%.17g,%.17g,%.17g\n" % (cid, u + 1, y, *x)
-            for cid, lo, n in zip(data.cluster_ids, data.offsets, data.sizes)
-            for u, y, x in zip(range(n), data.y[lo:].tolist(), data.X[lo:].tolist()))
+        assert path.read_text(encoding="utf-8") == expected_csv(data)
         back = read_dataset_csv(path)
         assert back.cluster_ids == data.cluster_ids
         assert np.array_equal(back.sizes, sizes) and np.array_equal(back.y, data.y)
@@ -612,10 +586,7 @@ class TestCsv:
         path, buf = tmp_path / "data.csv", io.StringIO()
         write_dataset_csv(data, path)
         write_dataset_csv(data, buf)
-        assert path.read_text() == buf.getvalue() == "cluster,unit,y,x1,x2,x3\n" + "".join(
-            "%s,%d,%.17g,%.17g,%.17g,%.17g\n" % (cid, u + 1, y, *x)
-            for cid, lo, n in zip(data.cluster_ids, data.offsets, data.sizes)
-            for u, y, x in zip(range(n), data.y[lo:].tolist(), data.X[lo:].tolist()))
+        assert path.read_text() == buf.getvalue() == expected_csv(data)
 
 
 def reference_read(text):

@@ -11,16 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from exact import expected
 from unobs_lab import rows
 from unobs_lab.cs import write_rows
 from unobs_lab.model_core import Dataset, write_dataset_csv
 from unobs_lab.rows import CHUNK, Runs, cells
-
-
-def expected(row, *columns) -> str:
-    """The reference: Python's % operator on each row of Python values."""
-    lists = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
-    return "".join(row % r for r in zip(*lists))
 
 
 def written(tmp_path, *columns) -> str:
