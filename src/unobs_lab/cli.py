@@ -16,7 +16,8 @@ each heavytail action and simulate model requires and never reads. Plain argv
 is read from COMMANDS directly; help, abbreviations and usage errors go to the
 argparse parser built from it, so argparse is imported only for them. Each
 subcommand imports the modules it uses in its own body, so eb, equivalence and
-heavytail moments run without numpy.
+heavytail moments run without numpy; the IMPORTS table of tests/test_cli.py
+checks each of these promises, a row per command line.
 
 heavytail sample, heavytail trace and pit pass their sampler's generator form
 to write_rows as fill: the draws are made in one worker thread while the rows

@@ -142,7 +142,7 @@ def we_cdf(spec: WeibullExpSpec, y):
 
     phi, rho, delta = spec.phi, spec.rho, spec.delta
     y = np.asarray(y, dtype=float)
-    if np.any(y < 0):
+    if not y.min(initial=0.0) >= 0:  # min carries a nan through: refused too
         raise DomainError("support is y >= 0")
     out = 1.0 - delta / (delta + phi * y**rho)
     return float(out) if out.ndim == 0 else out
@@ -153,7 +153,7 @@ def we_quantile(spec: WeibullExpSpec, u):
     import numpy as np
 
     u = np.asarray(u, dtype=float)
-    if np.any(u <= 0) or np.any(u >= 1):
+    if not (u.min(initial=0.5) > 0 and u.max(initial=0.5) < 1):  # a nan too
         raise DomainError("u must lie strictly inside (0, 1)")
     out = _quantile(spec, u, np.empty_like(u))
     return float(out) if out.ndim == 0 else out

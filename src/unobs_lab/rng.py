@@ -33,10 +33,14 @@ WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # key increments between rounds
 
 
 def _seed(seed) -> int:
-    seed = int(seed)
-    if not 0 <= seed <= MASK64:
+    """seed as an int, refused unless an integral value in [0, 2**64 - 1] (int() truncates)."""
+    try:
+        value = int(seed)
+    except (ValueError, OverflowError):  # nan, inf
+        value = None
+    if value != seed or not 0 <= value <= MASK64:
         raise ValueError(f"seed = {seed}: not a 64-bit unsigned integer, [0, 2**64 - 1]")
-    return seed
+    return value
 
 
 def substream(seed: int, stream: int) -> np.random.Generator:

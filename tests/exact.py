@@ -39,6 +39,22 @@ def least_eigenvalue(lambda2: float, nu2: float, alpha: float, n: int, prec: int
         return slack / ((d + D(nu2)) / 2 + (((d - D(nu2)) / 2) ** 2 + n * tau * tau).sqrt())
 
 
+def a_n(lambda2: float, nu2: float, n: int, prec: int = 50):
+    """A_n's ends (lo, hi), the alphas whose (b, eps) law exists at cluster size n, or None
+    where A_n is empty: u = nu2 + nu*alpha*s, s = sqrt(lambda2 + nu2), lies in
+    [(nu2 - R)/n, (nu2 + R)/n], R = sqrt(nu2*(nu2 + n*lambda2)), so alpha = (u - nu2)/(nu*s),
+    cut to [-1, 1]."""
+    with digits(prec):
+        lambda2, nu2 = D(lambda2), D(nu2)
+        m = nu2 + n * lambda2
+        if m < 0:
+            return None
+        r, nu_s = (nu2 * m).sqrt(), (nu2 * (lambda2 + nu2)).sqrt()
+        lo, hi = (((nu2 + sign * r) / n - nu2) / nu_s for sign in (-1, 1))
+        lo, hi = max(lo, D(-1)), min(hi, D(1))
+        return (lo, hi) if lo <= hi else None
+
+
 def cs_root_lam(n: int, lam: float, phi: float, prec: int = 50):
     """The a of CSMatrix.sqrt's a*J + sqrt(phi)*I: (sqrt(phi + n*lam) - sqrt(phi))/n."""
     with digits(prec):

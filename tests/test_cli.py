@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact import (D, claim1, expected, expected_csv, least_eigenvalue, moment, quantile,
+from exact import (D, a_n, claim1, expected, expected_csv, least_eigenvalue, moment, quantile,
                    running_means)
 from unobs_lab import heavytail as ht
 from unobs_lab.cli import COMMANDS, REQUIRED, _fast_parse, _float_list, _json, build_parser, main
@@ -55,12 +56,13 @@ def cold(code: str, *flags: str):
     return ast.literal_eval(lines[-1])
 
 
-def cold_main(argv, modules, *flags):
-    """Exit code of main(argv) in a fresh interpreter with flags, and which of modules it loaded."""
+def cold_loads(code: str, modules, *flags):
+    """rc as code sets it (0 where it does not), and which of modules are loaded, after code
+    runs in a fresh interpreter with flags."""
     rc, loaded = cold(
         "import sys\n"
-        "from unobs_lab.cli import main\n"
-        f"rc = main({argv!r})\n"
+        "rc = 0\n"
+        f"{code}\n"
         "sys.stdout.flush()\n"
         f"sys.stderr.write('\\n' + repr((rc, [m in sys.modules for m in {modules!r}])))\n",
         *flags,
@@ -326,6 +328,25 @@ class TestSimulateAndFit:
         lines = out.strip().split("\n")
         assert lines[0] == "cluster,b,eps1,eps2" and len(lines) == 5
 
+    @pytest.mark.parametrize("size", [1, 4])
+    def test_out_dash_writes_the_file_bytes_to_stdout(self, tmp_path, capsys, size):
+        argv = ["simulate", "--model", "cs", "--lambda", "1", "--phi", "1",
+                "--n-clusters", "300", "--cluster-size", str(size), "--seed", "4"]
+        path = tmp_path / "sim.csv"
+        assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+        text = path.read_bytes().decode()
+        assert run(capsys, *argv, "--out", "-") == (0, text, "")
+        assert text == expected_csv(simulate_cs(CSParams([0.0], 1.0, 1.0), SimLayout(300, size),
+                                                seed=4))
+
+    def test_latent_dash_writes_the_file_bytes_to_stdout(self, tmp_path, capsys):
+        argv = ["simulate", "--model", "extended", "--lambda2", "1", "--nu2", "1",
+                "--alpha", "0.2", "--n-clusters", "200", "--cluster-size", "2", "--seed", "3",
+                "--out", str(tmp_path / "sim.csv")]
+        latent = tmp_path / "latent.csv"
+        assert run(capsys, *argv, "--latent", str(latent)) == (0, "", "")
+        assert run(capsys, *argv, "--latent", "-") == (0, latent.read_bytes().decode(), "")
+
     def test_latent_needs_extended_model(self, tmp_path, capsys):
         out, latent = tmp_path / "sim.csv", tmp_path / "latent.csv"
         cs = ["simulate", "--model", "cs", "--lambda", "1", "--phi", "1",
@@ -380,9 +401,8 @@ class TestSimulateAndFit:
 
 
 def inside_a_n(lambda2, nu2, n, points=5):
-    """Alphas strictly inside A_n, the alphas whose (b, eps) law exists at size n."""
-    nu, s, m = math.sqrt(nu2), math.sqrt(lambda2 + nu2), nu2 + n * lambda2
-    lo, hi = ((-(n - 1) * nu + sign * math.sqrt(m)) / (n * s) for sign in (-1, 1))
+    """Alphas strictly inside A_n (exact.a_n), the alphas whose (b, eps) law exists at size n."""
+    lo, hi = map(float, a_n(lambda2, nu2, n))
     return [lo + (hi - lo) * k / (points + 1) for k in range(1, points + 1)]
 
 
@@ -588,32 +608,34 @@ class TestPitCommand:
         assert np.all(vals > 0)
 
 
+# the row-output tests' Weibull-exponential law (rho = 1: no finite mean), and its flags
+ROW_SPEC = ht.WeibullExpSpec(phi=1.3, rho=1.0, delta=0.7)
+ROW_FLAGS = ["--phi", "1.3", "--rho", "1", "--delta", "0.7"]
+
+
 class TestLineFormats:
     """Row outputs, byte for byte, against lines built here from the library."""
 
-    SPEC = ht.WeibullExpSpec(phi=1.3, rho=1.0, delta=0.7)
-    FLAGS = ["--phi", "1.3", "--rho", "1", "--delta", "0.7"]
-
     def test_sample(self, capsys):
-        rc, out, _ = run(capsys, "heavytail", "sample", *self.FLAGS, "--n", "500", "--seed", "5")
+        rc, out, _ = run(capsys, "heavytail", "sample", *ROW_FLAGS, "--n", "500", "--seed", "5")
         assert rc == 0
-        assert out == expected("%.17g\n", ht.we_sample(self.SPEC, 500, seed=5))
+        assert out == expected("%.17g\n", ht.we_sample(ROW_SPEC, 500, seed=5))
 
     def test_pit(self, capsys):
-        rc, out, _ = run(capsys, "pit", *self.FLAGS, "--n", "500", "--seed", "8")
-        draws = ht.pit_sample(lambda u: ht.we_quantile(self.SPEC, u), 500, seed=8)
+        rc, out, _ = run(capsys, "pit", *ROW_FLAGS, "--n", "500", "--seed", "8")
+        draws = ht.pit_sample(lambda u: ht.we_quantile(ROW_SPEC, u), 500, seed=8)
         assert rc == 0
         assert out == expected("%.17g\n", draws)
 
     def test_trace(self, capsys):
         rc, out, _ = run(
-            capsys, "heavytail", "trace", *self.FLAGS,
+            capsys, "heavytail", "trace", *ROW_FLAGS,
             "--n", "1000", "--stride", "7", "--seed", "3",
         )
         n = np.arange(7, 1001, 7)
         assert rc == 0
         assert out == "n,running_mean\n" + expected(
-            "%d,%.17g\n", n, np.cumsum(ht.we_sample(self.SPEC, 1000, seed=3))[n - 1] / n)
+            "%d,%.17g\n", n, np.cumsum(ht.we_sample(ROW_SPEC, 1000, seed=3))[n - 1] / n)
 
     def test_simulate_extended_with_latent(self, tmp_path, capsys):
         latent = tmp_path / "latent.csv"
@@ -649,24 +671,21 @@ class TestRowOutputsThroughTheWorker:
     """sample, trace and pit fill their rows in a worker thread while the rows already
     final are formatted: the bytes are the plain writer's, and an exit 1 writes nothing."""
 
-    SPEC = ht.WeibullExpSpec(phi=1.3, rho=1.0, delta=0.7)
-    FLAGS = ["--phi", "1.3", "--rho", "1", "--delta", "0.7"]
-
     def library_rows(self, name, N, stride) -> str:
         """write_rows, without a fill, of the library's arrays."""
         if name == "heavytail trace":
-            head, columns = "n,running_mean\n", ht.running_mean_trace(self.SPEC, N, stride, 3)
+            head, columns = "n,running_mean\n", ht.running_mean_trace(ROW_SPEC, N, stride, 3)
         elif name == "pit":
-            head, columns = "", [ht.pit_sample(lambda u: ht.we_quantile(self.SPEC, u), N, 3)]
+            head, columns = "", [ht.pit_sample(lambda u: ht.we_quantile(ROW_SPEC, u), N, 3)]
         else:
-            head, columns = "", [ht.we_sample(self.SPEC, N, 3)]
+            head, columns = "", [ht.we_sample(ROW_SPEC, N, 3)]
         buf = io.StringIO()
         write_rows(buf, head, *columns)
         return buf.getvalue()
 
     @pytest.mark.parametrize("name,N,stride", WORKER_CASES)
     def test_bytes_are_the_plain_writers(self, tmp_path, capsys, name, N, stride):
-        argv = [*name.split(), *self.FLAGS, "--n", str(N), "--seed", "3"]
+        argv = [*name.split(), *ROW_FLAGS, "--n", str(N), "--seed", "3"]
         argv += ["--stride", str(stride)] if stride else []
         want = self.library_rows(name, N, stride)
         threads = threading.active_count()
@@ -693,7 +712,7 @@ class TestRowOutputsThroughTheWorker:
     def test_out_into_a_missing_directory(self, tmp_path, capsys, argv):
         path = tmp_path / "missing" / "rows.txt"
         threads = threading.active_count()
-        rc, out, err = run(capsys, *argv, *self.FLAGS, "--n", "1000", "--seed", "3",
+        rc, out, err = run(capsys, *argv, *ROW_FLAGS, "--n", "1000", "--seed", "3",
                            "--out", str(path))
         assert (rc, out) == (1, "")
         assert err == f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
@@ -1289,148 +1308,74 @@ class TestGrammar:
             assert fast is not None and _parsed(fast) == _argparse_vars(PARSER, call.argv)
 
 
+@pytest.fixture
+def tiny_csv(tmp_path):
+    """Five rows in three clusters, one covariate: a fit input of the import table."""
+    path = tmp_path / "tiny.csv"
+    path.write_text("cluster,unit,y,x1\na,1,1,1\na,2,2,1\nb,1,4,1\nb,2,3,1\nc,1,0,1\n")
+    return path
+
+
+# The lazy-import contract, one row per command line: the interpreter flags, the line (a
+# unobs-lab command, or Python code run in place of main), its exit code, and the watched
+# modules it loads, a leading dot standing for `unobs_lab.`; it loads no other watched
+# module. Watched are every package module and WATCHED; typing only under -S, where no .pth
+# file preloads it, and inspect only where numpy is not loaded, as numpy imports it itself.
+WATCHED = ("numpy", "numpy.ma", "scipy", "concurrent.futures", "dataclasses", "inspect",
+           "argparse", "gettext")
+PACKAGE = tuple(f"unobs_lab.{m.name}"
+                for m in pkgutil.iter_modules([os.path.join(SRC, "unobs_lab")]))
+SIM = "--n-clusters 5 --cluster-size 2 --seed 1"
+IMPORTS = [
+    ("", "eb --lambda2 3 --nu2 1 --alpha=-0.5 --n 2", 0, ".cli .cs .equivalence"),
+    ("-S", "eb --lambda2 1 --nu2 1 --alpha 0", 0, ".cli .cs .equivalence"),
+    ("", "eb --lambda2 1 --nu2 1 --alpha 2", 1, ".cli .cs .equivalence"),
+    ("", "eb --lambda2 1 --nu2 1", 2, "argparse gettext .cli .cs"),
+    ("", "equivalence --lambda2 2 --nu2 1 --alpha-grid=-1,0,1", 0, ".cli .cs .equivalence"),
+    ("-S", "equivalence --lambda2 2 --nu2 1 --alpha-grid=-1,0,1 --n 2", 0,
+     ".cli .cs .equivalence"),
+    ("", "equivalence --lambda2=-0.01 --nu2 1 --alpha-grid=-1,1 --n 64", 0,
+     ".cli .cs .equivalence"),
+    ("", "equivalence --lambda2 2 --nu2 1 --alpha-grid=0 --n 100", 1, ".cli .cs"),
+    ("", "equivalence --lambda2 1 --nu2 1 --alpha-grid=1,,2", 2, "argparse gettext .cli .cs"),
+    ("", "heavytail moments --phi 1 --rho 2 --delta 1 --k 1..4", 0, ".cli .cs .heavytail"),
+    ("-S", "heavytail moments --phi 1 --rho 2 --delta 1 --k 1..4", 0, ".cli .cs .heavytail"),
+    ("", f"simulate --model cs --lambda 1 --phi 1 {SIM}", 0,
+     "numpy .cli .cs .estimation .model_core .rng .rows"),
+    ("", f"simulate --model cs --lambda=-0.2 --phi 1 {SIM}", 0,
+     "numpy .cli .cs .estimation .model_core .rng .rows"),
+    ("", f"simulate --model extended --lambda2 1 --nu2 1 --alpha 0 {SIM} --latent=-", 0,
+     "numpy .cli .cs .equivalence .estimation .model_core .rng .rows"),
+    ("", "fit --data {tiny_csv}", 0, "numpy .cli .cs .estimation .model_core"),
+    ("", "heavytail sample --phi 1 --rho 2 --delta 1 --n 3 --seed 1", 0,
+     "numpy .cli .cs .heavytail .rng .rows"),
+    ("", "heavytail trace --phi 1 --rho 2 --delta 1 --n 3 --seed 1", 0,
+     "numpy .cli .cs .heavytail .rng .rows"),
+    ("", "heavytail trace --phi 1 --rho 1 --delta 1 --n 3", 2, "argparse gettext .cli .cs"),
+    ("", "pit --dist weibull-exp --phi 1 --rho 1 --delta 1 --n 3 --seed 1", 0,
+     "numpy .cli .cs .heavytail .rng .rows .special"),
+    ("", "from unobs_lab.cs import CSMatrix, DomainError, validate_cs", 0, ".cs"),
+    ("", "import unobs_lab", 0, ""),
+]
+
+
 class TestLazyScipy:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["eb", "--lambda2", "3", "--nu2", "1", "--alpha=-0.5", "--n", "2"],
-            ["equivalence", "--lambda2", "2", "--nu2", "1", "--alpha-grid=-1,0,1"],
-            ["simulate", "--model", "cs", "--lambda", "1", "--phi", "1",
-             "--n-clusters", "5", "--cluster-size", "2", "--seed", "1"],
-            ["fit", "--data", "{tiny_csv}"],
-            ["simulate", "--model", "cs", "--lambda=-0.2", "--phi", "1",
-             "--n-clusters", "5", "--cluster-size", "2", "--seed", "1"],
-            ["simulate", "--model", "extended", "--lambda2", "1", "--nu2", "1", "--alpha", "0",
-             "--n-clusters", "5", "--cluster-size", "2", "--seed", "1", "--latent", "-"],
-        ],
-    )
-    def test_closed_form_commands_never_import_scipy(self, argv, tmp_path):
-        """Nor numpy.ma, which np.unique of a plain array loads in numpy 2.4."""
-        tiny = tmp_path / "tiny.csv"
-        tiny.write_text("cluster,unit,y,x1\na,1,1,1\na,2,2,1\nb,1,4,1\nb,2,3,1\nc,1,0,1\n")
-        argv = [arg.replace("{tiny_csv}", str(tiny)) for arg in argv]
-        rc, loaded = cold_main(argv, ("scipy", "concurrent.futures", "numpy.ma"))
-        assert rc == 0 and not any(loaded.values()), loaded
-
-    @pytest.mark.parametrize(
-        "argv,rows",
-        [
-            (["eb", "--lambda2", "3", "--nu2", "1", "--alpha=-0.5", "--n", "2"], False),
-            (["heavytail", "moments", "--phi", "1", "--rho", "2", "--delta", "1"], False),
-            (["heavytail", "sample", "--phi", "1", "--rho", "2", "--delta", "1",
-              "--n", "3", "--seed", "1"], True),
-        ],
-    )
-    def test_json_reports_never_load_the_row_formatter(self, argv, rows):
-        """A JSON report is written as a head alone, so a cold eb compiles no formatter."""
-        assert cold_main(argv, ("unobs_lab.rows",)) == (0, {"unobs_lab.rows": rows})
-
-    @pytest.mark.parametrize(
-        "argv,rc",
-        [
-            (["eb", "--lambda2", "1", "--nu2", "1", "--alpha", "0"], 0),
-            (["equivalence", "--lambda2", "2", "--nu2", "1", "--alpha-grid=-1,0,1", "--n", "2"], 0),
-            (["equivalence", "--lambda2=-0.01", "--nu2", "1", "--alpha-grid=-1,1", "--n", "64"], 0),
-            (["heavytail", "moments", "--phi", "1", "--rho", "2", "--delta", "1", "--k", "1..4"], 0),
-            (["equivalence", "--lambda2", "2", "--nu2", "1", "--alpha-grid=0", "--n", "100"], 1),
-            (["eb", "--lambda2", "1", "--nu2", "1", "--alpha", "2"], 1),
-        ],
-    )
-    def test_closed_form_commands_load_neither_numpy_nor_scipy(self, argv, rc):
-        """Nor dataclasses and inspect: the value classes are namedtuples."""
-        modules = ("numpy", "scipy", "dataclasses", "inspect")
-        assert cold_main(argv, modules) == (rc, dict.fromkeys(modules, False))
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["eb", "--lambda2", "1", "--nu2", "1", "--alpha", "0"],
-            ["equivalence", "--lambda2", "2", "--nu2", "1", "--alpha-grid=-1,0,1", "--n", "2"],
-            ["heavytail", "moments", "--phi", "1", "--rho", "2", "--delta", "1", "--k", "1..4"],
-        ],
-    )
-    def test_closed_form_commands_without_site_load_no_typing(self, argv):
-        """Under python -S no .pth file preloads typing, so its cost would show here."""
-        modules = ("numpy", "scipy", "dataclasses", "inspect", "typing", "argparse")
-        assert cold_main(argv, modules, "-S") == (0, dict.fromkeys(modules, False))
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["simulate", "--model", "cs", "--lambda", "1", "--phi", "1",
-             "--n-clusters", "5", "--cluster-size", "2", "--seed", "1"],
-            ["simulate", "--model", "extended", "--lambda2", "1", "--nu2", "1", "--alpha", "0",
-             "--n-clusters", "5", "--cluster-size", "2", "--seed", "1", "--latent", "-"],
-            ["fit", "--data", "{tiny_csv}"],
-            ["heavytail", "sample", "--phi", "1", "--rho", "2", "--delta", "1",
-             "--n", "3", "--seed", "1"],
-            ["heavytail", "trace", "--phi", "1", "--rho", "2", "--delta", "1",
-             "--n", "3", "--seed", "1"],
-            ["pit", "--phi", "1", "--rho", "1", "--delta", "1", "--n", "3", "--seed", "1"],
-        ],
-    )
-    def test_numpy_commands_load_no_dataclasses(self, argv, tmp_path):
-        tiny = tmp_path / "tiny.csv"
-        tiny.write_text("cluster,unit,y,x1\na,1,1,1\na,2,2,1\nb,1,4,1\nb,2,3,1\nc,1,0,1\n")
-        argv = [arg.replace("{tiny_csv}", str(tiny)) for arg in argv]
-        assert cold_main(argv, ("dataclasses",)) == (0, {"dataclasses": False})
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["equivalence", "--lambda2", "2", "--nu2", "1", "--alpha-grid=-1,0,1"],
-            ["eb", "--lambda2", "1", "--nu2", "1", "--alpha", "0", "--n", "3"],
-            ["fit", "--data", "{tiny_csv}"],
-            ["simulate", "--model", "extended", "--lambda2", "1", "--nu2", "1", "--alpha", "0",
-             "--n-clusters", "5", "--cluster-size", "2", "--seed", "1", "--latent=-"],
-            ["heavytail", "moments", "--phi", "1", "--rho", "2", "--delta", "1", "--k", "1..4"],
-            ["heavytail", "trace", "--phi", "1", "--rho", "2", "--delta", "1",
-             "--n", "3", "--seed", "1"],
-            ["pit", "--dist", "weibull-exp", "--phi", "1", "--rho", "1", "--delta", "1",
-             "--n", "3", "--seed", "1"],
-        ],
-    )
-    def test_plain_argv_loads_no_argparse(self, argv, tmp_path):
-        """Plain argv is read from the grammar table; argparse and gettext stay unloaded."""
-        tiny = tmp_path / "tiny.csv"
-        tiny.write_text("cluster,unit,y,x1\na,1,1,1\na,2,2,1\nb,1,4,1\nb,2,3,1\nc,1,0,1\n")
-        argv = [arg.replace("{tiny_csv}", str(tiny)) for arg in argv]
-        modules = ("argparse", "gettext")
-        assert cold_main(argv, modules) == (0, dict.fromkeys(modules, False))
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["eb", "--lambda2", "1", "--nu2", "1"],
-            ["equivalence", "--lambda2", "1", "--nu2", "1", "--alpha-grid=1,,2"],
-            ["heavytail", "trace", "--phi", "1", "--rho", "1", "--delta", "1", "--n", "3"],
-        ],
-    )
-    def test_usage_error_loads_argparse(self, argv):
-        assert cold_main(argv, ("argparse",)) == (2, {"argparse": True})
-
-    def test_cs_simulation_loads_no_equivalence_model(self):
-        argv = ["simulate", "--model", "cs", "--lambda", "1", "--phi", "1",
-                "--n-clusters", "5", "--cluster-size", "2", "--seed", "1"]
-        assert cold_main(argv, ("unobs_lab.equivalence",)) == (
-            0, {"unobs_lab.equivalence": False})
-
-    def test_fit_loads_no_sampler(self, tmp_path):
-        """Nor the equivalence model, which only simulate_extended uses."""
-        tiny = tmp_path / "tiny.csv"
-        tiny.write_text("cluster,unit,y,x1\na,1,1,1\na,2,2,1\nb,1,4,1\nb,2,3,1\nc,1,0,1\n")
-        modules = ("unobs_lab.heavytail", "unobs_lab.rows", "unobs_lab.rng",
-                   "unobs_lab.equivalence")
-        rc, loaded = cold_main(["fit", "--data", str(tiny)], modules)
-        assert rc == 0 and not any(loaded.values()), loaded
-
-    @pytest.mark.parametrize("action", ["sample", "trace"])
-    def test_samplers_load_no_equivalence_model(self, action):
-        argv = ["heavytail", action, "--phi", "1", "--rho", "2", "--delta", "1",
-                "--n", "4", "--seed", "1"]
-        modules = ("unobs_lab.estimation", "unobs_lab.equivalence")
-        rc, loaded = cold_main(argv, modules)
-        assert rc == 0 and not any(loaded.values()), loaded
+    @pytest.mark.parametrize("flags,line,rc,loads", IMPORTS,
+                             ids=[f"{flags} {line}".strip() for flags, line, *_ in IMPORTS])
+    def test_import_contract(self, tiny_csv, flags, line, rc, loads):
+        """The one home of the promises of the README's Install section and cli.py's
+        docstring: eb, equivalence and heavytail moments load neither numpy nor scipy,
+        no command loads scipy, plain argv loads no argparse, and each command loads only
+        the package modules it uses."""
+        watched = [*PACKAGE, *WATCHED, *["typing"] * (flags == "-S")]
+        if "numpy" in loads.split():
+            watched.remove("inspect")
+        if not line.startswith(("import ", "from ")):
+            argv = shlex.split(line.format(tiny_csv=tiny_csv))
+            line = f"from unobs_lab.cli import main\nrc = main({argv!r})"
+        got, loaded = cold_loads(line, watched, *flags.split())
+        want = {"unobs_lab" + m if m.startswith(".") else m for m in loads.split()}
+        assert (got, {m for m in watched if loaded[m]}) == (rc, want)
 
     def test_every_subcommand_runs_without_scipy(self):
         """tests/without_scipy.py, which CI's installed-script step also runs."""
@@ -1439,36 +1384,9 @@ class TestLazyScipy:
                               capture_output=True, env=env, text=True)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
 
-    def test_pit_loads_no_scipy(self):
-        """ndtr is unobs_lab.special's, so a cold pit call never imports scipy."""
-        argv = ["pit", "--phi", "1", "--rho", "1", "--delta", "1", "--n", "20", "--seed", "1"]
-        assert cold_main(argv, ("scipy", "unobs_lab.special")) == (
-            0, {"scipy": False, "unobs_lab.special": True})
-
-    @pytest.mark.parametrize("action", ["sample", "trace"])
-    def test_samplers_load_no_ndtr(self, action):
-        argv = ["heavytail", action, "--phi", "1", "--rho", "2", "--delta", "1",
-                "--n", "4", "--seed", "1"]
-        assert cold_main(argv, ("scipy", "unobs_lab.special")) == (
-            0, {"scipy": False, "unobs_lab.special": False})
-
-    def test_scalar_layer_names_load_no_numpy(self):
-        """The CS names live in cs.py, the numpy-free scalar layer."""
-        loaded = cold(
-            "import sys\n"
-            "from unobs_lab.cs import CSMatrix, DomainError, validate_cs\n"
-            "sys.stderr.write(repr(sorted(m for m in sys.modules\n"
-            "                             if m == 'numpy' or m.startswith('unobs_lab'))))\n"
-        )
-        assert loaded == ["unobs_lab", "unobs_lab.cs"]
-
     def test_package_names_resolve_to_their_modules(self):
-        """The package root holds only __version__; every other name is its module's."""
-        loaded = cold(
-            "import sys, unobs_lab\n"
-            "sys.stderr.write(repr(sorted(m for m in sys.modules if m.startswith('unobs_lab'))))\n"
-        )
-        assert loaded == ["unobs_lab"]
+        """The package root holds only __version__ (the import table's `import unobs_lab`
+        row checks that it loads no submodule); every other name is its module's."""
         import unobs_lab
 
         assert unobs_lab.__version__ == "0.1.0"

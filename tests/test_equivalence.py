@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact import D, claim1
+from exact import D, a_n, claim1
 from unobs_lab.cs import CSMatrix, DomainError
 from unobs_lab.equivalence import (
     ExtendedSpec,
@@ -404,9 +404,7 @@ class TestAdmissible:
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     @pytest.mark.parametrize("lam2, nu2", [(1.0, 1.0), (0.0, 0.3), (2.0, 0.5), (-0.1, 1.0)])
     def test_matches_the_least_eigenvalue(self, lam2, nu2, n):
-        # A_n in closed form: u = nu2 + nu*alpha*s in [(nu2 - R)/n, (nu2 + R)/n]
-        nu, s, r = math.sqrt(nu2), math.sqrt(lam2 + nu2), math.sqrt(nu2 * (nu2 + n * lam2))
-        lo, hi = (max(-1.0, min(1.0, ((nu2 + sign * r) / n - nu2) / (nu * s))) for sign in (-1, 1))
+        lo, hi = map(float, a_n(lam2, nu2, n))
         for alpha in np.linspace(-1, 1, 41).tolist():
             spec = ExtendedSpec(lam2, nu2, alpha)
             low = np.linalg.eigvalsh(joint_cov(spec, n))[0]

@@ -1,4 +1,3 @@
-import hashlib
 import io
 import math
 import re
@@ -19,7 +18,6 @@ from unobs_lab.equivalence import (
     marginal_cov_extended,
 )
 from unobs_lab.estimation import (
-    FitResult,
     SimLayout,
     UnsupportedLayoutError,
     fit_balanced_closed_form,

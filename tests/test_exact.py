@@ -1,6 +1,6 @@
 import pytest
 
-from exact import D, claim1, digits, quantile, running_means
+from exact import D, a_n, claim1, digits, quantile, running_means
 
 
 class TestExact:
@@ -19,6 +19,24 @@ class TestExact:
             if n == 1:
                 assert slack == D(nu2) * (D(lambda2) + D(nu2)) * (1 - D(alpha) ** 2)
                 assert (slack == 0) is (abs(alpha) == 1)
+
+    @pytest.mark.parametrize("lambda2, nu2", [
+        (1.0, 1.0), (2.0, 0.5), (0.0, 0.3), (-0.1, 1.0), (1.5, 1.0), (1e300, 1e-320)])
+    def test_a_n_ends_are_roots_of_the_slack(self, lambda2, nu2):
+        """At each end of A_n that the cut to [-1, 1] leaves, the size-n slack is 0, and
+        A_{n+1} lies in A_n."""
+        ends = {n: a_n(lambda2, nu2, n) for n in range(1, 10)}
+        for n, (lo, hi) in ends.items():
+            for end in (lo, hi):
+                if abs(end) < 1:
+                    slack = claim1(lambda2, nu2, end, n)[3]
+                    with digits(50):
+                        assert abs(slack) <= D("1e-45") * D(nu2) * (D(lambda2) + D(nu2))
+            if n > 1:
+                assert ends[n - 1][0] <= lo <= hi <= ends[n - 1][1]
+
+    def test_a_n_at_size_four(self):
+        assert [round(float(end), 5) for end in a_n(1.0, 1.0, 4)] == [-0.92561, -0.13505]
 
     @pytest.mark.parametrize("phi, rho, delta", [
         (1.0, 1.0, 1.0), (2.0, 1.5, 0.5), (1e300, 50.0, 1e-300), (1e-320, 0.5, 1e-320)])

@@ -85,13 +85,14 @@ class TestCdfQuantile:
             assert np.max(np.abs(back - u)) < 1e-10
 
     def test_quantile_domain(self):
-        for bad in (0.0, 1.0, -0.2, 1.5):
+        for bad in (0.0, 1.0, -0.2, 1.5, math.nan):
             with pytest.raises(DomainError):
                 we_quantile(UNIT, bad)
 
     def test_cdf_domain(self):
-        with pytest.raises(DomainError, match="support is y >= 0"):
-            we_cdf(UNIT, [1.0, -0.5])
+        for bad in ([1.0, -0.5], math.nan, [2.0, math.nan]):
+            with pytest.raises(DomainError, match="support is y >= 0"):
+                we_cdf(UNIT, bad)
 
     @pytest.mark.parametrize("spec", EXTREME)
     def test_quantile_where_the_direct_form_leaves_the_floats(self, spec):

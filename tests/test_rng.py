@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -36,10 +39,11 @@ class TestPhiloxRaw:
         with pytest.raises(ValueError, match="64-bit"):
             substream(seed, 0)
 
-    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, 1.9, math.nan, math.inf])
     def test_seed_error_names_the_value(self, seed):
         for call in (lambda: philox_raw(seed, [0], 4), lambda: substream(seed, 0)):
-            with pytest.raises(ValueError, match=f"^seed = {seed}: "):
+            with pytest.raises(ValueError, match="^" + re.escape(
+                    f"seed = {seed}: not a 64-bit unsigned integer, [0, 2**64 - 1]") + "$"):
                 call()
 
 
