@@ -32,20 +32,29 @@ MULT = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # Philox4x64 round multipliers
 WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # key increments between rounds
 
 
-def _seed(seed) -> int:
-    """seed as an int, refused unless an integral value in [0, 2**64 - 1] (int() truncates)."""
+def _u64(value, name: str) -> int:
+    """value as an int, refused unless an integral value in [0, 2**64 - 1] (int() truncates)."""
     try:
-        value = int(seed)
+        got = int(value)
     except (ValueError, OverflowError):  # nan, inf
-        value = None
-    if value != seed or not 0 <= value <= MASK64:
-        raise ValueError(f"seed = {seed}: not a 64-bit unsigned integer, [0, 2**64 - 1]")
-    return value
+        got = None
+    if got != value or not 0 <= got <= MASK64:
+        raise ValueError(f"{name} = {value}: not a 64-bit unsigned integer, [0, 2**64 - 1]")
+    return got
+
+
+def _streams(streams) -> np.ndarray:
+    """streams as a uint64 column; integer arrays are checked at once, anything else entry by entry."""
+    k = np.asarray(streams)
+    if not (k.dtype.kind == "u" or k.dtype.kind == "i" and k.min(initial=0) >= 0):
+        entries = np.asarray(streams, dtype=object).ravel().tolist()  # object: a list's big ints stay exact
+        k = np.array([_u64(s, "stream") for s in entries], dtype=np.uint64)
+    return k.astype(np.uint64, copy=False).reshape(-1, 1)
 
 
 def substream(seed: int, stream: int) -> np.random.Generator:
     """Generator for substream `stream` of master `seed`; bit-reproducible."""
-    key = np.array([_seed(seed), int(stream)], dtype=np.uint64)
+    key = np.array([_u64(seed, "seed"), _u64(stream, "stream")], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -65,8 +74,8 @@ def philox_raw(seed: int, streams, n_words: int) -> np.ndarray:
     Bit for bit `np.random.Philox(key=(seed, streams[j])).random_raw(n_words)`:
     block b (4 words) encrypts the counter (b + 1, 0, 0, 0) under that key.
     """
-    k0 = _seed(seed)
-    k1 = np.asarray(streams, dtype=np.uint64).reshape(-1, 1)
+    k0 = _u64(seed, "seed")
+    k1 = _streams(streams)
     blocks = -(-int(n_words) // 4)
     shape = (len(k1), blocks)
     x0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), shape)

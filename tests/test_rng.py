@@ -46,6 +46,32 @@ class TestPhiloxRaw:
                     f"seed = {seed}: not a 64-bit unsigned integer, [0, 2**64 - 1]") + "$"):
                 call()
 
+    @pytest.mark.parametrize("stream", [-1, 2**64, 1.5, 1.9, math.nan, math.inf])
+    def test_stream_error_names_the_value(self, stream):
+        for call in (lambda: philox_raw(7, [0, stream], 4), lambda: substream(7, stream)):
+            with pytest.raises(ValueError, match="^" + re.escape(
+                    f"stream = {stream}: not a 64-bit unsigned integer, [0, 2**64 - 1]") + "$"):
+                call()
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_stream_array_is_refused_at_its_bad_entry(self, dtype):
+        """A negative or fractional entry of a numpy array is refused, not cast to another stream."""
+        bad = -1 if dtype is np.int64 else 2.5
+        with pytest.raises(ValueError, match=f"^stream = {bad}: not a 64-bit"):
+            philox_raw(7, np.array([3, bad, 4], dtype=dtype), 4)
+
+    @pytest.mark.parametrize("streams", [
+        np.array([3, 0, 2**62], dtype=np.int64),
+        np.array([3.0, 0.0, 2.0**62]),
+        [3, 0, 2**62],
+        [3, 2**64 - 1, 0],  # numpy would make this list float64 and lose the last bits
+    ], ids=["int64", "float64", "list", "list-past-int64"])
+    def test_integral_streams_of_any_type_are_their_streams(self, streams):
+        got = philox_raw(7, streams, 5)
+        want = philox_raw(7, np.array([int(s) for s in streams], dtype=np.uint64), 5)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got[1], substream(7, streams[1]).bit_generator.random_raw(5))
+
 
 class TestBatchIndependence:
     """Row j of a batched call is stream j's own draw, whatever else is in the batch."""
