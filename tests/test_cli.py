@@ -48,18 +48,11 @@ def fresh(code: str, *flags: str) -> subprocess.CompletedProcess:
                           text=True)
 
 
-def cold(code: str, *flags: str):
-    """The value of the last stderr line of code run in a fresh interpreter, with flags."""
-    proc = fresh(code, *flags)
-    lines = proc.stderr.splitlines()
-    assert proc.returncode == 0 and lines, proc.stderr
-    return ast.literal_eval(lines[-1])
-
-
 def cold_loads(code: str, modules, *flags):
     """rc as code sets it (0 where it does not), and which of modules are loaded, after code
-    runs in a fresh interpreter with flags."""
-    rc, loaded = cold(
+    runs in a fresh interpreter with flags; read from the last line code's run writes to
+    stderr."""
+    proc = fresh(
         "import sys\n"
         "rc = 0\n"
         f"{code}\n"
@@ -67,6 +60,9 @@ def cold_loads(code: str, modules, *flags):
         f"sys.stderr.write('\\n' + repr((rc, [m in sys.modules for m in {modules!r}])))\n",
         *flags,
     )
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 0 and lines, proc.stderr
+    rc, loaded = ast.literal_eval(lines[-1])
     return rc, dict(zip(modules, loaded))
 
 
@@ -1339,6 +1335,7 @@ IMPORTS = [
     ("", "equivalence --lambda2 2 --nu2 1 --alpha-grid=0 --n 100", 1, ".cli .cs"),
     ("", "equivalence --lambda2 1 --nu2 1 --alpha-grid=1,,2", 2, "argparse gettext .cli .cs"),
     ("", "heavytail moments --phi 1 --rho 2 --delta 1 --k 1..4", 0, ".cli .cs .heavytail"),
+    ("", "heavytail moments --phi 1 --rho 2 --delta 1", 0, ".cli .cs .heavytail"),
     ("-S", "heavytail moments --phi 1 --rho 2 --delta 1 --k 1..4", 0, ".cli .cs .heavytail"),
     ("", f"simulate --model cs --lambda 1 --phi 1 {SIM}", 0,
      "numpy .cli .cs .estimation .model_core .rng .rows"),
@@ -1346,6 +1343,8 @@ IMPORTS = [
      "numpy .cli .cs .estimation .model_core .rng .rows"),
     ("", f"simulate --model extended --lambda2 1 --nu2 1 --alpha 0 {SIM} --latent=-", 0,
      "numpy .cli .cs .equivalence .estimation .model_core .rng .rows"),
+    ("", f"simulate --model extended --lambda2 1 --nu2 1 --alpha 0 {SIM} --latent -", 0,
+     "argparse gettext numpy .cli .cs .equivalence .estimation .model_core .rng .rows"),
     ("", "fit --data {tiny_csv}", 0, "numpy .cli .cs .estimation .model_core"),
     ("", "heavytail sample --phi 1 --rho 2 --delta 1 --n 3 --seed 1", 0,
      "numpy .cli .cs .heavytail .rng .rows"),
@@ -1353,6 +1352,8 @@ IMPORTS = [
      "numpy .cli .cs .heavytail .rng .rows"),
     ("", "heavytail trace --phi 1 --rho 1 --delta 1 --n 3", 2, "argparse gettext .cli .cs"),
     ("", "pit --dist weibull-exp --phi 1 --rho 1 --delta 1 --n 3 --seed 1", 0,
+     "numpy .cli .cs .heavytail .rng .rows .special"),
+    ("", "pit --phi 1 --rho 1 --delta 1 --n 3 --seed 1", 0,
      "numpy .cli .cs .heavytail .rng .rows .special"),
     ("", "from unobs_lab.cs import CSMatrix, DomainError, validate_cs", 0, ".cs"),
     ("", "import unobs_lab", 0, ""),
