@@ -1,10 +1,13 @@
 """Command-line front end: equivalence, simulate, fit, eb, heavytail, pit.
 
 Exit codes are a stable contract: 0 success, 1 domain/numeric error, 2 usage
-error. Identical seeds and flags produce byte-identical output; all numbers are
-serialized with 17 significant digits so byte-level reproducibility is meaningful.
-The only value check here is REPORT_MAX_N; every other exit 1 is the library's
-refusal, which names the parameter (seed, n_draws, lambda2), not the flag.
+error, each with one error line on stderr (after argparse's usage, for 2); the
+REFUSALS table of tests/test_cli.py holds every refused command line with its
+code and that line. Identical seeds and flags produce byte-identical output; all
+numbers are serialized with 17 significant digits so byte-level reproducibility
+is meaningful. The only value check here is REPORT_MAX_N; every other exit 1 is
+the library's refusal, which names the parameter (seed, n_draws, lambda2), not
+the flag.
 
 Note: an option value that starts with '-' may be a separate word only when
 it is a negative number or a lone '-' (``--alpha -0.5``, ``--out -``); any
@@ -12,12 +15,13 @@ other, such as a negative alpha grid, must use the '--flag=value' form, as
 in ``--alpha-grid=-1,0,1``.
 
 One grammar table, COMMANDS, gives every subcommand and flag; MODES gives what
-each heavytail action and simulate model requires and never reads. Plain argv
-is read from COMMANDS directly; help, abbreviations and usage errors go to the
-argparse parser built from it, so argparse is imported only for them. Each
-subcommand imports the modules it uses in its own body, so eb, equivalence and
-heavytail moments run without numpy; the IMPORTS table of tests/test_cli.py
-checks each of these promises, a row per command line.
+each heavytail action and simulate model requires and never reads. Plain argv,
+'-' and negative-number values included, is read from COMMANDS directly; help,
+abbreviations, repeated flags and usage errors go to the argparse parser built
+from it, so argparse is imported only for them. Each subcommand imports the
+modules it uses in its own body, so eb, equivalence and heavytail moments run
+without numpy; the IMPORTS table of tests/test_cli.py checks each of these
+promises, a row per command line.
 
 heavytail sample, heavytail trace and pit pass their sampler's generator form
 to write_rows as fill: the draws are made in one worker thread while the rows
@@ -340,12 +344,25 @@ def build_parser():
     return parser
 
 
+def _separate_value(word: str) -> bool:
+    r"""Whether argparse reads word, the word after a flag, as that flag's value: it does not
+    start with '-', is '-', or is a negative number by argparse 3.10's pattern
+    ^-\d+$|^-\d*\.\d+$, tested here without importing re. A later argparse reads more
+    words as values (such as -5. and -1e-3); those go to argparse."""
+    if not word.startswith("-") or word == "-":
+        return True
+    whole, point, frac = word[1:].partition(".")
+    if point:
+        return (not whole or whole.isdecimal()) and frac.isdecimal()
+    return whole.isdecimal()
+
+
 def _fast_parse(argv):
     """argparse's namespace for plain argv, or None where argparse must read argv.
 
     Plain argv is a subcommand, its positionals, and exact flags each given
-    once as --flag=value or as --flag value with a value that does not start
-    with '-', every value accepted by its type and choices, and every
+    once as --flag=value or as --flag value with a value that _separate_value
+    accepts, every value accepted by its type and choices, and every
     required flag given. Help, abbreviations, repeats and every usage error
     give None, so argparse writes each message as before.
     """
@@ -362,8 +379,8 @@ def _fast_parse(argv):
             continue
         flag, eq, text = arg.partition("=")
         if not eq:
-            text = next(rest, "-")
-            if text.startswith("-"):
+            text = next(rest, None)  # a flag at the end of argv has no value
+            if text is None or not _separate_value(text):
                 return None
         if flag not in spec or flag in given or text == "--":  # argparse drops an '=--'
             return None
@@ -420,8 +437,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
-    # DomainError and numpy's LinAlgError are ValueErrors
-    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
+    # DomainError and numpy's LinAlgError are ValueErrors; an array too large to allocate
+    # is numpy's MemoryError
+    except (ValueError, ArithmeticError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
