@@ -225,12 +225,19 @@ def _cmd_simulate(args) -> int:
 
         spec = ExtendedSpec(lambda2=args.lambda2, nu2=args.nu2, alpha=args.alpha)
         data, latents = est.simulate_extended(spec, args.xi, layout, seed=args.seed)
-    write_dataset_csv(data, _dest(args.out))
-    if args.latent is not None:  # one line per cluster: id, b, eps1..epsn
-        n = args.cluster_size
-        head = "cluster,b," + ",".join(f"eps{j + 1}" for j in range(n)) + "\n"
-        eps = latents.eps.reshape(-1, n).T
-        write_rows(_dest(args.latent), head, Runs(data.id_cells, 1), latents.b, *eps)
+    # --latent is opened, without truncating it, before --out is written: a --latent that
+    # cannot be opened is refused with --out as it was
+    held = None if args.latent in (None, "-") else open(args.latent, "ab")
+    try:
+        write_dataset_csv(data, _dest(args.out))
+        if args.latent is not None:  # one line per cluster: id, b, eps1..epsn
+            n = args.cluster_size
+            head = "cluster,b," + ",".join(f"eps{j + 1}" for j in range(n)) + "\n"
+            eps = latents.eps.reshape(-1, n).T
+            write_rows(_dest(args.latent), head, Runs(data.id_cells, 1), latents.b, *eps)
+    finally:
+        if held is not None:
+            held.close()
     return 0
 
 

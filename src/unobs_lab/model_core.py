@@ -13,6 +13,8 @@ unobs_lab.cs.
 from __future__ import annotations
 
 import math
+import os
+import stat
 import warnings
 from collections import namedtuple
 from functools import cached_property
@@ -215,21 +217,24 @@ def gls_mean(data: Dataset, lam: float, phi: float) -> np.ndarray:
 def read_dataset_csv(path) -> Dataset:
     """Parse a long-format dataset CSV (header ``cluster,unit,y,x1,...,xp``).
 
-    After the header, the path goes to one ``np.loadtxt`` call that parses
-    each line into a cluster id (an object field, so no id is truncated), an
-    integer unit and p + 1 floats. Rows are coded by runs of equal ids and
-    each run's stripped id is looked up once, so clusters keep the order of
-    their first appearance whatever the file's order, interleaved or not.
-    Rows within a cluster are sorted by the integer ``unit`` column. Cells
-    are plain comma-separated values (no quoting); LF, CRLF and a lone CR
-    end lines, and empty lines and a UTF-8 byte-order mark are skipped.
-    Raises CsvFormatError with the offending line number on malformed
-    input, a non-finite number, or a repeated (cluster, unit) pair; only
-    then are the lines split in Python, and a malformed one is found by
-    bisecting them, in O(log n) parses.
+    A regular file's header is read, then its path goes to one ``np.loadtxt``
+    call; any other input (a pipe such as ``/dev/stdin``, a FIFO) is read
+    once, and loadtxt parses the lines of that read. Each line becomes a
+    cluster id (an object field, so no id is truncated), an integer unit and
+    p + 1 floats. Rows are coded by runs of equal ids and each run's stripped
+    id is looked up once, so clusters keep the order of their first
+    appearance whatever the file's order, interleaved or not. Rows within a
+    cluster are sorted by the integer ``unit`` column. Cells are plain
+    comma-separated values (no quoting); LF, CRLF and a lone CR end lines,
+    and empty lines and a UTF-8 byte-order mark are skipped. Raises
+    CsvFormatError with the offending line number on malformed input, a
+    non-finite number, or a repeated (cluster, unit) pair; only then are the
+    lines numbered (a regular file is read again for that), and a malformed
+    one is found by bisecting them, in O(log n) parses.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:  # universal newlines, as loadtxt reads
         head = fh.readline()
+        body = None if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else fh.read().split("\n")
     if not head:
         raise CsvFormatError("line 1: empty file")
     header = [h.strip() for h in head.split(",")]
@@ -241,16 +246,17 @@ def read_dataset_csv(path) -> Dataset:
     try:
         with warnings.catch_warnings():  # a file without rows is refused below
             warnings.simplefilter("ignore", UserWarning)
-            rec = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, skiprows=1,
+            rec = np.loadtxt(path if body is None else body, dtype=dtype, delimiter=",",
+                             comments=None, skiprows=1 if body is None else 0,
                              encoding="utf-8", ndmin=1)
     except ValueError:
-        _refuse_first_bad_row(_numbered(path), dtype)
+        _refuse_first_bad_row(_numbered(path, body), dtype)
     if not len(rec):
         raise CsvFormatError("line 2: no data rows")
     c, unit, vals = rec["c"], rec["unit"], rec["v"]
     if not np.isfinite(vals).all():
         bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
-        raise CsvFormatError(f"line {list(_numbered(path))[bad[0]]}: non-finite value")
+        raise CsvFormatError(f"line {list(_numbered(path, body))[bad[0]]}: non-finite value")
     heads = np.flatnonzero(np.concatenate([[True], c[1:] != c[:-1]]))
     codes = {}  # stripped id -> code, by first appearance
     run_codes = (codes.setdefault(s.strip(), len(codes)) for s in c[heads])
@@ -261,7 +267,7 @@ def read_dataset_csv(path) -> Dataset:
     dup = np.flatnonzero((np.diff(code) == 0) & (np.diff(unit) == 0))
     if len(dup):
         j = dup[np.argmin(perm[dup + 1])]  # the pair whose later line comes first
-        linenos = list(_numbered(path))
+        linenos = list(_numbered(path, body))
         raise CsvFormatError(
             f"line {linenos[perm[j + 1]]}: cluster {list(codes)[code[j]]!r} repeats unit "
             f"{unit[j]} of line {linenos[perm[j]]}"
@@ -269,10 +275,12 @@ def read_dataset_csv(path) -> Dataset:
     return Dataset(vals[:, 0], vals[:, 1:], np.bincount(code), list(codes), header[3:])
 
 
-def _numbered(path) -> dict[int, str]:
-    """The non-empty lines after the header by 1-based number, split as loadtxt splits them."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return {i: line for i, line in enumerate(fh.read().split("\n")[1:], start=2) if line}
+def _numbered(path, body) -> dict[int, str]:
+    """The non-empty lines after the header (body, else the file's) by 1-based number."""
+    if body is None:
+        with open(path, "r", encoding="utf-8") as fh:
+            body = fh.read().split("\n")[1:]
+    return {i: line for i, line in enumerate(body, start=2) if line}
 
 
 def _refuse_first_bad_row(numbered, dtype):

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dataset_csvs import DATASETS
 from exact import (D, a_n, claim1, expected, expected_csv, least_eigenvalue, moment, quantile,
                    running_means)
 from unobs_lab import heavytail as ht
@@ -329,6 +330,29 @@ class TestSimulateAndFit:
             assert (rc, stdout) == (2, "")
             assert "simulate --model cs takes no --latent" in err
         assert not out.exists() and not latent.exists()
+
+    def test_latent_that_cannot_be_opened_leaves_out_as_it_was(self, tmp_path, capsys):
+        out, latent = tmp_path / "y.csv", tmp_path / "missing" / "l.csv"
+        argv = [*SIMULATE_EXTENDED, "--out", str(out), "--latent", str(latent)]
+        refused = (1, "", f"error: [Errno 2] No such file or directory: '{latent}'\n")
+        assert run(capsys, *argv) == refused and not out.exists()
+        out.write_bytes(b"kept\n")
+        assert run(capsys, *argv) == refused and out.read_bytes() == b"kept\n"
+
+    def test_fit_reads_a_pipe(self, tmp_path, capsys):
+        """cat d.csv | unobs-lab fit --data /dev/stdin writes the bytes of fit --data d.csv,
+        each in a cold interpreter."""
+        path = tmp_path / "d.csv"
+        assert run(capsys, "simulate", "--model", "cs", "--lambda", "1", "--phi", "1",
+                   "--n-clusters", "200", "--cluster-size", "3", "--seed", "2",
+                   "--out", str(path)) == (0, "", "")
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        fit = [sys.executable, "-m", "unobs_lab.cli", "fit", "--data"]
+        by_path = subprocess.run([*fit, str(path)], capture_output=True, env=env)
+        piped = subprocess.run([*fit, "/dev/stdin"], input=path.read_bytes(),
+                               capture_output=True, env=env)  # stdin is a pipe
+        assert by_path.returncode == 0 and by_path.stdout.startswith(b'{"xi": [')
+        assert (piped.returncode, piped.stdout, piped.stderr) == (0, by_path.stdout, b"")
 
 
 def inside_a_n(lambda2, nu2, n, points=5):
@@ -678,22 +702,12 @@ def every_command(tmp_path, m: int) -> list:
     ]
 
 
-# The CSV files a table's command line names as {name}, by name.
-CSVS = {
-    "tiny_csv": "cluster,unit,y,x1\na,1,1,1\na,2,2,1\nb,1,4,1\nb,2,3,1\nc,1,0,1\n",
-    "ragged_csv": "cluster,unit,y,x1\na,1,1,1\na,2,2\n",
-    "no_x_csv": "cluster,unit,y\na,1,1\na,2,2\nb,1,3\nb,2,5\n",
-    "single_csv": "cluster,unit,y,x1\na,1,1,1\nb,1,2,1\nc,1,3,1\n",
-    "equal_columns_csv": "cluster,unit,y,x1,x2\na,1,1,1,1\na,2,2,2,2\nb,1,3,1,1\nb,2,5,3,3\n",
-}
-
-
 @pytest.fixture
 def csvs(tmp_path):
-    """name -> path of each CSVS file, written in tmp_path."""
-    for name, text in CSVS.items():
-        (tmp_path / name).write_text(text)
-    return {name: tmp_path / name for name in CSVS}
+    """name -> path of each DATASETS text, written in tmp_path: a table's {name}."""
+    for name, text, _ in DATASETS:
+        (tmp_path / name).write_bytes(text.encode("utf-8"))
+    return {name: tmp_path / name for name, *_ in DATASETS}
 
 
 LAW, CS, EXT = (" ".join(argv) for argv in (WE, SIMULATE_CS, SIMULATE_EXTENDED))
@@ -702,9 +716,10 @@ SEEDED = ["heavytail sample --n 5 --rho 1 --delta 1", "heavytail trace --n 5 --r
 NOT_JSON = "non-finite value inf cannot be written as JSON"
 EMPTY_ITEM = "has an empty item (a doubled, leading or trailing comma)"
 
-# The refusal contract, one row per refused command line: the line (its {name}s are CSVS
-# files), its exit code, and the last line it writes to stderr. Exit 1 writes that line
-# alone; exit 2 writes argparse's usage before it.
+# The refusal contract, one row per refused command line: the line (its {name}s are
+# DATASETS files), its exit code, and the last line it writes to stderr. Exit 1 writes that
+# line alone; exit 2 writes argparse's usage before it. Every refused DATASETS row is a
+# `fit --data` row.
 REFUSALS = [
     ("nonsense", 2, "unobs-lab: error: argument subcommand: invalid choice: 'nonsense' "
      "(choose from 'equivalence', 'eb', 'fit', 'simulate', 'heavytail', 'pit')"),
@@ -729,12 +744,11 @@ REFUSALS = [
     ("eb --lambda2 1 --nu2 1 --alpha 0.5 --n=-3", 1, "error: cluster size n = -3 is not >= 1"),
     ("eb --lambda2 inf --nu2 1 --alpha 0.5", 1, "error: lambda2 = inf is non-finite"),
     ("eb --lambda2=1.7e308 --nu2=1.7e308 --alpha=0", 1, f"error: d: {NOT_JSON}"),
-    ("fit --data {ragged_csv}", 1, "error: line 3: expected 4 columns, got 3"),
-    ("fit --data {no_x_csv}", 1,
-     "error: line 1: no covariate columns x1..xp after 'cluster,unit,y'"),
-    ("fit --data {single_csv}", 1,
+    *((f"fit --data {{{name}}}", 1, f"error: {want}")
+      for name, _, want in DATASETS if isinstance(want, str)),
+    ("fit --data {single}", 1,
      "error: lam is unidentified: every cluster has a single observation"),
-    ("fit --data {equal_columns_csv}", 1,
+    ("fit --data {equal_columns}", 1,
      "error: no PD point has a finite likelihood: X is rank deficient or fits y exactly"),
     ("simulate --model cs --lambda 1 --phi 1 --xi 1,2 --n-clusters 5 --cluster-size 2 --seed 1", 1,
      "error: xi has 2 entries; simulation is intercept-only and needs 1"),
@@ -1240,7 +1254,7 @@ IMPORTS = [
      "numpy .cli .cs .equivalence .estimation .model_core .rng .rows"),
     ("", f"simulate --model extended --lambda2 1 --nu2 1 --alpha 0 {SIM} --latent -", 0,
      "numpy .cli .cs .equivalence .estimation .model_core .rng .rows"),
-    ("", "fit --data {tiny_csv}", 0, "numpy .cli .cs .estimation .model_core"),
+    ("", "fit --data {tiny}", 0, "numpy .cli .cs .estimation .model_core"),
     ("", "heavytail sample --phi 1 --rho 2 --delta 1 --n 3 --seed 1", 0,
      "numpy .cli .cs .heavytail .rng .rows"),
     ("", "heavytail trace --phi 1 --rho 2 --delta 1 --n 3 --seed 1", 0,

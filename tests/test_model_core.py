@@ -1,3 +1,4 @@
+import contextlib
 import importlib
 import io
 import math
@@ -5,6 +6,7 @@ import os
 import pkgutil
 import re
 import tempfile
+import threading
 import warnings
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dataset_csvs import DATASETS, Parsed
 from exact import cs_root_lam, dense_gls, expected_csv, intercept_dataset
 import unobs_lab
 from unobs_lab.cs import CSMatrix, CsvFormatError, DomainError, validate_cs, write_rows
@@ -370,169 +373,59 @@ class TestDataModel:
 # ---------------------------------------------------------------------------
 
 
-class TestCsv:
-    def test_roundtrip(self, tmp_path):
-        data = intercept_dataset({"a": [1.25, -2.5], "b": [0.0, 3.0]})
-        path = tmp_path / "data.csv"
-        write_dataset_csv(data, path)
-        back = read_dataset_csv(path)
-        assert back.covariate_names == ("x1",)
-        assert back.cluster_ids == data.cluster_ids
-        assert np.array_equal(back.sizes, data.sizes)
-        assert np.array_equal(back.y, data.y)
-        assert np.array_equal(back.X, data.X)
+def read_text(text: str, fifo: bool):
+    """read_dataset_csv of text as UTF-8 from a regular file, or from a FIFO that a thread
+    feeds."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        if not fifo:
+            with open(path, "wb") as fh:
+                fh.write(text.encode("utf-8"))
+            return read_dataset_csv(path)
+        os.mkfifo(path)
+        done = threading.Event()
+        writer = threading.Thread(target=feed, args=(path, text.encode("utf-8"), done))
+        writer.start()
+        try:
+            return read_dataset_csv(path)
+        finally:
+            done.set()
+            writer.join()
 
-    def test_unit_column_orders_rows(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("cluster,unit,y,x1\na,2,20,1\na,1,10,1\n")
-        data = read_dataset_csv(path)
-        assert np.array_equal(data.y, [10.0, 20.0])
 
-    def test_crlf_accepted(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_bytes(b"cluster,unit,y,x1\r\na,1,1.5,1\r\n")
-        data = read_dataset_csv(path)
-        assert data.y[0] == 1.5
+def feed(path, data: bytes, done):
+    """Write data to the FIFO at path once a reader opens it, then nothing to each later
+    reader until done: a reader that opens the FIFO twice meets an empty stream, not a
+    wait without end."""
+    while not done.wait(0.001):
+        try:
+            fd = os.open(path, os.O_WRONLY | os.O_NONBLOCK)  # refused while no reader has it
+        except OSError:
+            continue
+        os.set_blocking(fd, True)
+        with contextlib.suppress(BrokenPipeError), open(fd, "wb") as fh:
+            fh.write(data)
+        data = b""
 
-    def test_lone_cr_accepted(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_bytes(b"cluster,unit,y,x1\ra,1,1.5,1\ra,2,2.5,1\r")
-        data = read_dataset_csv(path)
-        assert data.y.tolist() == [1.5, 2.5]
 
-    def test_line_ends_and_blank_lines_give_equal_datasets(self, tmp_path):
-        data = intercept_dataset({"a": [1.25, -2.5], "b": [0.0, 3.0, 1e-300]})
-        path = tmp_path / "lf.csv"
-        write_dataset_csv(data, path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        variants = {
-            "crlf": "\r\n".join(lines) + "\r\n",
-            "cr": "\r".join(lines) + "\r",
-            "blank": "\n\n".join(lines) + "\n\n\n",
-            "blank-crlf-no-end": "\r\n\r\n".join(lines),
-        }
-        for name, text in variants.items():
-            other = tmp_path / f"{name}.csv"
-            other.write_bytes(text.encode("utf-8"))
-            back = read_dataset_csv(other)
-            assert back.cluster_ids == data.cluster_ids and back.covariate_names == ("x1",)
-            assert np.array_equal(back.sizes, data.sizes)
-            assert np.array_equal(back.y, data.y) and np.array_equal(back.X, data.X)
-
-    def test_utf8_byte_order_mark_is_skipped(self, tmp_path):
-        """A file saved as Excel's "CSV UTF-8" starts with EF BB BF: the same Dataset."""
-        data = intercept_dataset({"a": [1.25, -2.5], "b": [0.0, 3.0, 1e-300]})
-        path, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
-        write_dataset_csv(data, path)
-        bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
-        back = read_dataset_csv(bom)
-        assert back.cluster_ids == data.cluster_ids and back.covariate_names == ("x1",)
-        assert np.array_equal(back.sizes, data.sizes)
-        assert np.array_equal(back.y, data.y) and np.array_equal(back.X, data.X)
-
-    @pytest.mark.parametrize("text,message", [
-        ("", "line 1: empty file"),
-        ("cluster,y,unit,x1\na,1,1,1\n", "line 1: header must start with 'cluster,unit,y'"),
-        ("cluster,unit,y\na,1,1\n", "line 1: no covariate columns x1..xp after 'cluster,unit,y'"),
-        ("cluster,unit,y,x1\n\n", "line 2: no data rows"),
-        ("cluster,unit,y,x1\na,1,1,1\na,2,1\n", "line 3: expected 4 columns, got 3"),
-        ("cluster,unit,y,x1\na,1,1,1\n\na,2,inf,1\n", "line 4: non-finite value"),
-        ("cluster,unit,y,x1\na,1,1,1\nb,1,2,1\na,1,3,1\n",
-         "line 4: cluster 'a' repeats unit 1 of line 2"),
-    ])
-    def test_byte_order_mark_keeps_line_numbers(self, tmp_path, text, message):
-        """With or without the mark, a refusal names the same line."""
-        for name, head in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
-            path = tmp_path / f"{name}.csv"
-            path.write_bytes(head + text.encode("utf-8"))
-            with pytest.raises(CsvFormatError, match=f"^{re.escape(message)}$"):
-                read_dataset_csv(path)
-
-    @pytest.mark.parametrize("text,message", [
-        ("cluster,unit,y,x1", "line 2: no data rows"),
-        ("cluster,unit,y,x1\r\n\r\n\r\n", "line 2: no data rows"),
-        ("cluster,unit,y,x1\r\r", "line 2: no data rows"),
-        ("cluster,unit,y,x1\n \t \n", "line 2: expected 4 columns, got 1"),
-        ("   \n\n", "line 1: header must start with 'cluster,unit,y'"),
-        ("\n", "line 1: header must start with 'cluster,unit,y'"),
-    ])
-    def test_files_without_rows_keep_their_messages_as_errors(self, tmp_path, text, message):
-        """loadtxt warns on input without data; the reader names the line instead."""
-        path = tmp_path / "rowless.csv"
-        path.write_bytes(text.encode("utf-8"))
+@pytest.mark.parametrize("name,text,want", DATASETS, ids=[name for name, *_ in DATASETS])
+def test_dataset_csv(name, text, want):
+    """The one home of the reader's contract: each row, read from a regular file and from a
+    FIFO, gives its dataset or its exact refusal, and warns of nothing."""
+    for fifo in (False, True):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(CsvFormatError, match=f"^{re.escape(message)}$"):
-                read_dataset_csv(path)
+            try:
+                data = read_text(text, fifo)
+            except CsvFormatError as exc:
+                got = str(exc)
+            else:
+                got = Parsed(data.cluster_ids, data.sizes.tolist(), data.y.tolist(),
+                             data.X.tolist(), data.covariate_names)
+        assert got == want, ("fifo" if fifo else "file", got)
 
-    def test_empty_file_names_line_1(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(CsvFormatError, match="^line 1: empty file$"):
-            read_dataset_csv(path)
 
-    def test_header_only_names_line_2(self, tmp_path):
-        path = tmp_path / "head.csv"
-        path.write_text("cluster,unit,y,x1\n\n")
-        with pytest.raises(CsvFormatError, match="^line 2: no data rows$"):
-            read_dataset_csv(path)
-
-    def test_whitespace_only_line_names_line(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("cluster,unit,y,x1\na,1,1,1\n   \na,2,2,1\n")
-        with pytest.raises(CsvFormatError, match="^line 3: expected 4 columns, got 1$"):
-            read_dataset_csv(path)
-
-    def test_cluster_ids_are_stripped(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("cluster,unit,y,x1\n a,1,1,1\na ,2,2,1\nb,1,3,1\n")
-        data = read_dataset_csv(path)
-        assert data.cluster_ids == ("a", "b")
-        assert data.sizes.tolist() == [2, 1]
-
-    def test_wrong_column_count_names_line(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("cluster,unit,y,x1\na,1,1,1\na,2,2\n")
-        with pytest.raises(CsvFormatError, match="line 3"):
-            read_dataset_csv(path)
-
-    def test_non_numeric_cell_names_line(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("cluster,unit,y,x1\na,1,oops,1\n")
-        with pytest.raises(CsvFormatError, match="line 2"):
-            read_dataset_csv(path)
-
-    def test_bad_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("id,y\n1,2\n")
-        with pytest.raises(CsvFormatError, match="line 1"):
-            read_dataset_csv(path)
-
-    def test_no_covariate_column_names_line_1(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("cluster,unit,y\na,1,1\na,2,2\nb,1,3\nb,2,5\n")
-        with pytest.raises(CsvFormatError, match="line 1: no covariate columns x1..xp"):
-            read_dataset_csv(path)
-
-    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
-    def test_non_finite_cell_names_line(self, tmp_path, cell):
-        path = tmp_path / "bad.csv"
-        path.write_text(f"cluster,unit,y,x1\na,1,1,1\n\na,2,2,{cell}\nb,1,3,1\n")
-        with pytest.raises(CsvFormatError, match="line 4: non-finite"):
-            read_dataset_csv(path)
-
-    def test_duplicate_unit_names_line(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("cluster,unit,y,x1\na,1,1,1\nb,1,2,1\na,2,3,1\nb,1,4,1\n")
-        with pytest.raises(CsvFormatError, match="line 5: cluster 'b' repeats unit 1 of line 3"):
-            read_dataset_csv(path)
-
-    def test_duplicate_unit_in_sorted_file_names_line(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("cluster,unit,y,x1\na,1,1,1\na,1,2,1\nb,1,3,1\n")
-        with pytest.raises(CsvFormatError, match="line 3: cluster 'a' repeats unit 1 of line 2"):
-            read_dataset_csv(path)
-
+class TestCsv:
     @pytest.mark.parametrize("ids", [
         ("a", "ü", "日本語", "\U0001F600"),  # custom and non-ASCII
         ("c1", "c11", "c1_1", "1", "1.0", "True", "c01", "C1"),  # alike, or like numbers
@@ -552,13 +445,6 @@ class TestCsv:
         assert back.cluster_ids == data.cluster_ids
         assert np.array_equal(back.sizes, sizes) and np.array_equal(back.y, data.y)
         assert np.array_equal(back.X, data.X)
-
-    def test_clusters_by_first_appearance(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("cluster,unit,y,x1\nz,2,2,1\na,1,5,1\nz,1,1,1\n")
-        data = read_dataset_csv(path)
-        assert data.cluster_ids == ("z", "a")
-        assert np.array_equal(data.y, [1.0, 2.0, 5.0])
 
     def test_writer_accepts_text_handle(self, tmp_path):
         data = intercept_dataset({"a": [0.1, -2.5e-300], "b": [1e22]})
@@ -628,22 +514,12 @@ class TestCsvAgainstReference:
     @given(text=csv_texts())
     @settings(max_examples=150, deadline=None)
     def test_matches_plain_python_reader(self, text):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "data.csv")
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-            data = read_dataset_csv(path)
         ids, sizes, rows = reference_read(text)
-        assert data.cluster_ids == ids
-        assert data.sizes.tolist() == sizes
-        assert np.array_equal(data.y, rows[:, 0]) and np.array_equal(data.X, rows[:, 1:])
-
-    def test_long_id_round_trips_untruncated(self, tmp_path):
-        cid = "é" + "x" * 98 + "z"
-        data = intercept_dataset({cid: [1.0, 2.0], "b": [3.0]})
-        write_dataset_csv(data, tmp_path / "data.csv")
-        back = read_dataset_csv(tmp_path / "data.csv")
-        assert back.cluster_ids == (cid, "b") and len(back.cluster_ids[0]) == 100
+        for fifo in (False, True):
+            data = read_text(text, fifo)
+            assert data.cluster_ids == ids
+            assert data.sizes.tolist() == sizes
+            assert np.array_equal(data.y, rows[:, 0]) and np.array_equal(data.X, rows[:, 1:])
 
     @pytest.mark.parametrize("bad", [0, 1, 2047, 4095])
     def test_refusal_bisects(self, tmp_path, monkeypatch, bad):
@@ -668,18 +544,6 @@ class TestCsvAgainstReference:
                            match=f"^line {bad + 2}: could not convert string 'oops' to float64$"):
             read_dataset_csv(path)
         assert len(calls) <= 2 * 12 + 2 and sum(calls) <= 3 * 4096
-
-    @pytest.mark.parametrize("line,message", [
-        ("a,3,1", "expected 4 columns, got 3"),
-        ("a,3,1,1,1", "expected 4 columns, got 5"),
-        ("a,3.5,1,1", "could not convert string '3.5' to int64"),
-        ("a,3,1,", "could not convert string '' to float64"),
-    ])
-    def test_refusal_after_blank_lines_names_line(self, tmp_path, line, message):
-        path = tmp_path / "bad.csv"
-        path.write_text(f"cluster,unit,y,x1\n\na,1,1,1\n\n\na,2,2,1\n{line}\n\nb,1,1,1\n")
-        with pytest.raises(CsvFormatError, match=f"^line 7: {re.escape(message)}$"):
-            read_dataset_csv(path)
 
 
 class TestWriteRows:
