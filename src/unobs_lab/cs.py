@@ -45,7 +45,7 @@ class CSMatrix(namedtuple("CSMatrix", "n lam phi")):
 
     def __new__(cls, n: int, lam: float, phi: float):
         if n < 1:
-            raise ValueError("n must be >= 1")
+            raise ValueError(f"n must be >= 1: n = {n}")
         return super().__new__(cls, n, lam, phi)
 
     @property

@@ -64,9 +64,10 @@ class SpecA(namedtuple("SpecA", "lambda2 nu1sq nu2sq")):
 
     def __new__(cls, lambda2: float, nu1sq: float, nu2sq: float):
         if lambda2 < 0:
-            raise DomainError("lambda2 must be >= 0")
-        if not (nu1sq > 0 and nu2sq > 0):
-            raise DomainError("error variances must be strictly positive")
+            raise DomainError(f"lambda2 must be >= 0: lambda2 = {lambda2}")
+        for name, value in (("nu1sq", nu1sq), ("nu2sq", nu2sq)):
+            if not value > 0:
+                raise DomainError(f"error variances must be strictly positive: {name} = {value}")
         return super().__new__(cls, lambda2, nu1sq, nu2sq)
 
 
@@ -81,9 +82,9 @@ class SpecB(namedtuple("SpecB", "lambda1sq lambda2sq nusq")):
 
     def __new__(cls, lambda1sq: float, lambda2sq: float, nusq: float):
         if lambda1sq < 0:
-            raise DomainError("lambda1sq must be >= 0")
+            raise DomainError(f"lambda1sq must be >= 0: lambda1sq = {lambda1sq}")
         if not nusq > 0:
-            raise DomainError("nusq must be strictly positive")
+            raise DomainError(f"nusq must be strictly positive: nusq = {nusq}")
         return super().__new__(cls, lambda1sq, lambda2sq, nusq)
 
     @property
@@ -192,7 +193,7 @@ def joint_cov(spec: ExtendedSpec, n: int) -> np.ndarray:
     import numpy as np
 
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValueError(f"n must be >= 1: n = {n}")
     c = spec.nu2 * np.eye(n + 1)
     c[0, 0] = spec.d
     c[0, 1:] = c[1:, 0] = spec.tau

@@ -76,7 +76,8 @@ class SimLayout(namedtuple("SimLayout", "n_clusters cluster_size")):
             return [int(self.cluster_size)] * self.n_clusters
         sizes = [int(n) for n in self.cluster_size]
         if len(sizes) != self.n_clusters:
-            raise ValueError("explicit size list must have n_clusters entries")
+            raise ValueError("explicit size list must have n_clusters entries: "
+                             f"len(cluster_size) = {len(sizes)}, n_clusters = {self.n_clusters}")
         return sizes
 
 

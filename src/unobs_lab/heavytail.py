@@ -125,8 +125,9 @@ class MomentResult(namedtuple("MomentResult", "k formula_defined integral_finite
 def wg_moment_defined(alpha_g: float, rho: float, k: int) -> bool:
     """Whether Gamma(alpha_g - k/rho) in the general moment avoids a pole (-inf is one,
     as every float below -2**53 is an integer)."""
-    if not (alpha_g > 0 and rho > 0 and k > 0):
-        raise DomainError("alpha_g, rho, k must be positive")
+    for name, value in (("alpha_g", alpha_g), ("rho", rho), ("k", k)):
+        if not value > 0:
+            raise DomainError(f"alpha_g, rho, k must be positive: {name} = {value}")
     x = alpha_g - k / rho
     return not (x < 0.5 and (x == -math.inf or abs(x - round(x)) <= POLE_TOL))
 
@@ -143,7 +144,7 @@ def we_cdf(spec: WeibullExpSpec, y):
     phi, rho, delta = spec.phi, spec.rho, spec.delta
     y = np.asarray(y, dtype=float)
     if not y.min(initial=0.0) >= 0:  # min carries a nan through: refused too
-        raise DomainError("support is y >= 0")
+        _refuse_entry("support is y >= 0", "y", y, ~(y >= 0))
     out = 1.0 - delta / (delta + phi * y**rho)
     return float(out) if out.ndim == 0 else out
 
@@ -154,9 +155,18 @@ def we_quantile(spec: WeibullExpSpec, u):
 
     u = np.asarray(u, dtype=float)
     if not (u.min(initial=0.5) > 0 and u.max(initial=0.5) < 1):  # a nan too
-        raise DomainError("u must lie strictly inside (0, 1)")
+        _refuse_entry("u must lie strictly inside (0, 1)", "u", u, ~((u > 0) & (u < 1)))
     out = _quantile(spec, u, np.empty_like(u))
     return float(out) if out.ndim == 0 else out
+
+
+def _refuse_entry(message: str, name: str, a: np.ndarray, bad: np.ndarray):
+    """Raise DomainError(message: name[i, ...] = value) of the first entry of a where bad is
+    true, by its index (name alone where a is a scalar)."""
+    import numpy as np
+
+    at = np.argwhere(bad)[0].tolist()
+    raise DomainError(f"{message}: {name}{at if at else ''} = {a[tuple(at)]}")
 
 
 def _quantile(spec: WeibullExpSpec, u: np.ndarray, out: np.ndarray):
@@ -318,7 +328,7 @@ def truncated_moment(spec: WeibullExpSpec, k: int, T: float) -> float:
     41*max(1, r), whatever T. In logs of phi, delta and T: a moment past the floats is inf or 0.
     """
     if not 0 < T < math.inf:
-        raise DomainError("T must be strictly positive and finite")
+        raise DomainError(f"T must be strictly positive and finite: T = {T}")
     if k < 1:
         raise DomainError(f"moment order k must be a positive integer: k = {k}")
     import numpy as np

@@ -53,20 +53,27 @@ class Dataset:
         self.sizes = _frozen_array(sizes, dtype=np.int64)
         self.offsets = _frozen_array(np.concatenate(([0], np.cumsum(self.sizes))), dtype=np.int64)
         if self.y.ndim != 1 or self.X.ndim != 2 or len(self.X) != len(self.y):
-            raise ValueError("X must have one row per observation of y")
+            raise ValueError("X must have one row per observation of y: "
+                             f"X.shape = {self.X.shape}, y.shape = {self.y.shape}")
         for name, a in (("y", self.y), ("X", self.X)):
             for at in np.argwhere(~np.isfinite(a))[:1].tolist():  # the first non-finite entry
                 require_finite(**{f"{name}{at}": a[tuple(at)]})
         if len(self.sizes) == 0 or self.sizes.min() < 1 or self.offsets[-1] != len(self.y):
-            raise ValueError("need one or more clusters of size >= 1 covering every row")
+            low = np.flatnonzero(self.sizes < 1)
+            at = (f"sizes[{low[0]}] = {self.sizes[low[0]]}" if len(low)
+                  else f"sum(sizes) = {self.offsets[-1]}, len(y) = {len(self.y)}")
+            raise ValueError(f"need one or more clusters of size >= 1 covering every row: {at}")
         self._ids = None if cluster_ids is None else tuple(cluster_ids)
         if self._ids is not None and len(self._ids) != len(self.sizes):
-            raise ValueError("need one cluster id per cluster")
+            raise ValueError("need one cluster id per cluster: "
+                             f"len(cluster_ids) = {len(self._ids)}, len(sizes) = {len(self.sizes)}")
         if covariate_names is None:
             covariate_names = [f"x{j + 1}" for j in range(self.X.shape[1])]
         self.covariate_names = tuple(covariate_names)
         if len(self.covariate_names) != self.X.shape[1]:
-            raise ValueError("covariate_names length must match design columns")
+            raise ValueError("covariate_names length must match design columns: "
+                             f"len(covariate_names) = {len(self.covariate_names)}, "
+                             f"X.shape[1] = {self.X.shape[1]}")
 
     @property
     def n_clusters(self) -> int:
@@ -191,7 +198,7 @@ class CSParams(namedtuple("CSParams", "xi lam phi")):
     def __new__(cls, xi, lam: float, phi: float):
         xi = _frozen_array(np.atleast_1d(xi))
         if xi.ndim != 1:
-            raise ValueError("xi must be a vector")
+            raise ValueError(f"xi must be a vector: xi.shape = {xi.shape}")
         if not phi > 0:
             raise DomainError(f"phi must be strictly positive, got {phi}")
         require_finite(**{f"xi[{j}]": v for j, v in enumerate(xi.tolist())}, lam=lam, phi=phi)
@@ -227,16 +234,19 @@ def read_dataset_csv(path) -> Dataset:
     cluster are sorted by the integer ``unit`` column. Cells are plain
     comma-separated values (no quoting); LF, CRLF and a lone CR end lines,
     and empty lines and a UTF-8 byte-order mark are skipped. Raises
-    CsvFormatError with the offending line number on malformed input, a
-    non-finite number, or a repeated (cluster, unit) pair; only then are the
-    lines numbered (a regular file is read again for that), and a malformed
-    one is found by bisecting them, in O(log n) parses.
+    CsvFormatError with the offending line number on a byte that is not
+    UTF-8, malformed input, a non-finite number, or a repeated (cluster,
+    unit) pair; only then are the lines numbered (a regular file is read
+    again for that), and a malformed one is found by bisecting them, in
+    O(log n) parses.
     """
-    with open(path, "r", encoding="utf-8-sig") as fh:  # universal newlines, as loadtxt reads
-        head = fh.readline()
-        body = None if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else fh.read().split("\n")
-    if not head:
+    with open(path, "rb") as fh:
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        text = _utf8(fh.readline() if regular else fh.read())  # a regular file: to its first LF
+    if not text:
         raise CsvFormatError("line 1: empty file")
+    head, _, rest = text.partition("\n")
+    body = None if regular else rest.split("\n")
     header = [h.strip() for h in head.split(",")]
     if header[:3] != ["cluster", "unit", "y"]:
         raise CsvFormatError("line 1: header must start with 'cluster,unit,y'")
@@ -278,9 +288,23 @@ def read_dataset_csv(path) -> Dataset:
 def _numbered(path, body) -> dict[int, str]:
     """The non-empty lines after the header (body, else the file's) by 1-based number."""
     if body is None:
-        with open(path, "r", encoding="utf-8") as fh:
-            body = fh.read().split("\n")[1:]
+        with open(path, "rb") as fh:
+            body = _utf8(fh.read()).split("\n")[1:]
     return {i: line for i, line in enumerate(body, start=2) if line}
+
+
+def _utf8(raw: bytes) -> str:
+    """raw as UTF-8 text, a leading byte-order mark dropped and CRLF and CR read as LF
+    (universal newlines, as loadtxt reads); a byte that is not UTF-8 is refused by its
+    line and value."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = raw[: exc.start]
+        lineno = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+        byte = raw[exc.start]
+        raise CsvFormatError(f"line {lineno}: not UTF-8 text (byte {byte:#04x})") from None
+    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _refuse_first_bad_row(numbered, dtype):

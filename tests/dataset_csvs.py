@@ -1,8 +1,8 @@
 """The dataset-CSV contract of model_core.read_dataset_csv, one row per case: DATASETS.
 
-A row is (name, text, want). text is the file's text, written as UTF-8; want is either
-the exact CsvFormatError line the reader refuses it with, or the Dataset it gives, as
-Parsed(ids, sizes, y, X rows, covariate names). tests/test_model_core.py reads every row
+A row is (name, data, want). data is the file's bytes; want is either the exact
+CsvFormatError line the reader refuses it with, or the Dataset it gives, as Parsed(ids,
+sizes, y, X rows, covariate names). tests/test_model_core.py reads every row
 from a regular file and from a FIFO; tests/test_cli.py runs every refused row through
 `fit --data`, and names the others' files as {name} in its tables. A new case of the
 reader adds its row here.
@@ -81,9 +81,26 @@ ROWS = [
      "line 4: cluster 'a' repeats unit 1 of line 2"),
 ]
 
+# A byte that is not UTF-8 is refused by its line, whatever the line ends before it: in the
+# header, in a value or an id, in a sequence cut short, and 20 kB into the file
+NOT_UTF8 = [
+    ("not_utf8_value", f"{HEAD}\na,1,".encode() + b"\xff,1\n",
+     "line 2: not UTF-8 text (byte 0xff)"),
+    ("not_utf8_id", f"{HEAD}\r\na,1,1,1\r\n\r\n".encode() + b"\xe9,1,2,1\r\n",
+     "line 4: not UTF-8 text (byte 0xe9)"),
+    ("not_utf8_header", b"cluster,unit,y,x\xff\na,1,1,1\n", "line 1: not UTF-8 text (byte 0xff)"),
+    ("not_utf8_after_cr", f"{HEAD}\ra,1,1,1\r\rb,1,1,".encode() + b"\xc3\r",
+     "line 4: not UTF-8 text (byte 0xc3)"),
+    ("not_utf8_cut_short", f"{HEAD}\na,1,1,1\nb,1,2,1".encode() + b"\xe2\x82",
+     "line 3: not UTF-8 text (byte 0xe2)"),
+    ("not_utf8_late", "\n".join([HEAD, *(f"a,{k},1,1" for k in range(1, 2001)), ""]).encode()
+     + b"b,1,1,\x80\n", "line 2002: not UTF-8 text (byte 0x80)"),
+]
+ENCODED = [(name, text.encode("utf-8"), want) for name, text, want in ROWS] + NOT_UTF8
+
 # A UTF-8 byte-order mark (Excel's "CSV UTF-8") is skipped: the same dataset, and a refusal
 # names the same line.
 BOM = ["lf", "empty", "swapped_header", "no_x", "header_only", "ragged", "non_finite_y",
-       "repeated_unit_interleaved"]
-DATASETS = ROWS + [(f"bom_{name}", "\ufeff" + text, want)
-                   for name, text, want in ROWS if name in BOM]
+       "repeated_unit_interleaved", "not_utf8_value", "not_utf8_header"]
+DATASETS = ENCODED + [(f"bom_{name}", "\ufeff".encode() + data, want)
+                      for name, data, want in ENCODED if name in BOM]

@@ -704,9 +704,9 @@ def every_command(tmp_path, m: int) -> list:
 
 @pytest.fixture
 def csvs(tmp_path):
-    """name -> path of each DATASETS text, written in tmp_path: a table's {name}."""
-    for name, text, _ in DATASETS:
-        (tmp_path / name).write_bytes(text.encode("utf-8"))
+    """name -> path of each DATASETS file, written in tmp_path: a table's {name}."""
+    for name, data, _ in DATASETS:
+        (tmp_path / name).write_bytes(data)
     return {name: tmp_path / name for name, *_ in DATASETS}
 
 

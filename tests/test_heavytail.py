@@ -24,8 +24,6 @@ from unobs_lab.heavytail import (
     BLOCK,
     MAX_PANELS,
     TAIL_LOG_U,
-    MomentResult,
-    QuadratureError,
     WeibullExpSpec,
     _ratio_pow,
     pit_sample,
@@ -83,16 +81,6 @@ class TestCdfQuantile:
         for spec in GRID:
             back = we_cdf(spec, we_quantile(spec, u))
             assert np.max(np.abs(back - u)) < 1e-10
-
-    def test_quantile_domain(self):
-        for bad in (0.0, 1.0, -0.2, 1.5, math.nan):
-            with pytest.raises(DomainError):
-                we_quantile(UNIT, bad)
-
-    def test_cdf_domain(self):
-        for bad in ([1.0, -0.5], math.nan, [2.0, math.nan]):
-            with pytest.raises(DomainError, match="support is y >= 0"):
-                we_cdf(UNIT, bad)
 
     @pytest.mark.parametrize("spec", EXTREME)
     def test_quantile_where_the_direct_form_leaves_the_floats(self, spec):
@@ -201,12 +189,12 @@ class TestMoments:
 
     @pytest.mark.parametrize("phi,delta", [(1e300, 1e-300), (1e-300, 1e300)])
     def test_moment_outside_the_floats_is_refused_by_its_exponent(self, phi, delta):
-        """About 1e-545 and 1e546: the message names k and the decimal exponent."""
-        with pytest.raises(ArithmeticError, match=r"^moment k=1 is about 1e(-?\d+), ") as info:
-            we_moment(WeibullExpSpec(phi, 1.1, delta), 1)
+        """About 1e-545 and 1e546: the message names k and the oracle's decimal exponent."""
         log10 = moment_log10(phi, 1.1, delta, 1)  # pi/1.1 is far from a multiple of pi
-        assert int(re.search(r"1e(-?\d+)", str(info.value)).group(1)) == math.floor(log10)
         assert math.floor(log10) == (-545 if phi > 1 else 546)
+        with pytest.raises(ArithmeticError) as info:
+            we_moment(WeibullExpSpec(phi, 1.1, delta), 1)
+        assert str(info.value) == f"moment k=1 is about 1e{math.floor(log10)}, past the floats"
 
     def test_formula_defined_but_divergent(self):
         m = we_moment(WeibullExpSpec(1, 2.5, 1), 3)
@@ -235,17 +223,6 @@ class TestMoments:
             assert m.formula_defined
             assert m.integral_finite == (k < math.pi)
 
-    def test_momentresult_invariants(self):
-        with pytest.raises(ValueError):
-            MomentResult(k=1, formula_defined=False, integral_finite=True, value=1.0)
-        with pytest.raises(ValueError):
-            MomentResult(k=1, formula_defined=True, integral_finite=True, value=None)
-
-    @pytest.mark.parametrize("k", [0, -1])
-    def test_order_below_one_is_refused(self, k):
-        with pytest.raises(DomainError, match="moment order k must be a positive integer"):
-            we_moment(UNIT, k)
-
 
 class TestWgMomentDefined:
     def test_examples(self):
@@ -256,11 +233,6 @@ class TestWgMomentDefined:
     def test_tolerance(self):
         assert not wg_moment_defined(1.0, 1.0 + 1e-12, 1)
         assert wg_moment_defined(1.0, 1.001, 1)
-
-    @pytest.mark.parametrize("alpha_g,rho,k", [(0.0, 1.0, 1), (1.0, -1.0, 1), (1.0, 1.0, 0)])
-    def test_domain(self, alpha_g, rho, k):
-        with pytest.raises(DomainError, match="alpha_g, rho, k must be positive"):
-            wg_moment_defined(alpha_g, rho, k)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +331,7 @@ class TestTruncatedMoment:
 
     def test_panel_count_is_bounded(self):
         """Panels stop at log u = TAIL_LOG_U, the rest is closed form: 41*max(1, r) of them
-        at most, whatever T, within 1e-12; past MAX_PANELS, refused.
+        at most, whatever T, within 1e-12; past MAX_PANELS, refused (r = 4000 is a row).
 
         u^r (1+u)^-2 = u^(r-2) (1 - 2/u + ...), so with U = 1e304 the moment is
         c*U^(r-1)/(r-1) = (delta/phi) T^(k-rho)/(r-1) to 1e-300 relative.
@@ -368,8 +340,6 @@ class TestTruncatedMoment:
             got = truncated_moment(WeibullExpSpec(1e304, 0.2, 1.0), k, 1.0)
             assert got == pytest.approx(1.0 / 1e304 / (5 * k - 1), rel=1e-12, abs=0.0)
         assert math.ceil((TAIL_LOG_U + math.log(2)) * 4000) > MAX_PANELS
-        with pytest.raises(QuadratureError, match="panels needed, more than MAX_PANELS"):
-            truncated_moment(WeibullExpSpec(1e304, 0.01, 1.0), 40, 1.0)  # r = 4000
 
     @pytest.mark.parametrize("rho", [50.0, 1e6])
     def test_tail_past_tail_log_u_in_closed_form(self, monkeypatch, rho):
@@ -380,11 +350,6 @@ class TestTruncatedMoment:
         spec = WeibullExpSpec(1.0, rho, 1.0)
         got = truncated_moment(spec, 1, 1e300)
         assert got == pytest.approx(we_moment(spec, 1).value, rel=1e-12, abs=0.0)
-
-    def test_refusal_names_the_relative_estimate(self, monkeypatch):
-        monkeypatch.setattr("unobs_lab.heavytail.QUAD_RTOL", -1.0)  # a bound no estimate meets
-        with pytest.raises(QuadratureError, match=r"^relative error \S+ > -1.0$"):
-            truncated_moment(UNIT, 1, 1e3)
 
     def test_truncation_plus_tail_bound_brackets_moment(self):
         # T* at the 1 - 1e-10 quantile; tail bounded by the integrand with
@@ -404,14 +369,6 @@ class TestTruncatedMoment:
                     / (spec.rho - k)
                 )
                 assert abs(m.value - trunc) < 1e-5 + tail_bound
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            truncated_moment(UNIT, 1, 0.0)
-        with pytest.raises(DomainError, match="finite"):
-            truncated_moment(UNIT, 1, math.inf)
-        with pytest.raises(DomainError, match="moment order k must be a positive integer"):
-            truncated_moment(UNIT, 0, 1.0)
 
     @pytest.mark.parametrize("k,T", [(1, 0.0), (0, 1.0), (1, float("nan")), (1, float("inf"))])
     def test_arguments_are_refused_before_scipy_is_imported(self, k, T):
@@ -449,10 +406,8 @@ def traced_peak(call) -> int:
     "sample", [lambda n: we_sample(UNIT, n, seed=1),
                lambda n: pit_sample(lambda u: we_quantile(UNIT, u), n, seed=1)],
     ids=["we_sample", "pit_sample"])
-def test_negative_draw_count_is_refused_by_name(sample):
-    """Not numpy's "negative dimensions are not allowed"."""
-    with pytest.raises(DomainError, match=r"^n_draws = -1: the number of draws must be >= 0$"):
-        sample(-1)
+def test_zero_draws_give_an_empty_sample(sample):
+    """As -1 draws are refused by name (their rows), 0 draws are none."""
     assert len(sample(0)) == 0
 
 
@@ -509,7 +464,7 @@ class TestWeSample:
         want = f"quantile returned a non-finite value at u = {float(u[0])!r}"
         for call in (lambda: we_sample(spec, 10, seed=4),
                      lambda: running_mean_trace(spec, 10, 1, seed=4)):
-            with pytest.raises(ArithmeticError, match=re.escape(want)):
+            with pytest.raises(ArithmeticError, match=f"^{re.escape(want)}$"):
                 call()
 
     def test_first_non_finite_draw_is_named(self):
@@ -518,7 +473,8 @@ class TestWeSample:
         with np.errstate(over="ignore"):
             first = np.flatnonzero(~np.isfinite((u / (1 - u)) ** (1 / 0.003)))[0]
         assert 0 < first
-        with pytest.raises(ArithmeticError, match=re.escape(f"u = {float(u[first])!r}")):
+        want = f"quantile returned a non-finite value at u = {float(u[first])!r}"
+        with pytest.raises(ArithmeticError, match=f"^{re.escape(want)}$"):
             we_sample(spec, 200, seed=5)
 
     def test_first_non_finite_draw_in_a_later_block_is_named(self):
@@ -531,7 +487,7 @@ class TestWeSample:
         want = f"quantile returned a non-finite value at u = {float(u[first])!r}"
         for call in (lambda: we_sample(spec, N, seed=10),
                      lambda: running_mean_trace(spec, N, 7, seed=10)):
-            with pytest.raises(ArithmeticError, match=re.escape(want)):
+            with pytest.raises(ArithmeticError, match=f"^{re.escape(want)}$"):
                 call()
 
 
@@ -554,10 +510,6 @@ class TestRunningMeanTrace:
             if means.max() > 5 * np.median(means):
                 hits += 1
         assert hits >= 1
-
-    def test_invalid_stride(self):
-        with pytest.raises(DomainError):
-            running_mean_trace(UNIT, 10, 11, seed=0)
 
     @pytest.mark.parametrize("N", [2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 7])
     @pytest.mark.parametrize("stride", [1, 7, BLOCK + 1])
@@ -660,23 +612,11 @@ class TestPitSample:
         draws = pit_sample(lambda u: -np.log(1 - u), 100_000, seed=7)
         assert draws.mean() == pytest.approx(1.0, abs=0.02)
 
-    @pytest.mark.parametrize(
-        "quantile,shape", [(lambda u: 1.0, "()"), (lambda u: np.ones((len(u), 1)), "(10, 1)")]
-    )
-    def test_unvectorised_quantile_names_shape(self, quantile, shape):
-        want = f"shape {shape} for probabilities of shape (10,)"
-        with pytest.raises(TypeError, match=re.escape(want)):
-            pit_sample(quantile, 10, seed=0)
-
-    def test_nonfinite_quantile_reported(self):
-        with pytest.raises(ArithmeticError, match="u ="):
-            pit_sample(lambda u: np.full_like(np.asarray(u, float), np.nan), 10, seed=0)
-
     def test_overflow_names_the_first_u_like_we_sample(self):
         spec = WeibullExpSpec(phi=1e-300, rho=0.01, delta=1.0)
         u = ndtr(substream(3, 0).standard_normal(20))
         want = f"quantile returned a non-finite value at u = {float(u[0])!r}"
-        with pytest.raises(ArithmeticError, match=re.escape(want)):
+        with pytest.raises(ArithmeticError, match=f"^{re.escape(want)}$"):
             pit_sample(lambda v: we_quantile(spec, v), 20, seed=3)
 
 

@@ -4,7 +4,6 @@ import io
 import math
 import os
 import pkgutil
-import re
 import tempfile
 import threading
 import warnings
@@ -18,7 +17,7 @@ from dataset_csvs import DATASETS, Parsed
 from exact import cs_root_lam, dense_gls, expected_csv, intercept_dataset
 import unobs_lab
 from unobs_lab.cs import CSMatrix, CsvFormatError, DomainError, validate_cs, write_rows
-from unobs_lab.model_core import CSParams, Dataset, gls_mean, read_dataset_csv, write_dataset_csv
+from unobs_lab.model_core import Dataset, gls_mean, read_dataset_csv, write_dataset_csv
 from unobs_lab.rows import CHUNK
 
 
@@ -34,10 +33,6 @@ class TestCSMatrix:
         assert np.array_equal(m.array, [[3.0, 2.0], [2.0, 3.0]])
         with pytest.raises(AttributeError):
             m.lam = 0.0
-
-    def test_rejects_size_below_one(self):
-        with pytest.raises(ValueError, match="n must be >= 1"):
-            CSMatrix(0, 1.0, 1.0)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -192,14 +187,6 @@ class TestValidateCs:
     def test_negative_lambda_ok_for_small_n(self):
         assert validate_cs({2}, -0.4, 1.0) is None
 
-    def test_boundary_excluded(self):
-        with pytest.raises(DomainError, match="n = 2"):
-            validate_cs({2}, -0.5, 1.0)
-
-    def test_larger_cluster_fails(self):
-        with pytest.raises(DomainError, match="n = 3"):
-            validate_cs({2, 3}, -0.4, 1.0)
-
     def test_agrees_with_brute_force_eigenvalues(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
@@ -219,25 +206,6 @@ class TestValidateCs:
                     for n in sizes
                 )
             assert got == brute
-
-    @pytest.mark.parametrize("n", [0, -3])
-    def test_size_below_one_rejected(self, n):
-        with pytest.raises(DomainError, match=f"^cluster size n = {n} is not >= 1$"):
-            validate_cs({n, 2}, 0.5, 1.0)
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
-            validate_cs(set(), 0.0, 1.0)
-
-    @pytest.mark.parametrize("lam,phi,message", [
-        (math.nan, 1.0, "lam = nan is non-finite"),  # not "phi + n*lam = nan <= 0"
-        (-math.inf, 1.0, "lam = -inf is non-finite"),
-        (1.0, math.inf, "phi = inf is non-finite"),
-        (1.0, math.nan, "phi = nan is not strictly positive"),
-    ])
-    def test_non_finite_lam_or_phi_is_named(self, lam, phi, message):
-        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-            validate_cs({2}, lam, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +243,6 @@ class TestGlsMean:
             got = gls_mean(data, lam, phi)
             assert got == pytest.approx(dense_gls(data, lam, phi), abs=1e-10)
 
-    def test_invalid_params_rejected(self):
-        data = intercept_dataset({"a": [1.0, 2.0]})
-        with pytest.raises(DomainError):
-            gls_mean(data, -0.5, 1.0)
-
 
 # ---------------------------------------------------------------------------
 # Data model invariants
@@ -287,49 +250,6 @@ class TestGlsMean:
 
 
 class TestDataModel:
-    def test_cluster_shape_mismatch(self):
-        with pytest.raises(ValueError, match="one row per observation"):
-            Dataset([1.0, 2.0], np.ones((3, 1)), [2])
-
-    def test_dataset_requires_consistent_p(self):
-        with pytest.raises(ValueError, match="covariate_names"):
-            Dataset([1.0, 1.0], np.ones((2, 1)), [1, 1], covariate_names=("x1", "x2"))
-        with pytest.raises(ValueError, match="one row per observation"):
-            Dataset([1.0, 1.0], np.ones(2), [1, 1])
-
-    def test_dataset_nonempty(self):
-        with pytest.raises(ValueError):
-            Dataset([], np.ones((0, 1)), [])
-
-    def test_csparams_phi_positive(self):
-        with pytest.raises(DomainError):
-            CSParams(xi=[0.0], lam=0.0, phi=0.0)
-
-    @pytest.mark.parametrize("xi,lam,phi,message", [
-        ([0.0, math.nan], 1.0, 1.0, "xi[1] = nan is non-finite"),
-        ([math.inf], 1.0, 1.0, "xi[0] = inf is non-finite"),
-        ([0.0], math.nan, 1.0, "lam = nan is non-finite"),
-        ([0.0], -math.inf, 1.0, "lam = -inf is non-finite"),
-        ([0.0], 1.0, math.inf, "phi = inf is non-finite"),
-        ([0.0], 1.0, math.nan, "phi must be strictly positive, got nan"),
-    ])
-    def test_csparams_refuses_non_finite_fields(self, xi, lam, phi, message):
-        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-            CSParams(xi, lam, phi)
-
-    @pytest.mark.parametrize("y,X,message", [
-        ([1, 2, math.nan, 0.5, 1.5, 2.5], np.ones((6, 1)), "y[2] = nan is non-finite"),
-        (np.zeros(6), np.insert(np.ones((5, 2)), 3, [1, -math.inf], axis=0),
-         "X[3, 1] = -inf is non-finite"),
-        # NaNs of two payloads: refused at the first, whatever its bits
-        (np.zeros(6), np.array([1, 1, 1, 1, 0x7FF8000000000001, 0xFFF8000000000000],
-                               dtype=np.uint64).view(np.float64)[:, None],
-         "X[4, 0] = nan is non-finite"),
-    ])
-    def test_dataset_refuses_non_finite_entries(self, y, X, message):
-        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-            Dataset(y, X, [2, 2, 2])
-
     def test_arrays_are_frozen(self):
         data = intercept_dataset({"a": [1.0, 2.0]})
         for column in (data.y, data.X, data.sizes, data.offsets):
@@ -359,32 +279,23 @@ class TestDataModel:
         assert got == [f"c{i}".encode() for i in range(1, k + 1)]
         assert data.cluster_ids == tuple(f"c{i}" for i in range(1, k + 1))
 
-    def test_sizes_must_cover_rows(self):
-        with pytest.raises(ValueError):
-            Dataset([1.0, 2.0], np.ones((2, 1)), [1, 2], ["a", "b"], ["x1"])
-        with pytest.raises(ValueError):
-            Dataset([1.0, 2.0], np.ones((2, 1)), [2, 0], ["a", "b"], ["x1"])
-        with pytest.raises(ValueError, match="one cluster id per cluster"):
-            Dataset([1.0, 2.0], np.ones((2, 1)), [1, 1], ["a"])
-
 
 # ---------------------------------------------------------------------------
 # CSV long format
 # ---------------------------------------------------------------------------
 
 
-def read_text(text: str, fifo: bool):
-    """read_dataset_csv of text as UTF-8 from a regular file, or from a FIFO that a thread
-    feeds."""
+def read_bytes(data: bytes, fifo: bool):
+    """read_dataset_csv of data from a regular file, or from a FIFO that a thread feeds."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "data.csv")
         if not fifo:
             with open(path, "wb") as fh:
-                fh.write(text.encode("utf-8"))
+                fh.write(data)
             return read_dataset_csv(path)
         os.mkfifo(path)
         done = threading.Event()
-        writer = threading.Thread(target=feed, args=(path, text.encode("utf-8"), done))
+        writer = threading.Thread(target=feed, args=(path, data, done))
         writer.start()
         try:
             return read_dataset_csv(path)
@@ -408,20 +319,20 @@ def feed(path, data: bytes, done):
         data = b""
 
 
-@pytest.mark.parametrize("name,text,want", DATASETS, ids=[name for name, *_ in DATASETS])
-def test_dataset_csv(name, text, want):
+@pytest.mark.parametrize("name,data,want", DATASETS, ids=[name for name, *_ in DATASETS])
+def test_dataset_csv(name, data, want):
     """The one home of the reader's contract: each row, read from a regular file and from a
     FIFO, gives its dataset or its exact refusal, and warns of nothing."""
     for fifo in (False, True):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                data = read_text(text, fifo)
+                dataset = read_bytes(data, fifo)
             except CsvFormatError as exc:
                 got = str(exc)
             else:
-                got = Parsed(data.cluster_ids, data.sizes.tolist(), data.y.tolist(),
-                             data.X.tolist(), data.covariate_names)
+                got = Parsed(dataset.cluster_ids, dataset.sizes.tolist(), dataset.y.tolist(),
+                             dataset.X.tolist(), dataset.covariate_names)
         assert got == want, ("fifo" if fifo else "file", got)
 
 
@@ -516,7 +427,7 @@ class TestCsvAgainstReference:
     def test_matches_plain_python_reader(self, text):
         ids, sizes, rows = reference_read(text)
         for fifo in (False, True):
-            data = read_text(text, fifo)
+            data = read_bytes(text.encode("utf-8"), fifo)
             assert data.cluster_ids == ids
             assert data.sizes.tolist() == sizes
             assert np.array_equal(data.y, rows[:, 0]) and np.array_equal(data.X, rows[:, 1:])

@@ -1,5 +1,3 @@
-import math
-import re
 
 import numpy as np
 import pytest
@@ -31,34 +29,6 @@ class TestPhiloxRaw:
     def test_substream_is_the_same_stream(self):
         got = philox_raw(17, [3], 6)[0]
         assert np.array_equal(got, substream(17, 3).bit_generator.random_raw(6))
-
-    @pytest.mark.parametrize("seed", [-1, 2**64])
-    def test_seed_outside_64_bits(self, seed):
-        with pytest.raises(ValueError, match="64-bit"):
-            philox_raw(seed, [0], 4)
-        with pytest.raises(ValueError, match="64-bit"):
-            substream(seed, 0)
-
-    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, 1.9, math.nan, math.inf])
-    def test_seed_error_names_the_value(self, seed):
-        for call in (lambda: philox_raw(seed, [0], 4), lambda: substream(seed, 0)):
-            with pytest.raises(ValueError, match="^" + re.escape(
-                    f"seed = {seed}: not a 64-bit unsigned integer, [0, 2**64 - 1]") + "$"):
-                call()
-
-    @pytest.mark.parametrize("stream", [-1, 2**64, 1.5, 1.9, math.nan, math.inf])
-    def test_stream_error_names_the_value(self, stream):
-        for call in (lambda: philox_raw(7, [0, stream], 4), lambda: substream(7, stream)):
-            with pytest.raises(ValueError, match="^" + re.escape(
-                    f"stream = {stream}: not a 64-bit unsigned integer, [0, 2**64 - 1]") + "$"):
-                call()
-
-    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
-    def test_stream_array_is_refused_at_its_bad_entry(self, dtype):
-        """A negative or fractional entry of a numpy array is refused, not cast to another stream."""
-        bad = -1 if dtype is np.int64 else 2.5
-        with pytest.raises(ValueError, match=f"^stream = {bad}: not a 64-bit"):
-            philox_raw(7, np.array([3, bad, 4], dtype=dtype), 4)
 
     @pytest.mark.parametrize("streams", [
         np.array([3, 0, 2**62], dtype=np.int64),

@@ -78,10 +78,3 @@ class TestNdtrArrays:
         a = np.array([-3.0, 0.1, 9.0])
         ndtr(a)
         assert a.tolist() == [-3.0, 0.1, 9.0]
-
-    @pytest.mark.parametrize(
-        "out", [np.empty(4), np.empty(3, dtype=np.float32), np.empty(6)[::2]]
-    )
-    def test_bad_out_is_refused(self, out):
-        with pytest.raises(ValueError, match="C-contiguous float64 array of the input's shape"):
-            ndtr(np.zeros(3), out=out)
